@@ -28,7 +28,7 @@ from .errors import (
     SingularSystem,
     StepUnderflow,
 )
-from .linalg import EigenTriple, determinant, eig_all, eigen_triple, solve_linear
+from .linalg import EigenTriple, eig_all, eigen_triple, solve_linear
 from .graph import (
     Graph,
     Matching,
@@ -57,7 +57,6 @@ from .model import (
     spectrum_mismatch,
 )
 from .solver import (
-    BasisDirection,
     ContinuationState,
     SolveReport,
     SolverConfig,
@@ -68,7 +67,6 @@ from .solver import (
     evaluate_f,
     jacobian_xyz,
     newton_correct,
-    xyz_directions,
 )
 from .apps import (
     VerificationReport,
@@ -80,7 +78,6 @@ from .apps import (
 
 __all__ = [
     "BadFormat",
-    "BasisDirection",
     "ContinuationState",
     "DegenerateSpectrum",
     "DimensionMismatch",
@@ -113,7 +110,6 @@ __all__ = [
     "build_seed",
     "continuation_solve",
     "default_targets",
-    "determinant",
     "disc_radius",
     "eig_all",
     "eigen_derivative",
@@ -138,5 +134,4 @@ __all__ = [
     "spectrum_mismatch",
     "tridiagonalize",
     "verify",
-    "xyz_directions",
 ]

@@ -51,6 +51,19 @@ EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY_FAILED = 4
 
+# Error class -> (exit code, stderr label); the first matching row wins.
+_FAILURES = (
+    (NumericalError, EXIT_NUMERICAL, "numerical failure"),
+    (InfeasibleError, EXIT_INFEASIBLE, "infeasible"),
+    (InputError, EXIT_BAD_INPUT, "bad input"),
+    (GiepError, EXIT_NUMERICAL, "error"),
+    (OSError, EXIT_BAD_INPUT, "cannot read/write"),
+    (ValueError, EXIT_BAD_INPUT, "bad input"),
+)
+_HANDLED = tuple(cls for cls, _, _ in _FAILURES)
+# Batch status word, indexed by exit code.
+_STATUS = ("ok", "bad-input", "infeasible", "numerical")
+
 DEFAULT_SEED = 20240801
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
@@ -94,8 +107,6 @@ def _config_from_args(args) -> SolverConfig:
         cfg.max_steps = args.max_steps
     if getattr(args, "step_min", None) is not None:
         cfg.step_min = args.step_min
-    if getattr(args, "rng_seed", None) is not None:
-        cfg.rng_seed = args.rng_seed
     return cfg
 
 
@@ -142,20 +153,21 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and stderr label of a handled error."""
+    return next((code, label) for cls, code, label in _FAILURES if isinstance(exc, cls))
+
+
 def _solve_batch_item(stem: str, directory: Path, args):
     """Solve one batch instance; returns (stem, exit_code, summary)."""
     try:
         s = parse_spectrum(_read(directory / f"{stem}.spectrum"))
         g = parse_graph(_read(directory / f"{stem}.graph"))
         report = solve_instance(s, g, args.mode, _config_from_args(args))
-    except StepUnderflow as exc:
-        return stem, EXIT_NUMERICAL, f"step underflow at t={exc.t_reached:.4g}"
-    except NumericalError as exc:
-        return stem, EXIT_NUMERICAL, str(exc)
-    except InfeasibleError as exc:
-        return stem, EXIT_INFEASIBLE, str(exc)
-    except (InputError, OSError, ValueError) as exc:
-        return stem, EXIT_BAD_INPUT, str(exc)
+    except _HANDLED as exc:
+        if isinstance(exc, StepUnderflow):
+            return stem, EXIT_NUMERICAL, f"step underflow at t={exc.t_reached:.4g}"
+        return stem, _failure(exc)[0], str(exc)
     _write(directory / f"{stem}.matrix.csv", format_matrix_csv(report.matrix))
     _write(directory / f"{stem}.report.txt", format_report(report, report.matrix.shape[0]))
     return stem, EXIT_OK, f"residual={report.final_residual:.3e}"
@@ -179,13 +191,7 @@ def _run_batch(args) -> int:
     counts = {EXIT_OK: 0, EXIT_BAD_INPUT: 0, EXIT_INFEASIBLE: 0, EXIT_NUMERICAL: 0}
     for stem, code, summary in results:
         counts[code] += 1
-        status = {
-            EXIT_OK: "ok",
-            EXIT_BAD_INPUT: "bad-input",
-            EXIT_INFEASIBLE: "infeasible",
-            EXIT_NUMERICAL: "numerical",
-        }[code]
-        print(f"{stem}: {status} ({summary})")
+        print(f"{stem}: {_STATUS[code]} ({summary})")
     print(
         f"batch: {len(results)} instances, {counts[EXIT_OK]} ok, "
         f"{counts[EXIT_INFEASIBLE]} infeasible, {counts[EXIT_NUMERICAL]} numerical, "
@@ -337,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, help="final spectrum tolerance")
     solve.add_argument("--max-steps", dest="max_steps", type=int)
     solve.add_argument("--step-min", dest="step_min", type=float)
-    solve.add_argument("--rng-seed", dest="rng_seed", type=int)
     solve.add_argument("--report", help="write a structured run report here")
     solve.add_argument("--mm-out", dest="mm_out", help="also export coordinate format")
     solve.add_argument("--batch", help="solve every *.spectrum/*.graph pair in a directory")
@@ -380,27 +385,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except StepUnderflow as exc:
-        print(f"giep: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except NumericalError as exc:
-        print(f"giep: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except InfeasibleError as exc:
-        print(f"giep: infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except InputError as exc:
-        print(f"giep: bad input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except GiepError as exc:  # pragma: no cover - taxonomy catch-all
-        print(f"giep: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"giep: cannot read/write: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
-        print(f"giep: bad input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except _HANDLED as exc:
+        code, label = _failure(exc)
+        print(f"giep: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ class RepeatedEigenvalues(InfeasibleError):
 
 
 class NonConvergence(NumericalError):
-    """The eigensolver or inverse iteration exhausted its iteration budget."""
+    """The eigensolver failed, or an eigenpair missed its residual tolerance."""
 
 
 class IllConditioned(NumericalError):
@@ -52,7 +52,7 @@ class IllConditioned(NumericalError):
 
 
 class SingularSystem(NumericalError):
-    """A linear system's pivot fell below tolerance."""
+    """A linear system is singular or too ill-conditioned to trust."""
 
 
 class DiscViolation(NumericalError):

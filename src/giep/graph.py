@@ -286,11 +286,6 @@ class Relabeling:
         return m[np.ix_(idx, idx)]
 
 
-def _identity_relabeling(n: int) -> Relabeling:
-    ident = tuple(range(1, n + 1))
-    return Relabeling(perm=ident, inverse=ident)
-
-
 def plan_relabeling(g: Graph, matching: Matching, k: int) -> tuple[Relabeling, Pattern]:
     """Send k matched pairs to labels (1,2)..(2k-1,2k) and emit fill slots.
 

@@ -5,12 +5,14 @@ complex quantities use numpy's complex128 (a pair of 64-bit reals).  All
 operations are pure functions of their inputs and validate finiteness and
 shape on entry, so arrays can be shared freely between threads.
 
-``eig_all`` wraps LAPACK's real nonsymmetric eigensolver (Hessenberg
-reduction plus multishift QR), which keeps all arithmetic real and returns
-complex eigenvalues in bit-exact conjugate pairs.  Eigenvectors of simple
-eigenvalues come from shifted inverse iteration seeded with the computed
-eigenvalue, which converges in one or two sweeps when eigenvalues are well
-separated.
+Everything delegates to LAPACK through numpy.  ``eig_all`` wraps the real
+nonsymmetric eigensolver (Hessenberg reduction plus multishift QR), which
+keeps all arithmetic real and returns complex eigenvalues in bit-exact
+conjugate pairs.  ``eigen_triple`` takes one full eigendecomposition
+``m = V diag(ev) V^-1`` and reads the right eigenvectors from the columns
+of ``V`` and the left ones from the rows of ``V^-1``, for every requested
+eigenvalue at once.  ``solve_linear`` is an LU solve guarded by a
+condition-number check and a backward-stability check on its residual.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from .errors import IllConditioned, NonConvergence, SingularSystem
 TOL_ORTHO = 1e-8          # |w^T v| below this means near-defective
 TOL_LIN = 1e-12           # relative residual for linear solves
 RES_FACTOR = 1e-10        # eigen residual tolerance = RES_FACTOR * ||m||_F
-PIVOT_FACTOR = 1e-13      # pivot tolerance = PIVOT_FACTOR * max|a_ij|
-MAX_INVERSE_ITER = 8
+PIVOT_FACTOR = 1e-13      # singular when sigma_min <= PIVOT_FACTOR * sigma_max
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -84,179 +85,84 @@ class EigenTriple:
     pairing: complex
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its first sizable component is real positive.
+def eigen_triple(m, values) -> list[EigenTriple]:
+    """Unit right/left eigenvectors for each of ``values``, from one decomposition.
 
-    The pivot is the first component with magnitude above 1/(2*sqrt(n));
-    one always exists for a unit vector.  Makes eigenvectors deterministic.
-    """
-    n = v.shape[0]
-    cut = 0.5 / np.sqrt(n)
-    idx = int(np.argmax(np.abs(v) > cut))
-    pivot = v[idx]
-    if np.iscomplexobj(v):
-        return v * (pivot.conjugate() / abs(pivot))
-    return v if pivot > 0 else -v
+    Each entry of ``values`` (in practice a labeled value returned by
+    :func:`eig_all`) selects the nearest computed eigenvalue.  Left
+    eigenvectors are the matching rows of the inverse eigenvector matrix,
+    so before normalisation ``w^T v = 1``; after it the pairing ``w^T v``
+    is positive up to rounding.  The eigenvalue is refined with the two-sided
+    Rayleigh quotient, and both residuals ``||m v - value v||`` and
+    ``||w^T m - value w^T||`` are verified against RES_FACTOR * ||m||_F.
 
+    A value that is exactly real gets real vectors.
 
-def _inverse_iteration(a: np.ndarray, shift, tol: float, max_iter: int) -> np.ndarray:
-    """Unit eigenvector of ``a`` for the eigenvalue nearest ``shift``.
-
-    Fixed-shift inverse iteration from a deterministic start vector.  An
-    exactly singular shifted system is nudged by a relative epsilon, which
-    costs one sweep and leaves the iteration otherwise unchanged.
-    """
-    n = a.shape[0]
-    x = np.arange(1, n + 1, dtype=a.dtype)
-    x /= np.linalg.norm(x)
-    eye = np.eye(n, dtype=a.dtype)
-    shifted = a - shift * eye
-    nudge = 1e-14 * (np.abs(a).max() + abs(shift) + 1.0)
-    for _ in range(max_iter):
-        try:
-            y = np.linalg.solve(shifted, x)
-        except np.linalg.LinAlgError:
-            shifted = shifted + nudge * eye
-            continue
-        norm_y = np.linalg.norm(y)
-        if not np.isfinite(norm_y) or norm_y == 0.0:
-            shifted = shifted + nudge * eye
-            continue
-        x = y / norm_y
-        rho = np.vdot(x, a @ x)
-        if np.linalg.norm(a @ x - rho * x) <= tol:
-            return x
-    raise NonConvergence(
-        f"inverse iteration did not converge in {max_iter} sweeps at shift {shift}"
-    )
-
-
-def eigen_triple(m, approx: complex, max_iter: int = MAX_INVERSE_ITER) -> EigenTriple:
-    """Eigenvalue of ``m`` nearest ``approx`` with unit right/left eigenvectors.
-
-    ``approx`` must sit in the basin of a simple eigenvalue (in practice it
-    is a value returned by :func:`eig_all`).  The eigenvalue is refined with
-    the two-sided Rayleigh quotient, and both residuals ``||m v - value v||``
-    and ``||m^T w - value w||`` are verified against RES_FACTOR * ||m||_F.
-
-    If ``approx`` is exactly real the computation stays in real arithmetic
-    and the returned vectors are real.
-
-    Raises IllConditioned when |w^T v| < TOL_ORTHO (near-defective), and
-    NonConvergence when inverse iteration stalls.
+    Raises IllConditioned when |w^T v| < TOL_ORTHO or the eigenvector
+    matrix is singular (near-defective), and NonConvergence when the
+    eigensolver fails or a residual is too large.
     """
     a = as_square_matrix(m)
-    lam0 = complex(approx)
-    if not (np.isfinite(lam0.real) and np.isfinite(lam0.imag)):
-        raise ValueError("approx must be finite")
+    wanted = [complex(v) for v in values]
+    if not np.all(np.isfinite(wanted)):
+        raise ValueError("eigenvalue approximations must be finite")
+    try:
+        ev, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvector computation failed: {exc}") from exc
+    try:
+        lefts = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"eigenvector matrix is singular: {exc}") from exc
     tol = RES_FACTOR * np.linalg.norm(a)
-    if lam0.imag == 0.0:
-        v = _inverse_iteration(a, lam0.real, tol, max_iter)
-        w = _inverse_iteration(a.T.copy(), lam0.real, tol, max_iter)
-    else:
-        ac = a.astype(np.complex128)
-        v = _inverse_iteration(ac, lam0, tol, max_iter)
-        w = _inverse_iteration(ac.T.copy(), lam0, tol, max_iter)
-    v = _fix_phase(v)
-    w = _fix_phase(w)
-    pairing = complex(w @ v)
-    if abs(pairing) < TOL_ORTHO:
-        raise IllConditioned(
-            f"left/right eigenvectors nearly orthogonal: |w^T v| = {abs(pairing):.3e}"
-        )
-    value = complex(w @ a @ v) / pairing
-    res_right = np.linalg.norm(a @ v - value * v)
-    res_left = np.linalg.norm(a.T @ w - value * w)
-    if res_right > tol or res_left > tol:
-        raise NonConvergence(
-            f"eigenpair residuals {res_right:.3e}/{res_left:.3e} exceed {tol:.3e}"
-        )
-    return EigenTriple(value=value, right=v, left=w, pairing=pairing)
-
-
-def _lu_factor(a: np.ndarray):
-    """In-place LU with partial pivoting; returns (lu, row_permutation, swaps).
-
-    Raises SingularSystem when the best available pivot is at or below
-    PIVOT_FACTOR * max|a_ij|.
-    """
-    n = a.shape[0]
-    lu = a.copy()
-    perm = np.arange(n)
-    pivot_tol = PIVOT_FACTOR * np.abs(a).max()
-    swaps = 0
-    for c in range(n):
-        r = c + int(np.argmax(np.abs(lu[c:, c])))
-        if abs(lu[r, c]) <= pivot_tol:
-            raise SingularSystem(
-                f"pivot {abs(lu[r, c]):.3e} at column {c} below tolerance {pivot_tol:.3e}"
+    triples = []
+    for lam in wanted:
+        i = int(np.argmin(np.abs(ev - lam)))
+        v, w = vecs[:, i], lefts[i]
+        if lam.imag == 0.0:
+            v, w = v.real, w.real
+        v = v / np.linalg.norm(v)
+        w = w / np.linalg.norm(w)
+        pairing = complex(w @ v)
+        if not abs(pairing) >= TOL_ORTHO:
+            raise IllConditioned(
+                f"left/right eigenvectors nearly orthogonal: |w^T v| = {abs(pairing):.3e}"
             )
-        if r != c:
-            lu[[c, r]] = lu[[r, c]]
-            perm[[c, r]] = perm[[r, c]]
-            swaps += 1
-        lu[c + 1 :, c] /= lu[c, c]
-        lu[c + 1 :, c + 1 :] -= np.outer(lu[c + 1 :, c], lu[c, c + 1 :])
-    return lu, perm, swaps
-
-
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = b[perm].astype(lu.dtype)
-    for i in range(1, n):          # forward substitution, unit lower factor
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):  # back substitution
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
-    return x
+        value = complex(w @ a @ v) / pairing
+        res_right = np.linalg.norm(a @ v - value * v)
+        res_left = np.linalg.norm(w @ a - value * w)
+        if not (res_right <= tol and res_left <= tol):
+            raise NonConvergence(
+                f"eigenpair residuals {res_right:.3e}/{res_left:.3e} exceed {tol:.3e}"
+            )
+        triples.append(EigenTriple(value=value, right=v, left=w, pairing=pairing))
+    return triples
 
 
 def solve_linear(a, rhs) -> np.ndarray:
-    """Solve ``a @ s = rhs`` by LU with partial pivoting.
+    """Solve ``a @ s = rhs`` by LAPACK's LU with partial pivoting.
 
-    Iterative refinement drives the residual to TOL_LIN * ||rhs|| for
-    well-conditioned systems.  When ``rhs`` is tiny or the system is badly
-    conditioned that target sits below the rounding floor, so the solution
-    is accepted as long as it meets the backward-stable bound
-    TOL_LIN * (||rhs|| + ||a|| * ||s||); beyond that the system is reported
-    singular.  A pivot below PIVOT_FACTOR * max|a_ij| raises SingularSystem
-    outright.
+    A system whose condition number exceeds 1 / PIVOT_FACTOR raises
+    SingularSystem before the solve.  The solution must then meet the
+    backward-stable bound TOL_LIN * (||rhs|| + ||a|| * ||s||) on its
+    residual; beyond that the system is reported singular too.
     """
     a = as_square_matrix(a)
     b = as_vector(rhs, a.shape[0])
-    lu, perm, _ = _lu_factor(a)
-    x = _lu_solve(lu, perm, b)
-    norm_b = np.linalg.norm(b)
-    for _ in range(3):
-        r = b - a @ x
-        if np.linalg.norm(r) <= TOL_LIN * norm_b:
-            break
-        x = x + _lu_solve(lu, perm, r)
+    try:
+        sv = np.linalg.svd(a, compute_uv=False)
+        if not sv[-1] > PIVOT_FACTOR * sv[0]:
+            raise SingularSystem(
+                f"smallest singular value {sv[-1]:.3e} below {PIVOT_FACTOR:.0e} times "
+                f"the largest {sv[0]:.3e}"
+            )
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"solve failed: {exc}") from exc
     residual = np.linalg.norm(a @ x - b)
-    stable = TOL_LIN * (norm_b + np.linalg.norm(a) * np.linalg.norm(x))
-    if residual > max(TOL_LIN * norm_b, stable):
+    stable = TOL_LIN * (np.linalg.norm(b) + np.linalg.norm(a) * np.linalg.norm(x))
+    if not residual <= stable:
         raise SingularSystem(
             f"solve residual {residual:.3e} exceeds the backward-stable bound {stable:.3e}"
         )
     return x
-
-
-def determinant(a) -> float:
-    """Determinant from Gaussian elimination with partial pivoting.
-
-    Unlike :func:`solve_linear`, a vanishing pivot is not an error here:
-    it simply means the determinant is zero.
-    """
-    a = as_square_matrix(a).copy()
-    n = a.shape[0]
-    sign = 1.0
-    det = 1.0
-    for c in range(n):
-        r = c + int(np.argmax(np.abs(a[c:, c])))
-        if a[r, c] == 0.0:
-            return 0.0
-        if r != c:
-            a[[c, r]] = a[[r, c]]
-            sign = -sign
-        det *= a[c, c]
-        a[c + 1 :, c + 1 :] -= np.outer(a[c + 1 :, c] / a[c, c], a[c, c + 1 :])
-    return sign * det

@@ -290,6 +290,10 @@ class LabeledValue:
         """Stacked coordinates in row order (lam_1..k, mu_1..k, gamma_1..l)."""
         return np.concatenate([self.lam, self.mu, self.gamma])
 
+    def points(self) -> np.ndarray:
+        """The tracked eigenvalues (lam_j + mu_j*i, then gamma_j) in row order."""
+        return np.concatenate([self.lam + 1j * self.mu, self.gamma])
+
 
 def build_seed(s: Spectrum) -> np.ndarray:
     """The block-diagonal seed matrix realizing the spectrum exactly."""

@@ -38,7 +38,6 @@ from .errors import (
 from .linalg import (
     TOL_ORTHO,
     EigenTriple,
-    as_square_matrix,
     eig_all,
     eigen_triple,
     solve_linear,
@@ -61,64 +60,6 @@ TOL_NEWTON_FACTOR = 1e-11   # newton tolerance = factor * (1 + |spectrum|_inf)
 TOL_FINAL_FACTOR = 1e-8     # final spectrum tolerance, same scaling
 
 
-@dataclass(frozen=True)
-class BasisDirection:
-    """One coordinate direction of the matrix family.
-
-    kind 'x'/'y'/'z' take a 1-based block index j; kind 'u'/'omega' take a
-    1-based slot index r.  ``matrix`` materializes the induced perturbation:
-    x(j) -> E(2j-1,2j-1) + E(2j,2j); y(j) -> E(2j-1,2j) - E(2j,2j-1);
-    z(j) -> E(2k+j,2k+j); u(r) -> E(i_r,j_r); omega(r) -> E(j_r,i_r).
-    """
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in ("x", "y", "z", "u", "omega"):
-            raise ValueError(f"unknown direction kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError("direction index is 1-based")
-
-    def matrix(self, p: Pattern) -> np.ndarray:
-        b = np.zeros((p.n, p.n))
-        j = self.index
-        if self.kind == "x":
-            if j > p.k:
-                raise DimensionMismatch(f"x({j}) exceeds k={p.k}")
-            b[2 * j - 2, 2 * j - 2] = 1.0
-            b[2 * j - 1, 2 * j - 1] = 1.0
-        elif self.kind == "y":
-            if j > p.k:
-                raise DimensionMismatch(f"y({j}) exceeds k={p.k}")
-            b[2 * j - 2, 2 * j - 1] = 1.0
-            b[2 * j - 1, 2 * j - 2] = -1.0
-        elif self.kind == "z":
-            if j > p.l:
-                raise DimensionMismatch(f"z({j}) exceeds l={p.l}")
-            b[2 * p.k + j - 1, 2 * p.k + j - 1] = 1.0
-        elif self.kind == "u":
-            if j > p.m:
-                raise DimensionMismatch(f"u({j}) exceeds m={p.m}")
-            row, col = p.slots[j - 1]
-            b[row - 1, col - 1] = 1.0
-        else:
-            if j > p.m or not p.bidirected[j - 1]:
-                raise DimensionMismatch(f"omega({j}) has no bidirected slot")
-            row, col = p.slots[j - 1]
-            b[col - 1, row - 1] = 1.0
-        return b
-
-
-def xyz_directions(p: Pattern) -> list[BasisDirection]:
-    """The block-parameter directions in Jacobian column order."""
-    return (
-        [BasisDirection("x", j) for j in range(1, p.k + 1)]
-        + [BasisDirection("y", j) for j in range(1, p.k + 1)]
-        + [BasisDirection("z", j) for j in range(1, p.l + 1)]
-    )
-
-
 def eigen_derivative(triple: EigenTriple, b) -> complex:
     """Rate of change of a simple eigenvalue along matrix direction ``b``.
 
@@ -134,39 +75,33 @@ def eigen_derivative(triple: EigenTriple, b) -> complex:
     return complex(triple.left @ b @ triple.right) / triple.pairing
 
 
-def jacobian_xyz(m, p: Pattern, triples: list[EigenTriple]) -> np.ndarray:
+def jacobian_xyz(p: Pattern, triples: list[EigenTriple]) -> np.ndarray:
     """Jacobian of the labeled coordinates with respect to (x, y, z).
 
-    ``triples`` lists the k plus-disc eigenpairs then the l real eigenpairs
-    of ``m``.  Rows are ordered (lam_1..k, mu_1..k, gamma_1..l); columns
-    follow :func:`xyz_directions`.  At the seed matrix this is the identity.
+    ``triples`` lists the k plus-disc eigenpairs then the l real eigenpairs.
+    Rows are ordered (lam_1..k, mu_1..k, gamma_1..l) and columns
+    (x_1..k, y_1..k, z_1..l).  Each column is :func:`eigen_derivative` along
+    a direction that touches at most four entries, gathered directly: with
+    a = 2j-1 and d = 2k+j (1-based), x_j gives w_a v_a + w_{a+1} v_{a+1},
+    y_j gives w_a v_{a+1} - w_{a+1} v_a, and z_j gives w_d v_d.  At the seed
+    matrix this is the identity.
     """
-    a = as_square_matrix(m)
-    if a.shape[0] != p.n:
-        raise DimensionMismatch(f"matrix is {a.shape[0]}x{a.shape[0]}, pattern n={p.n}")
-    dim = 2 * p.k + p.l
     if len(triples) != p.k + p.l:
         raise DimensionMismatch(f"need {p.k + p.l} eigen triples, got {len(triples)}")
-    jac = np.empty((dim, dim))
-    for c, direction in enumerate(xyz_directions(p)):
-        b = direction.matrix(p)
-        for j in range(p.k):
-            zeta = eigen_derivative(triples[j], b)
-            jac[j, c] = zeta.real
-            jac[p.k + j, c] = zeta.imag
-        for j in range(p.l):
-            jac[2 * p.k + j, c] = eigen_derivative(triples[p.k + j], b).real
-    return jac
-
-
-def _labeled_state(mtx: np.ndarray, d: DiscSystem):
-    """Label the spectrum of ``mtx`` and compute triples for tracked eigenvalues."""
-    ev = eig_all(mtx)
-    labeled = label_eigenvalues(ev, d)
-    triples = [
-        eigen_triple(mtx, complex(labeled.lam[j], labeled.mu[j])) for j in range(d.k)
-    ] + [eigen_triple(mtx, complex(labeled.gamma[j], 0.0)) for j in range(d.l)]
-    return labeled, triples, ev
+    v = np.array([t.right for t in triples], dtype=complex)
+    w = np.array([t.left for t in triples], dtype=complex)
+    if v.shape[1] != p.n:
+        raise DimensionMismatch(f"eigenvectors have length {v.shape[1]}, pattern n={p.n}")
+    pairing = np.array([t.pairing for t in triples])
+    k2 = 2 * p.k
+    zeta = np.hstack(
+        [
+            w[:, 0:k2:2] * v[:, 0:k2:2] + w[:, 1:k2:2] * v[:, 1:k2:2],
+            w[:, 0:k2:2] * v[:, 1:k2:2] - w[:, 1:k2:2] * v[:, 0:k2:2],
+            w[:, k2:] * v[:, k2:],
+        ]
+    ) / pairing[:, None]
+    return np.vstack([zeta[: p.k].real, zeta[: p.k].imag, zeta[p.k :].real])
 
 
 def evaluate_f(p: Pattern, theta: ParameterPoint, d: DiscSystem) -> LabeledValue:
@@ -192,18 +127,23 @@ def _correct(
     tol: float,
 ):
     """Newton iteration on (x, y, z); returns (theta, iterations, residual,
-    labeled, triples, eigs) at the converged point."""
+    eigs) at the converged point.
+
+    Eigenvectors are computed only for iterates that go on to form a
+    Jacobian; the convergence test needs the eigenvalues alone.
+    """
     goal = target.vector()
     for it in range(max_iter + 1):
         mtx = assemble(p, theta)
-        labeled, triples, ev = _labeled_state(mtx, d)
+        ev = eig_all(mtx)
+        labeled = label_eigenvalues(ev, d)
         residual_vec = goal - labeled.vector()
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
-            return theta, it, residual, labeled, triples, ev
+            return theta, it, residual, ev
         if it == max_iter:
             break
-        jac = jacobian_xyz(mtx, p, triples)
+        jac = jacobian_xyz(p, eigen_triple(mtx, labeled.points()))
         delta = solve_linear(jac, residual_vec)
         theta = theta.with_xyz_delta(delta)
     raise NoConvergence(
@@ -232,7 +172,7 @@ def newton_correct(
     """
     if tol is None:
         tol = TOL_NEWTON_FACTOR * (1.0 + _target_scale(target))
-    point, _, _, _, _, _ = _correct(p, d, theta, target, max_iter, tol)
+    point, _, _, _ = _correct(p, d, theta, target, max_iter, tol)
     return point
 
 
@@ -252,7 +192,6 @@ class ContinuationState:
     t: float
     theta: ParameterPoint
     step: float
-    triples: list[EigenTriple]
     history: list[StepRecord] = field(default_factory=list)
 
 
@@ -264,8 +203,7 @@ class SolverConfig:
     radius; the construction is only guaranteed for small fills, so
     aggressive values trade success probability for larger entries.
     ``observer``, when set, is called as ``observer(state, eigs)`` after
-    every accepted step.  ``rng_seed`` is reserved for randomized
-    tie-breaks; the default pipeline has none.
+    every accepted step.
     """
 
     fill_scale: float = 0.1
@@ -278,7 +216,6 @@ class SolverConfig:
     max_steps: int = 10_000
     easy_newton_iters: int = 4
     observer: Callable[[ContinuationState, np.ndarray], None] | None = None
-    rng_seed: int | None = None
 
 
 @dataclass
@@ -381,11 +318,10 @@ def continuation_solve(
         omega=np.zeros(p.m),
     )
 
-    state = ContinuationState(t=0.0, theta=theta, step=min(cfg.step_init, cfg.step_max), triples=[])
+    state = ContinuationState(t=0.0, theta=theta, step=min(cfg.step_init, cfg.step_max))
     # The seed realizes the targets exactly; record it as the first accepted state.
-    labeled, triples, ev = _labeled_state(assemble(p, theta), d)
-    seed_residual = float(np.abs(target.vector() - labeled.vector()).max())
-    state.triples = triples
+    ev = eig_all(assemble(p, theta))
+    seed_residual = float(np.abs(target.vector() - label_eigenvalues(ev, d).vector()).max())
     state.history.append(StepRecord(t=0.0, residual=seed_residual, newton_iterations=0))
     if cfg.observer is not None:
         cfg.observer(state, ev)
@@ -405,7 +341,7 @@ def continuation_solve(
             t_try = 1.0
         theta_try = state.theta.with_fill(t_try * u_target, t_try * omega_target)
         try:
-            theta_new, iters, residual, labeled, triples, ev = _correct(
+            theta_new, iters, residual, ev = _correct(
                 p, d, theta_try, target, cfg.max_newton, tol_newton
             )
         except (NoConvergence, DiscViolation) as exc:
@@ -421,7 +357,6 @@ def continuation_solve(
             continue
         state.t = t_try
         state.theta = theta_new
-        state.triples = triples
         accepted += 1
         newton_total += iters
         state.history.append(StepRecord(t=t_try, residual=residual, newton_iterations=iters))
@@ -459,7 +394,6 @@ def continuation_solve(
 
 
 __all__ = [
-    "BasisDirection",
     "ContinuationState",
     "SolveReport",
     "SolverConfig",
@@ -470,5 +404,4 @@ __all__ = [
     "evaluate_f",
     "jacobian_xyz",
     "newton_correct",
-    "xyz_directions",
 ]

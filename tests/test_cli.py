@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from giep import parse_graph, parse_matrix_csv, parse_spectrum, verify
+import giep.cli
+from giep import (
+    BadFormat,
+    GiepError,
+    MatchingTooSmall,
+    SingularSystem,
+    StepUnderflow,
+    parse_graph,
+    parse_matrix_csv,
+    parse_spectrum,
+    verify,
+)
 from giep.cli import main
 
 SPECTRUM_3 = '{"pairs": [[1.0, 2.0]], "reals": [3.0]}\n'
@@ -211,6 +222,48 @@ def test_batch_mode(tmp_path, capsys):
         s = parse_spectrum((batch / f"case{i}.spectrum").read_text())
         g = parse_graph((batch / f"case{i}.graph").read_text())
         assert verify(m, s, g).passed
+
+
+# One failure per row of the CLI error table: exit code, stderr, batch line.
+ERROR_CASES = [
+    (StepUnderflow("step 5e-07 fell below 1e-06 at t=0.25: x", t_reached=0.25), 3,
+     "giep: numerical failure: step 5e-07 fell below 1e-06 at t=0.25: x\n",
+     "one: numerical (step underflow at t=0.25)"),
+    (SingularSystem("pivot 0"), 3, "giep: numerical failure: pivot 0\n",
+     "one: numerical (pivot 0)"),
+    (MatchingTooSmall("need k=1"), 2, "giep: infeasible: need k=1\n",
+     "one: infeasible (need k=1)"),
+    (BadFormat("line 2"), 1, "giep: bad input: line 2\n", "one: bad-input (line 2)"),
+    (GiepError("other"), 3, "giep: error: other\n", "one: numerical (other)"),
+    (OSError("disk"), 1, "giep: cannot read/write: disk\n", "one: bad-input (disk)"),
+    (ValueError("nan"), 1, "giep: bad input: nan\n", "one: bad-input (nan)"),
+]
+
+
+@pytest.mark.parametrize(
+    "error, code, stderr, batch_line",
+    ERROR_CASES,
+    ids=[type(case[0]).__name__ for case in ERROR_CASES],
+)
+def test_error_table_single_and_batch(tmp_path, monkeypatch, capsys, error, code, stderr, batch_line):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(giep.cli, "solve_instance", fail)
+    (tmp_path / "one.spectrum").write_text(SPECTRUM_3)
+    (tmp_path / "one.graph").write_text(PATH_3)
+    single = main(
+        ["solve", "--spectrum", str(tmp_path / "one.spectrum"),
+         "--graph", str(tmp_path / "one.graph"), "--out", str(tmp_path / "m.csv")]
+    )
+    captured = capsys.readouterr()
+    assert (single, captured.err, captured.out) == (code, stderr, "")
+    batch = main(["solve", "--batch", str(tmp_path), "--jobs", "1"])
+    out = capsys.readouterr().out.splitlines()
+    counts = {1: "0 ok, 0 infeasible, 0 numerical, 1 bad-input",
+              2: "0 ok, 1 infeasible, 0 numerical, 0 bad-input",
+              3: "0 ok, 0 infeasible, 1 numerical, 0 bad-input"}[code]
+    assert (batch, out) == (code, [batch_line, f"batch: 1 instances, {counts}"])
 
 
 def test_batch_requires_pairs(tmp_path):

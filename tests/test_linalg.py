@@ -9,7 +9,6 @@ from giep import (
     IllConditioned,
     NonConvergence,
     SingularSystem,
-    determinant,
     eig_all,
     eigen_triple,
     solve_linear,
@@ -57,7 +56,7 @@ def test_eig_trace_and_determinant_identities():
         tr = float(np.trace(a))
         assert abs(ev.sum().real - tr) <= 1e-9 * (1 + abs(tr))
         assert abs(ev.sum().imag) <= 1e-9 * (1 + abs(tr))
-        det = determinant(a)
+        det = np.linalg.det(a)
         assert abs(np.prod(ev).real - det) <= 1e-8 * (1 + abs(det))
 
 
@@ -68,17 +67,35 @@ def test_eig_rejects_nonfinite_and_nonsquare():
         eig_all(np.ones((2, 3)))
 
 
+def _assert_unit_eigenpair(a, t, value, pairing_modulus):
+    """Phase-invariant checks: both eigen-equations, unit norms, |w^T v|."""
+    a = np.asarray(a)
+    assert abs(t.value - value) < 1e-12
+    assert np.linalg.norm(a @ t.right - t.value * t.right) < 1e-12
+    assert np.linalg.norm(t.left @ a - t.value * t.left) < 1e-12
+    assert abs(np.linalg.norm(t.right) - 1.0) < 1e-14
+    assert abs(np.linalg.norm(t.left) - 1.0) < 1e-14
+    assert abs(abs(t.pairing) - pairing_modulus) < 1e-12
+    assert abs(t.pairing - complex(t.left @ t.right)) < 1e-15
+
+
 def test_eigen_triple_rotation_pair():
-    t = eigen_triple([[1.0, 2.0], [-2.0, 1.0]], 1 + 2j)
-    assert abs(t.value - (1 + 2j)) < 1e-12
-    r = 1 / math.sqrt(2)
-    assert np.allclose(t.right, [r, r * 1j], atol=1e-10)
-    assert np.allclose(t.left, np.conj(t.right), atol=1e-10)
-    assert abs(t.pairing - 1.0) < 1e-10
+    a = [[1.0, 2.0], [-2.0, 1.0]]
+    plus, minus = eigen_triple(a, [1 + 2j, 1 - 2j])
+    _assert_unit_eigenpair(a, plus, 1 + 2j, 1.0)  # normal matrix: |w^T v| = 1
+    _assert_unit_eigenpair(a, minus, 1 - 2j, 1.0)
+
+
+def test_eigen_triple_non_normal_pairing_is_shared():
+    # upper triangular: both eigenvalues see the same |w^T v| = 1/sqrt(2)
+    a = [[1.0, 1.0], [0.0, 2.0]]
+    one, two = eigen_triple(a, [1.0, 2.0])
+    _assert_unit_eigenpair(a, one, 1.0, 1 / math.sqrt(2))
+    _assert_unit_eigenpair(a, two, 2.0, 1 / math.sqrt(2))
 
 
 def test_eigen_triple_diagonal_real_path():
-    t = eigen_triple(np.diag([5.0, 7.0]), 7.0)
+    (t,) = eigen_triple(np.diag([5.0, 7.0]), [7.0])
     assert abs(t.value - 7.0) < 1e-12
     assert not np.iscomplexobj(t.right) and not np.iscomplexobj(t.left)
     assert np.allclose(t.right, [0.0, 1.0], atol=1e-10)
@@ -90,8 +107,8 @@ def test_eigen_triple_cross_checks_eig_all():
     rng = np.random.default_rng(23)
     for _ in range(10):
         a = rng.standard_normal((5, 5))
-        for v in eig_all(a):
-            t = eigen_triple(a, complex(v))
+        ev = eig_all(a)
+        for v, t in zip(ev, eigen_triple(a, ev)):
             assert abs(t.value - v) <= 1e-10
             # residuals of both sides against the refined eigenvalue
             assert np.linalg.norm(a @ t.right - t.value * t.right) <= 1e-10 * np.linalg.norm(a)
@@ -102,8 +119,7 @@ def test_eigen_triple_real_eigenvalue_gives_real_vectors():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))
     a = a + a.T  # symmetric: all eigenvalues real
-    for v in eig_all(a):
-        t = eigen_triple(a, complex(v))
+    for t in eigen_triple(a, eig_all(a)):
         assert t.value.imag == 0.0
         assert not np.iscomplexobj(t.right)
 
@@ -111,13 +127,13 @@ def test_eigen_triple_real_eigenvalue_gives_real_vectors():
 def test_eigen_triple_near_defective_raises():
     a = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-12]])
     with pytest.raises(IllConditioned):
-        eigen_triple(a, 1.0)
+        eigen_triple(a, [1.0])
 
 
-def test_eigen_triple_stalls_between_eigenvalues():
-    # shift equidistant from both eigenvalues: inverse iteration cannot settle
+def test_eigen_triple_real_request_on_complex_eigenvalue_fails_residual():
+    # a real vector cannot be an eigenvector of a complex eigenvalue
     with pytest.raises(NonConvergence):
-        eigen_triple(np.diag([1.0, 2.0]), 1.5)
+        eigen_triple([[1.0, 2.0], [-2.0, 1.0]], [1.0])
 
 
 def test_solve_identity():
@@ -143,12 +159,6 @@ def test_solve_singular_raises():
         solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
     with pytest.raises(SingularSystem):
         solve_linear(np.zeros((2, 2)), [1.0, 1.0])
+    with pytest.raises(SingularSystem):  # condition number ~4e15 > 1 / PIVOT_FACTOR
+        solve_linear([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, 1.0])
 
-
-def test_determinant_matches_numpy_on_randoms():
-    rng = np.random.default_rng(9)
-    for _ in range(40):
-        n = int(rng.integers(1, 8))
-        a = rng.standard_normal((n, n))
-        assert abs(determinant(a) - np.linalg.det(a)) <= 1e-10 * (1 + abs(np.linalg.det(a)))
-    assert determinant([[1.0, 2.0], [2.0, 4.0]]) == 0.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from giep import (
-    BasisDirection,
     DiscViolation,
     ParameterPoint,
     Pattern,
@@ -22,12 +21,13 @@ from giep import (
     evaluate_f,
     jacobian_xyz,
     label_eigenvalues,
+    max_matching,
     newton_correct,
+    plan_relabeling,
     spectrum_mismatch,
-    xyz_directions,
 )
-from giep.cli import random_spectrum
-from giep.solver import _correct, _labeled_state
+from giep.cli import random_graph, random_spectrum
+from giep.solver import _correct
 
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
@@ -39,10 +39,7 @@ def seed_triples(s):
     mtx = build_seed(s)
     d = disc_radius(s)
     lv = label_eigenvalues(eig_all(mtx), d)
-    return mtx, d, (
-        [eigen_triple(mtx, complex(lv.lam[j], lv.mu[j])) for j in range(s.k)]
-        + [eigen_triple(mtx, complex(g)) for g in lv.gamma]
-    )
+    return mtx, d, eigen_triple(mtx, lv.points())
 
 
 def seed_point(s, m=0):
@@ -55,12 +52,19 @@ def seed_point(s, m=0):
     )
 
 
+def xyz_directions(p, theta):
+    """Matrix direction of each (x, y, z) coordinate, in Jacobian column order."""
+    base = assemble(p, theta)
+    return [assemble(p, theta.with_xyz_delta(e)) - base for e in np.eye(2 * p.k + p.l)]
+
+
 def test_eigen_derivative_block_directions():
     mtx, _, triples = seed_triples(S3)
     pair_triple = triples[0]
-    zx = eigen_derivative(pair_triple, BasisDirection("x", 1).matrix(P3))
-    zy = eigen_derivative(pair_triple, BasisDirection("y", 1).matrix(P3))
-    zz = eigen_derivative(pair_triple, BasisDirection("z", 1).matrix(P3))
+    bx, by, bz = xyz_directions(P3, seed_point(S3, m=1))
+    zx = eigen_derivative(pair_triple, bx)
+    zy = eigen_derivative(pair_triple, by)
+    zz = eigen_derivative(pair_triple, bz)
     assert abs(zx - 1.0) < 1e-12      # diagonal block direction moves lambda
     assert abs(zy - 1j) < 1e-12       # rotation direction moves mu
     assert abs(zz) < 1e-12            # the other block has no first-order effect
@@ -69,25 +73,9 @@ def test_eigen_derivative_block_directions():
 def test_eigen_derivative_real_row_is_real():
     _, _, triples = seed_triples(S3)
     real_triple = triples[1]
-    z = eigen_derivative(real_triple, BasisDirection("z", 1).matrix(P3))
+    z = eigen_derivative(real_triple, xyz_directions(P3, seed_point(S3, m=1))[2])
     assert z.imag == 0.0
     assert abs(z - 1.0) < 1e-12
-
-
-def test_direction_matrices():
-    p = Pattern(n=4, k=1, slots=((1, 3), (2, 4)), bidirected=(False, True))
-    bx = BasisDirection("x", 1).matrix(p)
-    assert bx[0, 0] == 1.0 and bx[1, 1] == 1.0 and np.count_nonzero(bx) == 2
-    by = BasisDirection("y", 1).matrix(p)
-    assert by[0, 1] == 1.0 and by[1, 0] == -1.0
-    bz = BasisDirection("z", 2).matrix(p)
-    assert bz[3, 3] == 1.0 and np.count_nonzero(bz) == 1
-    bu = BasisDirection("u", 1).matrix(p)
-    assert bu[0, 2] == 1.0
-    bw = BasisDirection("omega", 2).matrix(p)
-    assert bw[3, 1] == 1.0
-    with pytest.raises(Exception):
-        BasisDirection("omega", 1).matrix(p)  # slot 1 is one-directional
 
 
 def test_jacobian_identity_at_seed():
@@ -98,7 +86,7 @@ def test_jacobian_identity_at_seed():
     ):
         mtx, _, triples = seed_triples(s)
         p = Pattern(n=s.n, k=s.k)
-        jac = jacobian_xyz(mtx, p, triples)
+        jac = jacobian_xyz(p, triples)
         assert np.abs(jac - np.eye(2 * s.k + s.l)).max() <= 1e-9
 
 
@@ -111,17 +99,40 @@ def test_jacobian_matches_finite_differences_off_seed():
         np.array([0.03, -0.02]), np.array([0.01, 0.025])
     )
     mtx = assemble(p, theta)
-    _, triples, _ = _labeled_state(mtx, d)
-    jac = jacobian_xyz(mtx, p, triples)
+    jac = jacobian_xyz(p, eigen_triple(mtx, label_eigenvalues(eig_all(mtx), d).points()))
     h = 1e-6
     dim = 2 * s.k + s.l
     fd = np.empty((dim, dim))
-    for c, direction in enumerate(xyz_directions(p)):
-        b = direction.matrix(p)
+    for c, b in enumerate(xyz_directions(p, theta)):
         up = label_eigenvalues(eig_all(mtx + h * b), d).vector()
         dn = label_eigenvalues(eig_all(mtx - h * b), d).vector()
         fd[:, c] = (up - dn) / (2 * h)
     assert np.abs(jac - fd).max() <= 1e-5
+
+
+@pytest.mark.parametrize("k", [10, 0], ids=["generic", "all-real"])
+def test_jacobian_gather_matches_dense_derivatives(k):
+    # n=40 with its default fill written in: the gather must read the same
+    # positions as the dense w^T B v / w^T v for every (x, y, z) direction
+    rng = np.random.default_rng(40 + k)
+    n = 40
+    s = random_spectrum(rng, k, n - 2 * k, box=n / 2)
+    g = random_graph(rng, n, k, 4 / n)
+    _, p = plan_relabeling(g, max_matching(g), k)
+    d = disc_radius(s)
+    assert p.m > 0
+    theta = seed_point(s, m=p.m).with_fill(*default_targets(p, d))
+    mtx = assemble(p, theta)
+    triples = eigen_triple(mtx, label_eigenvalues(eig_all(mtx), d).points())
+    jac = jacobian_xyz(p, triples)
+    dense = np.empty_like(jac)
+    for c, b in enumerate(xyz_directions(p, theta)):
+        zetas = [eigen_derivative(t, b) for t in triples]
+        dense[:, c] = [z.real for z in zetas[:k]] + [z.imag for z in zetas[:k]] + [
+            z.real for z in zetas[k:]
+        ]
+    assert np.abs(jac - dense).max() <= 1e-10 * (1 + np.linalg.norm(jac))
+    assert np.abs(jac - np.eye(n)).max() > 1e-6  # off the seed
 
 
 def test_evaluate_f_exact_at_targets():
@@ -154,7 +165,7 @@ def test_newton_zero_iterations_when_exact():
 def test_newton_recovers_small_fill():
     d = disc_radius(S3)
     theta = seed_point(S3, m=1).with_fill(np.array([0.05]), np.array([0.05]))
-    out, iters, residual, _, _, _ = _correct(
+    out, iters, residual, _ = _correct(
         P3, d, theta, S3.target_coordinates(), 25, 1e-11 * (1 + S3.inf_norm())
     )
     assert iters <= 5
