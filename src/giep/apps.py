@@ -145,17 +145,17 @@ def verify(
         raise DimensionMismatch(
             f"matrix is {n}x{n}, graph has {g.n} vertices, spectrum has {s.n} values"
         )
-    failures = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            val = float(a[i - 1, j - 1])
-            if g.has_edge(i, j):
-                if abs(val) < nonzero_floor:
-                    failures.append(PatternFailure(i, j, val, "nonzero"))
-            elif val != 0.0:
-                failures.append(PatternFailure(i, j, val, "zero"))
+    edge = np.zeros((n, n), dtype=bool)
+    if g.edges:
+        rows, cols = np.array(list(g.edges)).T - 1
+        edge[rows, cols] = True
+    stray = (a != 0.0) & ~edge
+    np.fill_diagonal(stray, False)
+    bad = (edge & (np.abs(a) < nonzero_floor)) | stray
+    failures = [
+        PatternFailure(int(i) + 1, int(j) + 1, float(a[i, j]), "nonzero" if edge[i, j] else "zero")
+        for i, j in np.argwhere(bad)
+    ]
     err = spectrum_mismatch(eig_all(a), s)
     tol = spectrum_tol if spectrum_tol is not None else TOL_FINAL_FACTOR * (1.0 + s.inf_norm())
     return VerificationReport(

@@ -17,6 +17,7 @@ diagnostic verbosity on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -323,7 +324,12 @@ def _cmd_random_instance(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every ``main`` call reuses it.
+    """
     parser = _Parser(
         prog="giep",
         description=(

@@ -8,11 +8,15 @@ shape on entry, so arrays can be shared freely between threads.
 Everything delegates to LAPACK through numpy.  ``eig_all`` wraps the real
 nonsymmetric eigensolver (Hessenberg reduction plus multishift QR), which
 keeps all arithmetic real and returns complex eigenvalues in bit-exact
-conjugate pairs.  ``eigen_triple`` takes one full eigendecomposition
-``m = V diag(ev) V^-1`` and reads the right eigenvectors from the columns
-of ``V`` and the left ones from the rows of ``V^-1``, for every requested
-eigenvalue at once.  ``solve_linear`` is an LU solve guarded by a
-condition-number check and a backward-stability check on its residual.
+conjugate pairs; with ``vectors=True`` the same single call also returns
+the right eigenvectors.  ``eigen_triple`` takes that decomposition
+``m = V diag(ev) V^-1`` (its ``eigensystem`` argument, or one computed on
+the spot) and reads the right eigenvectors from the columns of ``V`` and
+the left ones from the rows of ``V^-1``.  It treats every requested
+eigenvalue at once, as columns and rows of arrays, and still checks each
+one for near-defectiveness and for both eigen-residuals.  ``solve_linear``
+is an LU solve guarded by a condition-number check and a backward-stability
+check on its residual.
 """
 
 from __future__ import annotations
@@ -50,22 +54,31 @@ def as_vector(v, n: int) -> np.ndarray:
     return b
 
 
-def eig_all(m) -> np.ndarray:
+def eig_all(m, vectors: bool = False):
     """All eigenvalues of a real square matrix, with multiplicity.
 
     Returns a complex128 array sorted by (real, imag).  Complex eigenvalues
     appear in exact conjugate pairs: the imaginary parts of a pair are
     bitwise negations, and real eigenvalues have imaginary part exactly 0.0.
+    With ``vectors`` it returns ``(ev, vecs)`` from one ``np.linalg.eig``
+    instead, where column ``i`` of ``vecs`` is a right eigenvector of
+    ``ev[i]``; this pair is the ``eigensystem`` :func:`eigen_triple` accepts.
 
     Raises NonConvergence if the QR iteration fails to converge.
     """
     a = as_square_matrix(m)
     try:
-        ev = np.linalg.eigvals(a)
+        if vectors:
+            ev, vecs = np.linalg.eig(a)
+        else:
+            ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
     ev = np.atleast_1d(ev).astype(np.complex128)
-    return ev[np.lexsort((ev.imag, ev.real))]
+    order = np.lexsort((ev.imag, ev.real))
+    if vectors:
+        return ev[order], vecs[:, order]
+    return ev[order]
 
 
 @dataclass(frozen=True)
@@ -85,16 +98,28 @@ class EigenTriple:
     pairing: complex
 
 
-def eigen_triple(m, values) -> list[EigenTriple]:
+def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``a @ z`` for real ``a``, without a complex copy of ``a`` when ``z`` is complex."""
+    if not np.iscomplexobj(z):
+        return a @ z
+    return (a @ np.ascontiguousarray(z).view(float)).view(complex)
+
+
+def eigen_triple(m, values, eigensystem=None) -> list[EigenTriple]:
     """Unit right/left eigenvectors for each of ``values``, from one decomposition.
 
-    Each entry of ``values`` (in practice a labeled value returned by
-    :func:`eig_all`) selects the nearest computed eigenvalue.  Left
-    eigenvectors are the matching rows of the inverse eigenvector matrix,
-    so before normalisation ``w^T v = 1``; after it the pairing ``w^T v``
-    is positive up to rounding.  The eigenvalue is refined with the two-sided
-    Rayleigh quotient, and both residuals ``||m v - value v||`` and
+    ``eigensystem`` is the ``(ev, vecs)`` pair of ``eig_all(m, vectors=True)``
+    when the caller already holds it; otherwise it is computed here.  Each
+    entry of ``values`` (in practice a labeled value read off ``ev``)
+    selects the nearest eigenvalue of ``ev``.  Left eigenvectors are the
+    matching rows of the inverse eigenvector matrix, so before
+    normalisation ``w^T v = 1``; after it the pairing ``w^T v`` is positive
+    up to rounding.  The eigenvalue is refined with the two-sided Rayleigh
+    quotient, and both residuals ``||m v - value v||`` and
     ``||w^T m - value w^T||`` are verified against RES_FACTOR * ||m||_F.
+    All values are handled together as columns (right) and rows (left) of
+    one array; the checks still hold for every value separately, and the
+    first value that fails one raises.
 
     A value that is exactly real gets real vectors.
 
@@ -103,40 +128,49 @@ def eigen_triple(m, values) -> list[EigenTriple]:
     eigensolver fails or a residual is too large.
     """
     a = as_square_matrix(m)
-    wanted = [complex(v) for v in values]
+    wanted = np.atleast_1d(np.asarray(values, dtype=complex))
     if not np.all(np.isfinite(wanted)):
         raise ValueError("eigenvalue approximations must be finite")
+    ev, vecs = eig_all(a, vectors=True) if eigensystem is None else eigensystem
+    idx = np.argmin(np.abs(np.subtract.outer(wanted, ev)), axis=1)
     try:
-        ev, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvector computation failed: {exc}") from exc
-    try:
-        lefts = np.linalg.inv(vecs)
+        w = np.linalg.inv(vecs)[idx]
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"eigenvector matrix is singular: {exc}") from exc
+    real = wanted.imag == 0.0
+    v = vecs[:, idx]
+    if np.iscomplexobj(v):
+        v[:, real] = v[:, real].real
+        w[real] = w[real].real
+    v /= np.linalg.norm(v, axis=0)
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    pairing = np.einsum("ij,ji->i", w, v)
+    wa = _real_matmul(a.T, w.T).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.einsum("ij,ji->i", wa, v) / pairing
+        res_right = np.linalg.norm(_real_matmul(a, v) - v * value, axis=0)
+        res_left = np.linalg.norm(wa - value[:, None] * w, axis=1)
     tol = RES_FACTOR * np.linalg.norm(a)
-    triples = []
-    for lam in wanted:
-        i = int(np.argmin(np.abs(ev - lam)))
-        v, w = vecs[:, i], lefts[i]
-        if lam.imag == 0.0:
-            v, w = v.real, w.real
-        v = v / np.linalg.norm(v)
-        w = w / np.linalg.norm(w)
-        pairing = complex(w @ v)
-        if not abs(pairing) >= TOL_ORTHO:
+    orthogonal = ~(np.abs(pairing) >= TOL_ORTHO)
+    failed = np.flatnonzero(orthogonal | ~((res_right <= tol) & (res_left <= tol)))
+    if failed.size:
+        i = failed[0]
+        if orthogonal[i]:
             raise IllConditioned(
-                f"left/right eigenvectors nearly orthogonal: |w^T v| = {abs(pairing):.3e}"
+                f"left/right eigenvectors nearly orthogonal: |w^T v| = {abs(pairing[i]):.3e}"
             )
-        value = complex(w @ a @ v) / pairing
-        res_right = np.linalg.norm(a @ v - value * v)
-        res_left = np.linalg.norm(w @ a - value * w)
-        if not (res_right <= tol and res_left <= tol):
-            raise NonConvergence(
-                f"eigenpair residuals {res_right:.3e}/{res_left:.3e} exceed {tol:.3e}"
-            )
-        triples.append(EigenTriple(value=value, right=v, left=w, pairing=pairing))
-    return triples
+        raise NonConvergence(
+            f"eigenpair residuals {res_right[i]:.3e}/{res_left[i]:.3e} exceed {tol:.3e}"
+        )
+    return [
+        EigenTriple(
+            value=complex(value[i]),
+            right=v[:, i].real if real[i] else v[:, i],
+            left=w[i].real if real[i] else w[i],
+            pairing=complex(pairing[i]),
+        )
+        for i in range(wanted.size)
+    ]
 
 
 def solve_linear(a, rhs) -> np.ndarray:

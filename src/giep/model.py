@@ -166,6 +166,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of moduli |a_i - b_j|, computed as hypot of the parts.
+
+    ``np.abs`` of a complex array can differ in the last bit from the scalar
+    modulus; ``np.hypot`` agrees with it.  The disc radius, and through it
+    every written fill entry, is computed from these distances.
+    """
+    re = np.subtract.outer(a.real, b.real)
+    return np.hypot(re, np.subtract.outer(a.imag, b.imag), out=re)
+
+
 @dataclass(frozen=True, eq=False)
 class ParameterPoint:
     """The free parameters (x, y, z, u, omega) of the matrix family.
@@ -237,12 +248,10 @@ class DiscSystem:
                     f"disc at {c} touches the real axis (radius {eps})"
                 )
         cs = self.all_centers()
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                if abs(cs[i] - cs[j]) <= 2.0 * eps:
-                    raise ValueError(
-                        f"discs at {cs[i]} and {cs[j]} are not disjoint"
-                    )
+        close = np.triu(_distances(cs, cs) <= 2.0 * eps, 1)
+        if close.any():
+            i, j = np.argwhere(close)[0]
+            raise ValueError(f"discs at {cs[i]} and {cs[j]} are not disjoint")
 
     @property
     def k(self) -> int:
@@ -321,11 +330,9 @@ def disc_radius(s: Spectrum) -> DiscSystem:
     if s.n == 1:
         eps = (1.0 + abs(points[0])) / 3.0
     else:
-        gap = min(
-            abs(points[i] - points[j])
-            for i in range(len(points))
-            for j in range(i + 1, len(points))
-        )
+        dist = _distances(points, points)
+        np.fill_diagonal(dist, np.inf)
+        gap = dist.min()
         if gap == 0.0:
             raise DegenerateSpectrum("spectrum points coincide")
         eps = gap / 3.0
@@ -380,59 +387,65 @@ def label_eigenvalues(eigs, d: DiscSystem) -> LabeledValue:
     exactly one eigenvalue, an eigenvalue assigned to a real interval must
     be exactly real, and every eigenvalue must lie strictly inside its
     disc.  Any violation means the matrix has left the neighborhood where
-    the labeling is meaningful and raises DiscViolation.
+    the labeling is meaningful and raises DiscViolation.  All distances
+    come from one eigenvalue-by-center matrix; the per-eigenvalue rules
+    report the first offending eigenvalue in input order, and the
+    one-per-disc rule the first offending disc in center order.
     """
     ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
     if ev.size != d.n:
         raise ValueError(f"expected {d.n} eigenvalues, got {ev.size}")
     centers = d.all_centers()
-    buckets: list[list[complex]] = [[] for _ in centers]
-    for e in ev:
-        dist = np.abs(centers - e)
-        idx = int(np.argmin(dist))
-        if dist[idx] >= d.radius:
+    dist = _distances(ev, centers)
+    idx = np.argmin(dist, axis=1)
+    nearest = dist[np.arange(ev.size), idx]
+    outside = nearest >= d.radius
+    tied = np.count_nonzero(dist == nearest[:, None], axis=1) > 1
+    off_axis = (idx >= 2 * d.k) & (ev.imag != 0.0)
+    bad = np.flatnonzero(outside | tied | off_axis)
+    if bad.size:
+        i = bad[0]
+        e, c = ev[i], centers[idx[i]]
+        if outside[i]:
             raise DiscViolation(
-                f"eigenvalue {e} lies in no disc (nearest center {centers[idx]}, "
-                f"distance {dist[idx]:.6g}, radius {d.radius:.6g})"
+                f"eigenvalue {e} lies in no disc (nearest center {c}, "
+                f"distance {nearest[i]:.6g}, radius {d.radius:.6g})"
             )
-        if np.count_nonzero(dist == dist[idx]) > 1:
+        if tied[i]:
             raise DiscViolation(f"eigenvalue {e} is equidistant from two discs")
-        if idx >= 2 * d.k and e.imag != 0.0:
-            raise DiscViolation(
-                f"non-real eigenvalue {e} near real target {centers[idx].real}"
-            )
-        buckets[idx].append(complex(e))
-    for idx, bucket in enumerate(buckets):
-        if len(bucket) != 1:
-            raise DiscViolation(
-                f"disc at {centers[idx]} holds {len(bucket)} eigenvalues, expected 1"
-            )
-    plus = [buckets[j][0] for j in range(d.k)]
-    if any(e.imag <= 0.0 for e in plus):
+        raise DiscViolation(f"non-real eigenvalue {e} near real target {c.real}")
+    counts = np.bincount(idx, minlength=d.n)
+    crowded = np.flatnonzero(counts != 1)
+    if crowded.size:
+        j = crowded[0]
+        raise DiscViolation(
+            f"disc at {centers[j]} holds {counts[j]} eigenvalues, expected 1"
+        )
+    held = np.empty_like(ev)
+    held[idx] = ev  # one eigenvalue per disc, in center order
+    plus = held[: d.k]
+    if np.any(plus.imag <= 0.0):
         raise DiscViolation("plus-disc eigenvalue has nonpositive imaginary part")
-    return LabeledValue(
-        lam=np.array([e.real for e in plus]),
-        mu=np.array([e.imag for e in plus]),
-        gamma=np.array([buckets[2 * d.k + j][0].real for j in range(d.l)]),
-    )
+    return LabeledValue(lam=plus.real, mu=plus.imag, gamma=held[2 * d.k :].real)
 
 
 def spectrum_mismatch(eigs, s: Spectrum) -> float:
     """Greedy nearest-neighbor multiset distance between eigenvalues and targets.
 
-    For each target point the nearest unused computed eigenvalue is
-    consumed; the result is the largest distance over all assignments.
+    For each target point, in :meth:`Spectrum.values` order, the nearest
+    unused computed eigenvalue is consumed (the earliest one on a tie); the
+    result is the largest distance over all assignments.
     """
-    ev = list(np.atleast_1d(np.asarray(eigs, dtype=complex)))
+    ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
     targets = s.values()
-    if len(ev) != len(targets):
-        raise ValueError(f"expected {len(targets)} eigenvalues, got {len(ev)}")
+    if ev.size != targets.size:
+        raise ValueError(f"expected {targets.size} eigenvalues, got {ev.size}")
+    dist = _distances(targets, ev)
     worst = 0.0
-    for t in targets:
-        dist = [abs(e - t) for e in ev]
-        idx = int(np.argmin(dist))
-        worst = max(worst, dist[idx])
-        ev.pop(idx)
+    for row in dist:
+        idx = np.argmin(row)
+        worst = max(worst, row[idx])
+        dist[:, idx] = np.inf  # consumed
     return worst
 
 

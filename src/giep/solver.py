@@ -18,6 +18,10 @@ matrix along direction B moves the eigenvalue at rate
 
 whose real part drives the real-part coordinate and whose imaginary part
 drives the imaginary-part coordinate.
+
+Every Newton iterate costs one LAPACK eigendecomposition, shared by the
+disc labeling, the convergence test and the Jacobian; the final spectrum
+check reuses the eigenvalues of the last accepted iterate.
 """
 
 from __future__ import annotations
@@ -129,13 +133,14 @@ def _correct(
     """Newton iteration on (x, y, z); returns (theta, iterations, residual,
     eigs) at the converged point.
 
-    Eigenvectors are computed only for iterates that go on to form a
-    Jacobian; the convergence test needs the eigenvalues alone.
+    Each iterate runs exactly one LAPACK decomposition: its eigenvalues feed
+    the labeling and the convergence test, and its eigenvectors feed the
+    Jacobian through ``eigen_triple``'s ``eigensystem`` argument.
     """
     goal = target.vector()
     for it in range(max_iter + 1):
         mtx = assemble(p, theta)
-        ev = eig_all(mtx)
+        ev, vecs = eig_all(mtx, vectors=True)
         labeled = label_eigenvalues(ev, d)
         residual_vec = goal - labeled.vector()
         residual = float(np.abs(residual_vec).max())
@@ -143,7 +148,7 @@ def _correct(
             return theta, it, residual, ev
         if it == max_iter:
             break
-        jac = jacobian_xyz(p, eigen_triple(mtx, labeled.points()))
+        jac = jacobian_xyz(p, eigen_triple(mtx, labeled.points(), eigensystem=(ev, vecs)))
         delta = solve_linear(jac, residual_vec)
         theta = theta.with_xyz_delta(delta)
     raise NoConvergence(
@@ -371,8 +376,10 @@ def continuation_solve(
             state.step = min(state.step * 2.0, cfg.step_max)
             easy_streak = 0
 
+    # ev belongs to the last accepted iterate (or the seed), whose assembled
+    # matrix is the one returned, so the final check needs no decomposition.
     matrix = assemble(p, state.theta)
-    final_residual = spectrum_mismatch(eig_all(matrix), s)
+    final_residual = spectrum_mismatch(ev, s)
     if final_residual > tol_final:
         raise NoConvergence(
             f"final spectrum distance {final_residual:.3e} exceeds {tol_final:.3e}"

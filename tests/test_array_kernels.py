@@ -1,0 +1,358 @@
+"""Array kernels against the per-value loops they replaced.
+
+Each oracle below is the loop implementation the library used before its
+kernel worked on whole arrays.  Disc and spectrum decisions must agree
+bitwise (same radius, same labels, same first failure and message, same
+mismatch); eigen triples, whose sums now run in another order, must agree
+to 1e-12.
+"""
+
+import numpy as np
+import pytest
+
+from giep import (
+    DiscSystem,
+    DiscViolation,
+    IllConditioned,
+    LabeledValue,
+    NonConvergence,
+    SolverConfig,
+    Spectrum,
+    continuation_solve,
+    default_targets,
+    disc_radius,
+    eig_all,
+    eigen_triple,
+    label_eigenvalues,
+    make_graph,
+    max_matching,
+    plan_relabeling,
+    spectrum_mismatch,
+    verify,
+)
+from giep.cli import random_graph, random_spectrum
+from giep.linalg import RES_FACTOR, TOL_ORTHO
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def loop_radius(s: Spectrum) -> float:
+    points = s.values()
+    if s.n == 1:
+        return (1.0 + abs(points[0])) / 3.0
+    gap = min(
+        abs(points[i] - points[j])
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+    )
+    eps = gap / 3.0
+    if s.k > 0:
+        eps = min(eps, min(mu for _, mu in s.pairs) / 2.0)
+    return eps
+
+
+def loop_label(eigs, d: DiscSystem) -> LabeledValue:
+    ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
+    centers = d.all_centers()
+    buckets = [[] for _ in centers]
+    for e in ev:
+        dist = np.abs(centers - e)
+        idx = int(np.argmin(dist))
+        if dist[idx] >= d.radius:
+            raise DiscViolation(
+                f"eigenvalue {e} lies in no disc (nearest center {centers[idx]}, "
+                f"distance {dist[idx]:.6g}, radius {d.radius:.6g})"
+            )
+        if np.count_nonzero(dist == dist[idx]) > 1:
+            raise DiscViolation(f"eigenvalue {e} is equidistant from two discs")
+        if idx >= 2 * d.k and e.imag != 0.0:
+            raise DiscViolation(
+                f"non-real eigenvalue {e} near real target {centers[idx].real}"
+            )
+        buckets[idx].append(complex(e))
+    for idx, bucket in enumerate(buckets):
+        if len(bucket) != 1:
+            raise DiscViolation(
+                f"disc at {centers[idx]} holds {len(bucket)} eigenvalues, expected 1"
+            )
+    plus = [buckets[j][0] for j in range(d.k)]
+    if any(e.imag <= 0.0 for e in plus):
+        raise DiscViolation("plus-disc eigenvalue has nonpositive imaginary part")
+    return LabeledValue(
+        lam=np.array([e.real for e in plus]),
+        mu=np.array([e.imag for e in plus]),
+        gamma=np.array([buckets[2 * d.k + j][0].real for j in range(d.l)]),
+    )
+
+
+def loop_mismatch(eigs, s: Spectrum) -> float:
+    ev = list(np.atleast_1d(np.asarray(eigs, dtype=complex)))
+    worst = 0.0
+    for t in s.values():
+        dist = [abs(e - t) for e in ev]
+        idx = int(np.argmin(dist))
+        worst = max(worst, dist[idx])
+        ev.pop(idx)
+    return worst
+
+
+def loop_eigen_triple(m, values):
+    a = np.asarray(m, dtype=float)
+    ev, vecs = np.linalg.eig(a)
+    lefts = np.linalg.inv(vecs)
+    tol = RES_FACTOR * np.linalg.norm(a)
+    triples = []
+    for lam in (complex(v) for v in values):
+        i = int(np.argmin(np.abs(ev - lam)))
+        v, w = vecs[:, i], lefts[i]
+        if lam.imag == 0.0:
+            v, w = v.real, w.real
+        v = v / np.linalg.norm(v)
+        w = w / np.linalg.norm(w)
+        pairing = complex(w @ v)
+        if not abs(pairing) >= TOL_ORTHO:
+            raise IllConditioned("nearly orthogonal")
+        value = complex(w @ a @ v) / pairing
+        res_right = np.linalg.norm(a @ v - value * v)
+        res_left = np.linalg.norm(w @ a - value * w)
+        if not (res_right <= tol and res_left <= tol):
+            raise NonConvergence("residual")
+        triples.append((value, v, w, pairing))
+    return triples
+
+
+def loop_pattern_failures(a, g, floor):
+    n = a.shape[0]
+    failures = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            val = float(a[i - 1, j - 1])
+            if g.has_edge(i, j):
+                if abs(val) < floor:
+                    failures.append((i, j, val, "nonzero"))
+            elif val != 0.0:
+                failures.append((i, j, val, "zero"))
+    return failures
+
+
+def unchecked_discs(radius, plus, reals) -> DiscSystem:
+    """A DiscSystem that skips validation, to reach labeling failures that
+    disjoint discs clear of the real axis cannot produce."""
+    d = object.__new__(DiscSystem)
+    object.__setattr__(d, "radius", float(radius))
+    object.__setattr__(d, "plus_centers", tuple(complex(c) for c in plus))
+    object.__setattr__(d, "real_centers", tuple(float(c) for c in reals))
+    return d
+
+
+def seeded_spectra(seed: int, count: int, n_max: int):
+    """Spectra of size 1..n_max (one in ten above 40); about a third have
+    one near-collision."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, (n_max if case % 10 == 0 else min(n_max, 40)) + 1))
+        k = int(rng.integers(0, n // 2 + 1))
+        box = max(5.0, n / 2.0)
+        s = random_spectrum(rng, k, n - 2 * k, box=box, min_gap=1e-9)
+        if case % 3 == 0 and s.n >= 2:
+            # move one point to within ~1e-10 (relative) of another
+            scale = float(rng.uniform(1e-11, 1e-9)) * box
+            angle = float(rng.uniform(0, 2 * np.pi))
+            if s.k >= 2:
+                (a, b), rest = s.pairs[0], s.pairs[2:]
+                moved = (a + scale * np.cos(angle), b + scale * abs(np.sin(angle)))
+                s = Spectrum(pairs=((a, b), moved, *rest), reals=s.reals)
+            elif s.l >= 2:
+                s = Spectrum(pairs=s.pairs, reals=(s.reals[0], s.reals[0] + scale, *s.reals[2:]))
+        yield rng, s
+
+
+def perturbed_eigenvalues(rng, s: Spectrum, d: DiscSystem) -> np.ndarray:
+    """Conjugate-closed eigenvalues inside the discs, in shuffled order."""
+    plus = np.array([complex(a, b) for a, b in s.pairs])
+    if plus.size:
+        plus = plus + 0.9 * d.radius * rng.uniform(0, 1, plus.size) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, plus.size)
+        )
+    reals = np.array(s.reals) + 0.9 * d.radius * rng.uniform(-1, 1, s.l)
+    ev = np.concatenate([plus, plus.conj(), reals.astype(complex)])
+    return ev[rng.permutation(ev.size)]
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(DiscViolation) as info:
+        fn(*args)
+    return str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# Disc radius and disc system
+
+
+def test_disc_radius_bitwise_equal_to_scalar_loop():
+    cases = 0
+    for _, s in seeded_spectra(41, 220, 200):
+        assert disc_radius(s).radius == loop_radius(s)
+        cases += 1
+    assert cases >= 200
+
+
+def test_disc_system_reports_first_overlapping_pair():
+    d = disc_radius(Spectrum(pairs=((0.0, 3.0),), reals=(0.0, 1.0, 2.0)))
+    with pytest.raises(ValueError, match=r"discs at \(2\+0j\) and \(3\+0j\) are not disjoint"):
+        DiscSystem(radius=0.6, plus_centers=d.plus_centers, real_centers=(0.0, 2.0, 3.0, 3.5))
+    with pytest.raises(ValueError, match=r"discs at \(1\+0j\) and \(1.5\+0j\)"):
+        DiscSystem(radius=0.3, plus_centers=(), real_centers=(0.0, 1.0, 1.5, 1.8))
+
+
+@pytest.mark.parametrize("mode", ["generic", "symmetric"])
+def test_written_fills_and_structural_zeros_are_exact(mode):
+    """Every written fill is fill_scale * radius bitwise, with the radius of
+    the scalar-modulus loop, and every structural zero is 0.0.  For this
+    seed the smallest gap lies between two complex points, where numpy's
+    array ``np.abs`` and the scalar modulus can disagree in the last bit."""
+    rng = np.random.default_rng(2007)
+    s = random_spectrum(rng, 16, 8, box=20.0)
+    g = random_graph(rng, 40, 16, 0.1)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    cfg = SolverConfig()
+    m = continuation_solve(s, p, default_targets(p, disc_radius(s), mode, cfg), mode, cfg).matrix
+    fill = cfg.fill_scale * loop_radius(s)
+    for (i, j), bidirected in zip(p.slots, p.bidirected):
+        assert m[i - 1, j - 1] == fill
+        if bidirected:
+            assert m[j - 1, i - 1] == fill
+    zero = ~np.eye(s.n, dtype=bool)
+    for i, j in p.edge_positions():
+        zero[i - 1, j - 1] = False
+    assert np.all(m[zero] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Labeling
+
+
+def test_label_matches_loop_inside_discs():
+    for rng, s in seeded_spectra(43, 60, 120):
+        d = disc_radius(s)
+        ev = perturbed_eigenvalues(rng, s, d)
+        got, want = label_eigenvalues(ev, d), loop_label(ev, d)
+        for name in ("lam", "mu", "gamma"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_label_failure_messages_match_loop():
+    s = Spectrum(pairs=((1.0, 2.0), (-3.0, 1.0)), reals=(3.0, 5.0))
+    d = disc_radius(s)
+    base = [1 + 2j, 1 - 2j, -3 + 1j, -3 - 1j, 3 + 0j, 5 + 0j]
+    cases = {
+        "no disc": (base[:5] + [30 + 0j], d),
+        "non-real": (base[:4] + [3 + 0.01j, 5 + 0j], d),
+        "crowded": (base[:4] + [3 + 0j, 3.01 + 0j], d),
+        # unreachable through validated discs: two overlapping real discs,
+        # and a plus center below the real axis
+        "equidistant": ([0.5 + 0j, 2 + 0j], unchecked_discs(1.0, (), (0.0, 1.0))),
+        "plus below axis": ([-1j, 1j], unchecked_discs(0.5, (-1j,), ())),
+    }
+    messages = {}
+    for kind, (ev, discs) in cases.items():
+        messages[kind] = raised(loop_label, ev, discs)
+        assert raised(label_eigenvalues, ev, discs) == messages[kind]
+    assert "lies in no disc" in messages["no disc"]
+    assert "non-real eigenvalue" in messages["non-real"]
+    assert "holds 2 eigenvalues" in messages["crowded"]
+    assert "equidistant" in messages["equidistant"]
+    assert "nonpositive imaginary part" in messages["plus below axis"]
+
+
+def test_label_reports_first_offending_eigenvalue():
+    s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0, 5.0))
+    d = disc_radius(s)
+    # the second entry is off-axis, the fourth lies in no disc
+    ev = [1 + 2j, 3 + 0.01j, 1 - 2j, 40 + 0j]
+    assert raised(label_eigenvalues, ev, d) == raised(loop_label, ev, d)
+    assert "non-real" in raised(label_eigenvalues, ev, d)
+
+
+# ---------------------------------------------------------------------------
+# Spectrum mismatch
+
+
+def test_spectrum_mismatch_bitwise_equal_to_loop():
+    for rng, s in seeded_spectra(47, 80, 80):
+        d = disc_radius(s)
+        ev = perturbed_eigenvalues(rng, s, d)
+        # far-off values and duplicates exercise the greedy order
+        if s.n >= 3:
+            ev[rng.integers(s.n)] = ev[rng.integers(s.n)]
+            ev[rng.integers(s.n)] += 3.0
+        assert spectrum_mismatch(ev, s) == loop_mismatch(ev, s)
+
+
+def test_spectrum_mismatch_exact_ties_take_first_eigenvalue():
+    s = Spectrum(pairs=((0.0, 1.0),), reals=(0.0, 4.0))
+    # 0.5 and -0.5 tie for target 0+1j ... and for the real target 0
+    for ev in (
+        [0.5 + 1j, -0.5 + 1j, 0.0 - 1j, 4.0 + 0j],
+        [0.5 + 0j, -0.5 + 0j, 0.25 + 1j, -0.25 - 1j],
+        [2.0 + 0j, 2.0 + 0j, 2.0 + 0j, 2.0 + 0j],
+        [1j, 1j, -1j, -1j],
+    ):
+        assert spectrum_mismatch(ev, s) == loop_mismatch(ev, s)
+
+
+# ---------------------------------------------------------------------------
+# Eigen triples
+
+
+def test_eigen_triple_matches_loop():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        n = int(rng.integers(2, 31))
+        a = rng.standard_normal((n, n))
+        ev, vecs = eig_all(a, vectors=True)
+        values = ev[ev.imag >= 0.0]  # plus values and reals, as the solver asks
+        want = loop_eigen_triple(a, values)
+        for got in (eigen_triple(a, values), eigen_triple(a, values, eigensystem=(ev, vecs))):
+            assert len(got) == len(want)
+            for t, (value, v, w, pairing) in zip(got, want):
+                assert abs(t.value - value) <= 1e-12 * (1 + abs(value))
+                assert np.abs(t.right - v).max() <= 1e-12
+                assert np.abs(t.left - w).max() <= 1e-12
+                assert abs(t.pairing - pairing) <= 1e-12
+                assert np.iscomplexobj(t.right) == np.iscomplexobj(v)
+
+
+def test_eigen_triple_checks_every_value():
+    # the second requested value fails its residual check, the first passes
+    a = [[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 7.0]]
+    with pytest.raises(NonConvergence):
+        eigen_triple(a, [7.0, 1.0])
+    # near-defective pair requested after a healthy value
+    b = np.array([[5.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0 + 1e-12]])
+    with pytest.raises(IllConditioned):
+        eigen_triple(b, [5.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Pattern check of verify
+
+
+def test_verify_pattern_failures_match_loop():
+    rng = np.random.default_rng(59)
+    for _ in range(30):
+        n = int(rng.integers(1, 25))
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                 if a != b and rng.uniform() < 0.3]
+        g = make_graph(n, pairs, directed=True)
+        a = np.where(rng.uniform(size=(n, n)) < 0.5, rng.standard_normal((n, n)), 0.0)
+        a[rng.uniform(size=(n, n)) < 0.1] = 1e-13  # below the nonzero floor
+        s = Spectrum(pairs=(), reals=tuple(float(x) for x in range(n)))
+        report = verify(a, s, g)
+        got = [(f.i, f.j, f.value, f.expected) for f in report.pattern_failures]
+        assert got == loop_pattern_failures(a, g, report.nonzero_floor)
+        assert all(type(f.i) is int and type(f.value) is float for f in report.pattern_failures)

@@ -156,6 +156,33 @@ def test_verify_cli_pass_and_fail(instance, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
+def test_parser_built_once_gives_same_output_as_fresh_parser(instance, capsys):
+    tmp, spectrum, graph = instance
+    out = tmp / "m.csv"
+    calls = [
+        ["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(out)],
+        ["solve", "--mode", "sideways"],
+        ["verify", "--matrix", str(out), "--spectrum", str(spectrum), "--graph", str(graph)],
+    ]
+
+    def run(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                giep.cli.build_parser.cache_clear()
+            results.append((main(argv), *capsys.readouterr()))
+        return results
+
+    main(["solve", "--mode", "sideways"])  # build the shared parser first
+    capsys.readouterr()
+    shared = giep.cli.build_parser()
+    reused = run(fresh=False)
+    assert giep.cli.build_parser() is shared
+    assert [code for code, _, _ in reused] == [0, 1, 0]
+    assert "invalid choice: 'sideways'" in reused[1][2]
+    assert run(fresh=True) == reused
+
+
 def test_verify_cli_dimension_disagreement_is_bad_input(instance, tmp_path):
     _, spectrum, graph = instance
     small = tmp_path / "small.csv"

@@ -282,3 +282,47 @@ def test_continuation_random_spectra_jacobian_scale():
         u, omega = default_targets(p, disc_radius(s), "generic")
         rep = continuation_solve(s, p, (u, omega))
         assert rep.final_residual <= 1e-8 * (1 + s.inf_norm())
+
+
+def test_one_decomposition_per_newton_iterate(monkeypatch):
+    """Each Newton iterate runs one ``eig`` and no ``eigvals``; the seed runs
+    the only ``eigvals``, so the final spectrum check adds no decomposition."""
+    import giep.solver as solver
+
+    counts = {}
+    phase = ["driver"]
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[phase[0], key] = counts.get((phase[0], key), 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def in_correct(*args, **kwargs):
+        phase[0] = "newton"
+        try:
+            return real_correct(*args, **kwargs)
+        finally:
+            phase[0] = "driver"
+
+    real_correct = solver._correct
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(solver, "assemble", counting("iterate", solver.assemble))
+    monkeypatch.setattr(solver, "_correct", counting("trial", in_correct))
+
+    # fill three radii wide: this seed rejects three trial steps on its way to t = 1
+    rng = np.random.default_rng(2)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.3)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    cfg = SolverConfig(fill_scale=3.0)
+    rep = continuation_solve(s, p, default_targets(p, disc_radius(s), "generic", cfg), cfg=cfg)
+
+    assert counts[("driver", "trial")] > rep.steps  # some trials were rejected
+    assert counts[("newton", "eig")] == counts[("newton", "iterate")]
+    assert counts[("newton", "iterate")] >= rep.steps + rep.newton_iterations_total
+    assert counts.get(("newton", "eigvals"), 0) == 0
+    assert counts[("driver", "eigvals")] == 1
+    assert counts.get(("driver", "eig"), 0) == 0
