@@ -64,7 +64,6 @@ from .solver import (
     continuation_solve,
     default_targets,
     eigen_derivative,
-    evaluate_f,
     jacobian_xyz,
     newton_correct,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "eig_all",
     "eigen_derivative",
     "eigen_triple",
-    "evaluate_f",
     "format_graph",
     "format_matrix_csv",
     "format_matrix_market",

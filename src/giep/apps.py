@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, RepeatedEigenvalues
 from .graph import Graph, make_graph, max_matching, plan_relabeling
 from .linalg import as_square_matrix, eig_all
-from .model import Spectrum, disc_radius, spectrum_mismatch
+from .model import Spectrum, _distances, disc_radius, spectrum_mismatch
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -74,9 +74,7 @@ def tridiagonalize(m, cfg: SolverConfig | None = None) -> SolveReport:
     ev = eig_all(a)
     n = a.shape[0]
     if n > 1:
-        gap = min(
-            abs(ev[i] - ev[j]) for i in range(n) for j in range(i + 1, n)
-        )
+        gap = _distances(ev, ev)[np.triu_indices(n, 1)].min()
         if gap <= GAP_FACTOR * (1.0 + np.linalg.norm(a)):
             raise RepeatedEigenvalues(
                 f"minimum eigenvalue gap {gap:.3e} is below the distinctness gate"

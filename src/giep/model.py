@@ -48,12 +48,9 @@ class Spectrum:
         if self.n < 1:
             raise ValueError("spectrum must contain at least one value")
         points = self.values()
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if points[i] == points[j]:
-                    raise DegenerateSpectrum(
-                        f"duplicate spectrum value {points[i]}"
-                    )
+        repeated = np.triu(np.equal.outer(points, points), 1).any(axis=1)
+        if repeated.any():
+            raise DegenerateSpectrum(f"duplicate spectrum value {points[repeated.argmax()]}")
 
     @property
     def k(self) -> int:

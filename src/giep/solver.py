@@ -1,14 +1,17 @@
 """Eigenvalue derivatives, Newton correction, and the continuation driver.
 
-The construction works in two nested loops.  The outer loop ramps the fill
+The construction works in two nested loops.  The outer loop moves the fill
 parameters (u, omega) linearly from zero to their targets along a homotopy
-parameter t in [0, 1], with adaptive step halving and doubling.  At each
-accepted t the inner Newton loop restores the labeled eigenvalue
-coordinates to the target spectrum by correcting only the block parameters
-(x, y, z) — the square subsystem whose Jacobian is the identity at the
-seed and stays nonsingular nearby.  Fill entries are written verbatim and
-never solved for, so the output matrix carries its prescribed nonzeros
-exactly.
+parameter t in [0, 1].  Its first trial is the whole interval: at the seed
+every eigenvalue's first derivative with respect to the fills is zero, so
+small fills shift the spectrum only at second order and one Newton
+correction usually absorbs them.  A rejected trial halves the step and two
+easy accepts double it again, up to 1.  At each accepted t the inner
+Newton loop restores the labeled eigenvalue coordinates to the target
+spectrum by correcting only the block parameters (x, y, z) — the square
+subsystem whose Jacobian is the identity at the seed and stays nonsingular
+nearby.  Fill entries are written verbatim and never solved for, so the
+output matrix carries its prescribed nonzeros exactly.
 
 A first-order eigenvalue perturbation identity supplies the Jacobian: for
 a simple eigenvalue with unit right/left eigenvectors v and w, moving the
@@ -207,6 +210,9 @@ class SolverConfig:
     ``fill_scale`` sizes default fill targets as a fraction of the disc
     radius; the construction is only guaranteed for small fills, so
     aggressive values trade success probability for larger entries.
+    The continuation starts with the whole interval as its trial step and
+    gives up with StepUnderflow once halving takes the step below
+    ``step_min`` or ``max_steps`` steps have been accepted.
     ``observer``, when set, is called as ``observer(state, eigs)`` after
     every accepted step.
     """
@@ -215,9 +221,7 @@ class SolverConfig:
     tol_final: float | None = None
     tol_newton: float | None = None
     max_newton: int = 25
-    step_init: float = 0.25
     step_min: float = 1e-6
-    step_max: float = 0.25
     max_steps: int = 10_000
     easy_newton_iters: int = 4
     observer: Callable[[ContinuationState, np.ndarray], None] | None = None
@@ -284,9 +288,10 @@ def continuation_solve(
 ) -> SolveReport:
     """Ramp the fills from zero to their targets, Newton-correcting (x, y, z).
 
-    The step halves after a rejected trial (disc violation or stalled
-    Newton) and doubles after two consecutive easy accepts, within
-    [step_min, step_max].  On success the returned matrix realizes the
+    The first trial step is the whole interval t: 0 -> 1.  The step halves
+    after a rejected trial (disc violation or stalled Newton) and doubles
+    after two consecutive easy accepts, up to 1; each trial is clipped to
+    the rest of the interval.  On success the returned matrix realizes the
     target spectrum with every slot entry written at its exact target.
 
     Raises StepUnderflow (with the largest accepted t) when the step
@@ -323,7 +328,7 @@ def continuation_solve(
         omega=np.zeros(p.m),
     )
 
-    state = ContinuationState(t=0.0, theta=theta, step=min(cfg.step_init, cfg.step_max))
+    state = ContinuationState(t=0.0, theta=theta, step=1.0)
     # The seed realizes the targets exactly; record it as the first accepted state.
     ev = eig_all(assemble(p, theta))
     seed_residual = float(np.abs(target.vector() - label_eigenvalues(ev, d).vector()).max())
@@ -373,7 +378,7 @@ def continuation_solve(
         else:
             easy_streak = 0
         if easy_streak >= 2:
-            state.step = min(state.step * 2.0, cfg.step_max)
+            state.step = min(state.step * 2.0, 1.0)
             easy_streak = 0
 
     # ev belongs to the last accepted iterate (or the seed), whose assembled
@@ -408,7 +413,6 @@ __all__ = [
     "continuation_solve",
     "default_targets",
     "eigen_derivative",
-    "evaluate_f",
     "jacobian_xyz",
     "newton_correct",
 ]

@@ -10,7 +10,9 @@ to 1e-12.
 import numpy as np
 import pytest
 
+import giep.apps as apps
 from giep import (
+    DegenerateSpectrum,
     DiscSystem,
     DiscViolation,
     IllConditioned,
@@ -28,6 +30,7 @@ from giep import (
     max_matching,
     plan_relabeling,
     spectrum_mismatch,
+    tridiagonalize,
     verify,
 )
 from giep.cli import random_graph, random_spectrum
@@ -139,6 +142,26 @@ def loop_pattern_failures(a, g, floor):
     return failures
 
 
+def loop_duplicate(points) -> int | None:
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if points[i] == points[j]:
+                return i
+    return None
+
+
+def loop_gap(ev) -> float:
+    n = len(ev)
+    return min(abs(ev[i] - ev[j]) for i in range(n) for j in range(i + 1, n))
+
+
+def spectrum_points(pairs, reals) -> np.ndarray:
+    """``Spectrum.values()`` without the validation that rejects duplicates."""
+    plus = [complex(a, b) for a, b in pairs]
+    minus = [complex(a, -b) for a, b in pairs]
+    return np.array(plus + minus + [complex(g) for g in reals], dtype=complex)
+
+
 def unchecked_discs(radius, plus, reals) -> DiscSystem:
     """A DiscSystem that skips validation, to reach labeling failures that
     disjoint discs clear of the real axis cannot produce."""
@@ -187,6 +210,102 @@ def raised(fn, *args) -> str:
     with pytest.raises(DiscViolation) as info:
         fn(*args)
     return str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# Distinctness of a spectrum and the gap gate of tridiagonalize
+
+
+def test_distinctness_check_matches_loop():
+    """Up to three planted duplicates per spectrum, some differing only in
+    the sign of a zero part: the same first duplicate in ``values()`` order,
+    with the same message.  Pair imaginary parts are positive and reals get
+    +0.0, so the signed zeros are planted in the real parts."""
+    rng = np.random.default_rng(61)
+    raised_count = signed = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 61))
+        k = int(rng.integers(0, n // 2 + 1))
+        s = random_spectrum(rng, k, n - 2 * k, box=n / 2)
+        pairs, reals = list(s.pairs), list(s.reals)
+        for _ in range(int(rng.integers(0, 4))):
+            zero = (0.0, -0.0)[:: int(rng.choice([1, -1]))]
+            if len(pairs) >= 2 and rng.uniform() < 0.5:
+                i, j = (int(x) for x in rng.choice(len(pairs), 2, replace=False))
+                if rng.uniform() < 0.3:
+                    pairs[i] = (zero[0], pairs[i][1])
+                    pairs[j] = (zero[1], pairs[i][1])
+                else:
+                    pairs[j] = pairs[i]
+            elif len(reals) >= 2:
+                i, j = (int(x) for x in rng.choice(len(reals), 2, replace=False))
+                if rng.uniform() < 0.3:
+                    reals[i], reals[j] = zero
+                else:
+                    reals[j] = reals[i]
+        points = spectrum_points(pairs, reals)
+        first = loop_duplicate(points)
+        if first is None:
+            Spectrum(pairs=tuple(pairs), reals=tuple(reals))
+            continue
+        with pytest.raises(DegenerateSpectrum) as info:
+            Spectrum(pairs=tuple(pairs), reals=tuple(reals))
+        assert str(info.value) == f"duplicate spectrum value {points[first]}"
+        raised_count += 1
+        signed += points[first].real == 0.0
+    assert raised_count >= 100 and signed >= 5
+
+
+def test_gap_gate_matches_loop(monkeypatch):
+    """The gate compares the scalar loop's gap bitwise: on seeded Gaussian
+    matrices with the gate moved onto their gap, and on a near-repeated
+    pair placed on either side of GAP_FACTOR."""
+    monkeypatch.setattr(apps, "solve_instance", lambda *args: "solved")
+    gate = apps.GAP_FACTOR
+
+    def repeated(a) -> str | None:
+        try:
+            assert tridiagonalize(a) == "solved"
+        except apps.RepeatedEigenvalues as exc:
+            return str(exc)
+        return None
+
+    def oracle(a, factor) -> str | None:
+        gap = loop_gap(eig_all(a))
+        if gap <= factor * (1.0 + np.linalg.norm(a)):
+            return f"minimum eigenvalue gap {gap:.3e} is below the distinctness gate"
+        return None
+
+    def near_pair(kind, delta):
+        """Eigenvalues 0 and delta (reals), or +-i and delta +- i (pairs)."""
+        if kind == "real":
+            return np.diag([0.0, delta, 3.0, -2.0])
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        return np.block([[rotation, np.zeros((2, 2))], [np.zeros((2, 2)), rotation + delta * np.eye(2)]])
+
+    outcomes = set()
+    for kind in ("real", "complex"):
+        threshold = gate * (1.0 + np.linalg.norm(near_pair(kind, 0.0)))
+        for step in range(-3, 4):
+            b = near_pair(kind, threshold * (1.0 + step * 2.0**-50))
+            got = repeated(b)
+            assert got == oracle(b, gate)
+            outcomes.add((kind, got is None))
+    assert len(outcomes) == 4  # each pair lands on both sides of the gate
+
+    rng = np.random.default_rng(67)
+    for n in rng.integers(2, 41, 40):
+        a = rng.standard_normal((n, n))
+        gap, scale = loop_gap(eig_all(a)), 1.0 + np.linalg.norm(a)
+        factor = gap / scale
+        while factor * scale < gap:
+            factor = np.nextafter(factor, np.inf)
+        while factor * scale >= gap:
+            factor = np.nextafter(factor, 0.0)
+        for f in (factor, np.nextafter(factor, np.inf)):  # just below, then on or above the gap
+            monkeypatch.setattr(apps, "GAP_FACTOR", f)
+            assert repeated(a) == oracle(a, f)
+        assert repeated(a) is not None
 
 
 # ---------------------------------------------------------------------------

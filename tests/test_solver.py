@@ -18,16 +18,17 @@ from giep import (
     eig_all,
     eigen_derivative,
     eigen_triple,
-    evaluate_f,
     jacobian_xyz,
     label_eigenvalues,
     max_matching,
     newton_correct,
     plan_relabeling,
+    solve_instance,
     spectrum_mismatch,
+    verify,
 )
 from giep.cli import random_graph, random_spectrum
-from giep.solver import _correct
+from giep.solver import _correct, evaluate_f
 
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
@@ -265,6 +266,69 @@ def test_continuation_observer_sees_every_accepted_state():
     assert [t for t, _ in seen] == [rec.t for rec in rep.history]
     assert all(count == 3 for _, count in seen)
     assert seen[0][0] == 0.0 and seen[-1][0] == 1.0
+
+
+def test_default_fill_takes_one_whole_interval_step():
+    # at the seed the fills move no eigenvalue to first order, so one Newton
+    # correction absorbs default-size fills written at t = 1 exactly
+    rng = np.random.default_rng(4001)
+    s = random_spectrum(rng, 10, 20, box=20.0)
+    g = random_graph(rng, 40, 10, 0.1)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    u, omega = default_targets(p, disc_radius(s))
+    rep = continuation_solve(s, p, (u, omega))
+    assert rep.steps == 1
+    assert [rec.t for rec in rep.history] == [0.0, 1.0]
+    m = rep.matrix
+    for r, ((i, j), bidirected) in enumerate(zip(p.slots, p.bidirected)):
+        assert m[i - 1, j - 1] == u[r]
+        if bidirected:
+            assert m[j - 1, i - 1] == omega[r]
+    zero = ~np.eye(s.n, dtype=bool)
+    for i, j in p.edge_positions():
+        zero[i - 1, j - 1] = False
+    assert np.all(m[zero] == 0.0)
+
+
+def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
+    import giep.solver as solver
+
+    trial_u = []
+    real_correct = solver._correct
+
+    def record(p, d, theta, *args):
+        trial_u.append(theta.u)
+        return real_correct(p, d, theta, *args)
+
+    monkeypatch.setattr(solver, "_correct", record)
+    # fill three radii wide: the whole-interval trial is rejected on this seed
+    rng = np.random.default_rng(2)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.3)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    cfg = SolverConfig(fill_scale=3.0)
+    u, omega = default_targets(p, disc_radius(s), "generic", cfg)
+    rep = continuation_solve(s, p, (u, omega), cfg=cfg)
+
+    ts = [rec.t for rec in rep.history]
+    assert len(trial_u) > rep.steps  # some trials were rejected
+    assert np.array_equal(trial_u[0], u)  # the first trial is t = 1
+    assert 0.0 < ts[1] <= 0.5 and ts[-1] == 1.0
+    assert all(np.all(np.abs(tu) <= np.abs(u)) for tu in trial_u)  # never past t = 1
+    assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+@pytest.mark.parametrize("fill_scale", [0.1, 0.5, 1.0])
+def test_fill_scale_sweep_passes_verify(fill_scale):
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        n = int(rng.integers(2, 13))
+        k = int(rng.integers(0, n // 2 + 1))
+        s = random_spectrum(rng, k, n - 2 * k)
+        g = random_graph(rng, n, k, float(rng.uniform(0.1, 0.6)))
+        rep = solve_instance(s, g, cfg=SolverConfig(fill_scale=fill_scale))
+        vr = verify(rep.matrix, s, g)
+        assert vr.passed, vr.render()
 
 
 def test_continuation_random_spectra_jacobian_scale():
