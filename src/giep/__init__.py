@@ -22,7 +22,6 @@ from .errors import (
     InputError,
     MatchingTooSmall,
     NoConvergence,
-    NonConvergence,
     NumericalError,
     RepeatedEigenvalues,
     SingularSystem,
@@ -92,7 +91,6 @@ __all__ = [
     "Matching",
     "MatchingTooSmall",
     "NoConvergence",
-    "NonConvergence",
     "NumericalError",
     "ParameterPoint",
     "Pattern",

@@ -43,10 +43,6 @@ class RepeatedEigenvalues(InfeasibleError):
     """The input matrix has (numerically) repeated eigenvalues."""
 
 
-class NonConvergence(NumericalError):
-    """The eigensolver failed, or an eigenpair missed its residual tolerance."""
-
-
 class IllConditioned(NumericalError):
     """A left/right eigenvector pair is nearly orthogonal (near-defective)."""
 
@@ -60,7 +56,9 @@ class DiscViolation(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """The Newton corrector did not reach tolerance within its budget."""
+    """An iteration did not converge: the Newton corrector ran out of
+    iterations or missed the final spectrum tolerance, the eigensolver
+    failed, or an eigenpair missed its residual tolerance."""
 
 
 class StepUnderflow(NumericalError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, NonConvergence, SingularSystem
+from .errors import IllConditioned, NoConvergence, SingularSystem
 
 # Tolerances; residual and pivot thresholds scale with the matrix.
 TOL_ORTHO = 1e-8          # |w^T v| below this means near-defective
@@ -39,7 +39,7 @@ def as_square_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -49,7 +49,7 @@ def as_vector(v, n: int) -> np.ndarray:
     b = np.asarray(v, dtype=float)
     if b.ndim != 1 or b.shape[0] != n:
         raise ValueError(f"expected a vector of length {n}, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError("vector entries must be finite")
     return b
 
@@ -64,7 +64,7 @@ def eig_all(m, vectors: bool = False):
     instead, where column ``i`` of ``vecs`` is a right eigenvector of
     ``ev[i]``; this pair is the ``eigensystem`` :func:`eigen_triple` accepts.
 
-    Raises NonConvergence if the QR iteration fails to converge.
+    Raises NoConvergence if the QR iteration fails to converge.
     """
     a = as_square_matrix(m)
     try:
@@ -73,7 +73,7 @@ def eig_all(m, vectors: bool = False):
         else:
             ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
+        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
     ev = np.atleast_1d(ev).astype(np.complex128)
     order = np.lexsort((ev.imag, ev.real))
     if vectors:
@@ -124,12 +124,12 @@ def eigen_triple(m, values, eigensystem=None) -> list[EigenTriple]:
     A value that is exactly real gets real vectors.
 
     Raises IllConditioned when |w^T v| < TOL_ORTHO or the eigenvector
-    matrix is singular (near-defective), and NonConvergence when the
+    matrix is singular (near-defective), and NoConvergence when the
     eigensolver fails or a residual is too large.
     """
     a = as_square_matrix(m)
     wanted = np.atleast_1d(np.asarray(values, dtype=complex))
-    if not np.all(np.isfinite(wanted)):
+    if not np.isfinite(wanted).all():
         raise ValueError("eigenvalue approximations must be finite")
     ev, vecs = eig_all(a, vectors=True) if eigensystem is None else eigensystem
     idx = np.argmin(np.abs(np.subtract.outer(wanted, ev)), axis=1)
@@ -159,7 +159,7 @@ def eigen_triple(m, values, eigensystem=None) -> list[EigenTriple]:
             raise IllConditioned(
                 f"left/right eigenvectors nearly orthogonal: |w^T v| = {abs(pairing[i]):.3e}"
             )
-        raise NonConvergence(
+        raise NoConvergence(
             f"eigenpair residuals {res_right[i]:.3e}/{res_left[i]:.3e} exceed {tol:.3e}"
         )
     return [

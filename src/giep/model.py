@@ -10,6 +10,10 @@ exactly.  A pattern places free parameters into a matrix family M:
 * z_j on the trailing diagonal position 2k+j,
 * u_r at slot (i_r, j_r) and, for bidirected slots, omega_r at (j_r, i_r).
 
+M is linear in its parameters, and :attr:`Pattern.entries` is the single
+description of this layout: :func:`assemble` scatters parameter values
+through it and the solver's Jacobian contracts eigenvectors with it.
+
 Eigenvalues of matrices near the seed are identified by which disc of the
 disc system they fall in; the labeled (lambda, mu, gamma) coordinates are
 the quantities the Newton corrector drives to the target.
@@ -19,6 +23,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,6 +106,23 @@ class Spectrum:
         )
 
 
+class Entries(NamedTuple):
+    """Every position the matrix family writes, as parallel frozen arrays.
+
+    Entry e writes ``coef[e] * theta[param[e]]`` at the 0-based position
+    ``(rows[e], cols[e])``, where theta is the stacked parameter vector
+    (x_1..k, y_1..k, z_1..l, u_1..m, omega_1..m).  Entries are ordered by
+    parameter, so each parameter's entries are contiguous; omega_r has
+    entries only on bidirected slots.  Since M is linear in theta, the
+    entries of one parameter are also the nonzeros of dM/dtheta.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    coef: np.ndarray
+    param: np.ndarray
+
+
 @dataclass(frozen=True)
 class Pattern:
     """Placement of the free parameters for a graph on n = 2k+l vertices.
@@ -143,6 +167,25 @@ class Pattern:
     @property
     def m(self) -> int:
         return len(self.slots)
+
+    @cached_property
+    def entries(self) -> Entries:
+        """The parameter-to-position table, built once per pattern."""
+        k, n, m = self.k, self.n, self.m
+        b = np.arange(2 * k)  # x_j at (a, a) and +-y_j at (a, a ^ 1), a = 2j, 2j+1
+        d = np.arange(2 * k, n)
+        bi = np.flatnonzero(np.fromiter(self.bidirected, bool, m))
+        ij = np.fromiter(chain.from_iterable(self.slots), np.intp, 2 * m).reshape(m, 2) - 1
+        fill = np.concatenate([ij, ij[bi, ::-1]])  # u_r, then omega_r mirrored
+        coef = np.ones(4 * k + self.l + len(fill))
+        coef[2 * k + 1 : 4 * k : 2] = -1.0  # -y_j at (2j+1, 2j)
+        return Entries(
+            rows=_freeze(np.concatenate([b, b, d, fill[:, 0]])),
+            cols=_freeze(np.concatenate([b, b ^ 1, d, fill[:, 1]])),
+            coef=_freeze(coef),
+            # x_1, x_1, ..., x_k, x_k, y_1, y_1, ..., y_k, y_k, then one each
+            param=_freeze(np.concatenate([b.repeat(2), d, np.arange(n, n + m), n + m + bi])),
+        )
 
     def edge_positions(self) -> set[tuple[int, int]]:
         """All off-diagonal positions the assembled matrix may fill (1-based)."""
@@ -191,9 +234,15 @@ class ParameterPoint:
     def __post_init__(self):
         for name in ("x", "y", "z", "u", "omega"):
             arr = np.array(getattr(self, name), dtype=float).reshape(-1)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"parameter vector {name} must be finite")
             object.__setattr__(self, name, _freeze(arr))
+
+    @classmethod
+    def seed(cls, s: Spectrum, m: int = 0) -> "ParameterPoint":
+        """The seed point: x = lam, y = mu, z = gamma and m zero fills."""
+        pairs = np.array(s.pairs).reshape(-1, 2)
+        return cls(x=pairs[:, 0], y=pairs[:, 1], z=s.reals, u=np.zeros(m), omega=np.zeros(m))
 
     def with_xyz_delta(self, delta: np.ndarray) -> "ParameterPoint":
         """Add a stacked (x, y, z) correction, leaving u and omega untouched."""
@@ -303,16 +352,7 @@ class LabeledValue:
 
 def build_seed(s: Spectrum) -> np.ndarray:
     """The block-diagonal seed matrix realizing the spectrum exactly."""
-    return assemble(
-        Pattern(n=s.n, k=s.k),
-        ParameterPoint(
-            x=np.array([a for a, _ in s.pairs]),
-            y=np.array([b for _, b in s.pairs]),
-            z=np.array(s.reals),
-            u=np.zeros(0),
-            omega=np.zeros(0),
-        ),
-    )
+    return assemble(Pattern(n=s.n, k=s.k), ParameterPoint.seed(s))
 
 
 def disc_radius(s: Spectrum) -> DiscSystem:
@@ -345,8 +385,9 @@ def disc_radius(s: Spectrum) -> DiscSystem:
 def assemble(p: Pattern, theta: ParameterPoint) -> np.ndarray:
     """Materialize the matrix family at a parameter point.
 
-    Every position not named by the pattern is exactly zero; slot entries
-    are written verbatim from u and omega.
+    Scatters the stacked parameters through :attr:`Pattern.entries`.  Every
+    position not named by the pattern is exactly zero; slot entries are
+    written verbatim from u and omega.
     """
     if (
         theta.x.size != p.k
@@ -360,20 +401,10 @@ def assemble(p: Pattern, theta: ParameterPoint) -> np.ndarray:
             f"m={theta.u.size},{theta.omega.size}) do not match pattern "
             f"(k={p.k}, l={p.l}, m={p.m})"
         )
+    e = p.entries
+    values = np.concatenate([theta.x, theta.y, theta.z, theta.u, theta.omega])
     mtx = np.zeros((p.n, p.n))
-    for j in range(p.k):
-        a = 2 * j
-        mtx[a, a] = theta.x[j]
-        mtx[a + 1, a + 1] = theta.x[j]
-        mtx[a, a + 1] = theta.y[j]
-        mtx[a + 1, a] = -theta.y[j]
-    for j in range(p.l):
-        d = 2 * p.k + j
-        mtx[d, d] = theta.z[j]
-    for r, (i, j) in enumerate(p.slots):
-        mtx[i - 1, j - 1] = theta.u[r]
-        if p.bidirected[r]:
-            mtx[j - 1, i - 1] = theta.omega[r]
+    mtx[e.rows, e.cols] = e.coef * values[e.param]
     return mtx
 
 
@@ -505,7 +536,7 @@ def parse_matrix_csv(text: str) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise BadFormat("rows have inconsistent lengths")
     a = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise BadFormat("matrix entries must be finite")
     return a
 

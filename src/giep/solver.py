@@ -65,6 +65,8 @@ logger = logging.getLogger("giep.solver")
 
 TOL_NEWTON_FACTOR = 1e-11   # newton tolerance = factor * (1 + |spectrum|_inf)
 TOL_FINAL_FACTOR = 1e-8     # final spectrum tolerance, same scaling
+MAX_NEWTON = 25             # newton iterations before a trial is rejected
+EASY_NEWTON_ITERS = 4       # an accept this cheap counts toward doubling the step
 
 
 def eigen_derivative(triple: EigenTriple, b) -> complex:
@@ -87,10 +89,10 @@ def jacobian_xyz(p: Pattern, triples: list[EigenTriple]) -> np.ndarray:
 
     ``triples`` lists the k plus-disc eigenpairs then the l real eigenpairs.
     Rows are ordered (lam_1..k, mu_1..k, gamma_1..l) and columns
-    (x_1..k, y_1..k, z_1..l).  Each column is :func:`eigen_derivative` along
-    a direction that touches at most four entries, gathered directly: with
-    a = 2j-1 and d = 2k+j (1-based), x_j gives w_a v_a + w_{a+1} v_{a+1},
-    y_j gives w_a v_{a+1} - w_{a+1} v_a, and z_j gives w_d v_d.  At the seed
+    (x_1..k, y_1..k, z_1..l).  Column c is :func:`eigen_derivative` along
+    dM/dtheta_c, whose nonzeros are parameter c's entries in
+    :attr:`Pattern.entries`, so w^T (dM/dtheta_c) v is the sum of
+    coef * w[row] * v[col] over them, taken in table order.  At the seed
     matrix this is the identity.
     """
     if len(triples) != p.k + p.l:
@@ -100,14 +102,15 @@ def jacobian_xyz(p: Pattern, triples: list[EigenTriple]) -> np.ndarray:
     if v.shape[1] != p.n:
         raise DimensionMismatch(f"eigenvectors have length {v.shape[1]}, pattern n={p.n}")
     pairing = np.array([t.pairing for t in triples])
-    k2 = 2 * p.k
-    zeta = np.hstack(
-        [
-            w[:, 0:k2:2] * v[:, 0:k2:2] + w[:, 1:k2:2] * v[:, 1:k2:2],
-            w[:, 0:k2:2] * v[:, 1:k2:2] - w[:, 1:k2:2] * v[:, 0:k2:2],
-            w[:, k2:] * v[:, k2:],
-        ]
-    ) / pairing[:, None]
+    e = p.entries
+    # entries are ordered by parameter, x, y and z first: starts[c] is the
+    # first entry of parameter c and starts[-1] the first fill entry
+    starts = np.searchsorted(e.param, np.arange(2 * p.k + p.l + 1))
+    xyz = slice(starts[-1])
+    prod = w[:, e.rows[xyz]] * v[:, e.cols[xyz]]
+    prod.real *= e.coef[xyz]  # scaling the parts separately is exact, signed zeros too
+    prod.imag *= e.coef[xyz]
+    zeta = np.add.reduceat(prod, starts[:-1], axis=1) / pairing[:, None]
     return np.vstack([zeta[: p.k].real, zeta[: p.k].imag, zeta[p.k :].real])
 
 
@@ -116,32 +119,28 @@ def evaluate_f(p: Pattern, theta: ParameterPoint, d: DiscSystem) -> LabeledValue
     return label_eigenvalues(eig_all(assemble(p, theta)), d)
 
 
-def _target_scale(target: LabeledValue) -> float:
-    """Largest modulus among the spectrum points a target prescribes."""
-    moduli = np.hypot(target.lam, target.mu)
-    scale = float(moduli.max()) if moduli.size else 0.0
-    if target.gamma.size:
-        scale = max(scale, float(np.abs(target.gamma).max()))
-    return scale
-
-
-def _correct(
+def newton_correct(
     p: Pattern,
     d: DiscSystem,
     theta: ParameterPoint,
     target: LabeledValue,
-    max_iter: int,
     tol: float,
-):
-    """Newton iteration on (x, y, z); returns (theta, iterations, residual,
-    eigs) at the converged point.
+) -> tuple[ParameterPoint, int, float, np.ndarray]:
+    """Newton iteration on (x, y, z) until the labeled coordinates are within
+    ``tol`` of ``target``; returns (theta, iterations, residual, eigs) there.
 
-    Each iterate runs exactly one LAPACK decomposition: its eigenvalues feed
-    the labeling and the convergence test, and its eigenvectors feed the
-    Jacobian through ``eigen_triple``'s ``eigensystem`` argument.
+    u and omega are never modified; a point that already meets ``tol`` is
+    returned unchanged after zero iterations.  Each iterate runs exactly
+    one LAPACK decomposition: its eigenvalues feed the labeling and the
+    convergence test, and its eigenvectors feed the Jacobian through
+    ``eigen_triple``'s ``eigensystem`` argument.
+
+    Raises NoConvergence past MAX_NEWTON iterations or when LAPACK or an
+    eigenpair check fails, DiscViolation when an iterate leaves the discs
+    (continuation_solve rejects the trial on either), and SingularSystem.
     """
     goal = target.vector()
-    for it in range(max_iter + 1):
+    for it in range(MAX_NEWTON + 1):
         mtx = assemble(p, theta)
         ev, vecs = eig_all(mtx, vectors=True)
         labeled = label_eigenvalues(ev, d)
@@ -149,39 +148,14 @@ def _correct(
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
             return theta, it, residual, ev
-        if it == max_iter:
+        if it == MAX_NEWTON:
             break
         jac = jacobian_xyz(p, eigen_triple(mtx, labeled.points(), eigensystem=(ev, vecs)))
         delta = solve_linear(jac, residual_vec)
         theta = theta.with_xyz_delta(delta)
     raise NoConvergence(
-        f"newton residual {residual:.3e} above {tol:.3e} after {max_iter} iterations"
+        f"newton residual {residual:.3e} above {tol:.3e} after {MAX_NEWTON} iterations"
     )
-
-
-def newton_correct(
-    p: Pattern,
-    d: DiscSystem,
-    theta: ParameterPoint,
-    target: LabeledValue,
-    max_iter: int = 25,
-    tol: float | None = None,
-) -> ParameterPoint:
-    """Correct (x, y, z) until the labeled coordinates hit ``target``.
-
-    u and omega are never modified.  Each iteration solves the square
-    (2k+l) Jacobian system for the coordinate mismatch; a point that
-    already meets the tolerance is returned unchanged after zero
-    iterations.
-
-    Raises NoConvergence past ``max_iter``, SingularSystem on a singular
-    Jacobian, and DiscViolation when an iterate's eigenvalues leave the
-    discs (the continuation driver reacts by shrinking its step).
-    """
-    if tol is None:
-        tol = TOL_NEWTON_FACTOR * (1.0 + _target_scale(target))
-    point, _, _, _ = _correct(p, d, theta, target, max_iter, tol)
-    return point
 
 
 @dataclass
@@ -219,11 +193,8 @@ class SolverConfig:
 
     fill_scale: float = 0.1
     tol_final: float | None = None
-    tol_newton: float | None = None
-    max_newton: int = 25
     step_min: float = 1e-6
     max_steps: int = 10_000
-    easy_newton_iters: int = 4
     observer: Callable[[ContinuationState, np.ndarray], None] | None = None
 
 
@@ -289,9 +260,9 @@ def continuation_solve(
     """Ramp the fills from zero to their targets, Newton-correcting (x, y, z).
 
     The first trial step is the whole interval t: 0 -> 1.  The step halves
-    after a rejected trial (disc violation or stalled Newton) and doubles
-    after two consecutive easy accepts, up to 1; each trial is clipped to
-    the rest of the interval.  On success the returned matrix realizes the
+    after a rejected trial (disc violation, stalled Newton or a failed
+    eigendecomposition) and doubles after two consecutive easy accepts, up
+    to 1; each trial is clipped to the rest of the interval.  On success the returned matrix realizes the
     target spectrum with every slot entry written at its exact target.
 
     Raises StepUnderflow (with the largest accepted t) when the step
@@ -316,17 +287,11 @@ def continuation_solve(
     _check_mode(mode, p, u_target, omega_target)
 
     scale = 1.0 + s.inf_norm()
-    tol_newton = cfg.tol_newton if cfg.tol_newton is not None else TOL_NEWTON_FACTOR * scale
+    tol_newton = TOL_NEWTON_FACTOR * scale
     tol_final = cfg.tol_final if cfg.tol_final is not None else TOL_FINAL_FACTOR * scale
     d = disc_radius(s)
     target = s.target_coordinates()
-    theta = ParameterPoint(
-        x=np.array([a for a, _ in s.pairs]),
-        y=np.array([b for _, b in s.pairs]),
-        z=np.array(s.reals),
-        u=np.zeros(p.m),
-        omega=np.zeros(p.m),
-    )
+    theta = ParameterPoint.seed(s, p.m)
 
     state = ContinuationState(t=0.0, theta=theta, step=1.0)
     # The seed realizes the targets exactly; record it as the first accepted state.
@@ -351,8 +316,8 @@ def continuation_solve(
             t_try = 1.0
         theta_try = state.theta.with_fill(t_try * u_target, t_try * omega_target)
         try:
-            theta_new, iters, residual, ev = _correct(
-                p, d, theta_try, target, cfg.max_newton, tol_newton
+            theta_new, iters, residual, ev = newton_correct(
+                p, d, theta_try, target, tol_newton
             )
         except (NoConvergence, DiscViolation) as exc:
             state.step = trial_dt / 2.0
@@ -373,7 +338,7 @@ def continuation_solve(
         logger.debug("accepted t=%.6g after %d newton iterations", t_try, iters)
         if cfg.observer is not None:
             cfg.observer(state, ev)
-        if iters <= cfg.easy_newton_iters:
+        if iters <= EASY_NEWTON_ITERS:
             easy_streak += 1
         else:
             easy_streak = 0

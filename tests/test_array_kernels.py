@@ -4,7 +4,10 @@ Each oracle below is the loop implementation the library used before its
 kernel worked on whole arrays.  Disc and spectrum decisions must agree
 bitwise (same radius, same labels, same first failure and message, same
 mismatch); eigen triples, whose sums now run in another order, must agree
-to 1e-12.
+to 1e-12.  The assembled matrix and the (x, y, z) Jacobian, which now read
+the pattern's parameter-to-position table, must agree bitwise with the
+loops and strided slices that wrote the positions out by hand, down to
+the sign of every zero.
 """
 
 import numpy as np
@@ -15,16 +18,21 @@ from giep import (
     DegenerateSpectrum,
     DiscSystem,
     DiscViolation,
+    EigenTriple,
     IllConditioned,
     LabeledValue,
-    NonConvergence,
+    NoConvergence,
+    ParameterPoint,
+    Pattern,
     SolverConfig,
     Spectrum,
+    assemble,
     continuation_solve,
     default_targets,
     disc_radius,
     eig_all,
     eigen_triple,
+    jacobian_xyz,
     label_eigenvalues,
     make_graph,
     max_matching,
@@ -121,7 +129,7 @@ def loop_eigen_triple(m, values):
         res_right = np.linalg.norm(a @ v - value * v)
         res_left = np.linalg.norm(w @ a - value * w)
         if not (res_right <= tol and res_left <= tol):
-            raise NonConvergence("residual")
+            raise NoConvergence("residual")
         triples.append((value, v, w, pairing))
     return triples
 
@@ -140,6 +148,39 @@ def loop_pattern_failures(a, g, floor):
             elif val != 0.0:
                 failures.append((i, j, val, "zero"))
     return failures
+
+
+def loop_assemble(p: Pattern, theta: ParameterPoint) -> np.ndarray:
+    mtx = np.zeros((p.n, p.n))
+    for j in range(p.k):
+        a = 2 * j
+        mtx[a, a] = theta.x[j]
+        mtx[a + 1, a + 1] = theta.x[j]
+        mtx[a, a + 1] = theta.y[j]
+        mtx[a + 1, a] = -theta.y[j]
+    for j in range(p.l):
+        d = 2 * p.k + j
+        mtx[d, d] = theta.z[j]
+    for r, (i, j) in enumerate(p.slots):
+        mtx[i - 1, j - 1] = theta.u[r]
+        if p.bidirected[r]:
+            mtx[j - 1, i - 1] = theta.omega[r]
+    return mtx
+
+
+def sliced_jacobian(p: Pattern, triples) -> np.ndarray:
+    v = np.array([t.right for t in triples], dtype=complex)
+    w = np.array([t.left for t in triples], dtype=complex)
+    pairing = np.array([t.pairing for t in triples])
+    k2 = 2 * p.k
+    zeta = np.hstack(
+        [
+            w[:, 0:k2:2] * v[:, 0:k2:2] + w[:, 1:k2:2] * v[:, 1:k2:2],
+            w[:, 0:k2:2] * v[:, 1:k2:2] - w[:, 1:k2:2] * v[:, 0:k2:2],
+            w[:, k2:] * v[:, k2:],
+        ]
+    ) / pairing[:, None]
+    return np.vstack([zeta[: p.k].real, zeta[: p.k].imag, zeta[p.k :].real])
 
 
 def loop_duplicate(points) -> int | None:
@@ -204,6 +245,61 @@ def perturbed_eigenvalues(rng, s: Spectrum, d: DiscSystem) -> np.ndarray:
     reals = np.array(s.reals) + 0.9 * d.radius * rng.uniform(-1, 1, s.l)
     ev = np.concatenate([plus, plus.conj(), reals.astype(complex)])
     return ev[rng.permutation(ev.size)]
+
+
+def seeded_patterns(seed: int):
+    """Patterns for fixed corner sizes (n=1, k=0, l=0, m=0, n=160) and then
+    random small ones.  Each pair of vertices outside the matched blocks
+    becomes a slot with probability ``prob``: bidirected, or one-directional
+    in either direction."""
+    rng = np.random.default_rng(seed)
+    corners = [(1, 0, 0.0), (2, 1, 0.0), (2, 0, 1.0), (4, 2, 1.0), (5, 0, 0.6),
+               (6, 3, 0.0), (7, 2, 0.5), (160, 40, 4 / 160), (160, 0, 0.05), (160, 80, 0.03)]
+    randoms = []
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        randoms.append((n, int(rng.integers(0, n // 2 + 1)), float(rng.uniform())))
+    for n, k, prob in corners + randoms:
+        slots, flags = [], []
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if (i % 2 == 1 and j == i + 1 and j <= 2 * k) or rng.uniform() >= prob:
+                    continue
+                kind = int(rng.integers(0, 3))
+                slots.append((i, j) if kind < 2 else (j, i))
+                flags.append(kind == 0)
+        order = rng.permutation(len(slots))
+        yield rng, Pattern(
+            n=n, k=k, slots=tuple(slots[o] for o in order), bidirected=tuple(flags[o] for o in order)
+        )
+
+
+def signed_values(rng, size: int) -> np.ndarray:
+    """Gaussian values with about a fifth exactly +0.0 and a tenth -0.0."""
+    a = rng.standard_normal(size)
+    pick = rng.uniform(size=size)
+    a[pick < 0.2] = 0.0
+    a[pick < 0.1] = -0.0
+    return a
+
+
+def random_triples(rng, p: Pattern) -> list[EigenTriple]:
+    """k complex then l real triples whose vectors carry signed zeros."""
+    triples = []
+    for row in range(p.k + p.l):
+        if row < p.k:
+            right = signed_values(rng, p.n) + 1j * signed_values(rng, p.n)
+            left = signed_values(rng, p.n) + 1j * signed_values(rng, p.n)
+            pairing = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+        else:
+            right, left = signed_values(rng, p.n), signed_values(rng, p.n)
+            pairing = complex(rng.uniform(0.5, 1.5))
+        triples.append(EigenTriple(value=0j, right=right, left=left, pairing=pairing))
+    return triples
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def raised(fn, *args) -> str:
@@ -449,7 +545,7 @@ def test_eigen_triple_matches_loop():
 def test_eigen_triple_checks_every_value():
     # the second requested value fails its residual check, the first passes
     a = [[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 7.0]]
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NoConvergence):
         eigen_triple(a, [7.0, 1.0])
     # near-defective pair requested after a healthy value
     b = np.array([[5.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0 + 1e-12]])
@@ -475,3 +571,50 @@ def test_verify_pattern_failures_match_loop():
         got = [(f.i, f.j, f.value, f.expected) for f in report.pattern_failures]
         assert got == loop_pattern_failures(a, g, report.nonzero_floor)
         assert all(type(f.i) is int and type(f.value) is float for f in report.pattern_failures)
+
+
+# ---------------------------------------------------------------------------
+# The parameter-to-position table
+
+
+def test_pattern_entries_hand_written_3x3():
+    # x_1, y_1, z_1, u_1 at (2,3), u_2 at (3,1), omega_1 at (3,2); the
+    # one-directional slot's omega_2 has no entry
+    p = Pattern(n=3, k=1, slots=((2, 3), (3, 1)), bidirected=(True, False))
+    e = p.entries
+    assert e.rows.tolist() == [0, 1, 0, 1, 2, 1, 2, 2]
+    assert e.cols.tolist() == [0, 1, 1, 0, 2, 2, 0, 1]
+    assert e.coef.tolist() == [1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0]
+    assert e.param.tolist() == [0, 0, 1, 1, 2, 3, 4, 5]
+    assert not any(a.flags.writeable for a in e)
+    assert p.entries is e  # built once per pattern
+
+
+def test_assemble_from_table_bitwise_equal_to_loops():
+    for rng, p in seeded_patterns(97):
+        theta = ParameterPoint(
+            x=signed_values(rng, p.k),
+            y=signed_values(rng, p.k),
+            z=signed_values(rng, p.l),
+            u=signed_values(rng, p.m),
+            omega=signed_values(rng, p.m),
+        )
+        assert same_bits(assemble(p, theta), loop_assemble(p, theta)), p
+
+
+def test_jacobian_from_table_bitwise_equal_to_slices():
+    for rng, p in seeded_patterns(98):
+        triples = random_triples(rng, p)
+        assert same_bits(jacobian_xyz(p, triples), sliced_jacobian(p, triples)), p
+
+
+def test_jacobian_from_table_bitwise_equal_on_solver_iterates():
+    # eigen triples of a filled large_sparse-sized matrix off the seed
+    rng = np.random.default_rng(160)
+    s = random_spectrum(rng, 40, 80, box=80.0)
+    g = random_graph(rng, 160, 40, 4 / 160)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    d = disc_radius(s)
+    mtx = assemble(p, ParameterPoint.seed(s, p.m).with_fill(*default_targets(p, d)))
+    triples = eigen_triple(mtx, label_eigenvalues(eig_all(mtx), d).points())
+    assert same_bits(jacobian_xyz(p, triples), sliced_jacobian(p, triples))

@@ -7,7 +7,7 @@ import pytest
 
 from giep import (
     IllConditioned,
-    NonConvergence,
+    NoConvergence,
     SingularSystem,
     eig_all,
     eigen_triple,
@@ -132,7 +132,7 @@ def test_eigen_triple_near_defective_raises():
 
 def test_eigen_triple_real_request_on_complex_eigenvalue_fails_residual():
     # a real vector cannot be an eigenvector of a complex eigenvalue
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NoConvergence):
         eigen_triple([[1.0, 2.0], [-2.0, 1.0]], [1.0])
 
 

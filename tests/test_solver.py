@@ -28,11 +28,12 @@ from giep import (
     verify,
 )
 from giep.cli import random_graph, random_spectrum
-from giep.solver import _correct, evaluate_f
+from giep.solver import TOL_NEWTON_FACTOR, evaluate_f
 
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
 P3 = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
+TOL3 = TOL_NEWTON_FACTOR * (1 + S3.inf_norm())
 
 
 def seed_triples(s):
@@ -159,16 +160,14 @@ def test_evaluate_f_small_fill_second_order_shift():
 def test_newton_zero_iterations_when_exact():
     d = disc_radius(S3)
     theta = seed_point(S3, m=1)
-    out = newton_correct(P3, d, theta, S3.target_coordinates())
+    out, _, _, _ = newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
     assert out is theta  # unchanged object: converged before the first update
 
 
 def test_newton_recovers_small_fill():
     d = disc_radius(S3)
     theta = seed_point(S3, m=1).with_fill(np.array([0.05]), np.array([0.05]))
-    out, iters, residual, _ = _correct(
-        P3, d, theta, S3.target_coordinates(), 25, 1e-11 * (1 + S3.inf_norm())
-    )
+    out, iters, residual, _ = newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
     assert iters <= 5
     assert residual <= 1e-10
     assert np.array_equal(out.u, theta.u) and np.array_equal(out.omega, theta.omega)
@@ -179,7 +178,7 @@ def test_newton_disc_violation_far_from_discs():
     d = disc_radius(S3)
     theta = ParameterPoint(x=[40.0], y=[2.0], z=[3.0], u=[0.0], omega=[0.0])
     with pytest.raises(DiscViolation):
-        newton_correct(P3, d, theta, S3.target_coordinates())
+        newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
 
 
 def test_continuation_no_slots_returns_seed():
@@ -294,13 +293,13 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     import giep.solver as solver
 
     trial_u = []
-    real_correct = solver._correct
+    real_correct = solver.newton_correct
 
     def record(p, d, theta, *args):
         trial_u.append(theta.u)
         return real_correct(p, d, theta, *args)
 
-    monkeypatch.setattr(solver, "_correct", record)
+    monkeypatch.setattr(solver, "newton_correct", record)
     # fill three radii wide: the whole-interval trial is rejected on this seed
     rng = np.random.default_rng(2)
     s = random_spectrum(rng, 3, 4)
@@ -316,6 +315,29 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     assert 0.0 < ts[1] <= 0.5 and ts[-1] == 1.0
     assert all(np.all(np.abs(tu) <= np.abs(u)) for tu in trial_u)  # never past t = 1
     assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
+    """An eigenpair check that fails inside the whole-interval trial rejects
+    that trial like a disc violation: the step halves and t still reaches 1."""
+    import giep.solver as solver
+
+    calls = []
+    real_triple = solver.eigen_triple
+
+    def fail_first(mtx, points, eigensystem):
+        calls.append(mtx)
+        if len(calls) == 1:
+            # reversed eigenvectors: eigen_triple's residual check raises
+            ev, vecs = eigensystem
+            eigensystem = (ev, vecs[:, ::-1])
+        return real_triple(mtx, points, eigensystem=eigensystem)
+
+    monkeypatch.setattr(solver, "eigen_triple", fail_first)
+    rep = continuation_solve(S3, P3, (np.array([0.1]), np.array([0.1])))
+    assert len(calls) >= 2
+    assert [rec.t for rec in rep.history] == [0.0, 0.5, 1.0]
+    assert spectrum_mismatch(eig_all(rep.matrix), S3) <= 1e-8 * (1 + S3.inf_norm())
 
 
 @pytest.mark.parametrize("fill_scale", [0.1, 0.5, 1.0])
@@ -370,11 +392,11 @@ def test_one_decomposition_per_newton_iterate(monkeypatch):
         finally:
             phase[0] = "driver"
 
-    real_correct = solver._correct
+    real_correct = solver.newton_correct
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
     monkeypatch.setattr(solver, "assemble", counting("iterate", solver.assemble))
-    monkeypatch.setattr(solver, "_correct", counting("trial", in_correct))
+    monkeypatch.setattr(solver, "newton_correct", counting("trial", in_correct))
 
     # fill three radii wide: this seed rejects three trial steps on its way to t = 1
     rng = np.random.default_rng(2)
