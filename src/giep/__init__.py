@@ -27,7 +27,7 @@ from .errors import (
     SingularSystem,
     StepUnderflow,
 )
-from .linalg import EigenTriple, eig_all, eigen_triple, solve_linear
+from .linalg import eig_all
 from .graph import (
     Graph,
     Matching,
@@ -40,31 +40,22 @@ from .graph import (
 )
 from .model import (
     DiscSystem,
-    LabeledValue,
-    ParameterPoint,
     Pattern,
     Spectrum,
-    assemble,
     build_seed,
     disc_radius,
     format_matrix_csv,
     format_matrix_market,
     format_spectrum,
-    label_eigenvalues,
     parse_matrix_csv,
     parse_spectrum,
     spectrum_mismatch,
 )
 from .solver import (
-    ContinuationState,
     SolveReport,
     SolverConfig,
-    StepRecord,
     continuation_solve,
     default_targets,
-    eigen_derivative,
-    jacobian_xyz,
-    newton_correct,
 )
 from .apps import (
     VerificationReport,
@@ -76,23 +67,19 @@ from .apps import (
 
 __all__ = [
     "BadFormat",
-    "ContinuationState",
     "DegenerateSpectrum",
     "DimensionMismatch",
     "DiscSystem",
     "DiscViolation",
-    "EigenTriple",
     "GiepError",
     "Graph",
     "IllConditioned",
     "InfeasibleError",
     "InputError",
-    "LabeledValue",
     "Matching",
     "MatchingTooSmall",
     "NoConvergence",
     "NumericalError",
-    "ParameterPoint",
     "Pattern",
     "Relabeling",
     "RepeatedEigenvalues",
@@ -100,33 +87,25 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "Spectrum",
-    "StepRecord",
     "StepUnderflow",
     "VerificationReport",
-    "assemble",
     "build_seed",
     "continuation_solve",
     "default_targets",
     "disc_radius",
     "eig_all",
-    "eigen_derivative",
-    "eigen_triple",
     "format_graph",
     "format_matrix_csv",
     "format_matrix_market",
     "format_spectrum",
-    "jacobian_xyz",
-    "label_eigenvalues",
     "make_graph",
     "max_matching",
-    "newton_correct",
     "parse_graph",
     "parse_matrix_csv",
     "parse_spectrum",
     "path_graph",
     "plan_relabeling",
     "solve_instance",
-    "solve_linear",
     "spectrum_mismatch",
     "tridiagonalize",
     "verify",

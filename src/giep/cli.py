@@ -313,7 +313,8 @@ def _cmd_random_instance(args) -> int:
         raise InputError(f"invalid sizes: n={n}, k={k} (need 1 <= n and 2k <= n)")
     seed = args.rng_seed if args.rng_seed is not None else DEFAULT_SEED
     rng = np.random.default_rng(seed)
-    s = random_spectrum(rng, k, n - 2 * k)
+    # a fixed box gets too crowded for the minimum gap from n of about 24
+    s = random_spectrum(rng, k, n - 2 * k, box=max(5.0, n / 2))
     g = random_graph(rng, n, k, args.edge_prob)
     spectrum_path = f"{args.out_prefix}.spectrum"
     graph_path = f"{args.out_prefix}.graph"

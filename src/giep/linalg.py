@@ -10,18 +10,18 @@ nonsymmetric eigensolver (Hessenberg reduction plus multishift QR), which
 keeps all arithmetic real and returns complex eigenvalues in bit-exact
 conjugate pairs; with ``vectors=True`` the same single call also returns
 the right eigenvectors.  ``eigen_triple`` takes that decomposition
-``m = V diag(ev) V^-1`` (its ``eigensystem`` argument, or one computed on
-the spot) and reads the right eigenvectors from the columns of ``V`` and
-the left ones from the rows of ``V^-1``.  It treats every requested
-eigenvalue at once, as columns and rows of arrays, and still checks each
-one for near-defectiveness and for both eigen-residuals.  ``solve_linear``
+``m = V diag(ev) V^-1`` with the positions of the wanted eigenvalues, and
+reads the right eigenvectors from those columns of ``V`` and the left ones
+from the same rows of ``V^-1``.  It returns them as arrays, treats every
+selected eigenvalue at once, and still checks each one for
+near-defectiveness and for both eigen-residuals.  ``solve_linear``
 is an LU solve guarded by a condition-number check and a backward-stability
 check on its residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ def eig_all(m, vectors: bool = False):
     bitwise negations, and real eigenvalues have imaginary part exactly 0.0.
     With ``vectors`` it returns ``(ev, vecs)`` from one ``np.linalg.eig``
     instead, where column ``i`` of ``vecs`` is a right eigenvector of
-    ``ev[i]``; this pair is the ``eigensystem`` :func:`eigen_triple` accepts.
+    ``ev[i]``; :func:`eigen_triple` takes this pair.
 
     Raises NoConvergence if the QR iteration fails to converge.
     """
@@ -81,21 +81,23 @@ def eig_all(m, vectors: bool = False):
     return ev[order]
 
 
-@dataclass(frozen=True)
-class EigenTriple:
-    """A simple eigenvalue with unit right/left eigenvectors.
+class Eigenpairs(NamedTuple):
+    """Unit right/left eigenvectors of selected simple eigenvalues, as arrays.
 
-    ``right`` satisfies ``m @ right = value * right`` and ``left`` satisfies
-    ``left @ m = value * left`` (plain transpose, no conjugation).  For a
-    real eigenvalue both vectors are real arrays.  ``pairing`` stores the
-    conditioning scalar ``left @ right``; it is bounded away from zero for
-    simple eigenvalues.
+    Column i of ``right`` satisfies ``m @ right[:, i] = value[i] * right[:, i]``
+    and row i of ``left`` satisfies ``left[i] @ m = value[i] * left[i]``
+    (plain transpose, no conjugation).  ``pairing[i]`` is the conditioning
+    scalar ``left[i] @ right[:, i]``, bounded away from zero for simple
+    eigenvalues, and ``value`` holds the two-sided Rayleigh quotients.  The
+    columns and rows of real eigenvalues are exactly real: the arrays are
+    real when every eigenvalue is, and otherwise carry +0.0 imaginary parts
+    there.
     """
 
-    value: complex
     right: np.ndarray
     left: np.ndarray
-    pairing: complex
+    pairing: np.ndarray
+    value: np.ndarray
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -105,39 +107,31 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
-def eigen_triple(m, values, eigensystem=None) -> list[EigenTriple]:
-    """Unit right/left eigenvectors for each of ``values``, from one decomposition.
+def eigen_triple(m, ev, vecs, idx) -> Eigenpairs:
+    """Unit right/left eigenvectors of the eigenvalues ``ev[idx]`` of ``m``.
 
-    ``eigensystem`` is the ``(ev, vecs)`` pair of ``eig_all(m, vectors=True)``
-    when the caller already holds it; otherwise it is computed here.  Each
-    entry of ``values`` (in practice a labeled value read off ``ev``)
-    selects the nearest eigenvalue of ``ev``.  Left eigenvectors are the
-    matching rows of the inverse eigenvector matrix, so before
-    normalisation ``w^T v = 1``; after it the pairing ``w^T v`` is positive
-    up to rounding.  The eigenvalue is refined with the two-sided Rayleigh
-    quotient, and both residuals ``||m v - value v||`` and
+    ``(ev, vecs)`` is the decomposition ``eig_all(m, vectors=True)`` and
+    ``idx`` selects eigenvalues by position (in practice the tracked
+    positions from the disc labeling).  Right eigenvectors are columns of
+    ``vecs`` and left eigenvectors the matching rows of its inverse, so
+    before normalisation ``w^T v = 1``; after it the pairing ``w^T v`` is
+    positive up to rounding.  The eigenvalue is refined with the two-sided
+    Rayleigh quotient, and both residuals ``||m v - value v||`` and
     ``||w^T m - value w^T||`` are verified against RES_FACTOR * ||m||_F.
-    All values are handled together as columns (right) and rows (left) of
-    one array; the checks still hold for every value separately, and the
-    first value that fails one raises.
-
-    A value that is exactly real gets real vectors.
+    All selected eigenvalues are handled together as columns (right) and
+    rows (left) of one array; the checks still hold for every one
+    separately, and the first that fails one raises.
 
     Raises IllConditioned when |w^T v| < TOL_ORTHO or the eigenvector
-    matrix is singular (near-defective), and NoConvergence when the
-    eigensolver fails or a residual is too large.
+    matrix is singular (near-defective), and NoConvergence when a residual
+    is too large.
     """
     a = as_square_matrix(m)
-    wanted = np.atleast_1d(np.asarray(values, dtype=complex))
-    if not np.isfinite(wanted).all():
-        raise ValueError("eigenvalue approximations must be finite")
-    ev, vecs = eig_all(a, vectors=True) if eigensystem is None else eigensystem
-    idx = np.argmin(np.abs(np.subtract.outer(wanted, ev)), axis=1)
     try:
         w = np.linalg.inv(vecs)[idx]
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"eigenvector matrix is singular: {exc}") from exc
-    real = wanted.imag == 0.0
+    real = ev[idx].imag == 0.0
     v = vecs[:, idx]
     if np.iscomplexobj(v):
         v[:, real] = v[:, real].real
@@ -162,15 +156,7 @@ def eigen_triple(m, values, eigensystem=None) -> list[EigenTriple]:
         raise NoConvergence(
             f"eigenpair residuals {res_right[i]:.3e}/{res_left[i]:.3e} exceed {tol:.3e}"
         )
-    return [
-        EigenTriple(
-            value=complex(value[i]),
-            right=v[:, i].real if real[i] else v[:, i],
-            left=w[i].real if real[i] else w[i],
-            pairing=complex(pairing[i]),
-        )
-        for i in range(wanted.size)
-    ]
+    return Eigenpairs(right=v, left=w, pairing=pairing, value=value)
 
 
 def solve_linear(a, rhs) -> np.ndarray:

@@ -10,13 +10,18 @@ exactly.  A pattern places free parameters into a matrix family M:
 * z_j on the trailing diagonal position 2k+j,
 * u_r at slot (i_r, j_r) and, for bidirected slots, omega_r at (j_r, i_r).
 
-M is linear in its parameters, and :attr:`Pattern.entries` is the single
-description of this layout: :func:`assemble` scatters parameter values
-through it and the solver's Jacobian contracts eigenvectors with it.
+The parameters travel as one stacked vector theta = (x, y, z, u, omega).
+M is linear in theta, and :attr:`Pattern.entries` is the single
+description of this layout: :func:`assemble` scatters theta through it and
+the solver's Jacobian contracts eigenvectors with it.
 
 Eigenvalues of matrices near the seed are identified by which disc of the
-disc system they fall in; the labeled (lambda, mu, gamma) coordinates are
-the quantities the Newton corrector drives to the target.
+disc system they fall in.  :func:`label_eigenvalues` reads off the stacked
+(lambda, mu, gamma) coordinates, the quantities the Newton corrector
+drives to :meth:`Spectrum.target_coordinates`, together with the
+positions of the tracked eigenvalues, which select their eigenvectors.
+Since the seed has x = lambda, y = mu and z = gamma, the seed's theta is
+the target coordinate vector followed by 2m zero fills.
 """
 
 from __future__ import annotations
@@ -81,13 +86,13 @@ class Spectrum:
         """Largest modulus among the spectrum points."""
         return float(np.abs(self.values()).max())
 
-    def target_coordinates(self) -> "LabeledValue":
-        """The (lambda, mu, gamma) coordinate vector this spectrum prescribes."""
-        return LabeledValue(
-            lam=np.array([a for a, _ in self.pairs], dtype=float),
-            mu=np.array([b for _, b in self.pairs], dtype=float),
-            gamma=np.array(self.reals, dtype=float),
-        )
+    def target_coordinates(self) -> np.ndarray:
+        """The stacked coordinates (lam_1..k, mu_1..k, gamma_1..l) this spectrum prescribes.
+
+        They are also the seed's block parameters (x, y, z).
+        """
+        pairs = np.array(self.pairs, dtype=float).reshape(-1, 2)
+        return np.concatenate([pairs[:, 0], pairs[:, 1], np.array(self.reals, dtype=float)])
 
     @classmethod
     def from_eigenvalues(cls, values) -> "Spectrum":
@@ -187,19 +192,6 @@ class Pattern:
             param=_freeze(np.concatenate([b.repeat(2), d, np.arange(n, n + m), n + m + bi])),
         )
 
-    def edge_positions(self) -> set[tuple[int, int]]:
-        """All off-diagonal positions the assembled matrix may fill (1-based)."""
-        pos = {
-            p
-            for j in range(1, self.k + 1)
-            for p in ((2 * j - 1, 2 * j), (2 * j, 2 * j - 1))
-        }
-        for (i, j), bi in zip(self.slots, self.bidirected):
-            pos.add((i, j))
-            if bi:
-                pos.add((j, i))
-        return pos
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -215,52 +207,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     re = np.subtract.outer(a.real, b.real)
     return np.hypot(re, np.subtract.outer(a.imag, b.imag), out=re)
-
-
-@dataclass(frozen=True, eq=False)
-class ParameterPoint:
-    """The free parameters (x, y, z, u, omega) of the matrix family.
-
-    For one-directional slots the omega component is carried but never
-    written into the matrix.  Arrays are frozen after construction.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "u", "omega"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(-1)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"parameter vector {name} must be finite")
-            object.__setattr__(self, name, _freeze(arr))
-
-    @classmethod
-    def seed(cls, s: Spectrum, m: int = 0) -> "ParameterPoint":
-        """The seed point: x = lam, y = mu, z = gamma and m zero fills."""
-        pairs = np.array(s.pairs).reshape(-1, 2)
-        return cls(x=pairs[:, 0], y=pairs[:, 1], z=s.reals, u=np.zeros(m), omega=np.zeros(m))
-
-    def with_xyz_delta(self, delta: np.ndarray) -> "ParameterPoint":
-        """Add a stacked (x, y, z) correction, leaving u and omega untouched."""
-        k, n_l = self.x.size, self.z.size
-        if delta.shape != (2 * k + n_l,):
-            raise DimensionMismatch(
-                f"correction has length {delta.size}, expected {2 * k + n_l}"
-            )
-        return ParameterPoint(
-            x=self.x + delta[:k],
-            y=self.y + delta[k : 2 * k],
-            z=self.z + delta[2 * k :],
-            u=self.u,
-            omega=self.omega,
-        )
-
-    def with_fill(self, u: np.ndarray, omega: np.ndarray) -> "ParameterPoint":
-        return ParameterPoint(x=self.x, y=self.y, z=self.z, u=u, omega=omega)
 
 
 @dataclass(frozen=True)
@@ -318,41 +264,9 @@ class DiscSystem:
         return np.array(plus + minus + [complex(c) for c in self.real_centers])
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledValue:
-    """Eigenvalue coordinates read off the discs: (lambda, mu, gamma)."""
-
-    lam: np.ndarray
-    mu: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        for name in ("lam", "mu", "gamma"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(-1)
-            object.__setattr__(self, name, _freeze(arr))
-        if self.lam.size != self.mu.size:
-            raise ValueError("lam and mu must have equal length")
-
-    @property
-    def k(self) -> int:
-        return self.lam.size
-
-    @property
-    def l(self) -> int:
-        return self.gamma.size
-
-    def vector(self) -> np.ndarray:
-        """Stacked coordinates in row order (lam_1..k, mu_1..k, gamma_1..l)."""
-        return np.concatenate([self.lam, self.mu, self.gamma])
-
-    def points(self) -> np.ndarray:
-        """The tracked eigenvalues (lam_j + mu_j*i, then gamma_j) in row order."""
-        return np.concatenate([self.lam + 1j * self.mu, self.gamma])
-
-
 def build_seed(s: Spectrum) -> np.ndarray:
     """The block-diagonal seed matrix realizing the spectrum exactly."""
-    return assemble(Pattern(n=s.n, k=s.k), ParameterPoint.seed(s))
+    return assemble(Pattern(n=s.n, k=s.k), s.target_coordinates())
 
 
 def disc_radius(s: Spectrum) -> DiscSystem:
@@ -382,34 +296,32 @@ def disc_radius(s: Spectrum) -> DiscSystem:
     )
 
 
-def assemble(p: Pattern, theta: ParameterPoint) -> np.ndarray:
-    """Materialize the matrix family at a parameter point.
+def assemble(p: Pattern, theta) -> np.ndarray:
+    """Materialize the matrix family at the stacked parameter vector ``theta``.
 
-    Scatters the stacked parameters through :attr:`Pattern.entries`.  Every
-    position not named by the pattern is exactly zero; slot entries are
-    written verbatim from u and omega.
+    ``theta`` is (x_1..k, y_1..k, z_1..l, u_1..m, omega_1..m), the vector
+    :attr:`Pattern.entries` indexes; the omega of a one-directional slot is
+    carried but never written.  Every position not named by the pattern is
+    exactly zero; slot entries are written verbatim from u and omega.
     """
-    if (
-        theta.x.size != p.k
-        or theta.y.size != p.k
-        or theta.z.size != p.l
-        or theta.u.size != p.m
-        or theta.omega.size != p.m
-    ):
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (p.n + 2 * p.m,):
         raise DimensionMismatch(
-            f"parameter sizes (k={theta.x.size},{theta.y.size}, l={theta.z.size}, "
-            f"m={theta.u.size},{theta.omega.size}) do not match pattern "
-            f"(k={p.k}, l={p.l}, m={p.m})"
+            f"parameter vector has shape {theta.shape}, pattern "
+            f"(k={p.k}, l={p.l}, m={p.m}) needs {p.n + 2 * p.m} entries"
         )
     e = p.entries
-    values = np.concatenate([theta.x, theta.y, theta.z, theta.u, theta.omega])
     mtx = np.zeros((p.n, p.n))
-    mtx[e.rows, e.cols] = e.coef * values[e.param]
+    mtx[e.rows, e.cols] = e.coef * theta[e.param]
     return mtx
 
 
-def label_eigenvalues(eigs, d: DiscSystem) -> LabeledValue:
-    """Assign each eigenvalue to its disc and read off the coordinates.
+def label_eigenvalues(eigs, d: DiscSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Assign each eigenvalue to its disc; return (coordinates, positions).
+
+    The coordinates are (lam_1..k, mu_1..k, gamma_1..l) read off the plus
+    discs and the real intervals; the positions are the indices into
+    ``eigs`` of those k plus-disc and l real eigenvalues, in the same order.
 
     Assignment is by nearest center, then validated: every disc must hold
     exactly one eigenvalue, an eigenvalue assigned to a real interval must
@@ -449,12 +361,13 @@ def label_eigenvalues(eigs, d: DiscSystem) -> LabeledValue:
         raise DiscViolation(
             f"disc at {centers[j]} holds {counts[j]} eigenvalues, expected 1"
         )
-    held = np.empty_like(ev)
-    held[idx] = ev  # one eigenvalue per disc, in center order
-    plus = held[: d.k]
+    pos = np.empty_like(idx)
+    pos[idx] = np.arange(ev.size)  # the eigenvalue each disc holds, in center order
+    plus = ev[pos[: d.k]]
     if np.any(plus.imag <= 0.0):
         raise DiscViolation("plus-disc eigenvalue has nonpositive imaginary part")
-    return LabeledValue(lam=plus.real, mu=plus.imag, gamma=held[2 * d.k :].real)
+    tracked = np.concatenate([pos[: d.k], pos[2 * d.k :]])
+    return np.concatenate([plus.real, plus.imag, ev[pos[2 * d.k :]].real]), tracked
 
 
 def spectrum_mismatch(eigs, s: Spectrum) -> float:

@@ -22,9 +22,15 @@ matrix along direction B moves the eigenvalue at rate
 whose real part drives the real-part coordinate and whose imaginary part
 drives the imaginary-part coordinate.
 
-Every Newton iterate costs one LAPACK eigendecomposition, shared by the
-disc labeling, the convergence test and the Jacobian; the final spectrum
-check reuses the eigenvalues of the last accepted iterate.
+The Newton loop runs on plain arrays.  theta is the one stacked vector
+(x, y, z, u, omega) that :attr:`Pattern.entries` indexes: the seed is the
+target coordinate vector followed by 2m zeros, a trial at t writes
+t*u* and t*omega* into the last 2m entries, and a Newton correction adds
+to the first n.  Every iterate costs one LAPACK eigendecomposition.  Its
+eigenvalues feed the disc labeling, which returns the coordinates for the
+convergence test and the positions of the tracked eigenvalues; the
+eigenvectors at those positions, as arrays, give the Jacobian.  The final
+spectrum check reuses the eigenvalues of the last accepted iterate.
 """
 
 from __future__ import annotations
@@ -38,21 +44,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DiscViolation,
-    IllConditioned,
     NoConvergence,
     StepUnderflow,
 )
-from .linalg import (
-    TOL_ORTHO,
-    EigenTriple,
-    eig_all,
-    eigen_triple,
-    solve_linear,
-)
+from .linalg import Eigenpairs, eig_all, eigen_triple, solve_linear
 from .model import (
     DiscSystem,
-    LabeledValue,
-    ParameterPoint,
     Pattern,
     Spectrum,
     assemble,
@@ -69,90 +66,79 @@ MAX_NEWTON = 25             # newton iterations before a trial is rejected
 EASY_NEWTON_ITERS = 4       # an accept this cheap counts toward doubling the step
 
 
-def eigen_derivative(triple: EigenTriple, b) -> complex:
-    """Rate of change of a simple eigenvalue along matrix direction ``b``.
-
-    Returns zeta = (w^T b v) / (w^T v); the caller reads the real part as
-    the real-coordinate rate and the imaginary part as the imaginary rate.
-    For a real eigenvalue (real eigenvectors) the result is real.
-    """
-    if abs(triple.pairing) < TOL_ORTHO:
-        raise IllConditioned(
-            f"derivative undefined: |w^T v| = {abs(triple.pairing):.3e}"
-        )
-    b = np.asarray(b, dtype=float)
-    return complex(triple.left @ b @ triple.right) / triple.pairing
-
-
-def jacobian_xyz(p: Pattern, triples: list[EigenTriple]) -> np.ndarray:
+def jacobian_xyz(p: Pattern, eig: Eigenpairs) -> np.ndarray:
     """Jacobian of the labeled coordinates with respect to (x, y, z).
 
-    ``triples`` lists the k plus-disc eigenpairs then the l real eigenpairs.
+    ``eig`` holds the k plus-disc eigenpairs then the l real eigenpairs.
     Rows are ordered (lam_1..k, mu_1..k, gamma_1..l) and columns
-    (x_1..k, y_1..k, z_1..l).  Column c is :func:`eigen_derivative` along
-    dM/dtheta_c, whose nonzeros are parameter c's entries in
-    :attr:`Pattern.entries`, so w^T (dM/dtheta_c) v is the sum of
-    coef * w[row] * v[col] over them, taken in table order.  At the seed
-    matrix this is the identity.
+    (x_1..k, y_1..k, z_1..l).  Column c is the eigenvalue derivative
+    w^T (dM/dtheta_c) v / (w^T v) along parameter c, whose matrix
+    direction has parameter c's entries in :attr:`Pattern.entries` as its
+    nonzeros, so w^T (dM/dtheta_c) v is the sum of coef * w[row] * v[col]
+    over them, taken in table order.  At the seed matrix this is the
+    identity.
     """
-    if len(triples) != p.k + p.l:
-        raise DimensionMismatch(f"need {p.k + p.l} eigen triples, got {len(triples)}")
-    v = np.array([t.right for t in triples], dtype=complex)
-    w = np.array([t.left for t in triples], dtype=complex)
-    if v.shape[1] != p.n:
-        raise DimensionMismatch(f"eigenvectors have length {v.shape[1]}, pattern n={p.n}")
-    pairing = np.array([t.pairing for t in triples])
+    v = eig.right
+    # complex even when every eigenvalue is real: complex division by the
+    # pairing rounds differently from real division
+    w = np.asarray(eig.left, dtype=complex)
+    if v.shape != (p.n, p.k + p.l) or w.shape != (p.k + p.l, p.n):
+        raise DimensionMismatch(
+            f"eigenvectors have shapes {v.shape}/{w.shape}, pattern n={p.n} "
+            f"needs {p.k + p.l} eigenpairs"
+        )
     e = p.entries
     # entries are ordered by parameter, x, y and z first: starts[c] is the
     # first entry of parameter c and starts[-1] the first fill entry
-    starts = np.searchsorted(e.param, np.arange(2 * p.k + p.l + 1))
+    starts = np.searchsorted(e.param, np.arange(p.n + 1))
     xyz = slice(starts[-1])
-    prod = w[:, e.rows[xyz]] * v[:, e.cols[xyz]]
+    prod = w[:, e.rows[xyz]] * v[e.cols[xyz]].T
     prod.real *= e.coef[xyz]  # scaling the parts separately is exact, signed zeros too
     prod.imag *= e.coef[xyz]
-    zeta = np.add.reduceat(prod, starts[:-1], axis=1) / pairing[:, None]
+    zeta = np.add.reduceat(prod, starts[:-1], axis=1) / eig.pairing[:, None]
     return np.vstack([zeta[: p.k].real, zeta[: p.k].imag, zeta[p.k :].real])
 
 
-def evaluate_f(p: Pattern, theta: ParameterPoint, d: DiscSystem) -> LabeledValue:
-    """Labeled eigenvalue coordinates of the assembled matrix."""
-    return label_eigenvalues(eig_all(assemble(p, theta)), d)
+def evaluate_f(p: Pattern, theta, d: DiscSystem) -> np.ndarray:
+    """Labeled eigenvalue coordinates of the matrix assembled at ``theta``."""
+    return label_eigenvalues(eig_all(assemble(p, theta)), d)[0]
 
 
 def newton_correct(
     p: Pattern,
     d: DiscSystem,
-    theta: ParameterPoint,
-    target: LabeledValue,
+    theta: np.ndarray,
+    target: np.ndarray,
     tol: float,
-) -> tuple[ParameterPoint, int, float, np.ndarray]:
+) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Newton iteration on (x, y, z) until the labeled coordinates are within
     ``tol`` of ``target``; returns (theta, iterations, residual, eigs) there.
 
-    u and omega are never modified; a point that already meets ``tol`` is
-    returned unchanged after zero iterations.  Each iterate runs exactly
-    one LAPACK decomposition: its eigenvalues feed the labeling and the
-    convergence test, and its eigenvectors feed the Jacobian through
-    ``eigen_triple``'s ``eigensystem`` argument.
+    ``theta`` is the stacked parameter vector and ``target`` the stacked
+    coordinates; a correction adds to theta's first n = 2k+l entries, the
+    block parameters, and never touches u and omega.  A point that already
+    meets ``tol`` is returned unchanged after zero iterations.  Each
+    iterate runs exactly one LAPACK decomposition: its eigenvalues feed the
+    labeling and the convergence test, and the eigenvectors at the tracked
+    positions feed the Jacobian.
 
     Raises NoConvergence past MAX_NEWTON iterations or when LAPACK or an
     eigenpair check fails, DiscViolation when an iterate leaves the discs
     (continuation_solve rejects the trial on either), and SingularSystem.
     """
-    goal = target.vector()
     for it in range(MAX_NEWTON + 1):
         mtx = assemble(p, theta)
         ev, vecs = eig_all(mtx, vectors=True)
-        labeled = label_eigenvalues(ev, d)
-        residual_vec = goal - labeled.vector()
+        coords, idx = label_eigenvalues(ev, d)
+        residual_vec = target - coords
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
             return theta, it, residual, ev
         if it == MAX_NEWTON:
             break
-        jac = jacobian_xyz(p, eigen_triple(mtx, labeled.points(), eigensystem=(ev, vecs)))
-        delta = solve_linear(jac, residual_vec)
-        theta = theta.with_xyz_delta(delta)
+        jac = jacobian_xyz(p, eigen_triple(mtx, ev, vecs, idx))
+        theta = theta.copy()
+        theta[: p.n] += solve_linear(jac, residual_vec)
     raise NoConvergence(
         f"newton residual {residual:.3e} above {tol:.3e} after {MAX_NEWTON} iterations"
     )
@@ -172,7 +158,7 @@ class ContinuationState:
     """Driver state at an accepted homotopy parameter."""
 
     t: float
-    theta: ParameterPoint
+    theta: np.ndarray
     step: float
     history: list[StepRecord] = field(default_factory=list)
 
@@ -224,17 +210,14 @@ def default_targets(
     one-directional slots the omega component is zero (never written).
     """
     cfg = cfg or SolverConfig()
-    if mode not in ("generic", "symmetric", "skew"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode in ("symmetric", "skew") and not all(p.bidirected):
-        raise ValueError(f"{mode} mode requires every slot to be bidirected")
     magnitude = cfg.fill_scale * d.radius
-    if not magnitude > 0.0:
-        raise ValueError("fill_scale must be positive")
     u = np.full(p.m, magnitude)
     omega = np.where(p.bidirected, magnitude, 0.0) if p.m else np.zeros(0)
     if mode == "skew":
         omega = -omega
+    _check_mode(mode, p, u, omega)
+    if not magnitude > 0.0:
+        raise ValueError("fill_scale must be positive")
     return u, omega
 
 
@@ -246,7 +229,8 @@ def _check_mode(mode: str, p: Pattern, u: np.ndarray, omega: np.ndarray) -> None
     if not all(p.bidirected):
         raise ValueError(f"{mode} mode requires every slot to be bidirected")
     tied = u if mode == "symmetric" else -u
-    if not np.array_equal(omega, tied):
+    # a NaN fill_scale ties NaN to NaN; default_targets reports it itself
+    if not np.array_equal(omega, tied, equal_nan=True):
         raise ValueError(f"{mode} mode requires omega* = {'u*' if mode == 'symmetric' else '-u*'}")
 
 
@@ -280,6 +264,8 @@ def continuation_solve(
         raise DimensionMismatch(
             f"fill targets have sizes {u_target.size}/{omega_target.size}, pattern m={p.m}"
         )
+    if not (np.isfinite(u_target).all() and np.isfinite(omega_target).all()):
+        raise ValueError("fill targets must be finite")
     if np.any(u_target == 0.0):
         raise ValueError("every u* component must be nonzero")
     if any(bi and omega_target[r] == 0.0 for r, bi in enumerate(p.bidirected)):
@@ -291,12 +277,12 @@ def continuation_solve(
     tol_final = cfg.tol_final if cfg.tol_final is not None else TOL_FINAL_FACTOR * scale
     d = disc_radius(s)
     target = s.target_coordinates()
-    theta = ParameterPoint.seed(s, p.m)
+    theta = np.concatenate([target, np.zeros(2 * p.m)])  # the seed: x, y, z = target
 
     state = ContinuationState(t=0.0, theta=theta, step=1.0)
     # The seed realizes the targets exactly; record it as the first accepted state.
     ev = eig_all(assemble(p, theta))
-    seed_residual = float(np.abs(target.vector() - label_eigenvalues(ev, d).vector()).max())
+    seed_residual = float(np.abs(target - label_eigenvalues(ev, d)[0]).max())
     state.history.append(StepRecord(t=0.0, residual=seed_residual, newton_iterations=0))
     if cfg.observer is not None:
         cfg.observer(state, ev)
@@ -314,7 +300,7 @@ def continuation_solve(
         t_try = state.t + trial_dt
         if 1.0 - t_try < 1e-12:
             t_try = 1.0
-        theta_try = state.theta.with_fill(t_try * u_target, t_try * omega_target)
+        theta_try = np.concatenate([state.theta[: p.n], t_try * u_target, t_try * omega_target])
         try:
             theta_new, iters, residual, ev = newton_correct(
                 p, d, theta_try, target, tol_newton
@@ -377,7 +363,4 @@ __all__ = [
     "StepRecord",
     "continuation_solve",
     "default_targets",
-    "eigen_derivative",
-    "jacobian_xyz",
-    "newton_correct",
 ]

@@ -6,7 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from giep import Graph, make_graph
+from giep import Graph, IllConditioned, Pattern, make_graph
+from giep.linalg import TOL_ORTHO, Eigenpairs
 
 
 def brute_force_matching_size(g: Graph) -> int:
@@ -49,3 +50,34 @@ def random_undirected_graph(rng: np.random.Generator, n: int, p: float) -> Graph
         if rng.uniform() < p
     ]
     return make_graph(n, pairs, directed=False)
+
+
+def eigen_derivative(eig: Eigenpairs, b) -> list[complex]:
+    """Rate of change of every eigenvalue in ``eig`` along matrix direction ``b``.
+
+    The dense first-order identity zeta_i = (w_i^T b v_i) / (w_i^T v_i),
+    the oracle for the solver's table-driven Jacobian; the caller reads the
+    real part as the real-coordinate rate and the imaginary part as the
+    imaginary rate.  For a real eigenvalue the result is real.
+    """
+    b = np.asarray(b, dtype=float)
+    rates = []
+    for i, pairing in enumerate(eig.pairing):
+        if abs(pairing) < TOL_ORTHO:
+            raise IllConditioned(f"derivative undefined: |w^T v| = {abs(pairing):.3e}")
+        rates.append(complex(eig.left[i] @ b @ eig.right[:, i]) / complex(pairing))
+    return rates
+
+
+def edge_positions(p: Pattern) -> set[tuple[int, int]]:
+    """All off-diagonal positions the assembled matrix may fill (1-based)."""
+    pos = {
+        q
+        for j in range(1, p.k + 1)
+        for q in ((2 * j - 1, 2 * j), (2 * j, 2 * j - 1))
+    }
+    for (i, j), bi in zip(p.slots, p.bidirected):
+        pos.add((i, j))
+        if bi:
+            pos.add((j, i))
+    return pos

@@ -18,22 +18,15 @@ from giep import (
     DegenerateSpectrum,
     DiscSystem,
     DiscViolation,
-    EigenTriple,
     IllConditioned,
-    LabeledValue,
     NoConvergence,
-    ParameterPoint,
     Pattern,
     SolverConfig,
     Spectrum,
-    assemble,
     continuation_solve,
     default_targets,
     disc_radius,
     eig_all,
-    eigen_triple,
-    jacobian_xyz,
-    label_eigenvalues,
     make_graph,
     max_matching,
     plan_relabeling,
@@ -42,7 +35,10 @@ from giep import (
     verify,
 )
 from giep.cli import random_graph, random_spectrum
-from giep.linalg import RES_FACTOR, TOL_ORTHO
+from giep.linalg import RES_FACTOR, TOL_ORTHO, Eigenpairs, eigen_triple
+from giep.model import assemble, label_eigenvalues
+from giep.solver import jacobian_xyz
+from conftest import edge_positions
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +60,12 @@ def loop_radius(s: Spectrum) -> float:
     return eps
 
 
-def loop_label(eigs, d: DiscSystem) -> LabeledValue:
+def loop_label(eigs, d: DiscSystem) -> tuple[np.ndarray, np.ndarray]:
     ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
     centers = d.all_centers()
     buckets = [[] for _ in centers]
-    for e in ev:
+    at = {}  # position in eigs of the eigenvalue each disc holds
+    for i, e in enumerate(ev):
         dist = np.abs(centers - e)
         idx = int(np.argmin(dist))
         if dist[idx] >= d.radius:
@@ -83,6 +80,7 @@ def loop_label(eigs, d: DiscSystem) -> LabeledValue:
                 f"non-real eigenvalue {e} near real target {centers[idx].real}"
             )
         buckets[idx].append(complex(e))
+        at[idx] = i
     for idx, bucket in enumerate(buckets):
         if len(bucket) != 1:
             raise DiscViolation(
@@ -91,11 +89,13 @@ def loop_label(eigs, d: DiscSystem) -> LabeledValue:
     plus = [buckets[j][0] for j in range(d.k)]
     if any(e.imag <= 0.0 for e in plus):
         raise DiscViolation("plus-disc eigenvalue has nonpositive imaginary part")
-    return LabeledValue(
-        lam=np.array([e.real for e in plus]),
-        mu=np.array([e.imag for e in plus]),
-        gamma=np.array([buckets[2 * d.k + j][0].real for j in range(d.l)]),
+    coords = np.array(
+        [e.real for e in plus]
+        + [e.imag for e in plus]
+        + [buckets[2 * d.k + j][0].real for j in range(d.l)]
     )
+    tracked = [at[j] for j in range(d.k)] + [at[2 * d.k + j] for j in range(d.l)]
+    return coords, np.array(tracked, dtype=int)
 
 
 def loop_mismatch(eigs, s: Spectrum) -> float:
@@ -150,28 +150,28 @@ def loop_pattern_failures(a, g, floor):
     return failures
 
 
-def loop_assemble(p: Pattern, theta: ParameterPoint) -> np.ndarray:
+def loop_assemble(p: Pattern, x, y, z, u, omega) -> np.ndarray:
     mtx = np.zeros((p.n, p.n))
     for j in range(p.k):
         a = 2 * j
-        mtx[a, a] = theta.x[j]
-        mtx[a + 1, a + 1] = theta.x[j]
-        mtx[a, a + 1] = theta.y[j]
-        mtx[a + 1, a] = -theta.y[j]
+        mtx[a, a] = x[j]
+        mtx[a + 1, a + 1] = x[j]
+        mtx[a, a + 1] = y[j]
+        mtx[a + 1, a] = -y[j]
     for j in range(p.l):
         d = 2 * p.k + j
-        mtx[d, d] = theta.z[j]
+        mtx[d, d] = z[j]
     for r, (i, j) in enumerate(p.slots):
-        mtx[i - 1, j - 1] = theta.u[r]
+        mtx[i - 1, j - 1] = u[r]
         if p.bidirected[r]:
-            mtx[j - 1, i - 1] = theta.omega[r]
+            mtx[j - 1, i - 1] = omega[r]
     return mtx
 
 
-def sliced_jacobian(p: Pattern, triples) -> np.ndarray:
-    v = np.array([t.right for t in triples], dtype=complex)
-    w = np.array([t.left for t in triples], dtype=complex)
-    pairing = np.array([t.pairing for t in triples])
+def sliced_jacobian(p: Pattern, eig: Eigenpairs) -> np.ndarray:
+    v = np.array(eig.right.T, dtype=complex)
+    w = np.array(eig.left, dtype=complex)
+    pairing = np.array(eig.pairing, dtype=complex)
     k2 = 2 * p.k
     zeta = np.hstack(
         [
@@ -283,9 +283,10 @@ def signed_values(rng, size: int) -> np.ndarray:
     return a
 
 
-def random_triples(rng, p: Pattern) -> list[EigenTriple]:
-    """k complex then l real triples whose vectors carry signed zeros."""
-    triples = []
+def random_triples(rng, p: Pattern) -> Eigenpairs:
+    """k complex then l real eigenpairs whose vectors carry signed zeros; the
+    arrays are real when k = 0, as eigen_triple returns them."""
+    rights, lefts, pairings = [], [], []
     for row in range(p.k + p.l):
         if row < p.k:
             right = signed_values(rng, p.n) + 1j * signed_values(rng, p.n)
@@ -294,8 +295,12 @@ def random_triples(rng, p: Pattern) -> list[EigenTriple]:
         else:
             right, left = signed_values(rng, p.n), signed_values(rng, p.n)
             pairing = complex(rng.uniform(0.5, 1.5))
-        triples.append(EigenTriple(value=0j, right=right, left=left, pairing=pairing))
-    return triples
+        rights.append(right)
+        lefts.append(left)
+        pairings.append(pairing if row < p.k else pairing.real)
+    right = np.array(rights).reshape(-1, p.n).T
+    left = np.array(lefts).reshape(-1, p.n)
+    return Eigenpairs(right, left, np.array(pairings), np.zeros(len(pairings)))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -442,7 +447,7 @@ def test_written_fills_and_structural_zeros_are_exact(mode):
         if bidirected:
             assert m[j - 1, i - 1] == fill
     zero = ~np.eye(s.n, dtype=bool)
-    for i, j in p.edge_positions():
+    for i, j in edge_positions(p):
         zero[i - 1, j - 1] = False
     assert np.all(m[zero] == 0.0)
 
@@ -455,9 +460,9 @@ def test_label_matches_loop_inside_discs():
     for rng, s in seeded_spectra(43, 60, 120):
         d = disc_radius(s)
         ev = perturbed_eigenvalues(rng, s, d)
-        got, want = label_eigenvalues(ev, d), loop_label(ev, d)
-        for name in ("lam", "mu", "gamma"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        (coords, idx), (want_coords, want_idx) = label_eigenvalues(ev, d), loop_label(ev, d)
+        assert np.array_equal(coords, want_coords)
+        assert np.array_equal(idx, want_idx)
 
 
 def test_label_failure_messages_match_loop():
@@ -530,27 +535,37 @@ def test_eigen_triple_matches_loop():
         n = int(rng.integers(2, 31))
         a = rng.standard_normal((n, n))
         ev, vecs = eig_all(a, vectors=True)
-        values = ev[ev.imag >= 0.0]  # plus values and reals, as the solver asks
-        want = loop_eigen_triple(a, values)
-        for got in (eigen_triple(a, values), eigen_triple(a, values, eigensystem=(ev, vecs))):
-            assert len(got) == len(want)
-            for t, (value, v, w, pairing) in zip(got, want):
-                assert abs(t.value - value) <= 1e-12 * (1 + abs(value))
-                assert np.abs(t.right - v).max() <= 1e-12
-                assert np.abs(t.left - w).max() <= 1e-12
-                assert abs(t.pairing - pairing) <= 1e-12
-                assert np.iscomplexobj(t.right) == np.iscomplexobj(v)
+        idx = np.flatnonzero(ev.imag >= 0.0)  # plus values and reals, as the solver asks
+        want = loop_eigen_triple(a, ev[idx])
+        got = eigen_triple(a, ev, vecs, idx)
+        assert got.right.shape == (n, len(want)) and got.left.shape == (len(want), n)
+        for i, (value, v, w, pairing) in enumerate(want):
+            assert abs(got.value[i] - value) <= 1e-12 * (1 + abs(value))
+            assert np.abs(got.right[:, i] - v).max() <= 1e-12
+            assert np.abs(got.left[i] - w).max() <= 1e-12
+            assert abs(got.pairing[i] - pairing) <= 1e-12
+            # a real eigenvalue's vectors are exactly real
+            assert np.all(np.imag(got.right[:, i]) == 0.0) == (not np.iscomplexobj(v))
+            assert np.all(np.imag(got.left[i]) == 0.0) == (not np.iscomplexobj(w))
 
 
 def test_eigen_triple_checks_every_value():
-    # the second requested value fails its residual check, the first passes
-    a = [[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 7.0]]
+    # the second requested value fails its residual check, the first passes:
+    # the column of 1+2i gets a share of its conjugate's eigenvector, which
+    # leaves the other columns' rows of the inverse as they were
+    a = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 7.0]])
+    ev, vecs = eig_all(a, vectors=True)  # 1-2i, 1+2i, 7
+    mixed = vecs.copy()
+    mixed[:, 1] += 0.5 * vecs[:, 0]
+    assert eigen_triple(a, ev, vecs, [2, 1]).value.size == 2
+    assert eigen_triple(a, ev, mixed, [2]).value.size == 1
     with pytest.raises(NoConvergence):
-        eigen_triple(a, [7.0, 1.0])
+        eigen_triple(a, ev, mixed, [2, 1])
     # near-defective pair requested after a healthy value
     b = np.array([[5.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0 + 1e-12]])
+    ev, vecs = eig_all(b, vectors=True)  # 1, 1 + 1e-12, 5
     with pytest.raises(IllConditioned):
-        eigen_triple(b, [5.0, 1.0])
+        eigen_triple(b, ev, vecs, [2, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +607,8 @@ def test_pattern_entries_hand_written_3x3():
 
 def test_assemble_from_table_bitwise_equal_to_loops():
     for rng, p in seeded_patterns(97):
-        theta = ParameterPoint(
-            x=signed_values(rng, p.k),
-            y=signed_values(rng, p.k),
-            z=signed_values(rng, p.l),
-            u=signed_values(rng, p.m),
-            omega=signed_values(rng, p.m),
-        )
-        assert same_bits(assemble(p, theta), loop_assemble(p, theta)), p
+        parts = [signed_values(rng, size) for size in (p.k, p.k, p.l, p.m, p.m)]
+        assert same_bits(assemble(p, np.concatenate(parts)), loop_assemble(p, *parts)), p
 
 
 def test_jacobian_from_table_bitwise_equal_to_slices():
@@ -615,6 +624,7 @@ def test_jacobian_from_table_bitwise_equal_on_solver_iterates():
     g = random_graph(rng, 160, 40, 4 / 160)
     _, p = plan_relabeling(g, max_matching(g), s.k)
     d = disc_radius(s)
-    mtx = assemble(p, ParameterPoint.seed(s, p.m).with_fill(*default_targets(p, d)))
-    triples = eigen_triple(mtx, label_eigenvalues(eig_all(mtx), d).points())
+    mtx = assemble(p, np.concatenate([s.target_coordinates(), *default_targets(p, d)]))
+    ev, vecs = eig_all(mtx, vectors=True)
+    triples = eigen_triple(mtx, ev, vecs, label_eigenvalues(ev, d)[1])
     assert same_bits(jacobian_xyz(p, triples), sliced_jacobian(p, triples))

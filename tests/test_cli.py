@@ -210,6 +210,17 @@ def test_random_instance_zero_prob_is_planted_matching_only(tmp_path):
     assert (s.k, s.l) == (1, 2)
 
 
+def test_random_instance_large_n_solves_and_verifies(tmp_path, capsys):
+    # the spectrum box grows with n, so n=40 with k=10 is not too crowded
+    base = tmp_path / "r"
+    assert main(["random-instance", "--n", "40", "--k", "10", "--out-prefix", str(base)]) == 0
+    out = tmp_path / "m.csv"
+    spectrum, graph = f"{base}.spectrum", f"{base}.graph"
+    assert main(["solve", "--spectrum", spectrum, "--graph", graph, "--out", str(out)]) == 0
+    assert main(["verify", "--matrix", str(out), "--spectrum", spectrum, "--graph", graph]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_random_instance_invalid_sizes(tmp_path):
     assert main(
         ["random-instance", "--n", "3", "--k", "2", "--out-prefix", str(tmp_path / "x")]

@@ -14,7 +14,7 @@ from giep import (
     parse_graph,
     plan_relabeling,
 )
-from conftest import brute_force_matching_size, random_undirected_graph
+from conftest import brute_force_matching_size, edge_positions, random_undirected_graph
 
 
 def test_parse_undirected():
@@ -165,7 +165,7 @@ def test_plan_relabeling_puts_matching_on_leading_pairs():
         for j in range(1, k + 1):
             assert (2 * j - 1, 2 * j) in new_edges and (2 * j, 2 * j - 1) in new_edges
         # slots plus matched blocks account for every edge
-        expect = pattern.edge_positions()
+        expect = edge_positions(pattern)
         assert new_edges == expect
 
 

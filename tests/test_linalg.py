@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from giep import (
-    IllConditioned,
-    NoConvergence,
-    SingularSystem,
-    eig_all,
-    eigen_triple,
-    solve_linear,
-)
+from giep import IllConditioned, NoConvergence, SingularSystem, eig_all
+from giep.linalg import eigen_triple, solve_linear
+
+
+def pairs_at(a, idx=None):
+    """Eigenpairs of ``a`` at positions ``idx`` of its sorted eigenvalues (default all)."""
+    ev, vecs = eig_all(a, vectors=True)
+    return eigen_triple(a, ev, vecs, np.arange(ev.size) if idx is None else idx)
 
 
 def test_eig_rotation_block():
@@ -67,40 +67,41 @@ def test_eig_rejects_nonfinite_and_nonsquare():
         eig_all(np.ones((2, 3)))
 
 
-def _assert_unit_eigenpair(a, t, value, pairing_modulus):
-    """Phase-invariant checks: both eigen-equations, unit norms, |w^T v|."""
+def _assert_unit_eigenpair(a, eig, i, value, pairing_modulus):
+    """Phase-invariant checks of eigenpair i: both eigen-equations, unit norms, |w^T v|."""
     a = np.asarray(a)
-    assert abs(t.value - value) < 1e-12
-    assert np.linalg.norm(a @ t.right - t.value * t.right) < 1e-12
-    assert np.linalg.norm(t.left @ a - t.value * t.left) < 1e-12
-    assert abs(np.linalg.norm(t.right) - 1.0) < 1e-14
-    assert abs(np.linalg.norm(t.left) - 1.0) < 1e-14
-    assert abs(abs(t.pairing) - pairing_modulus) < 1e-12
-    assert abs(t.pairing - complex(t.left @ t.right)) < 1e-15
+    right, left, pairing, refined = eig.right[:, i], eig.left[i], eig.pairing[i], eig.value[i]
+    assert abs(refined - value) < 1e-12
+    assert np.linalg.norm(a @ right - refined * right) < 1e-12
+    assert np.linalg.norm(left @ a - refined * left) < 1e-12
+    assert abs(np.linalg.norm(right) - 1.0) < 1e-14
+    assert abs(np.linalg.norm(left) - 1.0) < 1e-14
+    assert abs(abs(pairing) - pairing_modulus) < 1e-12
+    assert abs(pairing - complex(left @ right)) < 1e-15
 
 
 def test_eigen_triple_rotation_pair():
     a = [[1.0, 2.0], [-2.0, 1.0]]
-    plus, minus = eigen_triple(a, [1 + 2j, 1 - 2j])
-    _assert_unit_eigenpair(a, plus, 1 + 2j, 1.0)  # normal matrix: |w^T v| = 1
-    _assert_unit_eigenpair(a, minus, 1 - 2j, 1.0)
+    eig = pairs_at(a, [1, 0])  # eigenvalues sort as 1-2i, 1+2i
+    _assert_unit_eigenpair(a, eig, 0, 1 + 2j, 1.0)  # normal matrix: |w^T v| = 1
+    _assert_unit_eigenpair(a, eig, 1, 1 - 2j, 1.0)
 
 
 def test_eigen_triple_non_normal_pairing_is_shared():
     # upper triangular: both eigenvalues see the same |w^T v| = 1/sqrt(2)
     a = [[1.0, 1.0], [0.0, 2.0]]
-    one, two = eigen_triple(a, [1.0, 2.0])
-    _assert_unit_eigenpair(a, one, 1.0, 1 / math.sqrt(2))
-    _assert_unit_eigenpair(a, two, 2.0, 1 / math.sqrt(2))
+    eig = pairs_at(a)
+    _assert_unit_eigenpair(a, eig, 0, 1.0, 1 / math.sqrt(2))
+    _assert_unit_eigenpair(a, eig, 1, 2.0, 1 / math.sqrt(2))
 
 
 def test_eigen_triple_diagonal_real_path():
-    (t,) = eigen_triple(np.diag([5.0, 7.0]), [7.0])
-    assert abs(t.value - 7.0) < 1e-12
-    assert not np.iscomplexobj(t.right) and not np.iscomplexobj(t.left)
-    assert np.allclose(t.right, [0.0, 1.0], atol=1e-10)
-    assert np.allclose(t.left, [0.0, 1.0], atol=1e-10)
-    assert abs(t.pairing - 1.0) < 1e-10
+    eig = pairs_at(np.diag([5.0, 7.0]), [1])
+    assert abs(eig.value[0] - 7.0) < 1e-12
+    assert not np.iscomplexobj(eig.right) and not np.iscomplexobj(eig.left)
+    assert np.allclose(eig.right[:, 0], [0.0, 1.0], atol=1e-10)
+    assert np.allclose(eig.left[0], [0.0, 1.0], atol=1e-10)
+    assert abs(eig.pairing[0] - 1.0) < 1e-10
 
 
 def test_eigen_triple_cross_checks_eig_all():
@@ -108,32 +109,48 @@ def test_eigen_triple_cross_checks_eig_all():
     for _ in range(10):
         a = rng.standard_normal((5, 5))
         ev = eig_all(a)
-        for v, t in zip(ev, eigen_triple(a, ev)):
-            assert abs(t.value - v) <= 1e-10
+        eig = pairs_at(a)
+        for i, v in enumerate(ev):
+            value, right, left = eig.value[i], eig.right[:, i], eig.left[i]
+            assert abs(value - v) <= 1e-10
             # residuals of both sides against the refined eigenvalue
-            assert np.linalg.norm(a @ t.right - t.value * t.right) <= 1e-10 * np.linalg.norm(a)
-            assert np.linalg.norm(a.T @ t.left - t.value * t.left) <= 1e-10 * np.linalg.norm(a)
+            assert np.linalg.norm(a @ right - value * right) <= 1e-10 * np.linalg.norm(a)
+            assert np.linalg.norm(a.T @ left - value * left) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_eigen_triple_real_eigenvalue_gives_real_vectors():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))
     a = a + a.T  # symmetric: all eigenvalues real
-    for t in eigen_triple(a, eig_all(a)):
-        assert t.value.imag == 0.0
-        assert not np.iscomplexobj(t.right)
+    eig = pairs_at(a)
+    assert np.all(np.imag(eig.value) == 0.0)
+    assert not np.iscomplexobj(eig.right)
+
+
+def test_eigen_triple_real_columns_exactly_real_beside_complex_ones():
+    # one complex pair and one real eigenvalue: the real one's vectors carry
+    # exactly zero imaginary parts in the complex arrays
+    a = np.array([[1.0, 2.0, 0.5], [-2.0, 1.0, 0.0], [0.3, 0.0, 7.0]])
+    ev, vecs = eig_all(a, vectors=True)
+    eig = eigen_triple(a, ev, vecs, [1, 2])
+    assert ev[1].imag > 0.0 and ev[2].imag == 0.0
+    assert np.all(eig.right[:, 1].imag == 0.0) and np.all(eig.left[1].imag == 0.0)
+    assert np.any(eig.right[:, 0].imag != 0.0)
 
 
 def test_eigen_triple_near_defective_raises():
     a = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-12]])
     with pytest.raises(IllConditioned):
-        eigen_triple(a, [1.0])
+        pairs_at(a, [0])
 
 
-def test_eigen_triple_real_request_on_complex_eigenvalue_fails_residual():
-    # a real vector cannot be an eigenvector of a complex eigenvalue
+def test_eigen_triple_wrong_vectors_fail_residual():
+    # eigenvectors of another matrix: the pairs are consistent with each
+    # other (w^T v = 1) but not eigenpairs of a, so the residual check fails
+    a = np.diag([5.0, 7.0])
+    ev = eig_all(a)
     with pytest.raises(NoConvergence):
-        eigen_triple([[1.0, 2.0], [-2.0, 1.0]], [1.0])
+        eigen_triple(a, ev, np.array([[1.0, 1.0], [0.0, 1.0]]), [1])
 
 
 def test_solve_identity():

@@ -10,22 +10,21 @@ from giep import (
     DegenerateSpectrum,
     DimensionMismatch,
     DiscViolation,
-    ParameterPoint,
     Pattern,
     Spectrum,
-    assemble,
     build_seed,
     disc_radius,
     eig_all,
     format_matrix_csv,
     format_matrix_market,
     format_spectrum,
-    label_eigenvalues,
     parse_matrix_csv,
     parse_spectrum,
     spectrum_mismatch,
 )
 from giep.cli import random_spectrum
+from giep.model import assemble, label_eigenvalues
+from conftest import edge_positions
 
 
 def test_spectrum_sizes_and_values():
@@ -117,7 +116,7 @@ def test_disc_system_disjointness_property():
 
 def test_assemble_example():
     p = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
-    theta = ParameterPoint(x=[1.0], y=[2.0], z=[3.0], u=[0.1], omega=[0.2])
+    theta = [1.0, 2.0, 3.0, 0.1, 0.2]  # x, y, z, u, omega
     expected = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.1], [0.0, 0.2, 3.0]])
     assert np.array_equal(assemble(p, theta), expected)
 
@@ -125,13 +124,13 @@ def test_assemble_example():
 def test_assemble_zero_fill_equals_seed():
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
     p = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
-    theta = ParameterPoint(x=[1.0], y=[2.0], z=[3.0], u=[0.0], omega=[0.0])
+    theta = [1.0, 2.0, 3.0, 0.0, 0.0]
     assert np.array_equal(assemble(p, theta), build_seed(s))
 
 
 def test_assemble_one_directional_slot():
     p = Pattern(n=3, k=1, slots=((1, 3),), bidirected=(False,))
-    theta = ParameterPoint(x=[1.0], y=[2.0], z=[3.0], u=[0.5], omega=[9.9])
+    theta = [1.0, 2.0, 3.0, 0.5, 9.9]
     m = assemble(p, theta)
     assert m[0, 2] == 0.5
     assert m[2, 0] == 0.0  # omega is never written for one-directional slots
@@ -140,7 +139,9 @@ def test_assemble_one_directional_slot():
 def test_assemble_dimension_mismatch():
     p = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
     with pytest.raises(DimensionMismatch):
-        assemble(p, ParameterPoint(x=[1.0, 2.0], y=[2.0], z=[3.0], u=[0.1], omega=[0.2]))
+        assemble(p, [1.0, 2.0, 2.0, 3.0, 0.1, 0.2])  # two x for one block
+    with pytest.raises(DimensionMismatch):
+        assemble(p, [1.0, 2.0, 3.0, 0.1])  # omega missing
 
 
 def test_assemble_writes_only_pattern_positions():
@@ -163,12 +164,14 @@ def test_assemble_writes_only_pattern_positions():
         m_slots = sorted(m_slots)
         flags = tuple(bool(rng.integers(0, 2)) for _ in m_slots)
         p = Pattern(n=n, k=k, slots=tuple(m_slots), bidirected=flags)
-        theta = ParameterPoint(
-            x=rng.uniform(1, 2, k),
-            y=rng.uniform(1, 2, k),
-            z=rng.uniform(1, 2, l),
-            u=rng.uniform(1, 2, p.m),
-            omega=rng.uniform(1, 2, p.m),
+        theta = np.concatenate(
+            [
+                rng.uniform(1, 2, k),
+                rng.uniform(1, 2, k),
+                rng.uniform(1, 2, l),
+                rng.uniform(1, 2, p.m),
+                rng.uniform(1, 2, p.m),
+            ]
         )
         mtx = assemble(p, theta)
         nonzero = {
@@ -177,7 +180,7 @@ def test_assemble_writes_only_pattern_positions():
             for j in range(n)
             if i != j and mtx[i, j] != 0.0
         }
-        assert nonzero == p.edge_positions()
+        assert nonzero == edge_positions(p)
 
 
 def test_pattern_validation():
@@ -196,11 +199,12 @@ def test_pattern_validation():
 def test_label_exact_and_perturbed():
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
     d = disc_radius(s)
-    lv = label_eigenvalues([1.1 + 1.9j, 1.1 - 1.9j, 2.9 + 0j], d)
-    assert np.allclose(lv.lam, [1.1]) and np.allclose(lv.mu, [1.9])
-    assert np.allclose(lv.gamma, [2.9])
-    exact = label_eigenvalues(s.values(), d)
-    assert np.array_equal(exact.vector(), s.target_coordinates().vector())
+    coords, idx = label_eigenvalues([1.1 + 1.9j, 1.1 - 1.9j, 2.9 + 0j], d)
+    assert np.allclose(coords, [1.1, 1.9, 2.9])  # lam, mu, gamma
+    assert idx.tolist() == [0, 2]  # the plus-disc and real eigenvalues
+    exact, idx = label_eigenvalues(s.values(), d)
+    assert np.array_equal(exact, s.target_coordinates())
+    assert idx.tolist() == [0, 2]
 
 
 def test_label_disc_violations():
@@ -225,10 +229,8 @@ def test_label_round_trip_through_seed():
         if 2 * k + l < 1:
             continue
         s = random_spectrum(rng, k, l)
-        lv = label_eigenvalues(eig_all(build_seed(s)), disc_radius(s))
-        assert np.allclose(
-            lv.vector(), s.target_coordinates().vector(), atol=1e-12 * (1 + s.inf_norm())
-        )
+        coords, _ = label_eigenvalues(eig_all(build_seed(s)), disc_radius(s))
+        assert np.allclose(coords, s.target_coordinates(), atol=1e-12 * (1 + s.inf_norm()))
 
 
 def test_spectrum_mismatch_counts_multiset():

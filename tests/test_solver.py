@@ -5,30 +5,26 @@ import pytest
 
 from giep import (
     DiscViolation,
-    ParameterPoint,
     Pattern,
     SolverConfig,
     Spectrum,
     StepUnderflow,
-    assemble,
     build_seed,
     continuation_solve,
     default_targets,
     disc_radius,
     eig_all,
-    eigen_derivative,
-    eigen_triple,
-    jacobian_xyz,
-    label_eigenvalues,
     max_matching,
-    newton_correct,
     plan_relabeling,
     solve_instance,
     spectrum_mismatch,
     verify,
 )
 from giep.cli import random_graph, random_spectrum
-from giep.solver import TOL_NEWTON_FACTOR, evaluate_f
+from giep.linalg import eigen_triple
+from giep.model import assemble, label_eigenvalues
+from giep.solver import TOL_NEWTON_FACTOR, evaluate_f, jacobian_xyz, newton_correct
+from conftest import edge_positions, eigen_derivative
 
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
@@ -36,37 +32,45 @@ P3 = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
 TOL3 = TOL_NEWTON_FACTOR * (1 + S3.inf_norm())
 
 
+def tracked_pairs(mtx, d):
+    """Eigenpairs of ``mtx`` at its labeled eigenvalues, plus-discs then reals."""
+    ev, vecs = eig_all(mtx, vectors=True)
+    _, idx = label_eigenvalues(ev, d)
+    return eigen_triple(mtx, ev, vecs, idx)
+
+
 def seed_triples(s):
-    """Eigen triples of the seed, ordered plus-discs then reals."""
+    """Eigenpairs of the seed, ordered plus-discs then reals."""
     mtx = build_seed(s)
     d = disc_radius(s)
-    lv = label_eigenvalues(eig_all(mtx), d)
-    return mtx, d, eigen_triple(mtx, lv.points())
+    return mtx, d, tracked_pairs(mtx, d)
 
 
 def seed_point(s, m=0):
-    return ParameterPoint(
-        x=[a for a, _ in s.pairs],
-        y=[b for _, b in s.pairs],
-        z=list(s.reals),
-        u=np.zeros(m),
-        omega=np.zeros(m),
+    """Stacked (x, y, z, u, omega) of the seed with m zero fills."""
+    return np.concatenate(
+        [[a for a, _ in s.pairs], [b for _, b in s.pairs], s.reals, np.zeros(2 * m)]
     )
+
+
+def with_fill(p, theta, u, omega):
+    """``theta`` with its fills (u, omega) replaced."""
+    return np.concatenate([theta[: p.n], u, omega])
 
 
 def xyz_directions(p, theta):
     """Matrix direction of each (x, y, z) coordinate, in Jacobian column order."""
     base = assemble(p, theta)
-    return [assemble(p, theta.with_xyz_delta(e)) - base for e in np.eye(2 * p.k + p.l)]
+    steps = np.eye(p.n, theta.size)  # unit steps in the first n entries
+    return [assemble(p, theta + e) - base for e in steps]
 
 
 def test_eigen_derivative_block_directions():
     mtx, _, triples = seed_triples(S3)
-    pair_triple = triples[0]
     bx, by, bz = xyz_directions(P3, seed_point(S3, m=1))
-    zx = eigen_derivative(pair_triple, bx)
-    zy = eigen_derivative(pair_triple, by)
-    zz = eigen_derivative(pair_triple, bz)
+    zx = eigen_derivative(triples, bx)[0]  # the pair's eigenpair
+    zy = eigen_derivative(triples, by)[0]
+    zz = eigen_derivative(triples, bz)[0]
     assert abs(zx - 1.0) < 1e-12      # diagonal block direction moves lambda
     assert abs(zy - 1j) < 1e-12       # rotation direction moves mu
     assert abs(zz) < 1e-12            # the other block has no first-order effect
@@ -74,8 +78,7 @@ def test_eigen_derivative_block_directions():
 
 def test_eigen_derivative_real_row_is_real():
     _, _, triples = seed_triples(S3)
-    real_triple = triples[1]
-    z = eigen_derivative(real_triple, xyz_directions(P3, seed_point(S3, m=1))[2])
+    z = eigen_derivative(triples, xyz_directions(P3, seed_point(S3, m=1))[2])[1]
     assert z.imag == 0.0
     assert abs(z - 1.0) < 1e-12
 
@@ -97,17 +100,15 @@ def test_jacobian_matches_finite_differences_off_seed():
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0, -1.0))
     d = disc_radius(s)
     p = Pattern(n=4, k=1, slots=((1, 3), (2, 4)), bidirected=(True, True))
-    theta = seed_point(s, m=2).with_fill(
-        np.array([0.03, -0.02]), np.array([0.01, 0.025])
-    )
+    theta = with_fill(p, seed_point(s, m=2), np.array([0.03, -0.02]), np.array([0.01, 0.025]))
     mtx = assemble(p, theta)
-    jac = jacobian_xyz(p, eigen_triple(mtx, label_eigenvalues(eig_all(mtx), d).points()))
+    jac = jacobian_xyz(p, tracked_pairs(mtx, d))
     h = 1e-6
     dim = 2 * s.k + s.l
     fd = np.empty((dim, dim))
     for c, b in enumerate(xyz_directions(p, theta)):
-        up = label_eigenvalues(eig_all(mtx + h * b), d).vector()
-        dn = label_eigenvalues(eig_all(mtx - h * b), d).vector()
+        up = label_eigenvalues(eig_all(mtx + h * b), d)[0]
+        dn = label_eigenvalues(eig_all(mtx - h * b), d)[0]
         fd[:, c] = (up - dn) / (2 * h)
     assert np.abs(jac - fd).max() <= 1e-5
 
@@ -123,13 +124,13 @@ def test_jacobian_gather_matches_dense_derivatives(k):
     _, p = plan_relabeling(g, max_matching(g), k)
     d = disc_radius(s)
     assert p.m > 0
-    theta = seed_point(s, m=p.m).with_fill(*default_targets(p, d))
+    theta = with_fill(p, seed_point(s, m=p.m), *default_targets(p, d))
     mtx = assemble(p, theta)
-    triples = eigen_triple(mtx, label_eigenvalues(eig_all(mtx), d).points())
+    triples = tracked_pairs(mtx, d)
     jac = jacobian_xyz(p, triples)
     dense = np.empty_like(jac)
     for c, b in enumerate(xyz_directions(p, theta)):
-        zetas = [eigen_derivative(t, b) for t in triples]
+        zetas = eigen_derivative(triples, b)
         dense[:, c] = [z.real for z in zetas[:k]] + [z.imag for z in zetas[:k]] + [
             z.real for z in zetas[k:]
         ]
@@ -140,20 +141,18 @@ def test_jacobian_gather_matches_dense_derivatives(k):
 def test_evaluate_f_exact_at_targets():
     d = disc_radius(S3)
     theta = seed_point(S3, m=1)
-    lv = evaluate_f(P3, theta, d)
-    assert np.allclose(lv.vector(), [1.0, 2.0, 3.0], atol=1e-13)
+    assert np.allclose(evaluate_f(P3, theta, d), [1.0, 2.0, 3.0], atol=1e-13)
 
 
 def test_evaluate_f_single_real():
     s = Spectrum(pairs=(), reals=(7.0,))
-    lv = evaluate_f(Pattern(n=1, k=0), seed_point(s), disc_radius(s))
-    assert np.array_equal(lv.vector(), [7.0])
+    assert np.array_equal(evaluate_f(Pattern(n=1, k=0), seed_point(s), disc_radius(s)), [7.0])
 
 
 def test_evaluate_f_small_fill_second_order_shift():
     d = disc_radius(S3)
-    theta = seed_point(S3, m=1).with_fill(np.array([0.01]), np.array([0.01]))
-    dev = np.abs(evaluate_f(P3, theta, d).vector() - [1.0, 2.0, 3.0]).max()
+    theta = with_fill(P3, seed_point(S3, m=1), np.array([0.01]), np.array([0.01]))
+    dev = np.abs(evaluate_f(P3, theta, d) - [1.0, 2.0, 3.0]).max()
     assert 1e-7 < dev < 1e-2  # fills enter the eigenvalues at second order
 
 
@@ -166,17 +165,19 @@ def test_newton_zero_iterations_when_exact():
 
 def test_newton_recovers_small_fill():
     d = disc_radius(S3)
-    theta = seed_point(S3, m=1).with_fill(np.array([0.05]), np.array([0.05]))
+    theta = with_fill(P3, seed_point(S3, m=1), np.array([0.05]), np.array([0.05]))
+    before = theta.copy()
     out, iters, residual, _ = newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
     assert iters <= 5
     assert residual <= 1e-10
-    assert np.array_equal(out.u, theta.u) and np.array_equal(out.omega, theta.omega)
+    assert np.array_equal(out[P3.n :], theta[P3.n :])  # u and omega untouched
+    assert np.array_equal(theta, before)  # the input point is not modified
     assert spectrum_mismatch(eig_all(assemble(P3, out)), S3) <= 1e-10
 
 
 def test_newton_disc_violation_far_from_discs():
     d = disc_radius(S3)
-    theta = ParameterPoint(x=[40.0], y=[2.0], z=[3.0], u=[0.0], omega=[0.0])
+    theta = np.array([40.0, 2.0, 3.0, 0.0, 0.0])  # x, y, z, u, omega
     with pytest.raises(DiscViolation):
         newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
 
@@ -243,6 +244,18 @@ def test_continuation_mode_validation():
         default_targets(p_dir, disc_radius(s), "symmetric")
     with pytest.raises(ValueError):
         continuation_solve(s, p, (np.array([0.0]), np.array([0.1])))  # zero u*
+    d = disc_radius(s)
+    with pytest.raises(ValueError, match="unknown mode"):  # checked before the scale
+        default_targets(p, d, "bogus", SolverConfig(fill_scale=-1.0))
+    for mode in ("generic", "symmetric", "skew"):
+        with pytest.raises(ValueError, match="fill_scale must be positive"):
+            default_targets(p, d, mode, SolverConfig(fill_scale=float("nan")))
+
+
+@pytest.mark.parametrize("u, omega", [(np.nan, 0.1), (0.1, np.inf)], ids=["nan-u", "inf-omega"])
+def test_continuation_rejects_nonfinite_fill_targets(u, omega):
+    with pytest.raises(ValueError, match="fill targets must be finite"):
+        continuation_solve(S3, P3, (np.array([u]), np.array([omega])))
 
 
 def test_continuation_step_underflow_for_huge_fill():
@@ -284,7 +297,7 @@ def test_default_fill_takes_one_whole_interval_step():
         if bidirected:
             assert m[j - 1, i - 1] == omega[r]
     zero = ~np.eye(s.n, dtype=bool)
-    for i, j in p.edge_positions():
+    for i, j in edge_positions(p):
         zero[i - 1, j - 1] = False
     assert np.all(m[zero] == 0.0)
 
@@ -296,7 +309,7 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     real_correct = solver.newton_correct
 
     def record(p, d, theta, *args):
-        trial_u.append(theta.u)
+        trial_u.append(theta[p.n : p.n + p.m])
         return real_correct(p, d, theta, *args)
 
     monkeypatch.setattr(solver, "newton_correct", record)
@@ -325,13 +338,12 @@ def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
     calls = []
     real_triple = solver.eigen_triple
 
-    def fail_first(mtx, points, eigensystem):
+    def fail_first(mtx, ev, vecs, idx):
         calls.append(mtx)
         if len(calls) == 1:
             # reversed eigenvectors: eigen_triple's residual check raises
-            ev, vecs = eigensystem
-            eigensystem = (ev, vecs[:, ::-1])
-        return real_triple(mtx, points, eigensystem=eigensystem)
+            vecs = vecs[:, ::-1]
+        return real_triple(mtx, ev, vecs, idx)
 
     monkeypatch.setattr(solver, "eigen_triple", fail_first)
     rep = continuation_solve(S3, P3, (np.array([0.1]), np.array([0.1])))
