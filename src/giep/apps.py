@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, RepeatedEigenvalues
 from .graph import Graph, make_graph, max_matching, plan_relabeling
 from .linalg import as_square_matrix, eig_all
-from .model import Spectrum, _distances, disc_radius, spectrum_mismatch
+from .model import Spectrum, _distances, spectrum_mismatch
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -49,7 +49,7 @@ def solve_instance(
         )
     matching = max_matching(g)
     relab, pattern = plan_relabeling(g, matching, s.k)
-    targets = default_targets(pattern, disc_radius(s), mode, cfg)
+    targets = default_targets(pattern, s.discs, mode, cfg)
     report = continuation_solve(s, pattern, targets, mode, cfg)
     return replace(report, matrix=relab.unapply_matrix(report.matrix))
 

@@ -94,6 +94,11 @@ class Spectrum:
         pairs = np.array(self.pairs, dtype=float).reshape(-1, 2)
         return np.concatenate([pairs[:, 0], pairs[:, 1], np.array(self.reals, dtype=float)])
 
+    @cached_property
+    def discs(self) -> DiscSystem:
+        """``disc_radius(self)``, computed once per spectrum."""
+        return disc_radius(self)
+
     @classmethod
     def from_eigenvalues(cls, values) -> "Spectrum":
         """Build a Spectrum from a conjugate-closed set of computed eigenvalues."""

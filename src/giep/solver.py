@@ -26,11 +26,17 @@ The Newton loop runs on plain arrays.  theta is the one stacked vector
 (x, y, z, u, omega) that :attr:`Pattern.entries` indexes: the seed is the
 target coordinate vector followed by 2m zeros, a trial at t writes
 t*u* and t*omega* into the last 2m entries, and a Newton correction adds
-to the first n.  Every iterate costs one LAPACK eigendecomposition.  Its
-eigenvalues feed the disc labeling, which returns the coordinates for the
-convergence test and the positions of the tracked eigenvalues; the
-eigenvectors at those positions, as arrays, give the Jacobian.  The final
-spectrum check reuses the eigenvalues of the last accepted iterate.
+to the first n.  The corrector is a chord iteration (Kelley, *Solving
+Nonlinear Equations with Newton's Method*, 2003, ch. 5): every correction
+solves with one chord matrix, which starts as the seed's identity
+Jacobian, so near the seed a correction is the residual itself.  Every
+iterate costs one eigenvalues-only LAPACK decomposition, whose
+eigenvalues feed the disc labeling and the convergence test.  Only an
+iterate whose residual shrank by less than CHORD_RATIO over the last chord
+step is decomposed again with eigenvectors; the eigenvectors at the
+labeled positions, as arrays, give its true Jacobian, the chord matrix for
+the rest of the solve.  The final spectrum check reuses the eigenvalues of
+the last accepted iterate.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ from .model import (
     Pattern,
     Spectrum,
     assemble,
-    disc_radius,
     label_eigenvalues,
     spectrum_mismatch,
 )
@@ -64,6 +69,7 @@ TOL_NEWTON_FACTOR = 1e-11   # newton tolerance = factor * (1 + |spectrum|_inf)
 TOL_FINAL_FACTOR = 1e-8     # final spectrum tolerance, same scaling
 MAX_NEWTON = 25             # newton iterations before a trial is rejected
 EASY_NEWTON_ITERS = 4       # an accept this cheap counts toward doubling the step
+CHORD_RATIO = 0.1           # a chord step shrinking the residual by less than this forms a Jacobian
 
 
 def jacobian_xyz(p: Pattern, eig: Eigenpairs) -> np.ndarray:
@@ -99,46 +105,59 @@ def jacobian_xyz(p: Pattern, eig: Eigenpairs) -> np.ndarray:
     return np.vstack([zeta[: p.k].real, zeta[: p.k].imag, zeta[p.k :].real])
 
 
-def evaluate_f(p: Pattern, theta, d: DiscSystem) -> np.ndarray:
-    """Labeled eigenvalue coordinates of the matrix assembled at ``theta``."""
-    return label_eigenvalues(eig_all(assemble(p, theta)), d)[0]
-
-
 def newton_correct(
     p: Pattern,
     d: DiscSystem,
     theta: np.ndarray,
     target: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, int, float, np.ndarray]:
-    """Newton iteration on (x, y, z) until the labeled coordinates are within
-    ``tol`` of ``target``; returns (theta, iterations, residual, eigs) there.
+    jac: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, float, np.ndarray, np.ndarray | None]:
+    """Chord Newton iteration on (x, y, z) until the labeled coordinates are
+    within ``tol`` of ``target``; returns (theta, iterations, residual, eigs,
+    jac) there.
 
     ``theta`` is the stacked parameter vector and ``target`` the stacked
     coordinates; a correction adds to theta's first n = 2k+l entries, the
     block parameters, and never touches u and omega.  A point that already
-    meets ``tol`` is returned unchanged after zero iterations.  Each
-    iterate runs exactly one LAPACK decomposition: its eigenvalues feed the
-    labeling and the convergence test, and the eigenvectors at the tracked
-    positions feed the Jacobian.
+    meets ``tol`` is returned unchanged after zero iterations.
+
+    ``jac`` is the chord matrix every correction solves with; None stands
+    for the seed's identity Jacobian, whose correction is the residual
+    itself.  Each iterate runs one eigenvalues-only decomposition for the
+    labeling and the convergence test.  A correction with a Jacobian formed
+    at its own iterate is a Newton step, any other a chord step.  Only when
+    the last chord step shrank the residual by less than CHORD_RATIO does an
+    iterate also compute eigenvectors and form its true Jacobian, which
+    becomes the chord matrix from then on; the returned ``jac`` carries it
+    to the caller's next trial.
 
     Raises NoConvergence past MAX_NEWTON iterations or when LAPACK or an
     eigenpair check fails, DiscViolation when an iterate leaves the discs
     (continuation_solve rejects the trial on either), and SingularSystem.
     """
+    previous = np.inf  # the residual before the last chord step
     for it in range(MAX_NEWTON + 1):
         mtx = assemble(p, theta)
-        ev, vecs = eig_all(mtx, vectors=True)
-        coords, idx = label_eigenvalues(ev, d)
+        ev = eig_all(mtx)
+        coords, _ = label_eigenvalues(ev, d)
         residual_vec = target - coords
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
-            return theta, it, residual, ev
+            return theta, it, residual, ev, jac
         if it == MAX_NEWTON:
             break
-        jac = jacobian_xyz(p, eigen_triple(mtx, ev, vecs, idx))
+        if residual > CHORD_RATIO * previous:
+            # the chord step contracted weakly: decompose this iterate again,
+            # with vectors, whose eigenvalues may differ in the last bits and
+            # so are labeled again
+            ev_v, vecs = eig_all(mtx, vectors=True)
+            jac = jacobian_xyz(p, eigen_triple(mtx, ev_v, vecs, label_eigenvalues(ev_v, d)[1]))
+            previous = np.inf  # a step with a fresh Jacobian is a Newton step
+        else:
+            previous = residual
         theta = theta.copy()
-        theta[: p.n] += solve_linear(jac, residual_vec)
+        theta[: p.n] += residual_vec if jac is None else solve_linear(jac, residual_vec)
     raise NoConvergence(
         f"newton residual {residual:.3e} above {tol:.3e} after {MAX_NEWTON} iterations"
     )
@@ -275,7 +294,7 @@ def continuation_solve(
     scale = 1.0 + s.inf_norm()
     tol_newton = TOL_NEWTON_FACTOR * scale
     tol_final = cfg.tol_final if cfg.tol_final is not None else TOL_FINAL_FACTOR * scale
-    d = disc_radius(s)
+    d = s.discs
     target = s.target_coordinates()
     theta = np.concatenate([target, np.zeros(2 * p.m)])  # the seed: x, y, z = target
 
@@ -287,6 +306,7 @@ def continuation_solve(
     if cfg.observer is not None:
         cfg.observer(state, ev)
 
+    jac = None  # the chord matrix; None is the seed's identity Jacobian
     newton_total = 0
     accepted = 0
     easy_streak = 0
@@ -302,8 +322,8 @@ def continuation_solve(
             t_try = 1.0
         theta_try = np.concatenate([state.theta[: p.n], t_try * u_target, t_try * omega_target])
         try:
-            theta_new, iters, residual, ev = newton_correct(
-                p, d, theta_try, target, tol_newton
+            theta_new, iters, residual, ev, jac = newton_correct(
+                p, d, theta_try, target, tol_newton, jac
             )
         except (NoConvergence, DiscViolation) as exc:
             state.step = trial_dt / 2.0

@@ -6,8 +6,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from giep import Graph, IllConditioned, Pattern, make_graph
-from giep.linalg import TOL_ORTHO, Eigenpairs
+from giep import Graph, IllConditioned, NoConvergence, Pattern, make_graph
+from giep.linalg import TOL_ORTHO, Eigenpairs, eig_all, eigen_triple, solve_linear
+from giep.model import DiscSystem, assemble, label_eigenvalues
+from giep.solver import MAX_NEWTON, jacobian_xyz
 
 
 def brute_force_matching_size(g: Graph) -> int:
@@ -81,3 +83,25 @@ def edge_positions(p: Pattern) -> set[tuple[int, int]]:
         if bi:
             pos.add((j, i))
     return pos
+
+
+def newton_every_iterate(
+    p: Pattern, d: DiscSystem, theta: np.ndarray, target: np.ndarray, tol: float
+) -> tuple[np.ndarray, int, float, np.ndarray]:
+    """Full Newton on (x, y, z), with a fresh Jacobian from one ``eig`` with
+    eigenvectors on every iterate: the oracle for the solver's chord
+    iteration.  Returns (theta, iterations, residual, eigs)."""
+    for it in range(MAX_NEWTON + 1):
+        mtx = assemble(p, theta)
+        ev, vecs = eig_all(mtx, vectors=True)
+        coords, idx = label_eigenvalues(ev, d)
+        residual_vec = target - coords
+        residual = float(np.abs(residual_vec).max())
+        if residual <= tol:
+            return theta, it, residual, ev
+        if it == MAX_NEWTON:
+            break
+        jac = jacobian_xyz(p, eigen_triple(mtx, ev, vecs, idx))
+        theta = theta.copy()
+        theta[: p.n] += solve_linear(jac, residual_vec)
+    raise NoConvergence(f"newton residual {residual:.3e} above {tol:.3e}")

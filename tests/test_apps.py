@@ -35,6 +35,18 @@ def graph_of(m: np.ndarray) -> set:
     }
 
 
+def test_solve_instance_computes_the_disc_system_once(monkeypatch):
+    import giep.model as model
+
+    calls = []
+    real = model.disc_radius
+    monkeypatch.setattr(model, "disc_radius", lambda s: calls.append(s) or real(s))
+    s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0, -1.0))
+    rep = solve_instance(s, path_graph(4))
+    assert calls == [s]
+    assert verify(rep.matrix, s, path_graph(4)).passed
+
+
 def test_solve_instance_path3():
     g = path_graph(3)
     rep = solve_instance(S3, g)

@@ -23,13 +23,18 @@ from giep import (
 from giep.cli import random_graph, random_spectrum
 from giep.linalg import eigen_triple
 from giep.model import assemble, label_eigenvalues
-from giep.solver import TOL_NEWTON_FACTOR, evaluate_f, jacobian_xyz, newton_correct
-from conftest import edge_positions, eigen_derivative
+from giep.solver import CHORD_RATIO, MAX_NEWTON, TOL_NEWTON_FACTOR, jacobian_xyz, newton_correct
+from conftest import edge_positions, eigen_derivative, newton_every_iterate
 
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
 P3 = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
 TOL3 = TOL_NEWTON_FACTOR * (1 + S3.inf_norm())
+
+
+def evaluate_f(p, theta, d):
+    """Labeled eigenvalue coordinates of the matrix assembled at ``theta``."""
+    return label_eigenvalues(eig_all(assemble(p, theta)), d)[0]
 
 
 def tracked_pairs(mtx, d):
@@ -159,15 +164,16 @@ def test_evaluate_f_small_fill_second_order_shift():
 def test_newton_zero_iterations_when_exact():
     d = disc_radius(S3)
     theta = seed_point(S3, m=1)
-    out, _, _, _ = newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
+    out, _, _, _, jac = newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
     assert out is theta  # unchanged object: converged before the first update
+    assert jac is None  # and the chord is still the identity
 
 
 def test_newton_recovers_small_fill():
     d = disc_radius(S3)
     theta = with_fill(P3, seed_point(S3, m=1), np.array([0.05]), np.array([0.05]))
     before = theta.copy()
-    out, iters, residual, _ = newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
+    out, iters, residual, _, _ = newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
     assert iters <= 5
     assert residual <= 1e-10
     assert np.array_equal(out[P3.n :], theta[P3.n :])  # u and omega untouched
@@ -332,22 +338,31 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
 
 def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
     """An eigenpair check that fails inside the whole-interval trial rejects
-    that trial like a disc violation: the step halves and t still reaches 1."""
+    that trial like a disc violation: the step halves and t still reaches 1.
+    Fills one unit wide (about one disc radius) make that trial's first
+    chord step contract weakly, so the trial forms a Jacobian."""
     import giep.solver as solver
 
+    trials = []
     calls = []
+    real_correct = solver.newton_correct
     real_triple = solver.eigen_triple
 
+    def record(p, d, theta, *args):
+        trials.append(theta[p.n])  # t * u*, with u* = 1
+        return real_correct(p, d, theta, *args)
+
     def fail_first(mtx, ev, vecs, idx):
-        calls.append(mtx)
+        calls.append(trials[-1])
         if len(calls) == 1:
             # reversed eigenvectors: eigen_triple's residual check raises
             vecs = vecs[:, ::-1]
         return real_triple(mtx, ev, vecs, idx)
 
+    monkeypatch.setattr(solver, "newton_correct", record)
     monkeypatch.setattr(solver, "eigen_triple", fail_first)
-    rep = continuation_solve(S3, P3, (np.array([0.1]), np.array([0.1])))
-    assert len(calls) >= 2
+    rep = continuation_solve(S3, P3, (np.array([1.0]), np.array([1.0])))
+    assert trials[0] == 1.0 and calls[0] == 1.0  # the whole-interval trial formed one
     assert [rec.t for rec in rep.history] == [0.0, 0.5, 1.0]
     assert spectrum_mismatch(eig_all(rep.matrix), S3) <= 1e-8 * (1 + S3.inf_norm())
 
@@ -382,9 +397,10 @@ def test_continuation_random_spectra_jacobian_scale():
         assert rep.final_residual <= 1e-8 * (1 + s.inf_norm())
 
 
-def test_one_decomposition_per_newton_iterate(monkeypatch):
-    """Each Newton iterate runs one ``eig`` and no ``eigvals``; the seed runs
-    the only ``eigvals``, so the final spectrum check adds no decomposition."""
+def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
+    """At default fills the identity chord absorbs the whole interval: no
+    eigenvectors, no Jacobian and no linear solve, and one ``eigvals`` per
+    Newton iterate plus the seed's, which the final spectrum check reuses."""
     import giep.solver as solver
 
     counts = {}
@@ -407,20 +423,171 @@ def test_one_decomposition_per_newton_iterate(monkeypatch):
     real_correct = solver.newton_correct
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    for name in ("eigen_triple", "jacobian_xyz", "solve_linear"):
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     monkeypatch.setattr(solver, "assemble", counting("iterate", solver.assemble))
     monkeypatch.setattr(solver, "newton_correct", counting("trial", in_correct))
 
-    # fill three radii wide: this seed rejects three trial steps on its way to t = 1
-    rng = np.random.default_rng(2)
-    s = random_spectrum(rng, 3, 4)
-    g = random_graph(rng, 10, 3, 0.3)
+    # n=160, k=40, edge probability 4/n, like the benchmark's large_sparse
+    rng = np.random.default_rng(160)
+    s = random_spectrum(rng, 40, 80, box=80.0)
+    g = random_graph(rng, 160, 40, 4 / 160)
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    cfg = SolverConfig(fill_scale=3.0)
-    rep = continuation_solve(s, p, default_targets(p, disc_radius(s), "generic", cfg), cfg=cfg)
+    rep = continuation_solve(s, p, default_targets(p, s.discs))
 
-    assert counts[("driver", "trial")] > rep.steps  # some trials were rejected
-    assert counts[("newton", "eig")] == counts[("newton", "iterate")]
-    assert counts[("newton", "iterate")] >= rep.steps + rep.newton_iterations_total
-    assert counts.get(("newton", "eigvals"), 0) == 0
+    assert counts[("driver", "trial")] == rep.steps == 1
+    assert counts[("newton", "iterate")] == rep.steps + rep.newton_iterations_total
+    assert rep.newton_iterations_total >= 1
+    assert counts[("newton", "eigvals")] == counts[("newton", "iterate")]
     assert counts[("driver", "eigvals")] == 1
-    assert counts.get(("driver", "eig"), 0) == 0
+    vectors = ("eig", "eigen_triple", "jacobian_xyz", "solve_linear")
+    assert not [key for key in counts if key[1] in vectors]
+
+
+def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
+    """A true Jacobian is formed exactly at the unconverged iterates whose
+    residual shrank by less than CHORD_RATIO over the last chord step, from
+    one ``eig`` with vectors of that iterate; the Newton step right after it
+    is not judged.  Every later correction solves with the latest Jacobian,
+    in later trials too; a rejected trial leaves the chord as it was."""
+    import giep.solver as solver
+
+    events = []
+    real = {
+        name: getattr(solver, name)
+        for name in (
+            "newton_correct", "eig_all", "label_eigenvalues", "jacobian_xyz", "solve_linear"
+        )
+    }
+
+    def correct(p, d, theta, target, *args):
+        events.append(("trial", target))
+        try:
+            return real["newton_correct"](p, d, theta, target, *args)
+        except Exception:
+            events.append(("rejected", None))
+            raise
+
+    def eig(mtx, vectors=False):
+        events.append(("eig" if vectors else "eigvals", mtx))
+        return real["eig_all"](mtx, vectors)
+
+    def label(ev, d):
+        out = real["label_eigenvalues"](ev, d)
+        events.append(("coords", out[0]))
+        return out
+
+    def jacobian(p, eig):
+        out = real["jacobian_xyz"](p, eig)
+        events.append(("jacobian", out))
+        return out
+
+    def solve(a, rhs):
+        events.append(("solve", a))
+        return real["solve_linear"](a, rhs)
+
+    for name, fn in (
+        ("newton_correct", correct),
+        ("eig_all", eig),
+        ("label_eigenvalues", label),
+        ("jacobian_xyz", jacobian),
+        ("solve_linear", solve),
+    ):
+        monkeypatch.setattr(solver, name, fn)
+
+    def audit(seed, fill_scale):
+        """Replay one solve's events; returns the counts of Jacobians
+        formed, of those formed in rejected trials, of weak contractions
+        after a Newton step, and of corrections that reuse a Jacobian from
+        an earlier trial."""
+        events.clear()
+        rng = np.random.default_rng(seed)
+        s = random_spectrum(rng, 3, 4)
+        g = random_graph(rng, 10, 3, 0.3)
+        _, p = plan_relabeling(g, max_matching(g), s.k)
+        cfg = SolverConfig(fill_scale=fill_scale)
+        try:
+            continuation_solve(s, p, default_targets(p, s.discs, "generic", cfg), cfg=cfg)
+        except StepUnderflow:
+            pass
+        tol = TOL_NEWTON_FACTOR * (1 + s.inf_norm())
+
+        kinds = [kind for kind, _ in events]
+        formed = discarded = newton_weak = reused_across = trial = 0
+        chord = None  # the identity
+        i = kinds.index("trial")  # after the seed's decomposition
+        while i < len(events):
+            kind, value = events[i]
+            i += 1
+            if kind == "trial":
+                target, residuals, chord_before, newton_step = value, [], chord, False
+                formed_before = formed
+                trial += 1
+            elif kind == "rejected":
+                chord = chord_before
+                discarded += formed > formed_before
+            elif kind == "eigvals" and kinds[i] == "coords":  # an iterate inside the discs
+                residuals.append(np.abs(target - events[i][1]).max())
+                i += 1
+                weak = 1 < len(residuals) <= MAX_NEWTON and residuals[-1] > max(
+                    tol, CHORD_RATIO * residuals[-2]
+                )
+                if weak and newton_step:
+                    newton_weak += 1
+                elif weak:
+                    assert kinds[i : i + 2] == ["eig", "coords"]
+                    assert events[i][1] is value  # the same iterate
+                    i += 2
+                    if kinds[i] == "jacobian":  # unless an eigenpair check raised
+                        chord, chord_trial = events[i][1], trial
+                        formed += 1
+                        i += 1
+                newton_step = weak and not newton_step
+            elif kind == "solve":
+                assert value is chord  # never the identity's plain step, always the latest
+                reused_across += chord_trial < trial
+            else:
+                assert kind != "eig", "eigenvectors outside a weak chord contraction"
+        return formed, discarded, newton_weak, reused_across
+
+    # fills two and three radii wide: seeds 2 and 7 reach t = 1 after
+    # rejected trials and several Jacobians, and on seed 7 one Newton step
+    # contracts weakly; seed 1 stalls in trial after trial and fails
+    formed, _, _, reused_across = audit(2, 3.0)
+    assert formed >= 2 and reused_across > 0
+    formed, _, newton_weak, _ = audit(7, 2.0)
+    assert formed >= 2 and newton_weak > 0
+    _, discarded, _, _ = audit(1, 2.0)
+    assert discarded > 0
+
+
+@pytest.mark.parametrize("n", [40, 160])
+@pytest.mark.parametrize("mode", ["generic", "symmetric"])
+def test_chord_solve_matches_every_iterate_newton(monkeypatch, mode, n):
+    """The chord iteration stops at other iterates than full Newton, so the
+    block entries may differ in their last bits, but the written fills and
+    the structural zeros are the same bits.  The generic case writes
+    omega* = -u*/2, a target no tied mode allows."""
+    import giep.solver as solver
+
+    rng = np.random.default_rng(n + 1)
+    s = random_spectrum(rng, n // 4, n // 2, box=n / 2)
+    g = random_graph(rng, n, n // 4, 4 / n)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    u, omega = default_targets(p, s.discs, mode)
+    targets = (u, omega) if mode == "symmetric" else (u, -0.5 * omega)
+    chord = continuation_solve(s, p, targets, mode).matrix
+
+    def full_newton(p, d, theta, target, tol, jac):
+        return (*newton_every_iterate(p, d, theta, target, tol), jac)
+
+    monkeypatch.setattr(solver, "newton_correct", full_newton)
+    oracle = continuation_solve(s, p, targets, mode).matrix
+
+    e = p.entries
+    fill = e.param >= p.n
+    assert np.array_equal(chord[e.rows[fill], e.cols[fill]], oracle[e.rows[fill], e.cols[fill]])
+    written = np.zeros_like(chord, dtype=bool)
+    written[e.rows, e.cols] = True
+    assert np.all(chord[~written] == 0.0) and np.all(oracle[~written] == 0.0)
+    assert np.abs(chord - oracle).max() <= 1e-10 * np.abs(oracle).max()
