@@ -35,8 +35,10 @@ eigenvalues feed the disc labeling and the convergence test.  Only an
 iterate whose residual shrank by less than CHORD_RATIO over the last chord
 step is decomposed again with eigenvectors; the eigenvectors at the
 labeled positions, as arrays, give its true Jacobian, the chord matrix for
-the rest of the solve.  The final spectrum check reuses the eigenvalues of
-the last accepted iterate.
+the rest of the solve.  A trial that retries a rejected one runs full
+Newton instead, one decomposition with eigenvectors and a fresh Jacobian
+per iterate.  The final spectrum check reuses the eigenvalues of the last
+accepted iterate.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ def newton_correct(
     target: np.ndarray,
     tol: float,
     jac: np.ndarray | None = None,
+    refresh: bool = False,
 ) -> tuple[np.ndarray, int, float, np.ndarray, np.ndarray | None]:
     """Chord Newton iteration on (x, y, z) until the labeled coordinates are
     within ``tol`` of ``target``; returns (theta, iterations, residual, eigs,
@@ -130,7 +133,10 @@ def newton_correct(
     the last chord step shrank the residual by less than CHORD_RATIO does an
     iterate also compute eigenvectors and form its true Jacobian, which
     becomes the chord matrix from then on; the returned ``jac`` carries it
-    to the caller's next trial.
+    to the caller's next trial.  ``refresh`` makes every iterate a Newton
+    step instead: its one decomposition computes eigenvectors and forms
+    the Jacobian.  continuation_solve sets it on a trial that retries a
+    rejected one, where a stale chord matrix can stall near a fold.
 
     Raises NoConvergence past MAX_NEWTON iterations or when LAPACK or an
     eigenpair check fails, DiscViolation when an iterate leaves the discs
@@ -139,23 +145,25 @@ def newton_correct(
     previous = np.inf  # the residual before the last chord step
     for it in range(MAX_NEWTON + 1):
         mtx = assemble(p, theta)
-        ev = eig_all(mtx)
-        coords, _ = label_eigenvalues(ev, d)
+        ev, vecs = eig_all(mtx, vectors=True) if refresh else (eig_all(mtx), None)
+        coords, idx = label_eigenvalues(ev, d)
         residual_vec = target - coords
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
             return theta, it, residual, ev, jac
         if it == MAX_NEWTON:
             break
-        if residual > CHORD_RATIO * previous:
+        if vecs is None and residual > CHORD_RATIO * previous:
             # the chord step contracted weakly: decompose this iterate again,
             # with vectors, whose eigenvalues may differ in the last bits and
             # so are labeled again
-            ev_v, vecs = eig_all(mtx, vectors=True)
-            jac = jacobian_xyz(p, eigen_triple(mtx, ev_v, vecs, label_eigenvalues(ev_v, d)[1]))
-            previous = np.inf  # a step with a fresh Jacobian is a Newton step
-        else:
+            ev, vecs = eig_all(mtx, vectors=True)
+            idx = label_eigenvalues(ev, d)[1]
+        if vecs is None:
             previous = residual
+        else:
+            jac = jacobian_xyz(p, eigen_triple(mtx, ev, vecs, idx))
+            previous = np.inf  # a step with a fresh Jacobian is a Newton step
         theta = theta.copy()
         theta[: p.n] += residual_vec if jac is None else solve_linear(jac, residual_vec)
     raise NoConvergence(
@@ -265,8 +273,10 @@ def continuation_solve(
     The first trial step is the whole interval t: 0 -> 1.  The step halves
     after a rejected trial (disc violation, stalled Newton or a failed
     eigendecomposition) and doubles after two consecutive easy accepts, up
-    to 1; each trial is clipped to the rest of the interval.  On success the returned matrix realizes the
-    target spectrum with every slot entry written at its exact target.
+    to 1; each trial is clipped to the rest of the interval.  Trials
+    correct with the chord iteration, except that a trial after a rejection
+    runs full Newton.  On success the returned matrix realizes the target
+    spectrum with every slot entry written at its exact target.
 
     Raises StepUnderflow (with the largest accepted t) when the step
     shrinks below step_min — the construction is local, so distant fill
@@ -310,6 +320,7 @@ def continuation_solve(
     newton_total = 0
     accepted = 0
     easy_streak = 0
+    retry = False  # a trial after a rejection runs full Newton
     while p.m > 0 and state.t < 1.0:
         if accepted >= cfg.max_steps:
             raise StepUnderflow(
@@ -323,11 +334,12 @@ def continuation_solve(
         theta_try = np.concatenate([state.theta[: p.n], t_try * u_target, t_try * omega_target])
         try:
             theta_new, iters, residual, ev, jac = newton_correct(
-                p, d, theta_try, target, tol_newton, jac
+                p, d, theta_try, target, tol_newton, jac, retry
             )
         except (NoConvergence, DiscViolation) as exc:
             state.step = trial_dt / 2.0
             easy_streak = 0
+            retry = True
             logger.debug("rejected t=%.6g (%s); step -> %.3g", t_try, exc, state.step)
             if state.step < cfg.step_min:
                 raise StepUnderflow(
@@ -336,6 +348,7 @@ def continuation_solve(
                     t_reached=state.t,
                 ) from exc
             continue
+        retry = False
         state.t = t_try
         state.theta = theta_new
         accepted += 1

@@ -21,6 +21,7 @@ from giep import (
     verify,
 )
 from giep.cli import random_graph, random_spectrum
+from giep.graph import make_graph
 from giep.linalg import eigen_triple
 from giep.model import assemble, label_eigenvalues
 from giep.solver import CHORD_RATIO, MAX_NEWTON, TOL_NEWTON_FACTOR, jacobian_xyz, newton_correct
@@ -181,6 +182,19 @@ def test_newton_recovers_small_fill():
     assert spectrum_mismatch(eig_all(assemble(P3, out)), S3) <= 1e-10
 
 
+def test_newton_refresh_is_full_newton():
+    """With ``refresh`` every iterate forms its Jacobian from its one
+    decomposition: the same bits as the every-iterate Newton oracle."""
+    d = disc_radius(S3)
+    theta = with_fill(P3, seed_point(S3, m=1), np.array([0.3]), np.array([0.3]))
+    target = S3.target_coordinates()
+    out, iters, residual, ev, jac = newton_correct(P3, d, theta, target, TOL3, refresh=True)
+    oracle, oracle_iters, oracle_residual, oracle_ev = newton_every_iterate(P3, d, theta, target, TOL3)
+    assert iters == oracle_iters >= 2 and residual == oracle_residual
+    assert np.array_equal(out, oracle) and np.array_equal(ev, oracle_ev)
+    assert jac is not None
+
+
 def test_newton_disc_violation_far_from_discs():
     d = disc_radius(S3)
     theta = np.array([40.0, 2.0, 3.0, 0.0, 0.0])  # x, y, z, u, omega
@@ -336,6 +350,36 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     assert all(a < b for a, b in zip(ts, ts[1:]))
 
 
+def test_trials_after_a_rejection_run_full_newton_past_a_fold(monkeypatch):
+    """Fills two radii wide drive this n=11 instance across a fold near
+    t = 0.967, where the chord iteration stalls trial after trial on a
+    stale chord matrix.  Trials after a rejection run full Newton and get
+    past it; chord trials alone end in StepUnderflow there."""
+    import giep.solver as solver
+
+    s = Spectrum(pairs=(), reals=(
+        4.505685057126957, -4.235519777027465, 2.981091489099736, 1.0817689464852815,
+        0.5517270050666827, -2.620453810349461, 5.479083150184433, 3.671151760467147,
+        1.743382679477433, 2.3018341942143143, -0.6052960908881282,
+    ))
+    g = make_graph(11, [
+        (1, 6), (1, 7), (1, 10), (2, 5), (2, 9), (2, 11), (3, 8), (4, 6), (4, 8),
+        (4, 9), (5, 11), (7, 8), (8, 10), (8, 11), (9, 10),
+    ], directed=False)
+    cfg = SolverConfig(fill_scale=2.0)
+    rep = solve_instance(s, g, cfg=cfg)
+    assert rep.history[-1].t == 1.0 and verify(rep.matrix, s, g).passed
+
+    real_correct = solver.newton_correct
+
+    def chord_only(p, d, theta, target, tol, jac, refresh):
+        return real_correct(p, d, theta, target, tol, jac)
+
+    monkeypatch.setattr(solver, "newton_correct", chord_only)
+    with pytest.raises(StepUnderflow):
+        solve_instance(s, g, cfg=cfg)
+
+
 def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
     """An eigenpair check that fails inside the whole-interval trial rejects
     that trial like a disc violation: the step halves and t still reaches 1.
@@ -445,11 +489,14 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
 
 
 def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
-    """A true Jacobian is formed exactly at the unconverged iterates whose
-    residual shrank by less than CHORD_RATIO over the last chord step, from
-    one ``eig`` with vectors of that iterate; the Newton step right after it
-    is not judged.  Every later correction solves with the latest Jacobian,
-    in later trials too; a rejected trial leaves the chord as it was."""
+    """In a chord trial a true Jacobian is formed exactly at the unconverged
+    iterates whose residual shrank by less than CHORD_RATIO over the last
+    chord step, from one ``eig`` with vectors of that iterate; the Newton
+    step right after it is not judged.  A trial after a rejection runs full
+    Newton: every iterate is one ``eig`` with vectors, and every unconverged
+    one forms a Jacobian.  Every later correction solves with the latest
+    Jacobian, in later trials too; a rejected trial leaves the chord as it
+    was."""
     import giep.solver as solver
 
     events = []
@@ -497,9 +544,9 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
 
     def audit(seed, fill_scale):
         """Replay one solve's events; returns the counts of Jacobians
-        formed, of those formed in rejected trials, of weak contractions
-        after a Newton step, and of corrections that reuse a Jacobian from
-        an earlier trial."""
+        formed, of those formed in trials after a rejection, of weak
+        contractions after a Newton step, and of corrections that reuse a
+        Jacobian from an earlier trial."""
         events.clear()
         rng = np.random.default_rng(seed)
         s = random_spectrum(rng, 3, 4)
@@ -513,22 +560,31 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         tol = TOL_NEWTON_FACTOR * (1 + s.inf_norm())
 
         kinds = [kind for kind, _ in events]
-        formed = discarded = newton_weak = reused_across = trial = 0
+        formed = retried = newton_weak = reused_across = trial = 0
         chord = None  # the identity
+        rejected = False
         i = kinds.index("trial")  # after the seed's decomposition
         while i < len(events):
             kind, value = events[i]
             i += 1
             if kind == "trial":
                 target, residuals, chord_before, newton_step = value, [], chord, False
-                formed_before = formed
+                retry, rejected = rejected, False
                 trial += 1
             elif kind == "rejected":
-                chord = chord_before
-                discarded += formed > formed_before
-            elif kind == "eigvals" and kinds[i] == "coords":  # an iterate inside the discs
+                chord, rejected = chord_before, True
+            elif kind in ("eigvals", "eig") and kinds[i] == "coords":  # an iterate inside the discs
+                assert (kind == "eig") == retry  # one decomposition, with vectors on a retry
                 residuals.append(np.abs(target - events[i][1]).max())
                 i += 1
+                if retry and residuals[-1] > tol and len(residuals) <= MAX_NEWTON:
+                    assert kinds[i] in ("jacobian", "rejected")  # unless an eigenpair check raised
+                    if kinds[i] == "jacobian":
+                        chord, chord_trial = events[i][1], trial
+                        formed += 1
+                        retried += 1
+                        i += 1
+                    continue
                 weak = 1 < len(residuals) <= MAX_NEWTON and residuals[-1] > max(
                     tol, CHORD_RATIO * residuals[-2]
                 )
@@ -546,19 +602,20 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
             elif kind == "solve":
                 assert value is chord  # never the identity's plain step, always the latest
                 reused_across += chord_trial < trial
-            else:
-                assert kind != "eig", "eigenvectors outside a weak chord contraction"
-        return formed, discarded, newton_weak, reused_across
+            elif kind in ("eigvals", "eig"):  # an iterate that left the discs
+                assert kind != "eig" or retry, "eigenvectors outside a weak chord contraction"
+                assert kinds[i] == "rejected"
+        return formed, retried, newton_weak, reused_across
 
     # fills two and three radii wide: seeds 2 and 7 reach t = 1 after
     # rejected trials and several Jacobians, and on seed 7 one Newton step
     # contracts weakly; seed 1 stalls in trial after trial and fails
-    formed, _, _, reused_across = audit(2, 3.0)
-    assert formed >= 2 and reused_across > 0
+    formed, retried, _, reused_across = audit(2, 3.0)
+    assert formed > retried > 0 and reused_across > 0
     formed, _, newton_weak, _ = audit(7, 2.0)
     assert formed >= 2 and newton_weak > 0
-    _, discarded, _, _ = audit(1, 2.0)
-    assert discarded > 0
+    _, retried, _, _ = audit(1, 2.0)
+    assert retried > 0
 
 
 @pytest.mark.parametrize("n", [40, 160])
@@ -578,7 +635,7 @@ def test_chord_solve_matches_every_iterate_newton(monkeypatch, mode, n):
     targets = (u, omega) if mode == "symmetric" else (u, -0.5 * omega)
     chord = continuation_solve(s, p, targets, mode).matrix
 
-    def full_newton(p, d, theta, target, tol, jac):
+    def full_newton(p, d, theta, target, tol, jac, refresh):
         return (*newton_every_iterate(p, d, theta, target, tol), jac)
 
     monkeypatch.setattr(solver, "newton_correct", full_newton)
