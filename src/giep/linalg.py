@@ -15,8 +15,9 @@ reads the right eigenvectors from those columns of ``V`` and the left ones
 from the same rows of ``V^-1``.  It returns them as arrays, treats every
 selected eigenvalue at once, and still checks each one for
 near-defectiveness and for both eigen-residuals.  ``solve_linear``
-is an LU solve guarded by a condition-number check and a backward-stability
-check on its residual.
+is an LU solve guarded by a condition-number check, which a caller that
+reuses one matrix runs once through ``check_conditioning``, and a
+backward-stability check on its residual.
 """
 
 from __future__ import annotations
@@ -159,23 +160,34 @@ def eigen_triple(m, ev, vecs, idx) -> Eigenpairs:
     return Eigenpairs(right=v, left=w, pairing=pairing, value=value)
 
 
-def solve_linear(a, rhs) -> np.ndarray:
+def check_conditioning(a) -> None:
+    """Raise SingularSystem when the condition number of ``a`` exceeds
+    1 / PIVOT_FACTOR, judged by its singular values."""
+    a = as_square_matrix(a)
+    try:
+        sv = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"solve failed: {exc}") from exc
+    if not sv[-1] > PIVOT_FACTOR * sv[0]:
+        raise SingularSystem(
+            f"smallest singular value {sv[-1]:.3e} below {PIVOT_FACTOR:.0e} times "
+            f"the largest {sv[0]:.3e}"
+        )
+
+
+def solve_linear(a, rhs, conditioned: bool = False) -> np.ndarray:
     """Solve ``a @ s = rhs`` by LAPACK's LU with partial pivoting.
 
-    A system whose condition number exceeds 1 / PIVOT_FACTOR raises
-    SingularSystem before the solve.  The solution must then meet the
-    backward-stable bound TOL_LIN * (||rhs|| + ||a|| * ||s||) on its
-    residual; beyond that the system is reported singular too.
+    Unless ``conditioned`` says the caller has already passed ``a`` through
+    :func:`check_conditioning`, that check runs first.  The solution must
+    then meet the backward-stable bound TOL_LIN * (||rhs|| + ||a|| * ||s||)
+    on its residual; beyond that the system is reported singular too.
     """
     a = as_square_matrix(a)
     b = as_vector(rhs, a.shape[0])
+    if not conditioned:
+        check_conditioning(a)
     try:
-        sv = np.linalg.svd(a, compute_uv=False)
-        if not sv[-1] > PIVOT_FACTOR * sv[0]:
-            raise SingularSystem(
-                f"smallest singular value {sv[-1]:.3e} below {PIVOT_FACTOR:.0e} times "
-                f"the largest {sv[0]:.3e}"
-            )
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"solve failed: {exc}") from exc

@@ -4,14 +4,21 @@ The construction works in two nested loops.  The outer loop moves the fill
 parameters (u, omega) linearly from zero to their targets along a homotopy
 parameter t in [0, 1].  Its first trial is the whole interval: at the seed
 every eigenvalue's first derivative with respect to the fills is zero, so
-small fills shift the spectrum only at second order and one Newton
-correction usually absorbs them.  A rejected trial halves the step and two
-easy accepts double it again, up to 1.  At each accepted t the inner
-Newton loop restores the labeled eigenvalue coordinates to the target
-spectrum by correcting only the block parameters (x, y, z) — the square
-subsystem whose Jacobian is the identity at the seed and stays nonsingular
-nearby.  Fill entries are written verbatim and never solved for, so the
-output matrix carries its prescribed nonzeros exactly.
+small fills shift the spectrum only at second order.  A rejected trial
+halves the step and two easy accepts double it again, up to 1.  At each
+accepted t the inner Newton loop restores the labeled eigenvalue
+coordinates to the target spectrum by correcting only the block parameters
+(x, y, z) — the square subsystem whose Jacobian is the identity at the seed
+and stays nonsingular nearby.  Fill entries are written verbatim and never
+solved for, so the output matrix carries its prescribed nonzeros exactly.
+
+By the implicit function theorem at the seed, the solution curve is
+(x, y, z)(t) = target - t^2 * delta_2 + O(t^3), where delta_2 is the
+fills' second-order eigenvalue shift.  :func:`second_order_shift` computes
+it in closed form from the seed's known eigenvectors, and every trial from
+the seed starts on that curve, so one chord correction usually absorbs
+default-size fills.  The seed itself is never decomposed: it realizes the
+targets by construction.
 
 A first-order eigenvalue perturbation identity supplies the Jacobian: for
 a simple eigenvalue with unit right/left eigenvectors v and w, moving the
@@ -37,8 +44,10 @@ step is decomposed again with eigenvectors; the eigenvectors at the
 labeled positions, as arrays, give its true Jacobian, the chord matrix for
 the rest of the solve.  A trial that retries a rejected one runs full
 Newton instead, one decomposition with eigenvectors and a fresh Jacobian
-per iterate.  The final spectrum check reuses the eigenvalues of the last
-accepted iterate.
+per iterate.  The final spectrum check reads the last accepted iterate's
+residual vector: inside disjoint discs the largest disc distance is the
+greedy multiset distance.  Only a solve without fills decomposes its
+output, the seed, for that check.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from .errors import (
     NoConvergence,
     StepUnderflow,
 )
-from .linalg import Eigenpairs, eig_all, eigen_triple, solve_linear
+from .linalg import Eigenpairs, check_conditioning, eig_all, eigen_triple, solve_linear
 from .model import (
     DiscSystem,
     Pattern,
@@ -107,6 +116,58 @@ def jacobian_xyz(p: Pattern, eig: Eigenpairs) -> np.ndarray:
     return np.vstack([zeta[: p.k].real, zeta[: p.k].imag, zeta[p.k :].real])
 
 
+def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
+    """Second-order shift of the labeled coordinates when the fills
+    ``fills`` = (u, omega) are written into the seed, in closed form.
+
+    Eigenvalue a of seed + F moves by sum_{b != a} G_ab G_ba / (lam_a - lam_b)
+    to second order, where G = W^T F V in the seed's eigenbasis (Kato,
+    *Perturbation Theory for Linear Operators*, II.2); the first-order term
+    G_aa is zero because no fill sits inside a block.  Eigenvalues are
+    numbered as :meth:`Spectrum.values` lists them.  Block j's plus and minus
+    eigenvectors are v = (1, +-i) and w = (1, -+i)/2 on its two vertices,
+    scaled so that w^T v = 1, and a real vertex's are 1.  Each fill entry
+    (r, c) adds to G_ab for the at most two eigenvalues a of r's block and b
+    of c's; the contributions are summed per key a*n + b and each key is
+    paired with its transpose, so work and memory grow with the number of
+    fill entries, not with n^2.  Returns the shifts as (lam, mu, gamma)
+    coordinates, the real and imaginary parts of the plus shifts, then the
+    real shifts.
+    """
+    n, k = p.n, p.k
+    vertex = np.arange(n)
+    block = vertex < 2 * k
+    # the eigenvalues of each vertex's block, and their eigenvector components there
+    owner = np.where(block, [vertex // 2, k + vertex // 2], vertex).T
+    vco = np.ones((n, 2), dtype=complex)
+    odd = block & (vertex % 2 == 1)
+    vco[odd] = [1j, -1j]
+    vco[~block, 1] = 0.0  # a real vertex has one eigenvalue
+    wco = vco.conj() * np.where(block, 0.5, 1.0)[:, None]
+
+    e = p.entries
+    fill = e.param >= n
+    r, c = e.rows[fill], e.cols[fill]
+    value = e.coef[fill] * fills[e.param[fill] - n]
+    g_part = wco[r][:, :, None] * value[:, None, None] * vco[c][:, None, :]
+    key = (owner[r][:, :, None] * n + owner[c][:, None, :]).ravel()
+    # a stable argsort, not np.unique: its quicksort kernels are half a
+    # megabyte of code that nothing else in a solve touches, and peak RSS grows by it
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    keys = key[first]
+    g = np.add.reduceat(g_part.ravel()[order], first)
+
+    a, b = np.divmod(keys, n)
+    mate = np.minimum(np.searchsorted(keys, b * n + a), keys.size - 1)
+    paired = keys[mate] == b * n + a
+    lam = s.values()
+    term = g[paired] * g[mate[paired]] / (lam[a[paired]] - lam[b[paired]])
+    shift = np.bincount(a[paired], term.real, n) + 1j * np.bincount(a[paired], term.imag, n)
+    return np.concatenate([shift[:k].real, shift[:k].imag, shift[2 * k :].real])
+
+
 def newton_correct(
     p: Pattern,
     d: DiscSystem,
@@ -115,10 +176,10 @@ def newton_correct(
     tol: float,
     jac: np.ndarray | None = None,
     refresh: bool = False,
-) -> tuple[np.ndarray, int, float, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None]:
     """Chord Newton iteration on (x, y, z) until the labeled coordinates are
     within ``tol`` of ``target``; returns (theta, iterations, residual, eigs,
-    jac) there.
+    jac) there, where ``residual`` is the vector target - coordinates.
 
     ``theta`` is the stacked parameter vector and ``target`` the stacked
     coordinates; a correction adds to theta's first n = 2k+l entries, the
@@ -131,9 +192,10 @@ def newton_correct(
     labeling and the convergence test.  A correction with a Jacobian formed
     at its own iterate is a Newton step, any other a chord step.  Only when
     the last chord step shrank the residual by less than CHORD_RATIO does an
-    iterate also compute eigenvectors and form its true Jacobian, which
-    becomes the chord matrix from then on; the returned ``jac`` carries it
-    to the caller's next trial.  ``refresh`` makes every iterate a Newton
+    iterate also compute eigenvectors and form its true Jacobian, whose
+    conditioning is checked once, there; it becomes the chord matrix from
+    then on, and the returned ``jac`` carries it to the caller's next
+    trial.  ``refresh`` makes every iterate a Newton
     step instead: its one decomposition computes eigenvectors and forms
     the Jacobian.  continuation_solve sets it on a trial that retries a
     rejected one, where a stale chord matrix can stall near a fold.
@@ -150,7 +212,7 @@ def newton_correct(
         residual_vec = target - coords
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
-            return theta, it, residual, ev, jac
+            return theta, it, residual_vec, ev, jac
         if it == MAX_NEWTON:
             break
         if vecs is None and residual > CHORD_RATIO * previous:
@@ -163,9 +225,13 @@ def newton_correct(
             previous = residual
         else:
             jac = jacobian_xyz(p, eigen_triple(mtx, ev, vecs, idx))
+            check_conditioning(jac)
             previous = np.inf  # a step with a fresh Jacobian is a Newton step
         theta = theta.copy()
-        theta[: p.n] += residual_vec if jac is None else solve_linear(jac, residual_vec)
+        if jac is None:
+            theta[: p.n] += residual_vec
+        else:
+            theta[: p.n] += solve_linear(jac, residual_vec, conditioned=True)
     raise NoConvergence(
         f"newton residual {residual:.3e} above {tol:.3e} after {MAX_NEWTON} iterations"
     )
@@ -273,10 +339,13 @@ def continuation_solve(
     The first trial step is the whole interval t: 0 -> 1.  The step halves
     after a rejected trial (disc violation, stalled Newton or a failed
     eigendecomposition) and doubles after two consecutive easy accepts, up
-    to 1; each trial is clipped to the rest of the interval.  Trials
-    correct with the chord iteration, except that a trial after a rejection
-    runs full Newton.  On success the returned matrix realizes the target
-    spectrum with every slot entry written at its exact target.
+    to 1; each trial is clipped to the rest of the interval.  A trial from
+    the seed starts at (x, y, z) = target - t^2 * second_order_shift, the
+    seed's second-order solution curve; later trials start at the last
+    accepted point.  Trials correct with the chord iteration, except that a
+    trial after a rejection runs full Newton.  On success the returned
+    matrix realizes the target spectrum with every slot entry written at
+    its exact target.
 
     Raises StepUnderflow (with the largest accepted t) when the step
     shrinks below step_min — the construction is local, so distant fill
@@ -309,12 +378,14 @@ def continuation_solve(
     theta = np.concatenate([target, np.zeros(2 * p.m)])  # the seed: x, y, z = target
 
     state = ContinuationState(t=0.0, theta=theta, step=1.0)
-    # The seed realizes the targets exactly; record it as the first accepted state.
-    ev = eig_all(assemble(p, theta))
-    seed_residual = float(np.abs(target - label_eigenvalues(ev, d)[0]).max())
-    state.history.append(StepRecord(t=0.0, residual=seed_residual, newton_iterations=0))
+    # The seed realizes the targets exactly; record it as the first accepted
+    # state, with its exact spectrum in eig_all's order and no decomposition.
+    ev = s.values()
+    ev = ev[np.lexsort((ev.imag, ev.real))]
+    state.history.append(StepRecord(t=0.0, residual=0.0, newton_iterations=0))
     if cfg.observer is not None:
         cfg.observer(state, ev)
+    shift = second_order_shift(p, s, np.concatenate([u_target, omega_target]))
 
     jac = None  # the chord matrix; None is the seed's identity Jacobian
     newton_total = 0
@@ -331,9 +402,11 @@ def continuation_solve(
         t_try = state.t + trial_dt
         if 1.0 - t_try < 1e-12:
             t_try = 1.0
-        theta_try = np.concatenate([state.theta[: p.n], t_try * u_target, t_try * omega_target])
+        # a trial from the seed starts on the second-order curve target - t^2 shift
+        xyz = target - (t_try * t_try) * shift if state.t == 0.0 else state.theta[: p.n]
+        theta_try = np.concatenate([xyz, t_try * u_target, t_try * omega_target])
         try:
-            theta_new, iters, residual, ev, jac = newton_correct(
+            theta_new, iters, r, ev, jac = newton_correct(
                 p, d, theta_try, target, tol_newton, jac, retry
             )
         except (NoConvergence, DiscViolation) as exc:
@@ -353,7 +426,9 @@ def continuation_solve(
         state.theta = theta_new
         accepted += 1
         newton_total += iters
-        state.history.append(StepRecord(t=t_try, residual=residual, newton_iterations=iters))
+        state.history.append(
+            StepRecord(t=t_try, residual=float(np.abs(r).max()), newton_iterations=iters)
+        )
         logger.debug("accepted t=%.6g after %d newton iterations", t_try, iters)
         if cfg.observer is not None:
             cfg.observer(state, ev)
@@ -365,10 +440,18 @@ def continuation_solve(
             state.step = min(state.step * 2.0, 1.0)
             easy_streak = 0
 
-    # ev belongs to the last accepted iterate (or the seed), whose assembled
-    # matrix is the one returned, so the final check needs no decomposition.
     matrix = assemble(p, state.theta)
-    final_residual = spectrum_mismatch(ev, s)
+    if p.m:
+        # r belongs to the last accepted iterate, whose assembled matrix is the
+        # one returned.  Its eigenvalues lie inside disjoint discs, where the
+        # greedy multiset distance pairs each target with its own disc's
+        # eigenvalue, so that distance is the largest disc distance.
+        k = p.k
+        final_residual = float(
+            np.concatenate([np.hypot(r[:k], r[k : 2 * k]), np.abs(r[2 * k :])]).max()
+        )
+    else:
+        final_residual = spectrum_mismatch(eig_all(matrix), s)
     if final_residual > tol_final:
         raise NoConvergence(
             f"final spectrum distance {final_residual:.3e} exceeds {tol_final:.3e}"

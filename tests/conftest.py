@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from giep import Graph, IllConditioned, NoConvergence, Pattern, make_graph
+from giep import Graph, IllConditioned, NoConvergence, Pattern, Spectrum, build_seed, make_graph
 from giep.linalg import TOL_ORTHO, Eigenpairs, eig_all, eigen_triple, solve_linear
 from giep.model import DiscSystem, assemble, label_eigenvalues
 from giep.solver import MAX_NEWTON, jacobian_xyz
@@ -90,7 +90,8 @@ def newton_every_iterate(
 ) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Full Newton on (x, y, z), with a fresh Jacobian from one ``eig`` with
     eigenvectors on every iterate: the oracle for the solver's chord
-    iteration.  Returns (theta, iterations, residual, eigs)."""
+    iteration.  Returns (theta, iterations, residual, eigs), where residual
+    is the vector target - coordinates."""
     for it in range(MAX_NEWTON + 1):
         mtx = assemble(p, theta)
         ev, vecs = eig_all(mtx, vectors=True)
@@ -98,10 +99,29 @@ def newton_every_iterate(
         residual_vec = target - coords
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
-            return theta, it, residual, ev
+            return theta, it, residual_vec, ev
         if it == MAX_NEWTON:
             break
         jac = jacobian_xyz(p, eigen_triple(mtx, ev, vecs, idx))
         theta = theta.copy()
         theta[: p.n] += solve_linear(jac, residual_vec)
     raise NoConvergence(f"newton residual {residual:.3e} above {tol:.3e}")
+
+
+def second_order_shift_dense(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
+    """Second-order coordinate shift from a dense eigendecomposition of the
+    seed: sum_{b != a} G_ab G_ba / (lam_a - lam_b) with G = V^-1 F V, where
+    F holds the fills and V the seed's right eigenvectors from
+    ``np.linalg.eig``; the oracle for the solver's closed form.  Returns
+    (lam, mu, gamma) coordinates: the tracked plus shifts' real and
+    imaginary parts, then the real shifts."""
+    seed = build_seed(s)
+    f = assemble(p, np.concatenate([s.target_coordinates(), fills])) - seed
+    lam, vecs = np.linalg.eig(seed)
+    g = np.linalg.solve(vecs, f @ vecs)
+    gap = np.subtract.outer(lam, lam)
+    np.fill_diagonal(gap, np.inf)
+    shift = (g * g.T / gap).sum(axis=1)
+    idx = label_eigenvalues(lam, s.discs)[1]
+    plus, real = shift[idx[: s.k]], shift[idx[s.k :]]
+    return np.concatenate([plus.real, plus.imag, real.real])

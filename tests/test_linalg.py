@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from giep import IllConditioned, NoConvergence, SingularSystem, eig_all
-from giep.linalg import eigen_triple, solve_linear
+from giep.linalg import check_conditioning, eigen_triple, solve_linear
 
 
 def pairs_at(a, idx=None):
@@ -179,3 +179,18 @@ def test_solve_singular_raises():
     with pytest.raises(SingularSystem):  # condition number ~4e15 > 1 / PIVOT_FACTOR
         solve_linear([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, 1.0])
 
+
+
+def test_check_conditioning_runs_once_for_a_reused_matrix(monkeypatch):
+    with pytest.raises(SingularSystem, match="smallest singular value"):
+        check_conditioning([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    check_conditioning(np.eye(2))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("singular values of a checked matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    x = solve_linear([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0], conditioned=True)
+    assert np.allclose(x, [1.0, 2.0], atol=1e-14)
+    with pytest.raises(SingularSystem):  # LAPACK's failed LU is still reported
+        solve_linear(np.zeros((2, 2)), [1.0, 1.0], conditioned=True)

@@ -6,6 +6,7 @@ import pytest
 from giep import (
     DiscViolation,
     Pattern,
+    SingularSystem,
     SolverConfig,
     Spectrum,
     StepUnderflow,
@@ -24,8 +25,20 @@ from giep.cli import random_graph, random_spectrum
 from giep.graph import make_graph
 from giep.linalg import eigen_triple
 from giep.model import assemble, label_eigenvalues
-from giep.solver import CHORD_RATIO, MAX_NEWTON, TOL_NEWTON_FACTOR, jacobian_xyz, newton_correct
-from conftest import edge_positions, eigen_derivative, newton_every_iterate
+from giep.solver import (
+    CHORD_RATIO,
+    MAX_NEWTON,
+    TOL_NEWTON_FACTOR,
+    jacobian_xyz,
+    newton_correct,
+    second_order_shift,
+)
+from conftest import (
+    edge_positions,
+    eigen_derivative,
+    newton_every_iterate,
+    second_order_shift_dense,
+)
 
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
@@ -162,6 +175,66 @@ def test_evaluate_f_small_fill_second_order_shift():
     assert 1e-7 < dev < 1e-2  # fills enter the eigenvalues at second order
 
 
+@pytest.mark.parametrize(
+    "k, l, slots, bidirected, mode",
+    [
+        (0, 5, ((1, 2), (2, 4), (3, 5), (1, 5)), (True, False, True, False), "generic"),
+        (3, 0, ((1, 3), (2, 5), (4, 6), (1, 6)), (True, True, False, True), "generic"),
+        (2, 3, ((3, 1), (2, 4), (5, 2), (1, 5), (6, 4), (4, 7)), (False,) * 6, "generic"),
+        (2, 3, ((1, 3), (2, 5), (4, 6), (1, 7), (5, 7)), (True,) * 5, "generic"),
+        (2, 3, ((1, 3), (2, 5), (4, 6), (1, 7), (5, 7)), (True,) * 5, "skew"),
+    ],
+    ids=["k0", "l0", "one-way", "bidirected", "skew"],
+)
+def test_second_order_shift_matches_dense_oracle(k, l, slots, bidirected, mode):
+    rng = np.random.default_rng(2 * k + l + len(slots))
+    s = random_spectrum(rng, k, l)
+    p = Pattern(n=s.n, k=k, slots=slots, bidirected=bidirected)
+    u = rng.uniform(-1.0, 1.0, p.m) * s.discs.radius
+    omega = np.where(bidirected, -u if mode == "skew" else rng.uniform(-1.0, 1.0, p.m), 0.0)
+    fills = np.concatenate([u, omega])
+    closed, dense = second_order_shift(p, s, fills), second_order_shift_dense(p, s, fills)
+    assert np.abs(dense).max() > 0.0
+    assert np.abs(closed - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_second_order_shift_allocates_no_square_array():
+    import tracemalloc
+
+    n = 2000
+    s = Spectrum(pairs=tuple((float(j), 1.0) for j in range(200)), reals=tuple(range(1600)))
+    slots = tuple((i, i + 2) for i in range(1, n - 1))  # one per vertex, block to block
+    p = Pattern(n=n, k=200, slots=slots, bidirected=(True,) * len(slots))
+    fills = np.full(2 * p.m, 0.01)
+    p.entries  # the table is built once per pattern, outside the measurement
+    tracemalloc.start()
+    second_order_shift(p, s, fills)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < n * n  # an n-by-n float array alone is 8 n^2 bytes
+
+
+def test_second_order_start_is_third_order_accurate():
+    """Halving the fills shrinks the residual at the start target - t^2 shift
+    about eightfold, the O(t^3) remainder, against fourfold at the seed's
+    own (x, y, z)."""
+    rng = np.random.default_rng(1)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.4)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    fills = np.concatenate(default_targets(p, s.discs, "generic", SolverConfig(fill_scale=1.0)))
+    target = s.target_coordinates()
+    shift = second_order_shift(p, s, fills)
+
+    def start_residual(t, predict):
+        xyz = target - t * t * shift if predict else target
+        return np.abs(target - evaluate_f(p, np.concatenate([xyz, t * fills]), s.discs)).max()
+
+    for t in (1.0, 0.5):
+        assert start_residual(t, True) >= 6.0 * start_residual(t / 2, True)
+        assert 3.5 <= start_residual(t, False) / start_residual(t / 2, False) <= 4.5
+
+
 def test_newton_zero_iterations_when_exact():
     d = disc_radius(S3)
     theta = seed_point(S3, m=1)
@@ -174,9 +247,11 @@ def test_newton_recovers_small_fill():
     d = disc_radius(S3)
     theta = with_fill(P3, seed_point(S3, m=1), np.array([0.05]), np.array([0.05]))
     before = theta.copy()
-    out, iters, residual, _, _ = newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
+    target = S3.target_coordinates()
+    out, iters, residual, _, _ = newton_correct(P3, d, theta, target, TOL3)
     assert iters <= 5
-    assert residual <= 1e-10
+    assert np.abs(residual).max() <= 1e-10
+    assert np.array_equal(residual, target - evaluate_f(P3, out, d))  # the returned iterate's
     assert np.array_equal(out[P3.n :], theta[P3.n :])  # u and omega untouched
     assert np.array_equal(theta, before)  # the input point is not modified
     assert spectrum_mismatch(eig_all(assemble(P3, out)), S3) <= 1e-10
@@ -190,7 +265,7 @@ def test_newton_refresh_is_full_newton():
     target = S3.target_coordinates()
     out, iters, residual, ev, jac = newton_correct(P3, d, theta, target, TOL3, refresh=True)
     oracle, oracle_iters, oracle_residual, oracle_ev = newton_every_iterate(P3, d, theta, target, TOL3)
-    assert iters == oracle_iters >= 2 and residual == oracle_residual
+    assert iters == oracle_iters >= 2 and np.array_equal(residual, oracle_residual)
     assert np.array_equal(out, oracle) and np.array_equal(ev, oracle_ev)
     assert jac is not None
 
@@ -209,6 +284,81 @@ def test_continuation_no_slots_returns_seed():
     assert rep.steps == 0
     assert np.array_equal(rep.matrix, build_seed(s))
     assert rep.final_residual <= 1e-12
+
+
+def test_continuation_no_slots_decomposes_its_output_once(monkeypatch):
+    """With no fills there is no Newton iterate to reuse: the returned seed
+    is decomposed once, eigenvalues only, for the final check."""
+    calls = []
+    real_eigvals = np.linalg.eigvals
+
+    def eigvals(a):
+        calls.append(a)
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("eigenvectors of the seed"))
+    s = Spectrum(pairs=((np.pi, np.e), (0.3, 1.7)), reals=(0.2,))
+    rep = continuation_solve(s, Pattern(n=5, k=2), (np.zeros(0), np.zeros(0)))
+    assert len(calls) == 1 and np.array_equal(calls[0], rep.matrix)
+    # the 2x2 blocks' computed eigenvalues are off in the last bits
+    assert rep.final_residual == spectrum_mismatch(real_eigvals(build_seed(s)), s) > 0.0
+
+
+def test_observer_sees_the_exact_seed_spectrum(monkeypatch):
+    """The seed is recorded with its exact spectrum, in eig_all's order, and
+    residual 0.0; no decomposition happens before the first trial."""
+    import giep.solver as solver
+
+    seen = []
+    real_correct = solver.newton_correct
+
+    def watch(state, eigs):
+        seen.append((state.t, eigs))
+
+    def correct(*args):
+        seen.append(("trial", None))
+        return real_correct(*args)
+
+    def eig_all_in_trials(*args, **kwargs):
+        assert seen[-1][0] != 0.0, "a decomposition before the first trial"
+        return real_eig_all(*args, **kwargs)
+
+    real_eig_all = solver.eig_all
+    monkeypatch.setattr(solver, "newton_correct", correct)
+    monkeypatch.setattr(solver, "eig_all", eig_all_in_trials)
+    rng = np.random.default_rng(6)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.3)
+    rep = solve_instance(s, g, cfg=SolverConfig(observer=watch))
+    t, eigs = seen[0]
+    assert t == 0.0 and seen[1][0] == "trial"
+    assert eigs.size == s.n and np.array_equal(eigs, np.sort_complex(s.values()))
+    coords, _ = label_eigenvalues(eigs, s.discs)  # inside every disc
+    assert np.array_equal(coords, s.target_coordinates())
+    assert rep.history[0].residual == 0.0
+
+
+@pytest.mark.parametrize("fill_scale", [0.1, 1.0, 2.0])
+def test_final_residual_is_the_greedy_distance_of_the_last_iterate(fill_scale):
+    """The final check reads the last accepted iterate's residual vector;
+    inside disjoint discs that is the greedy multiset distance, to the bit."""
+    rng = np.random.default_rng(31)
+    solved = 0
+    for _ in range(12):
+        n = int(rng.integers(2, 17))
+        k = int(rng.integers(0, n // 2 + 1))
+        s = random_spectrum(rng, k, n - 2 * k)
+        g = random_graph(rng, n, k, float(rng.uniform(0.1, 0.6)))
+        last = []
+        cfg = SolverConfig(fill_scale=fill_scale, observer=lambda state, eigs: last.append(eigs))
+        try:
+            rep = solve_instance(s, g, cfg=cfg)
+        except StepUnderflow:
+            continue
+        solved += 1
+        assert rep.final_residual == spectrum_mismatch(last[-1], s)
+    assert solved >= 8
 
 
 def test_continuation_path3():
@@ -350,6 +500,42 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     assert all(a < b for a, b in zip(ts, ts[1:]))
 
 
+def test_trials_from_the_seed_start_on_the_second_order_curve(monkeypatch):
+    """Every trial from the seed, a rejected whole interval and its halves
+    too, starts at (x, y, z) = target - t^2 * shift; the next trial starts
+    at the point the first accepted one returned."""
+    import giep.solver as solver
+
+    trials = []
+    real_correct = solver.newton_correct
+
+    def record(p, d, theta, *args):
+        out = None
+        try:
+            out = real_correct(p, d, theta, *args)
+            return out
+        finally:
+            trials.append((theta, out))
+
+    monkeypatch.setattr(solver, "newton_correct", record)
+    # fill three radii wide: the whole-interval trial is rejected on this seed
+    rng = np.random.default_rng(2)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.3)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    cfg = SolverConfig(fill_scale=3.0)
+    u, omega = default_targets(p, s.discs, "generic", cfg)
+    continuation_solve(s, p, (u, omega), cfg=cfg)
+
+    shift = second_order_shift(p, s, np.concatenate([u, omega]))
+    first = next(i for i, (_, out) in enumerate(trials) if out is not None)
+    assert first > 0
+    for theta, _ in trials[: first + 1]:
+        t = theta[p.n] / u[0]  # exact: t halves from 1 while the solve sits at the seed
+        assert np.array_equal(theta[: p.n], s.target_coordinates() - t * t * shift)
+    assert np.array_equal(trials[first + 1][0][: p.n], trials[first][1][0][: p.n])
+
+
 def test_trials_after_a_rejection_run_full_newton_past_a_fold(monkeypatch):
     """Fills two radii wide drive this n=11 instance across a fold near
     t = 0.967, where the chord iteration stalls trial after trial on a
@@ -411,6 +597,59 @@ def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
     assert spectrum_mismatch(eig_all(rep.matrix), S3) <= 1e-8 * (1 + S3.inf_norm())
 
 
+def test_conditioning_checked_once_per_jacobian(monkeypatch):
+    """Every correction after a Jacobian is formed solves with it, but its
+    singular values are computed once, when it is formed."""
+    import giep.solver as solver
+
+    counts = {"svd": 0, "jacobian": 0, "solve": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(solver, "jacobian_xyz", counting("jacobian", solver.jacobian_xyz))
+    monkeypatch.setattr(solver, "solve_linear", counting("solve", solver.solve_linear))
+    rng = np.random.default_rng(7)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.3)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    cfg = SolverConfig(fill_scale=2.0)
+    continuation_solve(s, p, default_targets(p, s.discs, "generic", cfg), cfg=cfg)
+    assert counts["svd"] == counts["jacobian"] >= 2
+    assert counts["solve"] > counts["jacobian"]
+
+
+def test_singular_jacobian_raises_where_it_is_formed(monkeypatch):
+    """An ill-conditioned Jacobian raises SingularSystem at the iterate that
+    forms it, before any correction solves with it."""
+    import giep.linalg as linalg
+    import giep.solver as solver
+
+    formed, solves = [], []
+    real_jacobian, real_solve = solver.jacobian_xyz, solver.solve_linear
+
+    def jacobian(*args):
+        formed.append(real_jacobian(*args))
+        return formed[-1]
+
+    def solve(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "PIVOT_FACTOR", 1.0)  # no matrix passes the check
+    monkeypatch.setattr(solver, "jacobian_xyz", jacobian)
+    monkeypatch.setattr(solver, "solve_linear", solve)
+    # fills one unit wide: the whole-interval trial forms a Jacobian
+    with pytest.raises(SingularSystem, match="smallest singular value .* below 1e\\+00 times"):
+        continuation_solve(S3, P3, (np.array([1.0]), np.array([1.0])))
+    assert len(formed) == 1 and solves == []
+
+
 @pytest.mark.parametrize("fill_scale", [0.1, 0.5, 1.0])
 def test_fill_scale_sweep_passes_verify(fill_scale):
     rng = np.random.default_rng(23)
@@ -444,7 +683,9 @@ def test_continuation_random_spectra_jacobian_scale():
 def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
     """At default fills the identity chord absorbs the whole interval: no
     eigenvectors, no Jacobian and no linear solve, and one ``eigvals`` per
-    Newton iterate plus the seed's, which the final spectrum check reuses."""
+    Newton iterate.  The seed is never decomposed, and the trial starts on
+    the second-order curve, so one correction converges: two ``eigvals`` in
+    all, where the start at the seed's (x, y, z) took three plus the seed's."""
     import giep.solver as solver
 
     counts = {}
@@ -481,9 +722,9 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
 
     assert counts[("driver", "trial")] == rep.steps == 1
     assert counts[("newton", "iterate")] == rep.steps + rep.newton_iterations_total
-    assert rep.newton_iterations_total >= 1
-    assert counts[("newton", "eigvals")] == counts[("newton", "iterate")]
-    assert counts[("driver", "eigvals")] == 1
+    assert rep.newton_iterations_total == 1
+    assert counts[("newton", "eigvals")] == counts[("newton", "iterate")] == 2
+    assert ("driver", "eigvals") not in counts
     vectors = ("eig", "eigen_triple", "jacobian_xyz", "solve_linear")
     assert not [key for key in counts if key[1] in vectors]
 
@@ -529,9 +770,10 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         events.append(("jacobian", out))
         return out
 
-    def solve(a, rhs):
+    def solve(a, rhs, conditioned=False):
+        assert conditioned  # checked once, when its Jacobian was formed
         events.append(("solve", a))
-        return real["solve_linear"](a, rhs)
+        return real["solve_linear"](a, rhs, conditioned)
 
     for name, fn in (
         ("newton_correct", correct),
@@ -563,7 +805,7 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         formed = retried = newton_weak = reused_across = trial = 0
         chord = None  # the identity
         rejected = False
-        i = kinds.index("trial")  # after the seed's decomposition
+        i = kinds.index("trial")
         while i < len(events):
             kind, value = events[i]
             i += 1
