@@ -15,9 +15,10 @@ reads the right eigenvectors from those columns of ``V`` and the left ones
 from the same rows of ``V^-1``.  It returns them as arrays, treats every
 selected eigenvalue at once, and still checks each one for
 near-defectiveness and for both eigen-residuals.  ``solve_linear``
-is an LU solve guarded by a condition-number check, which a caller that
-reuses one matrix runs once through ``check_conditioning``, and a
-backward-stability check on its residual.
+is an LU solve with a backward-stability check on its residual;
+``check_conditioning`` is the separate condition-number check, which a
+caller that solves with one matrix many times runs once, when it forms
+the matrix.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ def as_vector(v, n: int) -> np.ndarray:
     return b
 
 
+def spectrum_order(ev: np.ndarray) -> np.ndarray:
+    """The indices that sort complex values by (real, imag): the order in
+    which :func:`eig_all` returns eigenvalues."""
+    return np.lexsort((ev.imag, ev.real))
+
+
 def eig_all(m, vectors: bool = False):
     """All eigenvalues of a real square matrix, with multiplicity.
 
@@ -76,7 +83,7 @@ def eig_all(m, vectors: bool = False):
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
     ev = np.atleast_1d(ev).astype(np.complex128)
-    order = np.lexsort((ev.imag, ev.real))
+    order = spectrum_order(ev)
     if vectors:
         return ev[order], vecs[:, order]
     return ev[order]
@@ -175,18 +182,17 @@ def check_conditioning(a) -> None:
         )
 
 
-def solve_linear(a, rhs, conditioned: bool = False) -> np.ndarray:
+def solve_linear(a, rhs) -> np.ndarray:
     """Solve ``a @ s = rhs`` by LAPACK's LU with partial pivoting.
 
-    Unless ``conditioned`` says the caller has already passed ``a`` through
-    :func:`check_conditioning`, that check runs first.  The solution must
-    then meet the backward-stable bound TOL_LIN * (||rhs|| + ||a|| * ||s||)
-    on its residual; beyond that the system is reported singular too.
+    The solution must meet the backward-stable bound
+    TOL_LIN * (||rhs|| + ||a|| * ||s||) on its residual; beyond that, or
+    when LAPACK finds an exactly singular pivot, the system is reported
+    singular.  Ill-conditioned but solvable matrices pass: callers that
+    must reject them run :func:`check_conditioning` on ``a`` first.
     """
     a = as_square_matrix(a)
     b = as_vector(rhs, a.shape[0])
-    if not conditioned:
-        check_conditioning(a)
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

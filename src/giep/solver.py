@@ -64,7 +64,14 @@ from .errors import (
     NoConvergence,
     StepUnderflow,
 )
-from .linalg import Eigenpairs, check_conditioning, eig_all, eigen_triple, solve_linear
+from .linalg import (
+    Eigenpairs,
+    check_conditioning,
+    eig_all,
+    eigen_triple,
+    solve_linear,
+    spectrum_order,
+)
 from .model import (
     DiscSystem,
     Pattern,
@@ -231,7 +238,7 @@ def newton_correct(
         if jac is None:
             theta[: p.n] += residual_vec
         else:
-            theta[: p.n] += solve_linear(jac, residual_vec, conditioned=True)
+            theta[: p.n] += solve_linear(jac, residual_vec)
     raise NoConvergence(
         f"newton residual {residual:.3e} above {tol:.3e} after {MAX_NEWTON} iterations"
     )
@@ -381,7 +388,7 @@ def continuation_solve(
     # The seed realizes the targets exactly; record it as the first accepted
     # state, with its exact spectrum in eig_all's order and no decomposition.
     ev = s.values()
-    ev = ev[np.lexsort((ev.imag, ev.real))]
+    ev = ev[spectrum_order(ev)]
     state.history.append(StepRecord(t=0.0, residual=0.0, newton_iterations=0))
     if cfg.observer is not None:
         cfg.observer(state, ev)

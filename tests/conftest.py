@@ -7,7 +7,14 @@ from functools import lru_cache
 import numpy as np
 
 from giep import Graph, IllConditioned, NoConvergence, Pattern, Spectrum, build_seed, make_graph
-from giep.linalg import TOL_ORTHO, Eigenpairs, eig_all, eigen_triple, solve_linear
+from giep.linalg import (
+    TOL_ORTHO,
+    Eigenpairs,
+    check_conditioning,
+    eig_all,
+    eigen_triple,
+    solve_linear,
+)
 from giep.model import DiscSystem, assemble, label_eigenvalues
 from giep.solver import MAX_NEWTON, jacobian_xyz
 
@@ -103,6 +110,7 @@ def newton_every_iterate(
         if it == MAX_NEWTON:
             break
         jac = jacobian_xyz(p, eigen_triple(mtx, ev, vecs, idx))
+        check_conditioning(jac)
         theta = theta.copy()
         theta[: p.n] += solve_linear(jac, residual_vec)
     raise NoConvergence(f"newton residual {residual:.3e} above {tol:.3e}")

@@ -177,20 +177,19 @@ def test_solve_singular_raises():
     with pytest.raises(SingularSystem):
         solve_linear(np.zeros((2, 2)), [1.0, 1.0])
     with pytest.raises(SingularSystem):  # condition number ~4e15 > 1 / PIVOT_FACTOR
-        solve_linear([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, 1.0])
+        check_conditioning([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
 
 
-
-def test_check_conditioning_runs_once_for_a_reused_matrix(monkeypatch):
+def test_check_conditioning_is_the_only_svd(monkeypatch):
     with pytest.raises(SingularSystem, match="smallest singular value"):
         check_conditioning([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
     check_conditioning(np.eye(2))
 
     def no_svd(*args, **kwargs):
-        raise AssertionError("singular values of a checked matrix")
+        raise AssertionError("singular values in a linear solve")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    x = solve_linear([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0], conditioned=True)
+    x = solve_linear([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
     assert np.allclose(x, [1.0, 2.0], atol=1e-14)
     with pytest.raises(SingularSystem):  # LAPACK's failed LU is still reported
-        solve_linear(np.zeros((2, 2)), [1.0, 1.0], conditioned=True)
+        solve_linear(np.zeros((2, 2)), [1.0, 1.0])
