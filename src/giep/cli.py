@@ -175,6 +175,8 @@ def _solve_batch_item(stem: str, directory: Path, args):
 
 
 def _run_batch(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     directory = Path(args.batch)
     if not directory.is_dir():
         raise InputError(f"batch directory {directory} does not exist")

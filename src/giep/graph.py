@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -159,20 +160,38 @@ def check_matching(g: Graph, m: Matching) -> None:
             raise ValueError(f"matching pair {{{a},{b}}} is not a bidirected edge")
 
 
+def _edge_array(g: Graph) -> np.ndarray:
+    """The edges of ``g`` as an (m, 2) array of 1-based (tail, head) rows,
+    in no particular order."""
+    return np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges)).reshape(-1, 2)
+
+
+def _has_reverse(key: np.ndarray, reverse: np.ndarray) -> np.ndarray:
+    """Which of ``reverse`` occur in the sorted edge keys ``key``."""
+    at = np.minimum(np.searchsorted(key, reverse), key.size - 1)
+    return key[at] == reverse
+
+
 def max_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching over the bidirected subgraph (Edmonds).
 
     Blossom contraction handles odd cycles, where pure augmenting-path
     search undercounts.  Vertices are scanned in increasing order with
     sorted adjacency, so the result is deterministic for a fixed input.
+    An exposed vertex with an exposed neighbour is matched to the first
+    one in its adjacency directly: that one-edge path is the first
+    augmenting path the search from the vertex would find, since it scans
+    the vertex's own neighbours before any other vertex.  Only a vertex
+    whose neighbours are all matched runs the search.
     """
     n = g.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in g.bidirected_pairs():
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in range(1, n + 1):
-        adj[v].sort()
+    e = _edge_array(g)
+    key = np.sort(e[:, 0] * (n + 1) + e[:, 1])  # edges in (tail, head) order
+    tail, head = np.divmod(key, n + 1)
+    both = _has_reverse(key, head * (n + 1) + tail)
+    neighbours = head[both].tolist()
+    starts = np.searchsorted(tail[both], np.arange(n + 2)).tolist()
+    adj = [neighbours[starts[v] : starts[v + 1]] for v in range(n + 1)]
 
     match = [0] * (n + 1)  # 0 = unmatched; vertices are 1-based
 
@@ -243,7 +262,11 @@ def max_matching(g: Graph) -> Matching:
 
     for v in range(1, n + 1):
         if match[v] == 0:
-            augment_from(v)
+            free = next((to for to in adj[v] if match[to] == 0), 0)
+            if free:
+                match[v], match[free] = free, v
+            else:
+                augment_from(v)
     pairs = tuple(
         sorted((v, match[v]) for v in range(1, n + 1) if match[v] > v)
     )
@@ -307,39 +330,26 @@ def plan_relabeling(g: Graph, matching: Matching, k: int) -> tuple[Relabeling, P
             f"size {matching.size}"
         )
     n = g.n
-    chosen = sorted(matching.pairs)[:k]
-    perm = [0] * n
-    for j, (a, b) in enumerate(chosen, start=1):
-        perm[a - 1] = 2 * j - 1
-        perm[b - 1] = 2 * j
-    rest = [v for v in range(1, n + 1) if perm[v - 1] == 0]
-    for pos, v in enumerate(rest, start=2 * k + 1):
-        perm[v - 1] = pos
-    inverse = [0] * n
-    for old, new in enumerate(perm, start=1):
-        inverse[new - 1] = old
-    relab = Relabeling(perm=tuple(perm), inverse=tuple(inverse))
+    chosen = np.array(sorted(matching.pairs)[:k], dtype=np.intp).reshape(-1, 2)
+    perm = np.zeros(n, dtype=np.intp)
+    perm[chosen.ravel() - 1] = np.arange(1, 2 * k + 1)
+    perm[perm == 0] = np.arange(2 * k + 1, n + 1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[perm - 1] = np.arange(1, n + 1)
+    relab = Relabeling(perm=tuple(perm.tolist()), inverse=tuple(inverse.tolist()))
 
-    matched_edges = {(a, b) for a, b in chosen} | {(b, a) for a, b in chosen}
-    new_edges = {
-        (perm[a - 1], perm[b - 1]) for a, b in g.edges if (a, b) not in matched_edges
-    }
-    slots: list[tuple[int, int]] = []
-    flags: list[bool] = []
-    for i, j in sorted(new_edges):
-        if i > j:
-            if (j, i) in new_edges:
-                continue  # reverse already emitted as the bidirected slot
-            slots.append((i, j))
-            flags.append(False)
-        else:
-            slots.append((i, j))
-            flags.append((j, i) in new_edges)
-    order = sorted(range(len(slots)), key=lambda r: slots[r])
+    i, j = perm[_edge_array(g) - 1].T
+    # a chosen pair's two edges are the only ones inside a block (2b-1, 2b)
+    matched = (np.maximum(i, j) <= 2 * k) & ((i - 1) // 2 == (j - 1) // 2)
+    key = np.sort(i[~matched] * (n + 1) + j[~matched])  # residual edges in (i, j) order
+    i, j = np.divmod(key, n + 1)
+    bidirected = _has_reverse(key, j * (n + 1) + i)
+    # a bidirected edge is one slot (i, j) with i < j; a one-way edge keeps its direction
+    slot = (i < j) | ~bidirected
     pattern = Pattern(
         n=n,
         k=k,
-        slots=tuple(slots[r] for r in order),
-        bidirected=tuple(flags[r] for r in order),
+        slots=tuple(zip(i[slot].tolist(), j[slot].tolist())),
+        bidirected=tuple(bidirected[slot].tolist()),
     )
     return relab, pattern

@@ -77,10 +77,20 @@ class Spectrum:
         return 2 * self.k + self.l
 
     def values(self) -> np.ndarray:
-        """All n spectrum points: plus values, minus values, then reals."""
-        plus = [complex(a, b) for a, b in self.pairs]
-        minus = [complex(a, -b) for a, b in self.pairs]
-        return np.array(plus + minus + [complex(g) for g in self.reals], dtype=complex)
+        """All n spectrum points: plus values, minus values, then reals.
+
+        Built once per spectrum and returned read-only.
+        """
+        return self._points
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        # parts set one by one: complex arithmetic would turn a -0.0 real part into +0.0
+        lam, mu = np.array(self.pairs, dtype=float).reshape(-1, 2).T
+        points = np.zeros(self.n, dtype=complex)
+        points.real = np.concatenate([lam, lam, self.reals])
+        points.imag[: 2 * self.k] = np.concatenate([mu, -mu])
+        return _freeze(points)
 
     def inf_norm(self) -> float:
         """Largest modulus among the spectrum points."""
@@ -152,23 +162,27 @@ class Pattern:
             raise ValueError(f"invalid sizes n={self.n}, k={self.k}")
         if len(self.slots) != len(self.bidirected):
             raise ValueError("slots and bidirected flags must align")
-        block = {
-            pos
-            for j in range(1, self.k + 1)
-            for pos in ((2 * j - 1, 2 * j), (2 * j, 2 * j - 1))
-        }
-        seen_pairs: set[tuple[int, int]] = set()
-        for (i, j), bi in zip(self.slots, self.bidirected):
-            if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
+        m = len(self.slots)
+        i, j = np.array(self.slots, dtype=np.intp).reshape(m, 2).T
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        off_range = (lo < 1) | (hi > self.n) | (i == j)
+        in_block = (hi <= 2 * self.k) & (hi % 2 == 0) & (lo == hi - 1)
+        backward = np.fromiter(self.bidirected, bool, m) & (i >= j)
+        # a later slot on the same vertex pair as an earlier one; lexsort is stable
+        order = np.lexsort((hi, lo))
+        repeat = np.zeros(m, dtype=bool)
+        repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+        bad = np.flatnonzero(off_range | in_block | backward | repeat)
+        if bad.size:
+            r = bad[0]
+            i, j = self.slots[r]
+            if off_range[r]:
                 raise ValueError(f"slot ({i},{j}) out of range or on the diagonal")
-            if (i, j) in block:
+            if in_block[r]:
                 raise ValueError(f"slot ({i},{j}) collides with a matched block")
-            if bi and i >= j:
+            if backward[r]:
                 raise ValueError(f"bidirected slot ({i},{j}) must have i < j")
-            key = (min(i, j), max(i, j))
-            if key in seen_pairs:
-                raise ValueError(f"duplicate slot for pair {{{i},{j}}}")
-            seen_pairs.add(key)
+            raise ValueError(f"duplicate slot for pair {{{i},{j}}}")
 
     @property
     def l(self) -> int:
@@ -263,10 +277,21 @@ class DiscSystem:
         return 2 * self.k + self.l
 
     def all_centers(self) -> np.ndarray:
-        """Plus centers, conjugate centers, then real centers."""
+        """Plus centers, conjugate centers, then real centers; built once
+        per disc system and returned read-only."""
+        return self._centers
+
+    @cached_property
+    def _centers(self) -> np.ndarray:
         plus = list(self.plus_centers)
         minus = [c.conjugate() for c in self.plus_centers]
-        return np.array(plus + minus + [complex(c) for c in self.real_centers])
+        return _freeze(np.array(plus + minus + [complex(c) for c in self.real_centers]))
+
+    @cached_property
+    def _rank(self) -> np.ndarray:
+        # center indices in (real, imag) order, the order of eig_all's eigenvalues
+        cs = self._centers
+        return _freeze(np.lexsort((cs.imag, cs.real)))
 
 
 def build_seed(s: Spectrum) -> np.ndarray:
@@ -332,20 +357,35 @@ def label_eigenvalues(eigs, d: DiscSystem) -> tuple[np.ndarray, np.ndarray]:
     exactly one eigenvalue, an eigenvalue assigned to a real interval must
     be exactly real, and every eigenvalue must lie strictly inside its
     disc.  Any violation means the matrix has left the neighborhood where
-    the labeling is meaningful and raises DiscViolation.  All distances
-    come from one eigenvalue-by-center matrix; the per-eigenvalue rules
-    report the first offending eigenvalue in input order, and the
-    one-per-disc rule the first offending disc in center order.
+    the labeling is meaningful and raises DiscViolation.  The
+    per-eigenvalue rules report the first offending eigenvalue in input
+    order, and the one-per-disc rule the first offending disc in center
+    order.
+
+    The i-th eigenvalue is first paired with the i-th center in (real,
+    imag) order, the order in which :func:`~giep.linalg.eig_all` returns
+    eigenvalues: one distance per eigenvalue.  The discs of a
+    :class:`DiscSystem` are more than 2*radius apart, so an eigenvalue
+    strictly inside its paired disc has that center as its unique nearest
+    one.  When every eigenvalue is, the pairing is the nearest-center
+    assignment.  Otherwise (an eigenvalue outside every disc, or eigenvalues
+    whose order differs from their centers') the distances to every center
+    come from one eigenvalue-by-center matrix.
     """
     ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
     if ev.size != d.n:
         raise ValueError(f"expected {d.n} eigenvalues, got {ev.size}")
     centers = d.all_centers()
-    dist = _distances(ev, centers)
-    idx = np.argmin(dist, axis=1)
-    nearest = dist[np.arange(ev.size), idx]
+    idx = d._rank
+    paired = centers[idx]
+    nearest = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
+    tied = np.zeros(ev.size, dtype=bool)
+    if not np.all(nearest < d.radius):
+        dist = _distances(ev, centers)
+        idx = np.argmin(dist, axis=1)
+        nearest = dist[np.arange(ev.size), idx]
+        tied = np.count_nonzero(dist == nearest[:, None], axis=1) > 1
     outside = nearest >= d.radius
-    tied = np.count_nonzero(dist == nearest[:, None], axis=1) > 1
     off_axis = (idx >= 2 * d.k) & (ev.imag != 0.0)
     bad = np.flatnonzero(outside | tied | off_axis)
     if bad.size:

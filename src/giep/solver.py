@@ -373,7 +373,7 @@ def continuation_solve(
         raise ValueError("fill targets must be finite")
     if np.any(u_target == 0.0):
         raise ValueError("every u* component must be nonzero")
-    if any(bi and omega_target[r] == 0.0 for r, bi in enumerate(p.bidirected)):
+    if np.any((omega_target == 0.0) & np.fromiter(p.bidirected, bool, p.m)):
         raise ValueError("omega* must be nonzero on bidirected slots")
     _check_mode(mode, p, u_target, omega_target)
 

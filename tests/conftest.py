@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
 
-from giep import Graph, IllConditioned, NoConvergence, Pattern, Spectrum, build_seed, make_graph
+from giep import (
+    Graph,
+    IllConditioned,
+    Matching,
+    MatchingTooSmall,
+    NoConvergence,
+    Pattern,
+    Relabeling,
+    Spectrum,
+    build_seed,
+    make_graph,
+)
+from giep.graph import check_matching
 from giep.linalg import (
     TOL_ORTHO,
     Eigenpairs,
@@ -133,3 +146,154 @@ def second_order_shift_dense(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.n
     idx = label_eigenvalues(lam, s.discs)[1]
     plus, real = shift[idx[: s.k]], shift[idx[s.k :]]
     return np.concatenate([plus.real, plus.imag, real.real])
+
+
+# ---------------------------------------------------------------------------
+# Matching and relabeling oracles: the Python-loop versions the array code
+# must reproduce exactly
+
+
+def loop_max_matching(g: Graph) -> Matching:
+    """Edmonds' blossom search from every exposed vertex in increasing order,
+    over sorted adjacency, with no direct-neighbour shortcut."""
+    n = g.n
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in g.bidirected_pairs():
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in range(1, n + 1):
+        adj[v].sort()
+
+    match = [0] * (n + 1)  # 0 = unmatched; vertices are 1-based
+
+    def augment_from(root: int) -> bool:
+        parent = [0] * (n + 1)
+        base = list(range(n + 1))
+        in_queue = [False] * (n + 1)
+        queue: deque[int] = deque([root])
+        in_queue[root] = True
+
+        def lowest_common_base(a: int, b: int) -> int:
+            seen = [False] * (n + 1)
+            x = a
+            while True:
+                x = base[x]
+                seen[x] = True
+                if match[x] == 0:
+                    break
+                x = parent[match[x]]
+            y = b
+            while True:
+                y = base[y]
+                if seen[y]:
+                    return y
+                y = parent[match[y]]
+
+        def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+            while base[v] != stem:
+                in_blossom[base[v]] = True
+                in_blossom[base[match[v]]] = True
+                parent[v] = child
+                child = match[v]
+                v = parent[match[v]]
+
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != 0 and parent[match[to]] != 0):
+                    stem = lowest_common_base(v, to)
+                    in_blossom = [False] * (n + 1)
+                    mark_path(v, stem, to, in_blossom)
+                    mark_path(to, stem, v, in_blossom)
+                    for i in range(1, n + 1):
+                        if in_blossom[base[i]]:
+                            base[i] = stem
+                            if not in_queue[i]:
+                                in_queue[i] = True
+                                queue.append(i)
+                elif parent[to] == 0:
+                    parent[to] = v
+                    if match[to] == 0:
+                        u = to
+                        while u != 0:
+                            pv = parent[u]
+                            nxt = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = nxt
+                        return True
+                    if not in_queue[match[to]]:
+                        in_queue[match[to]] = True
+                        queue.append(match[to])
+        return False
+
+    for v in range(1, n + 1):
+        if match[v] == 0:
+            augment_from(v)
+    return Matching(pairs=tuple(sorted((v, match[v]) for v in range(1, n + 1) if match[v] > v)))
+
+
+def loop_plan_relabeling(g: Graph, matching: Matching, k: int) -> tuple[Relabeling, Pattern]:
+    """Relabeling and fill slots built through sets and per-edge loops."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    check_matching(g, matching)
+    if matching.size < k:
+        raise MatchingTooSmall(
+            f"need a matching of size k={k}, but the graph's matching has "
+            f"size {matching.size}"
+        )
+    n = g.n
+    chosen = sorted(matching.pairs)[:k]
+    perm = [0] * n
+    for j, (a, b) in enumerate(chosen, start=1):
+        perm[a - 1] = 2 * j - 1
+        perm[b - 1] = 2 * j
+    rest = [v for v in range(1, n + 1) if perm[v - 1] == 0]
+    for pos, v in enumerate(rest, start=2 * k + 1):
+        perm[v - 1] = pos
+    inverse = [0] * n
+    for old, new in enumerate(perm, start=1):
+        inverse[new - 1] = old
+    relab = Relabeling(perm=tuple(perm), inverse=tuple(inverse))
+
+    matched_edges = {(a, b) for a, b in chosen} | {(b, a) for a, b in chosen}
+    new_edges = {
+        (perm[a - 1], perm[b - 1]) for a, b in g.edges if (a, b) not in matched_edges
+    }
+    slots: list[tuple[int, int]] = []
+    flags: list[bool] = []
+    for i, j in sorted(new_edges):
+        if i > j:
+            if (j, i) in new_edges:
+                continue
+            slots.append((i, j))
+            flags.append(False)
+        else:
+            slots.append((i, j))
+            flags.append((j, i) in new_edges)
+    return relab, Pattern(n=n, k=k, slots=tuple(slots), bidirected=tuple(flags))
+
+
+def loop_pattern_check(n: int, k: int, slots, bidirected) -> None:
+    """Pattern's validation rules, slot by slot through sets; raises the
+    ValueError the first offending slot earns."""
+    if n < 1 or k < 0 or 2 * k > n:
+        raise ValueError(f"invalid sizes n={n}, k={k}")
+    if len(slots) != len(bidirected):
+        raise ValueError("slots and bidirected flags must align")
+    block = {pos for j in range(1, k + 1) for pos in ((2 * j - 1, 2 * j), (2 * j, 2 * j - 1))}
+    seen_pairs: set[tuple[int, int]] = set()
+    for (i, j), bi in zip(slots, bidirected):
+        if not (1 <= i <= n and 1 <= j <= n) or i == j:
+            raise ValueError(f"slot ({i},{j}) out of range or on the diagonal")
+        if (i, j) in block:
+            raise ValueError(f"slot ({i},{j}) collides with a matched block")
+        if bi and i >= j:
+            raise ValueError(f"bidirected slot ({i},{j}) must have i < j")
+        key = (min(i, j), max(i, j))
+        if key in seen_pairs:
+            raise ValueError(f"duplicate slot for pair {{{i},{j}}}")
+        seen_pairs.add(key)

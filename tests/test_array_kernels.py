@@ -35,7 +35,7 @@ from giep import (
     verify,
 )
 from giep.cli import random_graph, random_spectrum
-from giep.linalg import RES_FACTOR, TOL_ORTHO, Eigenpairs, eigen_triple
+from giep.linalg import RES_FACTOR, TOL_ORTHO, Eigenpairs, eigen_triple, spectrum_order
 from giep.model import assemble, label_eigenvalues
 from giep.solver import jacobian_xyz
 from conftest import edge_positions
@@ -463,6 +463,84 @@ def test_label_matches_loop_inside_discs():
         (coords, idx), (want_coords, want_idx) = label_eigenvalues(ev, d), loop_label(ev, d)
         assert np.array_equal(coords, want_coords)
         assert np.array_equal(idx, want_idx)
+
+
+def label_outcome(label, ev, d):
+    """``label(ev, d)``'s coordinates and positions as bytes, or its
+    DiscViolation message."""
+    try:
+        coords, idx = label(ev, d)
+    except DiscViolation as exc:
+        return str(exc)
+    return coords.dtype, coords.tobytes(), idx.dtype, idx.tobytes()
+
+
+@pytest.fixture
+def distance_matrices(monkeypatch):
+    """Counts the eigenvalue-by-center distance matrices labeling builds:
+    0 when the rank pairing holds, 1 when it falls back."""
+    import giep.model as model
+
+    calls = [0]
+    real = model._distances
+
+    def counting(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(model, "_distances", counting)
+    return calls
+
+
+def test_label_matches_loop_in_eig_all_order(distance_matrices):
+    paths = {0: 0, 1: 0}
+    for rng, s in seeded_spectra(61, 300, 160):
+        d = disc_radius(s)
+        ev = perturbed_eigenvalues(rng, s, d)
+        ev = ev[spectrum_order(ev)]  # as eig_all returns them
+        distance_matrices[0] = 0
+        assert label_outcome(label_eigenvalues, ev, d) == label_outcome(loop_label, ev, d)
+        paths[distance_matrices[0]] += 1
+    # both the rank pairing and the fallback were taken
+    assert paths[0] > 0 and paths[1] > 0
+
+
+def test_label_where_rank_order_breaks(distance_matrices):
+    pair_real = Spectrum(pairs=((1.0, 2.0),), reals=(1.0, 4.0))
+    equal_reals = Spectrum(pairs=((1.0, 2.0), (1.0, 5.0)), reals=())
+    nudged = Spectrum(pairs=((0.5, 3.0),), reals=(0.0, 1.0))
+    cases = [
+        # (spectrum, eigenvalues, fallback taken, expected message or None)
+        # a real center on a pair's real part: 0.9+2i sorts before 1.1
+        (pair_real, [0.9 - 2j, 0.9 + 2j, 1.1, 4.0], True, None),
+        # two pairs with equal real parts, moved apart sideways
+        (equal_reals, [1.2 + 2j, 1.2 - 2j, 0.8 + 5j, 0.8 - 5j], True, None),
+        # a pair nudged past the real part of its real neighbour's eigenvalue
+        (nudged, [0.2 + 3j, 0.2 - 3j, 0.3, 1.0], True, None),
+        # one eigenvalue outside every disc
+        (pair_real, [1 + 2j, 1 - 2j, 1.0, 40.0], True, "lies in no disc"),
+        # two eigenvalues in the disc of 4, none in the disc of 1
+        (pair_real, [0.9 - 2j, 0.9 + 2j, 3.9, 4.1], True, "holds 0 eigenvalues"),
+        # a conjugate pair inside a real disc
+        (pair_real, [1 + 2j, 1 - 2j, 4 + 1e-3j, 4 - 1e-3j], True, "non-real eigenvalue"),
+        # an off-axis value alone in a real disc keeps the rank pairing
+        (pair_real, [1 + 2j, 1 - 2j, 1.0, 4 + 1e-3j], False, "non-real eigenvalue"),
+        # every eigenvalue on its center
+        (pair_real, [1 + 2j, 1 - 2j, 1.0, 4.0], False, None),
+        (Spectrum(pairs=(), reals=(2.0,)), [2.5], False, None),
+    ]
+    for s, ev, fallback, message in cases:
+        ev = np.array(ev, dtype=complex)
+        ev = ev[spectrum_order(ev)]
+        d = s.discs
+        distance_matrices[0] = 0
+        got = label_outcome(label_eigenvalues, ev, d)
+        assert got == label_outcome(loop_label, ev, d)
+        assert distance_matrices[0] == fallback
+        if message is None:
+            assert not isinstance(got, str)
+        else:
+            assert message in got
 
 
 def test_label_failure_messages_match_loop():

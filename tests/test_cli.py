@@ -304,6 +304,17 @@ def test_error_table_single_and_batch(tmp_path, monkeypatch, capsys, error, code
     assert (batch, out) == (code, [batch_line, f"batch: 1 instances, {counts}"])
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_batch_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    (tmp_path / "one.spectrum").write_text(SPECTRUM_3)
+    (tmp_path / "one.graph").write_text(PATH_3)
+    assert main(["solve", "--batch", str(tmp_path), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"giep: bad input: --jobs must be at least 1, got {jobs}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "one.matrix.csv").exists()
+
+
 def test_batch_requires_pairs(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

@@ -7,6 +7,7 @@ from giep import (
     BadFormat,
     Matching,
     MatchingTooSmall,
+    Pattern,
     Relabeling,
     format_graph,
     make_graph,
@@ -14,7 +15,14 @@ from giep import (
     parse_graph,
     plan_relabeling,
 )
-from conftest import brute_force_matching_size, edge_positions, random_undirected_graph
+from conftest import (
+    brute_force_matching_size,
+    edge_positions,
+    loop_max_matching,
+    loop_pattern_check,
+    loop_plan_relabeling,
+    random_undirected_graph,
+)
 
 
 def test_parse_undirected():
@@ -187,3 +195,116 @@ def test_relabeling_validates():
         Relabeling(perm=(1, 1, 2), inverse=(1, 2, 3))
     with pytest.raises(ValueError):
         Relabeling(perm=(2, 1), inverse=(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# The array matching and relabeling against their loop oracles
+
+
+def oracle_graphs(seed: int, count: int):
+    """Fixed corner graphs, then ``count`` seeded graphs cycling through
+    four kinds: sparse undirected, directed with one-way edges, dense
+    undirected, and chains of odd cycles (blossoms) with random chords."""
+    rng = np.random.default_rng(seed)
+    yield make_graph(1, [])
+    yield make_graph(1, [], directed=True)
+    yield make_graph(6, [])
+    yield make_graph(4, [(1, 2)], directed=True)
+    for case in range(count):
+        kind = case % 4
+        n = int(rng.integers(3 if kind == 3 else 1, 25))
+        if kind == 0:
+            yield random_undirected_graph(rng, n, float(rng.uniform(0.0, 0.4)))
+        elif kind == 1:
+            prob = float(rng.uniform(0.0, 0.6))
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                     if a != b and rng.uniform() < prob]
+            yield make_graph(n, pairs, directed=True)
+        elif kind == 2:
+            yield random_undirected_graph(rng, n, float(rng.uniform(0.6, 1.0)))
+        else:
+            order = [int(v) + 1 for v in rng.permutation(n)]
+            edges, start = set(), 0
+            while n - start >= 3:
+                size = int(rng.choice([3, 5, 7]))
+                cycle = order[start : start + size]
+                edges.update(frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1]) if len(set(e)) == 2)
+                if start:
+                    edges.add(frozenset((order[start - 1], cycle[0])))
+                start += size
+            for _ in range(int(rng.integers(0, n + 1))):
+                a, b = (int(v) + 1 for v in rng.choice(n, 2, replace=False))
+                edges.add(frozenset((a, b)))
+            yield make_graph(n, [tuple(e) for e in edges])
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or the type and message of the exception it raised."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, MatchingTooSmall) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_matching_and_relabeling_match_loop_oracles():
+    rng = np.random.default_rng(71)
+    graphs = 0
+    for g in oracle_graphs(67, 2000):
+        graphs += 1
+        m = max_matching(g)
+        want = loop_max_matching(g)
+        assert repr(m) == repr(want)  # Python ints, same pairs in the same order
+        ks = {0, m.size, m.size + 1, int(rng.integers(0, m.size + 1))}
+        for k in sorted(ks):
+            assert outcome(plan_relabeling, g, m, k) == outcome(loop_plan_relabeling, g, m, k)
+        # a shuffled sub-matching: other pairs land on the blocks
+        keep = [pair for pair in m.pairs if rng.uniform() < 0.7]
+        sub = Matching(pairs=tuple(keep[i] for i in rng.permutation(len(keep))))
+        k = int(rng.integers(0, sub.size + 1))
+        assert outcome(plan_relabeling, g, sub, k) == outcome(loop_plan_relabeling, g, sub, k)
+    assert graphs >= 2000
+    # pairs that are not bidirected edges, and a negative k
+    g = make_graph(4, [(1, 2), (3, 4)], directed=True)
+    for m, k in ((Matching(pairs=((1, 2),)), 1), (Matching(pairs=((1, 3),)), 0), (max_matching(g), -1)):
+        assert outcome(plan_relabeling, g, m, k) == outcome(loop_plan_relabeling, g, m, k)
+        assert isinstance(outcome(plan_relabeling, g, m, k), tuple)
+
+
+def pattern_outcome(n, k, slots, flags):
+    try:
+        p = Pattern(n=n, k=k, slots=slots, bidirected=flags)
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        got = repr(p)
+    try:
+        loop_pattern_check(n, k, slots, flags)
+    except ValueError as exc:
+        want = str(exc)
+    else:
+        want = repr(Pattern(n=n, k=k, slots=slots, bidirected=flags))
+    return got, want
+
+
+# every outcome of Pattern validation: accepted, and each rejection's message
+PATTERN_OUTCOMES = ("Pattern(", "invalid sizes", "must align", "out of range",
+                    "collides", "must have i < j", "duplicate slot")
+
+
+def test_pattern_validation_matches_loop_oracle():
+    rng = np.random.default_rng(73)
+    kinds = set()
+    for case in range(2500):
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(-1, n // 2 + 2)) if case % 50 == 0 else int(rng.integers(0, n // 2 + 1))
+        # labels from 0 to n+1 reach every rejection kind
+        lo = 1 if case % 2 else 0
+        m = int(rng.integers(0, 2 * n + 1))
+        slots = tuple((int(a), int(b)) for a, b in rng.integers(lo, n + 2 - lo, size=(m, 2)))
+        flags = tuple(bool(f) for f in rng.uniform(size=m) < 0.5)
+        if case % 97 == 0:
+            flags = flags[:-1]
+        got, want = pattern_outcome(n, k, slots, flags)
+        assert got == want
+        kinds.update(kind for kind in PATTERN_OUTCOMES if kind in want)
+    assert kinds == set(PATTERN_OUTCOMES)

@@ -685,8 +685,16 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
     eigenvectors, no Jacobian and no linear solve, and one ``eigvals`` per
     Newton iterate.  The seed is never decomposed, and the trial starts on
     the second-order curve, so one correction converges: two ``eigvals`` in
-    all, where the start at the seed's (x, y, z) took three plus the seed's."""
+    all, where the start at the seed's (x, y, z) took three plus the seed's.
+
+    Around those two calls the matching, the relabeling and the disc
+    labeling are linear-time array work: no eigenvalue-by-center distance
+    matrix and no rebuilt list of bidirected pairs.  The disc system is
+    built before counting starts; its radius and disjointness check take
+    every pairwise distance, once per spectrum."""
+    import giep.model as model
     import giep.solver as solver
+    from giep import Graph
 
     counts = {}
     phase = ["driver"]
@@ -717,8 +725,11 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
     rng = np.random.default_rng(160)
     s = random_spectrum(rng, 40, 80, box=80.0)
     g = random_graph(rng, 160, 40, 4 / 160)
+    d = s.discs
+    monkeypatch.setattr(model, "_distances", counting("distances", model._distances))
+    monkeypatch.setattr(Graph, "bidirected_pairs", counting("pairs", Graph.bidirected_pairs))
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    rep = continuation_solve(s, p, default_targets(p, s.discs))
+    rep = continuation_solve(s, p, default_targets(p, d))
 
     assert counts[("driver", "trial")] == rep.steps == 1
     assert counts[("newton", "iterate")] == rep.steps + rep.newton_iterations_total
@@ -727,6 +738,7 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
     assert ("driver", "eigvals") not in counts
     vectors = ("eig", "eigen_triple", "jacobian_xyz", "solve_linear")
     assert not [key for key in counts if key[1] in vectors]
+    assert not [key for key in counts if key[1] in ("distances", "pairs")]
 
 
 def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
