@@ -39,11 +39,9 @@ from .graph import (
     plan_relabeling,
 )
 from .model import (
-    DiscSystem,
     Pattern,
     Spectrum,
     build_seed,
-    disc_radius,
     format_matrix_csv,
     format_matrix_market,
     format_spectrum,
@@ -69,7 +67,6 @@ __all__ = [
     "BadFormat",
     "DegenerateSpectrum",
     "DimensionMismatch",
-    "DiscSystem",
     "DiscViolation",
     "GiepError",
     "Graph",
@@ -92,7 +89,6 @@ __all__ = [
     "build_seed",
     "continuation_solve",
     "default_targets",
-    "disc_radius",
     "eig_all",
     "format_graph",
     "format_matrix_csv",

@@ -24,9 +24,9 @@ from .model import Spectrum, _distances, spectrum_mismatch
 from .solver import (
     SolveReport,
     SolverConfig,
-    TOL_FINAL_FACTOR,
     continuation_solve,
     default_targets,
+    final_tolerance,
 )
 
 NONZERO_FLOOR = 1e-12      # written fills are >> this; rounding noise is << it
@@ -49,7 +49,7 @@ def solve_instance(
         )
     matching = max_matching(g)
     relab, pattern = plan_relabeling(g, matching, s.k)
-    targets = default_targets(pattern, s.discs, mode, cfg)
+    targets = default_targets(pattern, s, mode, cfg)
     report = continuation_solve(s, pattern, targets, mode, cfg)
     return replace(report, matrix=relab.unapply_matrix(report.matrix))
 
@@ -155,7 +155,7 @@ def verify(
         for i, j in np.argwhere(bad)
     ]
     err = spectrum_mismatch(eig_all(a), s)
-    tol = spectrum_tol if spectrum_tol is not None else TOL_FINAL_FACTOR * (1.0 + s.inf_norm())
+    tol = spectrum_tol if spectrum_tol is not None else final_tolerance(s)
     return VerificationReport(
         pattern_ok=not failures,
         spectrum_ok=err <= tol,

@@ -49,12 +49,6 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
 
-    def bidirected_pairs(self) -> list[tuple[int, int]]:
-        """Unordered pairs {a,b} present in both directions, sorted."""
-        return sorted(
-            {(min(a, b), max(a, b)) for a, b in self.edges if (b, a) in self.edges}
-        )
-
 
 def make_graph(n: int, pairs, directed: bool = False) -> Graph:
     """Build a Graph from a list of edges, rejecting duplicates.
@@ -291,16 +285,6 @@ class Relabeling:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    def apply_vertex(self, v: int) -> int:
-        return self.perm[v - 1]
-
-    def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Relabel rows and columns old -> new: out[perm(i), perm(j)] = m[i, j]."""
-        idx = np.asarray(self.perm) - 1
-        out = np.empty_like(np.asarray(m, dtype=float))
-        out[np.ix_(idx, idx)] = m
-        return out
 
     def unapply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Inverse relabeling new -> old: out[i, j] = m[perm(i), perm(j)]."""

@@ -15,11 +15,14 @@ M is linear in theta, and :attr:`Pattern.entries` is the single
 description of this layout: :func:`assemble` scatters theta through it and
 the solver's Jacobian contracts eigenvectors with it.
 
-Eigenvalues of matrices near the seed are identified by which disc of the
-disc system they fall in.  :func:`label_eigenvalues` reads off the stacked
-(lambda, mu, gamma) coordinates, the quantities the Newton corrector
-drives to :meth:`Spectrum.target_coordinates`, together with the
-positions of the tracked eigenvalues, which select their eigenvectors.
+The spectrum is also its own disc system: a disc of the common radius
+:attr:`Spectrum.radius` around every spectrum point, the discs disjoint
+and the non-real ones clear of the real axis.  Eigenvalues of matrices
+near the seed are identified by which disc they fall in.
+:func:`label_eigenvalues` reads off the stacked (lambda, mu, gamma)
+coordinates, the quantities the Newton corrector drives to
+:meth:`Spectrum.target_coordinates`, together with the positions of the
+tracked eigenvalues, which select their eigenvectors.
 Since the seed has x = lambda, y = mu and z = gamma, the seed's theta is
 the target coordinate vector followed by 2m zero fills.
 """
@@ -101,13 +104,45 @@ class Spectrum:
 
         They are also the seed's block parameters (x, y, z).
         """
-        pairs = np.array(self.pairs, dtype=float).reshape(-1, 2)
-        return np.concatenate([pairs[:, 0], pairs[:, 1], np.array(self.reals, dtype=float)])
+        k, points = self.k, self._points
+        return np.concatenate([points.real[:k], points.imag[:k], points.real[2 * k :]])
 
     @cached_property
-    def discs(self) -> DiscSystem:
-        """``disc_radius(self)``, computed once per spectrum."""
-        return disc_radius(self)
+    def radius(self) -> float:
+        """Common radius eps = min(gap/3, mu_min/2) of the discs around the points.
+
+        ``gap`` is the minimum pairwise distance among the n spectrum points;
+        dividing by 3 leaves a guard band between discs.  The mu_min/2 term
+        keeps non-real discs clear of the real axis (dropped when k = 0).  A
+        single-point spectrum takes (1 + |value|)/3.  Computed on first use;
+        raises ValueError when the radius is not positive and finite or the
+        discs are not disjoint, which only subnormal or overflowing distances
+        bring about.
+        """
+        points = self._points
+        if self.n == 1:
+            return float((1.0 + abs(points[0])) / 3.0)
+        with np.errstate(over="ignore"):
+            dist = _distances(points, points)
+        np.fill_diagonal(dist, np.inf)
+        gap = dist.min()
+        mu = points.imag[: self.k]
+        mu_min = mu.min(initial=np.inf)
+        eps = min(gap / 3.0, mu_min / 2.0)
+        if not (np.isfinite(eps) and eps > 0.0):
+            raise ValueError("disc radius must be positive and finite")
+        if not mu_min > eps:
+            raise ValueError(f"disc at {points[mu.argmin()]} touches the real axis (radius {eps})")
+        if not gap > 2.0 * eps:
+            i, j = np.unravel_index(dist.argmin(), dist.shape)
+            raise ValueError(f"discs at {points[i]} and {points[j]} are not disjoint")
+        return float(eps)
+
+    @cached_property
+    def _rank(self) -> np.ndarray:
+        # point indices in (real, imag) order, the order of eig_all's eigenvalues
+        points = self._points
+        return _freeze(np.lexsort((points.imag, points.real)))
 
     @classmethod
     def from_eigenvalues(cls, values) -> "Spectrum":
@@ -228,102 +263,9 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(re, np.subtract.outer(a.imag, b.imag), out=re)
 
 
-@dataclass(frozen=True)
-class DiscSystem:
-    """Disjoint discs of a common radius around every spectrum point.
-
-    ``plus_centers`` are the k upper-half-plane centers; the conjugate
-    (minus) discs are implicit.  Real centers use the real interval of
-    their disc, so a real eigenvalue can never be confused with a complex
-    one: the radius stays below every mu_j.
-    """
-
-    radius: float
-    plus_centers: tuple[complex, ...]
-    real_centers: tuple[float, ...]
-
-    def __post_init__(self):
-        eps = float(self.radius)
-        object.__setattr__(self, "radius", eps)
-        object.__setattr__(
-            self, "plus_centers", tuple(complex(c) for c in self.plus_centers)
-        )
-        object.__setattr__(
-            self, "real_centers", tuple(float(c) for c in self.real_centers)
-        )
-        if not (np.isfinite(eps) and eps > 0.0):
-            raise ValueError("disc radius must be positive and finite")
-        for c in self.plus_centers:
-            if not c.imag > eps:
-                raise ValueError(
-                    f"disc at {c} touches the real axis (radius {eps})"
-                )
-        cs = self.all_centers()
-        close = np.triu(_distances(cs, cs) <= 2.0 * eps, 1)
-        if close.any():
-            i, j = np.argwhere(close)[0]
-            raise ValueError(f"discs at {cs[i]} and {cs[j]} are not disjoint")
-
-    @property
-    def k(self) -> int:
-        return len(self.plus_centers)
-
-    @property
-    def l(self) -> int:
-        return len(self.real_centers)
-
-    @property
-    def n(self) -> int:
-        return 2 * self.k + self.l
-
-    def all_centers(self) -> np.ndarray:
-        """Plus centers, conjugate centers, then real centers; built once
-        per disc system and returned read-only."""
-        return self._centers
-
-    @cached_property
-    def _centers(self) -> np.ndarray:
-        plus = list(self.plus_centers)
-        minus = [c.conjugate() for c in self.plus_centers]
-        return _freeze(np.array(plus + minus + [complex(c) for c in self.real_centers]))
-
-    @cached_property
-    def _rank(self) -> np.ndarray:
-        # center indices in (real, imag) order, the order of eig_all's eigenvalues
-        cs = self._centers
-        return _freeze(np.lexsort((cs.imag, cs.real)))
-
-
 def build_seed(s: Spectrum) -> np.ndarray:
     """The block-diagonal seed matrix realizing the spectrum exactly."""
     return assemble(Pattern(n=s.n, k=s.k), s.target_coordinates())
-
-
-def disc_radius(s: Spectrum) -> DiscSystem:
-    """Disc system with radius eps = min(gap/3, mu_min/2).
-
-    ``gap`` is the minimum pairwise distance among all 2k+l spectrum
-    points; dividing by 3 leaves a guard band between discs.  The mu_min/2
-    term keeps non-real discs clear of the real axis (dropped when k = 0).
-    For a single-point spectrum the radius defaults to (1 + |value|)/3.
-    """
-    points = s.values()
-    if s.n == 1:
-        eps = (1.0 + abs(points[0])) / 3.0
-    else:
-        dist = _distances(points, points)
-        np.fill_diagonal(dist, np.inf)
-        gap = dist.min()
-        if gap == 0.0:
-            raise DegenerateSpectrum("spectrum points coincide")
-        eps = gap / 3.0
-        if s.k > 0:
-            eps = min(eps, min(mu for _, mu in s.pairs) / 2.0)
-    return DiscSystem(
-        radius=eps,
-        plus_centers=tuple(complex(a, b) for a, b in s.pairs),
-        real_centers=s.reals,
-    )
 
 
 def assemble(p: Pattern, theta) -> np.ndarray:
@@ -346,8 +288,9 @@ def assemble(p: Pattern, theta) -> np.ndarray:
     return mtx
 
 
-def label_eigenvalues(eigs, d: DiscSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Assign each eigenvalue to its disc; return (coordinates, positions).
+def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Assign each eigenvalue to the disc of radius :attr:`Spectrum.radius`
+    around a spectrum point; return (coordinates, positions).
 
     The coordinates are (lam_1..k, mu_1..k, gamma_1..l) read off the plus
     discs and the real intervals; the positions are the indices into
@@ -364,29 +307,29 @@ def label_eigenvalues(eigs, d: DiscSystem) -> tuple[np.ndarray, np.ndarray]:
 
     The i-th eigenvalue is first paired with the i-th center in (real,
     imag) order, the order in which :func:`~giep.linalg.eig_all` returns
-    eigenvalues: one distance per eigenvalue.  The discs of a
-    :class:`DiscSystem` are more than 2*radius apart, so an eigenvalue
-    strictly inside its paired disc has that center as its unique nearest
-    one.  When every eigenvalue is, the pairing is the nearest-center
-    assignment.  Otherwise (an eigenvalue outside every disc, or eigenvalues
-    whose order differs from their centers') the distances to every center
-    come from one eigenvalue-by-center matrix.
+    eigenvalues: one distance per eigenvalue.  The centers are more than
+    2*radius apart, so an eigenvalue strictly inside its paired disc has
+    that center as its unique nearest one.  When every eigenvalue is, the
+    pairing is the nearest-center assignment.  Otherwise (an eigenvalue
+    outside every disc, or eigenvalues whose order differs from their
+    centers') the distances to every center come from one
+    eigenvalue-by-center matrix.
     """
     ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
-    if ev.size != d.n:
-        raise ValueError(f"expected {d.n} eigenvalues, got {ev.size}")
-    centers = d.all_centers()
-    idx = d._rank
+    if ev.size != s.n:
+        raise ValueError(f"expected {s.n} eigenvalues, got {ev.size}")
+    centers = s.values()
+    idx = s._rank
     paired = centers[idx]
     nearest = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
     tied = np.zeros(ev.size, dtype=bool)
-    if not np.all(nearest < d.radius):
+    if not np.all(nearest < s.radius):
         dist = _distances(ev, centers)
         idx = np.argmin(dist, axis=1)
         nearest = dist[np.arange(ev.size), idx]
         tied = np.count_nonzero(dist == nearest[:, None], axis=1) > 1
-    outside = nearest >= d.radius
-    off_axis = (idx >= 2 * d.k) & (ev.imag != 0.0)
+    outside = nearest >= s.radius
+    off_axis = (idx >= 2 * s.k) & (ev.imag != 0.0)
     bad = np.flatnonzero(outside | tied | off_axis)
     if bad.size:
         i = bad[0]
@@ -394,12 +337,12 @@ def label_eigenvalues(eigs, d: DiscSystem) -> tuple[np.ndarray, np.ndarray]:
         if outside[i]:
             raise DiscViolation(
                 f"eigenvalue {e} lies in no disc (nearest center {c}, "
-                f"distance {nearest[i]:.6g}, radius {d.radius:.6g})"
+                f"distance {nearest[i]:.6g}, radius {s.radius:.6g})"
             )
         if tied[i]:
             raise DiscViolation(f"eigenvalue {e} is equidistant from two discs")
         raise DiscViolation(f"non-real eigenvalue {e} near real target {c.real}")
-    counts = np.bincount(idx, minlength=d.n)
+    counts = np.bincount(idx, minlength=s.n)
     crowded = np.flatnonzero(counts != 1)
     if crowded.size:
         j = crowded[0]
@@ -408,11 +351,11 @@ def label_eigenvalues(eigs, d: DiscSystem) -> tuple[np.ndarray, np.ndarray]:
         )
     pos = np.empty_like(idx)
     pos[idx] = np.arange(ev.size)  # the eigenvalue each disc holds, in center order
-    plus = ev[pos[: d.k]]
+    plus = ev[pos[: s.k]]
     if np.any(plus.imag <= 0.0):
         raise DiscViolation("plus-disc eigenvalue has nonpositive imaginary part")
-    tracked = np.concatenate([pos[: d.k], pos[2 * d.k :]])
-    return np.concatenate([plus.real, plus.imag, ev[pos[2 * d.k :]].real]), tracked
+    tracked = np.concatenate([pos[: s.k], pos[2 * s.k :]])
+    return np.concatenate([plus.real, plus.imag, ev[pos[2 * s.k :]].real]), tracked
 
 
 def spectrum_mismatch(eigs, s: Spectrum) -> float:

@@ -47,7 +47,11 @@ Newton instead, one decomposition with eigenvectors and a fresh Jacobian
 per iterate.  The final spectrum check reads the last accepted iterate's
 residual vector: inside disjoint discs the largest disc distance is the
 greedy multiset distance.  Only a solve without fills decomposes its
-output, the seed, for that check.
+output, the seed, for that check.  The discs are the spectrum's own: the
+corrector labels eigenvalues against ``Spectrum`` itself, and default fill
+targets are sized by :attr:`Spectrum.radius`.  :func:`final_tolerance` is
+the one definition of the default final tolerance, which ``verify``
+applies too.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ from .linalg import (
     spectrum_order,
 )
 from .model import (
-    DiscSystem,
     Pattern,
     Spectrum,
     assemble,
@@ -88,6 +91,12 @@ TOL_FINAL_FACTOR = 1e-8     # final spectrum tolerance, same scaling
 MAX_NEWTON = 25             # newton iterations before a trial is rejected
 EASY_NEWTON_ITERS = 4       # an accept this cheap counts toward doubling the step
 CHORD_RATIO = 0.1           # a chord step shrinking the residual by less than this forms a Jacobian
+
+
+def final_tolerance(s: Spectrum) -> float:
+    """The default tolerance on a matrix's spectrum distance to ``s``, the
+    solver's final check and ``verify``'s alike."""
+    return TOL_FINAL_FACTOR * (1.0 + s.inf_norm())
 
 
 def jacobian_xyz(p: Pattern, eig: Eigenpairs) -> np.ndarray:
@@ -177,7 +186,7 @@ def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray
 
 def newton_correct(
     p: Pattern,
-    d: DiscSystem,
+    s: Spectrum,
     theta: np.ndarray,
     target: np.ndarray,
     tol: float,
@@ -215,7 +224,7 @@ def newton_correct(
     for it in range(MAX_NEWTON + 1):
         mtx = assemble(p, theta)
         ev, vecs = eig_all(mtx, vectors=True) if refresh else (eig_all(mtx), None)
-        coords, idx = label_eigenvalues(ev, d)
+        coords, idx = label_eigenvalues(ev, s)
         residual_vec = target - coords
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
@@ -227,7 +236,7 @@ def newton_correct(
             # with vectors, whose eigenvalues may differ in the last bits and
             # so are labeled again
             ev, vecs = eig_all(mtx, vectors=True)
-            idx = label_eigenvalues(ev, d)[1]
+            idx = label_eigenvalues(ev, s)[1]
         if vecs is None:
             previous = residual
         else:
@@ -302,15 +311,15 @@ class SolveReport:
 
 
 def default_targets(
-    p: Pattern, d: DiscSystem, mode: str = "generic", cfg: SolverConfig | None = None
+    p: Pattern, s: Spectrum, mode: str = "generic", cfg: SolverConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fill targets sized fill_scale * radius, tied together by mode.
+    """Fill targets sized fill_scale * s.radius, tied together by mode.
 
     generic and symmetric set omega* = u*; skew sets omega* = -u*.  For
     one-directional slots the omega component is zero (never written).
     """
     cfg = cfg or SolverConfig()
-    magnitude = cfg.fill_scale * d.radius
+    magnitude = cfg.fill_scale * s.radius
     u = np.full(p.m, magnitude)
     omega = np.where(p.bidirected, magnitude, 0.0) if p.m else np.zeros(0)
     if mode == "skew":
@@ -377,10 +386,8 @@ def continuation_solve(
         raise ValueError("omega* must be nonzero on bidirected slots")
     _check_mode(mode, p, u_target, omega_target)
 
-    scale = 1.0 + s.inf_norm()
-    tol_newton = TOL_NEWTON_FACTOR * scale
-    tol_final = cfg.tol_final if cfg.tol_final is not None else TOL_FINAL_FACTOR * scale
-    d = s.discs
+    tol_newton = TOL_NEWTON_FACTOR * (1.0 + s.inf_norm())
+    tol_final = cfg.tol_final if cfg.tol_final is not None else final_tolerance(s)
     target = s.target_coordinates()
     theta = np.concatenate([target, np.zeros(2 * p.m)])  # the seed: x, y, z = target
 
@@ -414,7 +421,7 @@ def continuation_solve(
         theta_try = np.concatenate([xyz, t_try * u_target, t_try * omega_target])
         try:
             theta_new, iters, r, ev, jac = newton_correct(
-                p, d, theta_try, target, tol_newton, jac, retry
+                p, s, theta_try, target, tol_newton, jac, retry
             )
         except (NoConvergence, DiscViolation) as exc:
             state.step = trial_dt / 2.0

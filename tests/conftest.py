@@ -28,8 +28,27 @@ from giep.linalg import (
     eigen_triple,
     solve_linear,
 )
-from giep.model import DiscSystem, assemble, label_eigenvalues
+from giep.model import assemble, label_eigenvalues
 from giep.solver import MAX_NEWTON, jacobian_xyz
+
+
+def bidirected_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Unordered pairs {a,b} present in both directions, sorted."""
+    return sorted({(min(a, b), max(a, b)) for a, b in g.edges if (b, a) in g.edges})
+
+
+def apply_vertex(relab: Relabeling, v: int) -> int:
+    """The new label of old vertex ``v``."""
+    return relab.perm[v - 1]
+
+
+def apply_matrix(relab: Relabeling, m: np.ndarray) -> np.ndarray:
+    """Relabel rows and columns old -> new: out[perm(i), perm(j)] = m[i, j];
+    the inverse of :meth:`Relabeling.unapply_matrix`."""
+    idx = np.asarray(relab.perm) - 1
+    out = np.empty_like(np.asarray(m, dtype=float))
+    out[np.ix_(idx, idx)] = m
+    return out
 
 
 def brute_force_matching_size(g: Graph) -> int:
@@ -40,7 +59,7 @@ def brute_force_matching_size(g: Graph) -> int:
     neighbor.  Exact for n <= ~20; used here for n <= 10.
     """
     n = g.n
-    pairs = g.bidirected_pairs()
+    pairs = bidirected_pairs(g)
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in pairs:
         adj[a - 1].append(b - 1)
@@ -106,7 +125,7 @@ def edge_positions(p: Pattern) -> set[tuple[int, int]]:
 
 
 def newton_every_iterate(
-    p: Pattern, d: DiscSystem, theta: np.ndarray, target: np.ndarray, tol: float
+    p: Pattern, s: Spectrum, theta: np.ndarray, target: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Full Newton on (x, y, z), with a fresh Jacobian from one ``eig`` with
     eigenvectors on every iterate: the oracle for the solver's chord
@@ -115,7 +134,7 @@ def newton_every_iterate(
     for it in range(MAX_NEWTON + 1):
         mtx = assemble(p, theta)
         ev, vecs = eig_all(mtx, vectors=True)
-        coords, idx = label_eigenvalues(ev, d)
+        coords, idx = label_eigenvalues(ev, s)
         residual_vec = target - coords
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
@@ -143,7 +162,7 @@ def second_order_shift_dense(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.n
     gap = np.subtract.outer(lam, lam)
     np.fill_diagonal(gap, np.inf)
     shift = (g * g.T / gap).sum(axis=1)
-    idx = label_eigenvalues(lam, s.discs)[1]
+    idx = label_eigenvalues(lam, s)[1]
     plus, real = shift[idx[: s.k]], shift[idx[s.k :]]
     return np.concatenate([plus.real, plus.imag, real.real])
 
@@ -158,7 +177,7 @@ def loop_max_matching(g: Graph) -> Matching:
     over sorted adjacency, with no direct-neighbour shortcut."""
     n = g.n
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in g.bidirected_pairs():
+    for a, b in bidirected_pairs(g):
         adj[a].append(b)
         adj[b].append(a)
     for v in range(1, n + 1):

@@ -11,14 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from giep import (
-    DiscSystem,
     Pattern,
     RepeatedEigenvalues,
     SolverConfig,
     Spectrum,
     StepUnderflow,
     build_seed,
-    disc_radius,
     eig_all,
     max_matching,
     solve_instance,
@@ -45,9 +43,9 @@ def _random_sizes(rng, k_max=4, l_max=4):
             return k, l
 
 
-def _triples_for(mtx, d: DiscSystem):
+def _triples_for(mtx, s: Spectrum):
     ev, vecs = eig_all(mtx, vectors=True)
-    coords, idx = label_eigenvalues(ev, d)
+    coords, idx = label_eigenvalues(ev, s)
     return coords, eigen_triple(mtx, ev, vecs, idx)
 
 
@@ -58,7 +56,7 @@ def test_criterion_1_jacobian_identity_at_seed():
         k, l = _random_sizes(rng)
         s = random_spectrum(rng, k, l)
         mtx = build_seed(s)
-        _, triples = _triples_for(mtx, disc_radius(s))
+        _, triples = _triples_for(mtx, s)
         jac = jacobian_xyz(Pattern(n=s.n, k=s.k), triples)
         worst = max(worst, float(np.abs(jac - np.eye(2 * k + l)).max()))
     ok = worst <= 1e-9
@@ -73,14 +71,13 @@ def test_criterion_2_derivative_matches_finite_differences():
     for _ in range(50):
         k, l = _random_sizes(rng, k_max=3, l_max=3)
         s = random_spectrum(rng, k, l)
-        d = disc_radius(s)
         n = s.n
         seed = build_seed(s)
         bump = rng.standard_normal((n, n))
-        bump *= 0.05 * d.radius / np.linalg.norm(bump)
+        bump *= 0.05 * s.radius / np.linalg.norm(bump)
         mtx = seed + bump
         direction = rng.standard_normal((n, n))
-        _, triples = _triples_for(mtx, d)
+        _, triples = _triples_for(mtx, s)
         zetas = eigen_derivative(triples, direction)
         analytic = np.concatenate(
             [
@@ -89,8 +86,8 @@ def test_criterion_2_derivative_matches_finite_differences():
                 [z.real for z in zetas[k:]],
             ]
         )
-        up = label_eigenvalues(eig_all(mtx + h * direction), d)[0]
-        dn = label_eigenvalues(eig_all(mtx - h * direction), d)[0]
+        up = label_eigenvalues(eig_all(mtx + h * direction), s)[0]
+        dn = label_eigenvalues(eig_all(mtx - h * direction), s)[0]
         fd = (up - dn) / (2 * h)
         worst = max(worst, float(np.abs(analytic - fd).max()))
     ok = worst <= 1e-5
@@ -101,20 +98,20 @@ def test_criterion_2_derivative_matches_finite_differences():
 class _OccupancyAuditor:
     """Independent recount of disc occupancy at every accepted state."""
 
-    def __init__(self, d: DiscSystem):
-        self.d = d
+    def __init__(self, s: Spectrum):
+        self.s = s
         self.bad_states = 0
         self.states = 0
 
     def __call__(self, state, eigs):
         self.states += 1
-        centers = self.d.all_centers()
-        eps = self.d.radius
+        centers = self.s.values()
+        eps = self.s.radius
         for idx, c in enumerate(centers):
             inside = [
                 e
                 for e in eigs
-                if abs(e - c) < eps and (idx < 2 * self.d.k or e.imag == 0.0)
+                if abs(e - c) < eps and (idx < 2 * self.s.k or e.imag == 0.0)
             ]
             if len(inside) != 1:
                 self.bad_states += 1
@@ -144,7 +141,7 @@ def _end_to_end_sweep() -> dict:
         k = int(rng.integers(0, n // 2 + 1))
         s = random_spectrum(rng, k, n - 2 * k)
         g = random_graph(rng, n, k, float(rng.uniform(0.0, 0.5)))
-        auditor = _OccupancyAuditor(disc_radius(s))
+        auditor = _OccupancyAuditor(s)
         cfg = SolverConfig(observer=auditor)
         stats["total"] += 1
         try:

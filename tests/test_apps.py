@@ -1,6 +1,8 @@
 """Tests for the end-to-end applications."""
 
 import math
+import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from giep import (
     Spectrum,
     build_seed,
     eig_all,
+    format_graph,
+    format_spectrum,
     make_graph,
     path_graph,
     solve_instance,
@@ -20,7 +24,7 @@ from giep import (
     tridiagonalize,
     verify,
 )
-from giep.cli import random_graph, random_spectrum
+from giep.cli import EXIT_BAD_INPUT, main, random_graph, random_spectrum
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
 
@@ -36,15 +40,48 @@ def graph_of(m: np.ndarray) -> set:
 
 
 def test_solve_instance_computes_the_disc_system_once(monkeypatch):
-    import giep.model as model
-
     calls = []
-    real = model.disc_radius
-    monkeypatch.setattr(model, "disc_radius", lambda s: calls.append(s) or real(s))
+    real = Spectrum.radius.func
+    counting = cached_property(lambda s: calls.append(s) or real(s))
+    counting.__set_name__(Spectrum, "radius")
+    monkeypatch.setattr(Spectrum, "radius", counting)
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0, -1.0))
     rep = solve_instance(s, path_graph(4))
     assert calls == [s]
     assert verify(rep.matrix, s, path_graph(4)).passed
+
+
+@pytest.mark.parametrize(
+    "pairs, reals, message",
+    [
+        ((), (-1e308, 1e308), "disc radius must be positive and finite"),
+        ((), (0.0, 5e-324), "disc radius must be positive and finite"),
+        (((0.0, 5e-324),), (), "disc radius must be positive and finite"),
+        ((), (0.0, 1e-323), "discs at 0j and (1e-323+0j) are not disjoint"),
+    ],
+    ids=["overflowing-gap", "zero-gap", "zero-mu", "overlapping-discs"],
+)
+def test_unusable_disc_radius_is_bad_input(pairs, reals, message, tmp_path, capsys):
+    """Distinct finite values whose distances overflow or are subnormal
+    parse, and fail with a ValueError on the radius's first use: through
+    the spectrum, solve_instance and the CLI, and without a numpy warning."""
+    spectrum, graph = tmp_path / "s.spectrum", tmp_path / "g.graph"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = Spectrum(pairs=pairs, reals=reals)
+        spectrum.write_text(format_spectrum(s))
+        graph.write_text(format_graph(path_graph(s.n)))
+        with pytest.raises(ValueError) as info:
+            s.radius
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            solve_instance(Spectrum(pairs=pairs, reals=reals), path_graph(s.n))
+        assert str(info.value) == message
+        code = main(["solve", "--spectrum", str(spectrum), "--graph", str(graph),
+                     "--out", str(tmp_path / "m.csv")])
+    assert code == EXIT_BAD_INPUT == 1
+    assert message in capsys.readouterr().err
+    assert caught == []
 
 
 def test_solve_instance_path3():

@@ -16,7 +16,6 @@ import pytest
 import giep.apps as apps
 from giep import (
     DegenerateSpectrum,
-    DiscSystem,
     DiscViolation,
     IllConditioned,
     NoConvergence,
@@ -25,7 +24,6 @@ from giep import (
     Spectrum,
     continuation_solve,
     default_targets,
-    disc_radius,
     eig_all,
     make_graph,
     max_matching,
@@ -60,22 +58,22 @@ def loop_radius(s: Spectrum) -> float:
     return eps
 
 
-def loop_label(eigs, d: DiscSystem) -> tuple[np.ndarray, np.ndarray]:
+def loop_label(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
-    centers = d.all_centers()
+    centers = s.values()
     buckets = [[] for _ in centers]
     at = {}  # position in eigs of the eigenvalue each disc holds
     for i, e in enumerate(ev):
         dist = np.abs(centers - e)
         idx = int(np.argmin(dist))
-        if dist[idx] >= d.radius:
+        if dist[idx] >= s.radius:
             raise DiscViolation(
                 f"eigenvalue {e} lies in no disc (nearest center {centers[idx]}, "
-                f"distance {dist[idx]:.6g}, radius {d.radius:.6g})"
+                f"distance {dist[idx]:.6g}, radius {s.radius:.6g})"
             )
         if np.count_nonzero(dist == dist[idx]) > 1:
             raise DiscViolation(f"eigenvalue {e} is equidistant from two discs")
-        if idx >= 2 * d.k and e.imag != 0.0:
+        if idx >= 2 * s.k and e.imag != 0.0:
             raise DiscViolation(
                 f"non-real eigenvalue {e} near real target {centers[idx].real}"
             )
@@ -86,15 +84,15 @@ def loop_label(eigs, d: DiscSystem) -> tuple[np.ndarray, np.ndarray]:
             raise DiscViolation(
                 f"disc at {centers[idx]} holds {len(bucket)} eigenvalues, expected 1"
             )
-    plus = [buckets[j][0] for j in range(d.k)]
+    plus = [buckets[j][0] for j in range(s.k)]
     if any(e.imag <= 0.0 for e in plus):
         raise DiscViolation("plus-disc eigenvalue has nonpositive imaginary part")
     coords = np.array(
         [e.real for e in plus]
         + [e.imag for e in plus]
-        + [buckets[2 * d.k + j][0].real for j in range(d.l)]
+        + [buckets[2 * s.k + j][0].real for j in range(s.l)]
     )
-    tracked = [at[j] for j in range(d.k)] + [at[2 * d.k + j] for j in range(d.l)]
+    tracked = [at[j] for j in range(s.k)] + [at[2 * s.k + j] for j in range(s.l)]
     return coords, np.array(tracked, dtype=int)
 
 
@@ -203,14 +201,11 @@ def spectrum_points(pairs, reals) -> np.ndarray:
     return np.array(plus + minus + [complex(g) for g in reals], dtype=complex)
 
 
-def unchecked_discs(radius, plus, reals) -> DiscSystem:
-    """A DiscSystem that skips validation, to reach labeling failures that
-    disjoint discs clear of the real axis cannot produce."""
-    d = object.__new__(DiscSystem)
-    object.__setattr__(d, "radius", float(radius))
-    object.__setattr__(d, "plus_centers", tuple(complex(c) for c in plus))
-    object.__setattr__(d, "real_centers", tuple(float(c) for c in reals))
-    return d
+def widened(s: Spectrum, radius: float) -> Spectrum:
+    """``s`` with its cached disc radius overridden, to reach labeling
+    failures that disjoint discs cannot produce."""
+    s.__dict__["radius"] = radius
+    return s
 
 
 def seeded_spectra(seed: int, count: int, n_max: int):
@@ -235,14 +230,14 @@ def seeded_spectra(seed: int, count: int, n_max: int):
         yield rng, s
 
 
-def perturbed_eigenvalues(rng, s: Spectrum, d: DiscSystem) -> np.ndarray:
+def perturbed_eigenvalues(rng, s: Spectrum) -> np.ndarray:
     """Conjugate-closed eigenvalues inside the discs, in shuffled order."""
     plus = np.array([complex(a, b) for a, b in s.pairs])
     if plus.size:
-        plus = plus + 0.9 * d.radius * rng.uniform(0, 1, plus.size) * np.exp(
+        plus = plus + 0.9 * s.radius * rng.uniform(0, 1, plus.size) * np.exp(
             2j * np.pi * rng.uniform(0, 1, plus.size)
         )
-    reals = np.array(s.reals) + 0.9 * d.radius * rng.uniform(-1, 1, s.l)
+    reals = np.array(s.reals) + 0.9 * s.radius * rng.uniform(-1, 1, s.l)
     ev = np.concatenate([plus, plus.conj(), reals.astype(complex)])
     return ev[rng.permutation(ev.size)]
 
@@ -416,17 +411,19 @@ def test_gap_gate_matches_loop(monkeypatch):
 def test_disc_radius_bitwise_equal_to_scalar_loop():
     cases = 0
     for _, s in seeded_spectra(41, 220, 200):
-        assert disc_radius(s).radius == loop_radius(s)
+        assert s.radius == loop_radius(s)
         cases += 1
     assert cases >= 200
 
 
 def test_disc_system_reports_first_overlapping_pair():
-    d = disc_radius(Spectrum(pairs=((0.0, 3.0),), reals=(0.0, 1.0, 2.0)))
-    with pytest.raises(ValueError, match=r"discs at \(2\+0j\) and \(3\+0j\) are not disjoint"):
-        DiscSystem(radius=0.6, plus_centers=d.plus_centers, real_centers=(0.0, 2.0, 3.0, 3.5))
-    with pytest.raises(ValueError, match=r"discs at \(1\+0j\) and \(1.5\+0j\)"):
-        DiscSystem(radius=0.3, plus_centers=(), real_centers=(0.0, 1.0, 1.5, 1.8))
+    # subnormal gaps: gap/3 rounds up to the gap's half, so 2 * radius reaches
+    # the gap; 0 and 1e-323 are the first of the two closest pairs
+    s = Spectrum(pairs=((0.0, 3.0),), reals=(0.0, 1e-323, 2e-323))
+    with pytest.raises(ValueError, match=r"discs at 0j and \(1e-323\+0j\) are not disjoint"):
+        s.radius
+    with pytest.raises(ValueError, match=r"discs at \(2e-323\+0j\) and \(3e-323\+0j\)"):
+        Spectrum(pairs=(), reals=(2e-323, 1.0, 3e-323, 1e-323)).radius
 
 
 @pytest.mark.parametrize("mode", ["generic", "symmetric"])
@@ -440,7 +437,7 @@ def test_written_fills_and_structural_zeros_are_exact(mode):
     g = random_graph(rng, 40, 16, 0.1)
     _, p = plan_relabeling(g, max_matching(g), s.k)
     cfg = SolverConfig()
-    m = continuation_solve(s, p, default_targets(p, disc_radius(s), mode, cfg), mode, cfg).matrix
+    m = continuation_solve(s, p, default_targets(p, s, mode, cfg), mode, cfg).matrix
     fill = cfg.fill_scale * loop_radius(s)
     for (i, j), bidirected in zip(p.slots, p.bidirected):
         assert m[i - 1, j - 1] == fill
@@ -458,18 +455,17 @@ def test_written_fills_and_structural_zeros_are_exact(mode):
 
 def test_label_matches_loop_inside_discs():
     for rng, s in seeded_spectra(43, 60, 120):
-        d = disc_radius(s)
-        ev = perturbed_eigenvalues(rng, s, d)
-        (coords, idx), (want_coords, want_idx) = label_eigenvalues(ev, d), loop_label(ev, d)
+        ev = perturbed_eigenvalues(rng, s)
+        (coords, idx), (want_coords, want_idx) = label_eigenvalues(ev, s), loop_label(ev, s)
         assert np.array_equal(coords, want_coords)
         assert np.array_equal(idx, want_idx)
 
 
-def label_outcome(label, ev, d):
-    """``label(ev, d)``'s coordinates and positions as bytes, or its
+def label_outcome(label, ev, s):
+    """``label(ev, s)``'s coordinates and positions as bytes, or its
     DiscViolation message."""
     try:
-        coords, idx = label(ev, d)
+        coords, idx = label(ev, s)
     except DiscViolation as exc:
         return str(exc)
     return coords.dtype, coords.tobytes(), idx.dtype, idx.tobytes()
@@ -495,11 +491,10 @@ def distance_matrices(monkeypatch):
 def test_label_matches_loop_in_eig_all_order(distance_matrices):
     paths = {0: 0, 1: 0}
     for rng, s in seeded_spectra(61, 300, 160):
-        d = disc_radius(s)
-        ev = perturbed_eigenvalues(rng, s, d)
+        ev = perturbed_eigenvalues(rng, s)
         ev = ev[spectrum_order(ev)]  # as eig_all returns them
         distance_matrices[0] = 0
-        assert label_outcome(label_eigenvalues, ev, d) == label_outcome(loop_label, ev, d)
+        assert label_outcome(label_eigenvalues, ev, s) == label_outcome(loop_label, ev, s)
         paths[distance_matrices[0]] += 1
     # both the rank pairing and the fallback were taken
     assert paths[0] > 0 and paths[1] > 0
@@ -532,10 +527,10 @@ def test_label_where_rank_order_breaks(distance_matrices):
     for s, ev, fallback, message in cases:
         ev = np.array(ev, dtype=complex)
         ev = ev[spectrum_order(ev)]
-        d = s.discs
+        assert s.radius > 0.0  # its pairwise distances are taken before counting
         distance_matrices[0] = 0
-        got = label_outcome(label_eigenvalues, ev, d)
-        assert got == label_outcome(loop_label, ev, d)
+        got = label_outcome(label_eigenvalues, ev, s)
+        assert got == label_outcome(loop_label, ev, s)
         assert distance_matrices[0] == fallback
         if message is None:
             assert not isinstance(got, str)
@@ -545,35 +540,38 @@ def test_label_where_rank_order_breaks(distance_matrices):
 
 def test_label_failure_messages_match_loop():
     s = Spectrum(pairs=((1.0, 2.0), (-3.0, 1.0)), reals=(3.0, 5.0))
-    d = disc_radius(s)
     base = [1 + 2j, 1 - 2j, -3 + 1j, -3 - 1j, 3 + 0j, 5 + 0j]
     cases = {
-        "no disc": (base[:5] + [30 + 0j], d),
-        "non-real": (base[:4] + [3 + 0.01j, 5 + 0j], d),
-        "crowded": (base[:4] + [3 + 0j, 3.01 + 0j], d),
-        # unreachable through validated discs: two overlapping real discs,
-        # and a plus center below the real axis
-        "equidistant": ([0.5 + 0j, 2 + 0j], unchecked_discs(1.0, (), (0.0, 1.0))),
-        "plus below axis": ([-1j, 1j], unchecked_discs(0.5, (-1j,), ())),
+        "no disc": (base[:5] + [30 + 0j], s),
+        "non-real": (base[:4] + [3 + 0.01j, 5 + 0j], s),
+        "crowded": (base[:4] + [3 + 0j, 3.01 + 0j], s),
+        # unreachable with the spectrum's own radius: two overlapping real discs
+        "equidistant": ([0.5 + 0j, 2 + 0j], widened(Spectrum(pairs=(), reals=(0.0, 1.0)), 1.0)),
     }
     messages = {}
-    for kind, (ev, discs) in cases.items():
-        messages[kind] = raised(loop_label, ev, discs)
-        assert raised(label_eigenvalues, ev, discs) == messages[kind]
+    for kind, (ev, spectrum) in cases.items():
+        messages[kind] = raised(loop_label, ev, spectrum)
+        assert raised(label_eigenvalues, ev, spectrum) == messages[kind]
     assert "lies in no disc" in messages["no disc"]
     assert "non-real eigenvalue" in messages["non-real"]
     assert "holds 2 eigenvalues" in messages["crowded"]
     assert "equidistant" in messages["equidistant"]
-    assert "nonpositive imaginary part" in messages["plus below axis"]
+    # Discs that reach across the real axis pair the i-th eigenvalue with
+    # the i-th center in (real, imag) order, -1j then +1j: the plus disc
+    # gets -0.25j.  The nearest-center loop never assigns an eigenvalue
+    # below the axis to a plus disc, so the kernel alone reaches this check.
+    straddling = widened(Spectrum(pairs=((0.0, 1.0),), reals=()), 2.0)
+    assert raised(label_eigenvalues, [-0.5j, -0.25j], straddling) == (
+        "plus-disc eigenvalue has nonpositive imaginary part"
+    )
 
 
 def test_label_reports_first_offending_eigenvalue():
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0, 5.0))
-    d = disc_radius(s)
     # the second entry is off-axis, the fourth lies in no disc
     ev = [1 + 2j, 3 + 0.01j, 1 - 2j, 40 + 0j]
-    assert raised(label_eigenvalues, ev, d) == raised(loop_label, ev, d)
-    assert "non-real" in raised(label_eigenvalues, ev, d)
+    assert raised(label_eigenvalues, ev, s) == raised(loop_label, ev, s)
+    assert "non-real" in raised(label_eigenvalues, ev, s)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +580,7 @@ def test_label_reports_first_offending_eigenvalue():
 
 def test_spectrum_mismatch_bitwise_equal_to_loop():
     for rng, s in seeded_spectra(47, 80, 80):
-        d = disc_radius(s)
-        ev = perturbed_eigenvalues(rng, s, d)
+        ev = perturbed_eigenvalues(rng, s)
         # far-off values and duplicates exercise the greedy order
         if s.n >= 3:
             ev[rng.integers(s.n)] = ev[rng.integers(s.n)]
@@ -701,8 +698,7 @@ def test_jacobian_from_table_bitwise_equal_on_solver_iterates():
     s = random_spectrum(rng, 40, 80, box=80.0)
     g = random_graph(rng, 160, 40, 4 / 160)
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    d = disc_radius(s)
-    mtx = assemble(p, np.concatenate([s.target_coordinates(), *default_targets(p, d)]))
+    mtx = assemble(p, np.concatenate([s.target_coordinates(), *default_targets(p, s)]))
     ev, vecs = eig_all(mtx, vectors=True)
-    triples = eigen_triple(mtx, ev, vecs, label_eigenvalues(ev, d)[1])
+    triples = eigen_triple(mtx, ev, vecs, label_eigenvalues(ev, s)[1])
     assert same_bits(jacobian_xyz(p, triples), sliced_jacobian(p, triples))

@@ -1,26 +1,70 @@
-"""Guard for the names the benchmark's traced run looks up in giep.
+"""Guard for what the benchmark uses of giep.
 
 The traced run (``bench/tracing.py``) wraps giep module attributes by name
-and passes an observer through ``giep.cli.SolverConfig``.  A rename in
-``src/`` would otherwise surface only in the slower benchmark suite.
+and passes an observer through ``giep.cli.SolverConfig``, and the gated
+workloads (``bench/workloads.py``) drive the library and the CLI.  A
+change in ``src/`` that breaks either would otherwise surface only in the
+slower benchmark suite.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from giep import errors
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench_module(name: str):
+    """``bench/<name>.py`` imported as ``giep_bench_<name>``; the benchmark's
+    own modules import each other from that directory."""
+    spec = importlib.util.spec_from_file_location(f"giep_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("giep_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_bench_module("workloads")
+
+
+class UntimedClock:
+    """Stands in for the benchmark's ``clock.Clock``: takes no speed probes."""
+
+    @contextlib.contextmanager
+    def timing(self, samples):
+        yield
+
+
+@pytest.mark.parametrize("name", ["small_cli", "large_sparse"])
+def test_gated_workload_passes_its_gates(workloads, name, tmp_path):
+    """One untimed pass of a gated workload: ``run_pass`` raises
+    BenchmarkError unless every success verifies and every failure is a
+    typed NumericalError (exit code 3 through the CLI)."""
+    wl = workloads.WORKLOADS[name](1, tmp_path, UntimedClock())
+    wl.setup()
+    wl.warm_up()
+    outcomes = [outcome for _, outcome in wl.run_pass().outcomes]
+    assert outcomes
+    assert all(
+        o in ("ok", "numerical") or issubclass(getattr(errors, o), errors.NumericalError)
+        for o in outcomes
+    )
 
 
 def test_every_wrapped_attribute_resolves(tracing):

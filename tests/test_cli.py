@@ -16,6 +16,7 @@ from giep import (
     verify,
 )
 from giep.cli import main
+from conftest import bidirected_pairs
 
 SPECTRUM_3 = '{"pairs": [[1.0, 2.0]], "reals": [3.0]}\n'
 PATH_3 = "3 2 undirected\n1 2\n2 3\n"
@@ -205,7 +206,7 @@ def test_random_instance_zero_prob_is_planted_matching_only(tmp_path):
          "--rng-seed", "5", "--out-prefix", str(tmp_path / "r")]
     ) == 0
     g = parse_graph((tmp_path / "r.graph").read_text())
-    assert len(g.bidirected_pairs()) == 1
+    assert len(bidirected_pairs(g)) == 1
     s = parse_spectrum((tmp_path / "r.spectrum").read_text())
     assert (s.k, s.l) == (1, 2)
 

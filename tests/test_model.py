@@ -13,7 +13,6 @@ from giep import (
     Pattern,
     Spectrum,
     build_seed,
-    disc_radius,
     eig_all,
     format_matrix_csv,
     format_matrix_market,
@@ -84,20 +83,17 @@ def test_build_seed_round_trip_random():
 
 def test_disc_radius_pair_and_real():
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
-    d = disc_radius(s)
     # pairwise distances are {4, sqrt(8), sqrt(8)}; mu_min/2 = 1 does not bind
-    assert d.radius == pytest.approx(math.sqrt(8) / 3, abs=1e-15)
+    assert s.radius == pytest.approx(math.sqrt(8) / 3, abs=1e-15)
 
 
 def test_disc_radius_reals_only():
-    d = disc_radius(Spectrum(pairs=(), reals=(0.0, 1.0)))
-    assert d.radius == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert Spectrum(pairs=(), reals=(0.0, 1.0)).radius == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_disc_radius_mu_bound_binds():
-    d = disc_radius(Spectrum(pairs=((0.0, 0.1),), reals=()))
     # gap/3 = 0.2/3; mu_min/2 = 0.05 is smaller
-    assert d.radius == pytest.approx(0.05, abs=1e-15)
+    assert Spectrum(pairs=((0.0, 0.1),), reals=()).radius == pytest.approx(0.05, abs=1e-15)
 
 
 def test_disc_system_disjointness_property():
@@ -107,11 +103,11 @@ def test_disc_system_disjointness_property():
         l = int(rng.integers(0, 4))
         if 2 * k + l < 1:
             continue
-        d = disc_radius(random_spectrum(rng, k, l))
-        centers = d.all_centers()
+        s = random_spectrum(rng, k, l)
+        centers = s.values()
         for i in range(len(centers)):
             for j in range(i + 1, len(centers)):
-                assert abs(centers[i] - centers[j]) > 2 * d.radius
+                assert abs(centers[i] - centers[j]) > 2 * s.radius
 
 
 def test_assemble_example():
@@ -198,27 +194,25 @@ def test_pattern_validation():
 
 def test_label_exact_and_perturbed():
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
-    d = disc_radius(s)
-    coords, idx = label_eigenvalues([1.1 + 1.9j, 1.1 - 1.9j, 2.9 + 0j], d)
+    coords, idx = label_eigenvalues([1.1 + 1.9j, 1.1 - 1.9j, 2.9 + 0j], s)
     assert np.allclose(coords, [1.1, 1.9, 2.9])  # lam, mu, gamma
     assert idx.tolist() == [0, 2]  # the plus-disc and real eigenvalues
-    exact, idx = label_eigenvalues(s.values(), d)
+    exact, idx = label_eigenvalues(s.values(), s)
     assert np.array_equal(exact, s.target_coordinates())
     assert idx.tolist() == [0, 2]
 
 
 def test_label_disc_violations():
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
-    d = disc_radius(s)
     # a real target drifted into the complex plane: not in the real interval
     with pytest.raises(DiscViolation):
-        label_eigenvalues([1 + 2j, 1 - 2j, 3 + 0.95j], d)
+        label_eigenvalues([1 + 2j, 1 - 2j, 3 + 0.95j], s)
     # eigenvalue far from every disc
     with pytest.raises(DiscViolation):
-        label_eigenvalues([1 + 2j, 1 - 2j, 30.0 + 0j], d)
+        label_eigenvalues([1 + 2j, 1 - 2j, 30.0 + 0j], s)
     # two eigenvalues in one disc
     with pytest.raises(DiscViolation):
-        label_eigenvalues([1 + 2j, 1 - 2j, 1.01 + 2.01j], d)
+        label_eigenvalues([1 + 2j, 1 - 2j, 1.01 + 2.01j], s)
 
 
 def test_label_round_trip_through_seed():
@@ -229,7 +223,7 @@ def test_label_round_trip_through_seed():
         if 2 * k + l < 1:
             continue
         s = random_spectrum(rng, k, l)
-        coords, _ = label_eigenvalues(eig_all(build_seed(s)), disc_radius(s))
+        coords, _ = label_eigenvalues(eig_all(build_seed(s)), s)
         assert np.allclose(coords, s.target_coordinates(), atol=1e-12 * (1 + s.inf_norm()))
 
 

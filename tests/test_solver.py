@@ -13,7 +13,6 @@ from giep import (
     build_seed,
     continuation_solve,
     default_targets,
-    disc_radius,
     eig_all,
     max_matching,
     plan_relabeling,
@@ -46,23 +45,22 @@ P3 = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
 TOL3 = TOL_NEWTON_FACTOR * (1 + S3.inf_norm())
 
 
-def evaluate_f(p, theta, d):
+def evaluate_f(p, theta, s):
     """Labeled eigenvalue coordinates of the matrix assembled at ``theta``."""
-    return label_eigenvalues(eig_all(assemble(p, theta)), d)[0]
+    return label_eigenvalues(eig_all(assemble(p, theta)), s)[0]
 
 
-def tracked_pairs(mtx, d):
+def tracked_pairs(mtx, s):
     """Eigenpairs of ``mtx`` at its labeled eigenvalues, plus-discs then reals."""
     ev, vecs = eig_all(mtx, vectors=True)
-    _, idx = label_eigenvalues(ev, d)
+    _, idx = label_eigenvalues(ev, s)
     return eigen_triple(mtx, ev, vecs, idx)
 
 
 def seed_triples(s):
     """Eigenpairs of the seed, ordered plus-discs then reals."""
     mtx = build_seed(s)
-    d = disc_radius(s)
-    return mtx, d, tracked_pairs(mtx, d)
+    return mtx, tracked_pairs(mtx, s)
 
 
 def seed_point(s, m=0):
@@ -85,7 +83,7 @@ def xyz_directions(p, theta):
 
 
 def test_eigen_derivative_block_directions():
-    mtx, _, triples = seed_triples(S3)
+    mtx, triples = seed_triples(S3)
     bx, by, bz = xyz_directions(P3, seed_point(S3, m=1))
     zx = eigen_derivative(triples, bx)[0]  # the pair's eigenpair
     zy = eigen_derivative(triples, by)[0]
@@ -96,7 +94,7 @@ def test_eigen_derivative_block_directions():
 
 
 def test_eigen_derivative_real_row_is_real():
-    _, _, triples = seed_triples(S3)
+    _, triples = seed_triples(S3)
     z = eigen_derivative(triples, xyz_directions(P3, seed_point(S3, m=1))[2])[1]
     assert z.imag == 0.0
     assert abs(z - 1.0) < 1e-12
@@ -108,7 +106,7 @@ def test_jacobian_identity_at_seed():
         Spectrum(pairs=(), reals=(4.0, 9.0)),
         Spectrum(pairs=((0.0, 1.0), (2.0, 0.5)), reals=(-3.0, 5.5, 7.0)),
     ):
-        mtx, _, triples = seed_triples(s)
+        mtx, triples = seed_triples(s)
         p = Pattern(n=s.n, k=s.k)
         jac = jacobian_xyz(p, triples)
         assert np.abs(jac - np.eye(2 * s.k + s.l)).max() <= 1e-9
@@ -117,17 +115,16 @@ def test_jacobian_identity_at_seed():
 def test_jacobian_matches_finite_differences_off_seed():
     rng = np.random.default_rng(3)
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0, -1.0))
-    d = disc_radius(s)
     p = Pattern(n=4, k=1, slots=((1, 3), (2, 4)), bidirected=(True, True))
     theta = with_fill(p, seed_point(s, m=2), np.array([0.03, -0.02]), np.array([0.01, 0.025]))
     mtx = assemble(p, theta)
-    jac = jacobian_xyz(p, tracked_pairs(mtx, d))
+    jac = jacobian_xyz(p, tracked_pairs(mtx, s))
     h = 1e-6
     dim = 2 * s.k + s.l
     fd = np.empty((dim, dim))
     for c, b in enumerate(xyz_directions(p, theta)):
-        up = label_eigenvalues(eig_all(mtx + h * b), d)[0]
-        dn = label_eigenvalues(eig_all(mtx - h * b), d)[0]
+        up = label_eigenvalues(eig_all(mtx + h * b), s)[0]
+        dn = label_eigenvalues(eig_all(mtx - h * b), s)[0]
         fd[:, c] = (up - dn) / (2 * h)
     assert np.abs(jac - fd).max() <= 1e-5
 
@@ -141,11 +138,10 @@ def test_jacobian_gather_matches_dense_derivatives(k):
     s = random_spectrum(rng, k, n - 2 * k, box=n / 2)
     g = random_graph(rng, n, k, 4 / n)
     _, p = plan_relabeling(g, max_matching(g), k)
-    d = disc_radius(s)
     assert p.m > 0
-    theta = with_fill(p, seed_point(s, m=p.m), *default_targets(p, d))
+    theta = with_fill(p, seed_point(s, m=p.m), *default_targets(p, s))
     mtx = assemble(p, theta)
-    triples = tracked_pairs(mtx, d)
+    triples = tracked_pairs(mtx, s)
     jac = jacobian_xyz(p, triples)
     dense = np.empty_like(jac)
     for c, b in enumerate(xyz_directions(p, theta)):
@@ -158,20 +154,18 @@ def test_jacobian_gather_matches_dense_derivatives(k):
 
 
 def test_evaluate_f_exact_at_targets():
-    d = disc_radius(S3)
     theta = seed_point(S3, m=1)
-    assert np.allclose(evaluate_f(P3, theta, d), [1.0, 2.0, 3.0], atol=1e-13)
+    assert np.allclose(evaluate_f(P3, theta, S3), [1.0, 2.0, 3.0], atol=1e-13)
 
 
 def test_evaluate_f_single_real():
     s = Spectrum(pairs=(), reals=(7.0,))
-    assert np.array_equal(evaluate_f(Pattern(n=1, k=0), seed_point(s), disc_radius(s)), [7.0])
+    assert np.array_equal(evaluate_f(Pattern(n=1, k=0), seed_point(s), s), [7.0])
 
 
 def test_evaluate_f_small_fill_second_order_shift():
-    d = disc_radius(S3)
     theta = with_fill(P3, seed_point(S3, m=1), np.array([0.01]), np.array([0.01]))
-    dev = np.abs(evaluate_f(P3, theta, d) - [1.0, 2.0, 3.0]).max()
+    dev = np.abs(evaluate_f(P3, theta, S3) - [1.0, 2.0, 3.0]).max()
     assert 1e-7 < dev < 1e-2  # fills enter the eigenvalues at second order
 
 
@@ -190,7 +184,7 @@ def test_second_order_shift_matches_dense_oracle(k, l, slots, bidirected, mode):
     rng = np.random.default_rng(2 * k + l + len(slots))
     s = random_spectrum(rng, k, l)
     p = Pattern(n=s.n, k=k, slots=slots, bidirected=bidirected)
-    u = rng.uniform(-1.0, 1.0, p.m) * s.discs.radius
+    u = rng.uniform(-1.0, 1.0, p.m) * s.radius
     omega = np.where(bidirected, -u if mode == "skew" else rng.uniform(-1.0, 1.0, p.m), 0.0)
     fills = np.concatenate([u, omega])
     closed, dense = second_order_shift(p, s, fills), second_order_shift_dense(p, s, fills)
@@ -222,13 +216,13 @@ def test_second_order_start_is_third_order_accurate():
     s = random_spectrum(rng, 3, 4)
     g = random_graph(rng, 10, 3, 0.4)
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    fills = np.concatenate(default_targets(p, s.discs, "generic", SolverConfig(fill_scale=1.0)))
+    fills = np.concatenate(default_targets(p, s, "generic", SolverConfig(fill_scale=1.0)))
     target = s.target_coordinates()
     shift = second_order_shift(p, s, fills)
 
     def start_residual(t, predict):
         xyz = target - t * t * shift if predict else target
-        return np.abs(target - evaluate_f(p, np.concatenate([xyz, t * fills]), s.discs)).max()
+        return np.abs(target - evaluate_f(p, np.concatenate([xyz, t * fills]), s)).max()
 
     for t in (1.0, 0.5):
         assert start_residual(t, True) >= 6.0 * start_residual(t / 2, True)
@@ -236,22 +230,20 @@ def test_second_order_start_is_third_order_accurate():
 
 
 def test_newton_zero_iterations_when_exact():
-    d = disc_radius(S3)
     theta = seed_point(S3, m=1)
-    out, _, _, _, jac = newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
+    out, _, _, _, jac = newton_correct(P3, S3, theta, S3.target_coordinates(), TOL3)
     assert out is theta  # unchanged object: converged before the first update
     assert jac is None  # and the chord is still the identity
 
 
 def test_newton_recovers_small_fill():
-    d = disc_radius(S3)
     theta = with_fill(P3, seed_point(S3, m=1), np.array([0.05]), np.array([0.05]))
     before = theta.copy()
     target = S3.target_coordinates()
-    out, iters, residual, _, _ = newton_correct(P3, d, theta, target, TOL3)
+    out, iters, residual, _, _ = newton_correct(P3, S3, theta, target, TOL3)
     assert iters <= 5
     assert np.abs(residual).max() <= 1e-10
-    assert np.array_equal(residual, target - evaluate_f(P3, out, d))  # the returned iterate's
+    assert np.array_equal(residual, target - evaluate_f(P3, out, S3))  # the returned iterate's
     assert np.array_equal(out[P3.n :], theta[P3.n :])  # u and omega untouched
     assert np.array_equal(theta, before)  # the input point is not modified
     assert spectrum_mismatch(eig_all(assemble(P3, out)), S3) <= 1e-10
@@ -260,21 +252,19 @@ def test_newton_recovers_small_fill():
 def test_newton_refresh_is_full_newton():
     """With ``refresh`` every iterate forms its Jacobian from its one
     decomposition: the same bits as the every-iterate Newton oracle."""
-    d = disc_radius(S3)
     theta = with_fill(P3, seed_point(S3, m=1), np.array([0.3]), np.array([0.3]))
     target = S3.target_coordinates()
-    out, iters, residual, ev, jac = newton_correct(P3, d, theta, target, TOL3, refresh=True)
-    oracle, oracle_iters, oracle_residual, oracle_ev = newton_every_iterate(P3, d, theta, target, TOL3)
+    out, iters, residual, ev, jac = newton_correct(P3, S3, theta, target, TOL3, refresh=True)
+    oracle, oracle_iters, oracle_residual, oracle_ev = newton_every_iterate(P3, S3, theta, target, TOL3)
     assert iters == oracle_iters >= 2 and np.array_equal(residual, oracle_residual)
     assert np.array_equal(out, oracle) and np.array_equal(ev, oracle_ev)
     assert jac is not None
 
 
 def test_newton_disc_violation_far_from_discs():
-    d = disc_radius(S3)
     theta = np.array([40.0, 2.0, 3.0, 0.0, 0.0])  # x, y, z, u, omega
     with pytest.raises(DiscViolation):
-        newton_correct(P3, d, theta, S3.target_coordinates(), TOL3)
+        newton_correct(P3, S3, theta, S3.target_coordinates(), TOL3)
 
 
 def test_continuation_no_slots_returns_seed():
@@ -334,7 +324,7 @@ def test_observer_sees_the_exact_seed_spectrum(monkeypatch):
     t, eigs = seen[0]
     assert t == 0.0 and seen[1][0] == "trial"
     assert eigs.size == s.n and np.array_equal(eigs, np.sort_complex(s.values()))
-    coords, _ = label_eigenvalues(eigs, s.discs)  # inside every disc
+    coords, _ = label_eigenvalues(eigs, s)  # inside every disc
     assert np.array_equal(coords, s.target_coordinates())
     assert rep.history[0].residual == 0.0
 
@@ -374,7 +364,7 @@ def test_continuation_path3():
 def test_continuation_symmetric_mode_exact_symmetry():
     s = Spectrum(pairs=(), reals=(1.0, 2.0, 3.0))
     p = Pattern(n=3, k=0, slots=((1, 2), (2, 3)), bidirected=(True, True))
-    u, omega = default_targets(p, disc_radius(s), "symmetric")
+    u, omega = default_targets(p, s, "symmetric")
 
     def assert_symmetric(state, eigs):
         m = assemble(p, state.theta)
@@ -389,7 +379,7 @@ def test_continuation_symmetric_mode_exact_symmetry():
 def test_continuation_skew_mode_exact_antisymmetry():
     s = Spectrum(pairs=((0.0, 1.0),), reals=(0.0,))
     p = Pattern(n=3, k=1, slots=((1, 3), (2, 3)), bidirected=(True, True))
-    u, omega = default_targets(p, disc_radius(s), "skew")
+    u, omega = default_targets(p, s, "skew")
 
     def assert_skew_offdiag(state, eigs):
         m = assemble(p, state.theta)
@@ -411,15 +401,14 @@ def test_continuation_mode_validation():
         continuation_solve(s, p, (np.array([0.1]), np.array([0.1])), mode="skew")
     p_dir = Pattern(n=2, k=0, slots=((2, 1),), bidirected=(False,))
     with pytest.raises(ValueError):
-        default_targets(p_dir, disc_radius(s), "symmetric")
+        default_targets(p_dir, s, "symmetric")
     with pytest.raises(ValueError):
         continuation_solve(s, p, (np.array([0.0]), np.array([0.1])))  # zero u*
-    d = disc_radius(s)
     with pytest.raises(ValueError, match="unknown mode"):  # checked before the scale
-        default_targets(p, d, "bogus", SolverConfig(fill_scale=-1.0))
+        default_targets(p, s, "bogus", SolverConfig(fill_scale=-1.0))
     for mode in ("generic", "symmetric", "skew"):
         with pytest.raises(ValueError, match="fill_scale must be positive"):
-            default_targets(p, d, mode, SolverConfig(fill_scale=float("nan")))
+            default_targets(p, s, mode, SolverConfig(fill_scale=float("nan")))
 
 
 @pytest.mark.parametrize("u, omega", [(np.nan, 0.1), (0.1, np.inf)], ids=["nan-u", "inf-omega"])
@@ -431,7 +420,7 @@ def test_continuation_rejects_nonfinite_fill_targets(u, omega):
 def test_continuation_step_underflow_for_huge_fill():
     # fills two hundred radii wide leave the provable neighborhood at tiny t
     cfg = SolverConfig(fill_scale=200.0, step_min=1e-3)
-    u, omega = default_targets(P3, disc_radius(S3), "generic", cfg)
+    u, omega = default_targets(P3, S3, "generic", cfg)
     with pytest.raises(StepUnderflow) as info:
         continuation_solve(S3, P3, (u, omega), cfg=cfg)
     assert 0.0 <= info.value.t_reached < 1.0
@@ -457,7 +446,7 @@ def test_default_fill_takes_one_whole_interval_step():
     s = random_spectrum(rng, 10, 20, box=20.0)
     g = random_graph(rng, 40, 10, 0.1)
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    u, omega = default_targets(p, disc_radius(s))
+    u, omega = default_targets(p, s)
     rep = continuation_solve(s, p, (u, omega))
     assert rep.steps == 1
     assert [rec.t for rec in rep.history] == [0.0, 1.0]
@@ -478,9 +467,9 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     trial_u = []
     real_correct = solver.newton_correct
 
-    def record(p, d, theta, *args):
+    def record(p, s, theta, *args):
         trial_u.append(theta[p.n : p.n + p.m])
-        return real_correct(p, d, theta, *args)
+        return real_correct(p, s, theta, *args)
 
     monkeypatch.setattr(solver, "newton_correct", record)
     # fill three radii wide: the whole-interval trial is rejected on this seed
@@ -489,7 +478,7 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     g = random_graph(rng, 10, 3, 0.3)
     _, p = plan_relabeling(g, max_matching(g), s.k)
     cfg = SolverConfig(fill_scale=3.0)
-    u, omega = default_targets(p, disc_radius(s), "generic", cfg)
+    u, omega = default_targets(p, s, "generic", cfg)
     rep = continuation_solve(s, p, (u, omega), cfg=cfg)
 
     ts = [rec.t for rec in rep.history]
@@ -509,10 +498,10 @@ def test_trials_from_the_seed_start_on_the_second_order_curve(monkeypatch):
     trials = []
     real_correct = solver.newton_correct
 
-    def record(p, d, theta, *args):
+    def record(p, s, theta, *args):
         out = None
         try:
-            out = real_correct(p, d, theta, *args)
+            out = real_correct(p, s, theta, *args)
             return out
         finally:
             trials.append((theta, out))
@@ -524,7 +513,7 @@ def test_trials_from_the_seed_start_on_the_second_order_curve(monkeypatch):
     g = random_graph(rng, 10, 3, 0.3)
     _, p = plan_relabeling(g, max_matching(g), s.k)
     cfg = SolverConfig(fill_scale=3.0)
-    u, omega = default_targets(p, s.discs, "generic", cfg)
+    u, omega = default_targets(p, s, "generic", cfg)
     continuation_solve(s, p, (u, omega), cfg=cfg)
 
     shift = second_order_shift(p, s, np.concatenate([u, omega]))
@@ -558,8 +547,8 @@ def test_trials_after_a_rejection_run_full_newton_past_a_fold(monkeypatch):
 
     real_correct = solver.newton_correct
 
-    def chord_only(p, d, theta, target, tol, jac, refresh):
-        return real_correct(p, d, theta, target, tol, jac)
+    def chord_only(p, s, theta, target, tol, jac, refresh):
+        return real_correct(p, s, theta, target, tol, jac)
 
     monkeypatch.setattr(solver, "newton_correct", chord_only)
     with pytest.raises(StepUnderflow):
@@ -578,9 +567,9 @@ def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
     real_correct = solver.newton_correct
     real_triple = solver.eigen_triple
 
-    def record(p, d, theta, *args):
+    def record(p, s, theta, *args):
         trials.append(theta[p.n])  # t * u*, with u* = 1
-        return real_correct(p, d, theta, *args)
+        return real_correct(p, s, theta, *args)
 
     def fail_first(mtx, ev, vecs, idx):
         calls.append(trials[-1])
@@ -619,7 +608,7 @@ def test_conditioning_checked_once_per_jacobian(monkeypatch):
     g = random_graph(rng, 10, 3, 0.3)
     _, p = plan_relabeling(g, max_matching(g), s.k)
     cfg = SolverConfig(fill_scale=2.0)
-    continuation_solve(s, p, default_targets(p, s.discs, "generic", cfg), cfg=cfg)
+    continuation_solve(s, p, default_targets(p, s, "generic", cfg), cfg=cfg)
     assert counts["svd"] == counts["jacobian"] >= 2
     assert counts["solve"] > counts["jacobian"]
 
@@ -675,7 +664,7 @@ def test_continuation_random_spectra_jacobian_scale():
         n = s.n
         slots = tuple((i, i + 1) for i in range(1, n) if not (i % 2 == 1 and i < 2 * k))
         p = Pattern(n=n, k=k, slots=slots, bidirected=(True,) * len(slots))
-        u, omega = default_targets(p, disc_radius(s), "generic")
+        u, omega = default_targets(p, s, "generic")
         rep = continuation_solve(s, p, (u, omega))
         assert rep.final_residual <= 1e-8 * (1 + s.inf_norm())
 
@@ -689,12 +678,10 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
 
     Around those two calls the matching, the relabeling and the disc
     labeling are linear-time array work: no eigenvalue-by-center distance
-    matrix and no rebuilt list of bidirected pairs.  The disc system is
-    built before counting starts; its radius and disjointness check take
+    matrix.  The disc radius is computed before counting starts; it takes
     every pairwise distance, once per spectrum."""
     import giep.model as model
     import giep.solver as solver
-    from giep import Graph
 
     counts = {}
     phase = ["driver"]
@@ -725,11 +712,10 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
     rng = np.random.default_rng(160)
     s = random_spectrum(rng, 40, 80, box=80.0)
     g = random_graph(rng, 160, 40, 4 / 160)
-    d = s.discs
+    assert s.radius > 0.0
     monkeypatch.setattr(model, "_distances", counting("distances", model._distances))
-    monkeypatch.setattr(Graph, "bidirected_pairs", counting("pairs", Graph.bidirected_pairs))
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    rep = continuation_solve(s, p, default_targets(p, d))
+    rep = continuation_solve(s, p, default_targets(p, s))
 
     assert counts[("driver", "trial")] == rep.steps == 1
     assert counts[("newton", "iterate")] == rep.steps + rep.newton_iterations_total
@@ -738,7 +724,7 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
     assert ("driver", "eigvals") not in counts
     vectors = ("eig", "eigen_triple", "jacobian_xyz", "solve_linear")
     assert not [key for key in counts if key[1] in vectors]
-    assert not [key for key in counts if key[1] in ("distances", "pairs")]
+    assert not [key for key in counts if key[1] == "distances"]
 
 
 def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
@@ -760,10 +746,10 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         )
     }
 
-    def correct(p, d, theta, target, *args):
+    def correct(p, s, theta, target, *args):
         events.append(("trial", target))
         try:
-            return real["newton_correct"](p, d, theta, target, *args)
+            return real["newton_correct"](p, s, theta, target, *args)
         except Exception:
             events.append(("rejected", None))
             raise
@@ -772,8 +758,8 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         events.append(("eig" if vectors else "eigvals", mtx))
         return real["eig_all"](mtx, vectors)
 
-    def label(ev, d):
-        out = real["label_eigenvalues"](ev, d)
+    def label(ev, s):
+        out = real["label_eigenvalues"](ev, s)
         events.append(("coords", out[0]))
         return out
 
@@ -807,7 +793,7 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         _, p = plan_relabeling(g, max_matching(g), s.k)
         cfg = SolverConfig(fill_scale=fill_scale)
         try:
-            continuation_solve(s, p, default_targets(p, s.discs, "generic", cfg), cfg=cfg)
+            continuation_solve(s, p, default_targets(p, s, "generic", cfg), cfg=cfg)
         except StepUnderflow:
             pass
         tol = TOL_NEWTON_FACTOR * (1 + s.inf_norm())
@@ -884,12 +870,12 @@ def test_chord_solve_matches_every_iterate_newton(monkeypatch, mode, n):
     s = random_spectrum(rng, n // 4, n // 2, box=n / 2)
     g = random_graph(rng, n, n // 4, 4 / n)
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    u, omega = default_targets(p, s.discs, mode)
+    u, omega = default_targets(p, s, mode)
     targets = (u, omega) if mode == "symmetric" else (u, -0.5 * omega)
     chord = continuation_solve(s, p, targets, mode).matrix
 
-    def full_newton(p, d, theta, target, tol, jac, refresh):
-        return (*newton_every_iterate(p, d, theta, target, tol), jac)
+    def full_newton(p, s, theta, target, tol, jac, refresh):
+        return (*newton_every_iterate(p, s, theta, target, tol), jac)
 
     monkeypatch.setattr(solver, "newton_correct", full_newton)
     oracle = continuation_solve(s, p, targets, mode).matrix
