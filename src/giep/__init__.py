@@ -7,102 +7,36 @@ nonzero pattern is exactly the graph.  It starts from a block-diagonal
 seed realizing the spectrum, ramps the prescribed fill entries from zero
 to small targets, and Newton-corrects the block parameters after every
 ramp step so the eigenvalues never move.
+
+The package root exports what users call.  The pipeline stages and the
+remaining error classes stay importable from their modules:
+:mod:`giep.model`, :mod:`giep.graph`, :mod:`giep.solver`,
+:mod:`giep.linalg` and :mod:`giep.errors`.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BadFormat,
-    DegenerateSpectrum,
-    DimensionMismatch,
-    DiscViolation,
-    GiepError,
-    IllConditioned,
-    InfeasibleError,
-    InputError,
-    MatchingTooSmall,
-    NoConvergence,
-    NumericalError,
-    RepeatedEigenvalues,
-    SingularSystem,
-    StepUnderflow,
-)
-from .linalg import eig_all
-from .graph import (
-    Graph,
-    Matching,
-    Relabeling,
-    format_graph,
-    make_graph,
-    max_matching,
-    parse_graph,
-    plan_relabeling,
-)
-from .model import (
-    Pattern,
-    Spectrum,
-    build_seed,
-    format_matrix_csv,
-    format_matrix_market,
-    format_spectrum,
-    parse_matrix_csv,
-    parse_spectrum,
-    spectrum_mismatch,
-)
-from .solver import (
-    SolveReport,
-    SolverConfig,
-    continuation_solve,
-    default_targets,
-)
-from .apps import (
-    VerificationReport,
-    path_graph,
-    solve_instance,
-    tridiagonalize,
-    verify,
-)
+from .errors import GiepError, InfeasibleError, InputError, NumericalError, StepUnderflow
+from .graph import Graph, make_graph, parse_graph
+from .model import Spectrum, parse_spectrum
+from .solver import SolveReport, SolverConfig
+from .apps import VerificationReport, solve_instance, tridiagonalize, verify
 
 __all__ = [
-    "BadFormat",
-    "DegenerateSpectrum",
-    "DimensionMismatch",
-    "DiscViolation",
     "GiepError",
     "Graph",
-    "IllConditioned",
     "InfeasibleError",
     "InputError",
-    "Matching",
-    "MatchingTooSmall",
-    "NoConvergence",
     "NumericalError",
-    "Pattern",
-    "Relabeling",
-    "RepeatedEigenvalues",
-    "SingularSystem",
     "SolveReport",
     "SolverConfig",
     "Spectrum",
     "StepUnderflow",
     "VerificationReport",
-    "build_seed",
-    "continuation_solve",
-    "default_targets",
-    "eig_all",
-    "format_graph",
-    "format_matrix_csv",
-    "format_matrix_market",
-    "format_spectrum",
     "make_graph",
-    "max_matching",
     "parse_graph",
-    "parse_matrix_csv",
     "parse_spectrum",
-    "path_graph",
-    "plan_relabeling",
     "solve_instance",
-    "spectrum_mismatch",
     "tridiagonalize",
     "verify",
 ]

@@ -27,9 +27,9 @@ from .solver import (
     continuation_solve,
     default_targets,
     final_tolerance,
+    nonzero_floor,
 )
 
-NONZERO_FLOOR = 1e-12      # written fills are >> this; rounding noise is << it
 GAP_FACTOR = 1e-8          # distinctness gate = factor * (1 + ||m||_F)
 
 
@@ -125,17 +125,18 @@ def verify(
     m,
     s: Spectrum,
     g: Graph,
-    nonzero_floor: float = NONZERO_FLOOR,
     spectrum_tol: float | None = None,
 ) -> VerificationReport:
     """Check that ``m`` has graph ``g`` and spectrum ``s``.
 
     Pattern check: every edge position must have magnitude at least
-    ``nonzero_floor`` and every absent off-diagonal position must be
-    exactly zero (structural zeros are never written, so exact comparison
-    is the honest test).  The diagonal is unconstrained.  Spectrum check:
-    greedy nearest-neighbor matching of the computed eigenvalues against
-    the targets.  Failures are reported, never raised.
+    :func:`~giep.solver.nonzero_floor` of ``s`` and every absent
+    off-diagonal position must be exactly zero (structural zeros are never
+    written, so exact comparison is the honest test).  The diagonal is
+    unconstrained.  Spectrum check: greedy nearest-neighbor matching of the
+    computed eigenvalues against the targets, within ``spectrum_tol``
+    (default :func:`~giep.solver.final_tolerance` of ``s``).  Failures are
+    reported, never raised.
     """
     a = as_square_matrix(m)
     n = a.shape[0]
@@ -149,7 +150,8 @@ def verify(
         edge[rows, cols] = True
     stray = (a != 0.0) & ~edge
     np.fill_diagonal(stray, False)
-    bad = (edge & (np.abs(a) < nonzero_floor)) | stray
+    floor = nonzero_floor(s)
+    bad = (edge & (np.abs(a) < floor)) | stray
     failures = [
         PatternFailure(int(i) + 1, int(j) + 1, float(a[i, j]), "nonzero" if edge[i, j] else "zero")
         for i, j in np.argwhere(bad)
@@ -162,5 +164,5 @@ def verify(
         pattern_failures=tuple(failures),
         spectrum_error=err,
         spectrum_tol=tol,
-        nonzero_floor=nonzero_floor,
+        nonzero_floor=floor,
     )

@@ -99,16 +99,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _config_from_args(args) -> SolverConfig:
-    cfg = SolverConfig()
-    if getattr(args, "fill_scale", None) is not None:
-        cfg.fill_scale = args.fill_scale
-    if getattr(args, "tol", None) is not None:
-        cfg.tol_final = args.tol
-    if getattr(args, "max_steps", None) is not None:
-        cfg.max_steps = args.max_steps
-    if getattr(args, "step_min", None) is not None:
-        cfg.step_min = args.step_min
-    return cfg
+    """The solver configuration of the flags given; defaults for the rest."""
+    fields = ("fill_scale", "tol_final", "max_steps", "step_min")
+    return SolverConfig(**{f: getattr(args, f) for f in fields if getattr(args, f) is not None})
 
 
 def format_report(report: SolveReport, n: int) -> str:
@@ -208,8 +201,6 @@ def _run_batch(args) -> int:
 
 def _cmd_tridiagonalize(args) -> int:
     a = parse_matrix_csv(_read(args.matrix))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"matrix must be square, got shape {a.shape}")
     report = tridiagonalize(a, _config_from_args(args))
     _emit_solution(args, report)
     return EXIT_OK
@@ -217,8 +208,6 @@ def _cmd_tridiagonalize(args) -> int:
 
 def _cmd_verify(args) -> int:
     a = parse_matrix_csv(_read(args.matrix))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"matrix must be square, got shape {a.shape}")
     s = parse_spectrum(_read(args.spectrum))
     g = parse_graph(_read(args.graph))
     if g.n != a.shape[0] or s.n != a.shape[0]:
@@ -349,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", help="output matrix CSV")
     solve.add_argument("--mode", choices=("generic", "symmetric", "skew"), default="generic")
     solve.add_argument("--fill-scale", dest="fill_scale", type=float)
-    solve.add_argument("--tol", type=float, help="final spectrum tolerance")
+    solve.add_argument("--tol", dest="tol_final", type=float, help="final spectrum tolerance")
     solve.add_argument("--max-steps", dest="max_steps", type=int)
     solve.add_argument("--step-min", dest="step_min", type=float)
     solve.add_argument("--report", help="write a structured run report here")
@@ -362,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--matrix", required=True, help="input matrix CSV")
     tri.add_argument("--out", required=True, help="output matrix CSV")
     tri.add_argument("--fill-scale", dest="fill_scale", type=float)
-    tri.add_argument("--tol", type=float)
+    tri.add_argument("--tol", dest="tol_final", type=float)
     tri.add_argument("--max-steps", dest="max_steps", type=int)
     tri.add_argument("--step-min", dest="step_min", type=float)
     tri.add_argument("--report", help="write a structured run report here")

@@ -269,22 +269,13 @@ def max_matching(g: Graph) -> Matching:
 
 @dataclass(frozen=True)
 class Relabeling:
-    """A vertex permutation with its inverse; ``perm[old-1] = new``."""
+    """A vertex permutation; ``perm[old-1] = new``."""
 
     perm: tuple[int, ...]
-    inverse: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)) or len(self.inverse) != n:
-            raise ValueError("perm must be a bijection on 1..n with its inverse")
-        for old in range(1, n + 1):
-            if self.inverse[self.perm[old - 1] - 1] != old:
-                raise ValueError("inverse does not invert perm")
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
+        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
+            raise ValueError("perm must be a bijection on 1..n")
 
     def unapply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Inverse relabeling new -> old: out[i, j] = m[perm(i), perm(j)]."""
@@ -318,9 +309,7 @@ def plan_relabeling(g: Graph, matching: Matching, k: int) -> tuple[Relabeling, P
     perm = np.zeros(n, dtype=np.intp)
     perm[chosen.ravel() - 1] = np.arange(1, 2 * k + 1)
     perm[perm == 0] = np.arange(2 * k + 1, n + 1)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[perm - 1] = np.arange(1, n + 1)
-    relab = Relabeling(perm=tuple(perm.tolist()), inverse=tuple(inverse.tolist()))
+    relab = Relabeling(perm=tuple(perm.tolist()))
 
     i, j = perm[_edge_array(g) - 1].T
     # a chosen pair's two edges are the only ones inside a block (2b-1, 2b)

@@ -39,6 +39,8 @@ import numpy as np
 
 from .errors import BadFormat, DegenerateSpectrum, DimensionMismatch, DiscViolation
 
+SCALE_CAP = 1e6  # Spectrum.scale <= SCALE_CAP * radius
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -99,6 +101,13 @@ class Spectrum:
         """Largest modulus among the spectrum points."""
         return float(np.abs(self.values()).max())
 
+    @cached_property
+    def scale(self) -> float:
+        """The unit of every tolerance on this spectrum: the largest modulus,
+        capped at SCALE_CAP radii so that tolerances stay well inside the
+        discs, or the radius when every point is 0 (n = 1)."""
+        return min(self.inf_norm(), SCALE_CAP * self.radius) or self.radius
+
     def target_coordinates(self) -> np.ndarray:
         """The stacked coordinates (lam_1..k, mu_1..k, gamma_1..l) this spectrum prescribes.
 
@@ -126,13 +135,11 @@ class Spectrum:
             dist = _distances(points, points)
         np.fill_diagonal(dist, np.inf)
         gap = dist.min()
-        mu = points.imag[: self.k]
-        mu_min = mu.min(initial=np.inf)
+        mu_min = points.imag[: self.k].min(initial=np.inf)
         eps = min(gap / 3.0, mu_min / 2.0)
         if not (np.isfinite(eps) and eps > 0.0):
             raise ValueError("disc radius must be positive and finite")
-        if not mu_min > eps:
-            raise ValueError(f"disc at {points[mu.argmin()]} touches the real axis (radius {eps})")
+        # eps <= mu_min/2 < mu_min: no non-real disc reaches the real axis
         if not gap > 2.0 * eps:
             i, j = np.unravel_index(dist.argmin(), dist.shape)
             raise ValueError(f"discs at {points[i]} and {points[j]} are not disjoint")
@@ -263,11 +270,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(re, np.subtract.outer(a.imag, b.imag), out=re)
 
 
-def build_seed(s: Spectrum) -> np.ndarray:
-    """The block-diagonal seed matrix realizing the spectrum exactly."""
-    return assemble(Pattern(n=s.n, k=s.k), s.target_coordinates())
-
-
 def assemble(p: Pattern, theta) -> np.ndarray:
     """Materialize the matrix family at the stacked parameter vector ``theta``.
 
@@ -351,9 +353,8 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
         )
     pos = np.empty_like(idx)
     pos[idx] = np.arange(ev.size)  # the eigenvalue each disc holds, in center order
+    # inside a disc of radius <= mu/2 around lam + i*mu, the imaginary part exceeds mu/2 > 0
     plus = ev[pos[: s.k]]
-    if np.any(plus.imag <= 0.0):
-        raise DiscViolation("plus-disc eigenvalue has nonpositive imaginary part")
     tracked = np.concatenate([pos[: s.k], pos[2 * s.k :]])
     return np.concatenate([plus.real, plus.imag, ev[pos[2 * s.k :]].real]), tracked
 

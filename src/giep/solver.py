@@ -49,9 +49,11 @@ residual vector: inside disjoint discs the largest disc distance is the
 greedy multiset distance.  Only a solve without fills decomposes its
 output, the seed, for that check.  The discs are the spectrum's own: the
 corrector labels eigenvalues against ``Spectrum`` itself, and default fill
-targets are sized by :attr:`Spectrum.radius`.  :func:`final_tolerance` is
-the one definition of the default final tolerance, which ``verify``
-applies too.
+targets are sized by :attr:`Spectrum.radius`.  :func:`final_tolerance` and
+:func:`nonzero_floor` are the one definition of the default final
+tolerance and of the floor on edge entries, which ``verify`` applies too.
+They and the Newton tolerance are multiples of :attr:`Spectrum.scale`, so
+solving a spectrum scaled by a power of two scales the output exactly.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ from .model import (
 
 logger = logging.getLogger("giep.solver")
 
-TOL_NEWTON_FACTOR = 1e-11   # newton tolerance = factor * (1 + |spectrum|_inf)
+TOL_NEWTON_FACTOR = 1e-11   # newton tolerance = factor * Spectrum.scale
 TOL_FINAL_FACTOR = 1e-8     # final spectrum tolerance, same scaling
+NONZERO_FLOOR = 1e-12       # verify's floor on edge entries, same scaling
 MAX_NEWTON = 25             # newton iterations before a trial is rejected
 EASY_NEWTON_ITERS = 4       # an accept this cheap counts toward doubling the step
 CHORD_RATIO = 0.1           # a chord step shrinking the residual by less than this forms a Jacobian
@@ -96,7 +99,14 @@ CHORD_RATIO = 0.1           # a chord step shrinking the residual by less than t
 def final_tolerance(s: Spectrum) -> float:
     """The default tolerance on a matrix's spectrum distance to ``s``, the
     solver's final check and ``verify``'s alike."""
-    return TOL_FINAL_FACTOR * (1.0 + s.inf_norm())
+    return TOL_FINAL_FACTOR * s.scale
+
+
+def nonzero_floor(s: Spectrum) -> float:
+    """The smallest edge-entry magnitude ``verify`` accepts on a matrix for
+    ``s``: far above rounding noise, and never above a default fill, which
+    :func:`default_targets` ensures."""
+    return NONZERO_FLOOR * s.scale
 
 
 def jacobian_xyz(p: Pattern, eig: Eigenpairs) -> np.ndarray:
@@ -272,7 +282,7 @@ class ContinuationState:
     history: list[StepRecord] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the continuation driver (all have safe defaults).
 
@@ -293,7 +303,7 @@ class SolverConfig:
     observer: Callable[[ContinuationState, np.ndarray], None] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Result of a continuation run.
 
@@ -307,7 +317,7 @@ class SolveReport:
     steps: int
     newton_iterations_total: int
     mode: str
-    history: list[StepRecord] = field(default_factory=list)
+    history: tuple[StepRecord, ...] = ()
 
 
 def default_targets(
@@ -317,6 +327,8 @@ def default_targets(
 
     generic and symmetric set omega* = u*; skew sets omega* = -u*.  For
     one-directional slots the omega component is zero (never written).
+    Raises ValueError unless the fills reach :func:`nonzero_floor`, so that
+    ``verify`` accepts every edge entry the solver writes.
     """
     cfg = cfg or SolverConfig()
     magnitude = cfg.fill_scale * s.radius
@@ -325,8 +337,12 @@ def default_targets(
     if mode == "skew":
         omega = -omega
     _check_mode(mode, p, u, omega)
-    if not magnitude > 0.0:
-        raise ValueError("fill_scale must be positive")
+    floor = nonzero_floor(s)
+    if not magnitude >= floor:
+        raise ValueError(
+            f"fill_scale must be positive and size fills at or above the nonzero "
+            f"floor {floor:.3g}, got fills of {magnitude:.3g}"
+        )
     return u, omega
 
 
@@ -386,7 +402,7 @@ def continuation_solve(
         raise ValueError("omega* must be nonzero on bidirected slots")
     _check_mode(mode, p, u_target, omega_target)
 
-    tol_newton = TOL_NEWTON_FACTOR * (1.0 + s.inf_norm())
+    tol_newton = TOL_NEWTON_FACTOR * s.scale
     tol_final = cfg.tol_final if cfg.tol_final is not None else final_tolerance(s)
     target = s.target_coordinates()
     theta = np.concatenate([target, np.zeros(2 * p.m)])  # the seed: x, y, z = target
@@ -482,15 +498,5 @@ def continuation_solve(
         steps=accepted,
         newton_iterations_total=newton_total,
         mode=mode,
-        history=state.history,
+        history=tuple(state.history),
     )
-
-
-__all__ = [
-    "ContinuationState",
-    "SolveReport",
-    "SolverConfig",
-    "StepRecord",
-    "continuation_solve",
-    "default_targets",
-]

@@ -7,19 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from giep import (
-    Graph,
-    IllConditioned,
-    Matching,
-    MatchingTooSmall,
-    NoConvergence,
-    Pattern,
-    Relabeling,
-    Spectrum,
-    build_seed,
-    make_graph,
-)
-from giep.graph import check_matching
+from giep import Graph, Spectrum, make_graph
+from giep.errors import IllConditioned, MatchingTooSmall, NoConvergence
+from giep.graph import Matching, Relabeling, check_matching
 from giep.linalg import (
     TOL_ORTHO,
     Eigenpairs,
@@ -28,7 +18,7 @@ from giep.linalg import (
     eigen_triple,
     solve_linear,
 )
-from giep.model import assemble, label_eigenvalues
+from giep.model import Pattern, assemble, label_eigenvalues
 from giep.solver import MAX_NEWTON, jacobian_xyz
 
 
@@ -49,6 +39,11 @@ def apply_matrix(relab: Relabeling, m: np.ndarray) -> np.ndarray:
     out = np.empty_like(np.asarray(m, dtype=float))
     out[np.ix_(idx, idx)] = m
     return out
+
+
+def build_seed(s: Spectrum) -> np.ndarray:
+    """The block-diagonal seed matrix realizing the spectrum exactly."""
+    return assemble(Pattern(n=s.n, k=s.k), s.target_coordinates())
 
 
 def brute_force_matching_size(g: Graph) -> int:
@@ -273,10 +268,7 @@ def loop_plan_relabeling(g: Graph, matching: Matching, k: int) -> tuple[Relabeli
     rest = [v for v in range(1, n + 1) if perm[v - 1] == 0]
     for pos, v in enumerate(rest, start=2 * k + 1):
         perm[v - 1] = pos
-    inverse = [0] * n
-    for old, new in enumerate(perm, start=1):
-        inverse[new - 1] = old
-    relab = Relabeling(perm=tuple(perm), inverse=tuple(inverse))
+    relab = Relabeling(perm=tuple(perm))
 
     matched_edges = {(a, b) for a, b in chosen} | {(b, a) for a, b in chosen}
     new_edges = {

@@ -10,25 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from giep import (
-    Pattern,
-    RepeatedEigenvalues,
-    SolverConfig,
-    Spectrum,
-    StepUnderflow,
-    build_seed,
-    eig_all,
-    max_matching,
-    solve_instance,
-    spectrum_mismatch,
-    tridiagonalize,
-    verify,
-)
+from giep import SolverConfig, Spectrum, StepUnderflow, solve_instance, tridiagonalize, verify
 from giep.cli import random_graph, random_spectrum
-from giep.linalg import eigen_triple
-from giep.model import label_eigenvalues
+from giep.errors import RepeatedEigenvalues
+from giep.graph import max_matching
+from giep.linalg import eig_all, eigen_triple
+from giep.model import Pattern, label_eigenvalues, spectrum_mismatch
 from giep.solver import jacobian_xyz
-from conftest import brute_force_matching_size, eigen_derivative, random_undirected_graph
+from conftest import (
+    brute_force_matching_size,
+    build_seed,
+    eigen_derivative,
+    random_undirected_graph,
+)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

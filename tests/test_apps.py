@@ -7,24 +7,15 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from giep import (
-    DimensionMismatch,
-    MatchingTooSmall,
-    RepeatedEigenvalues,
-    SolverConfig,
-    Spectrum,
-    build_seed,
-    eig_all,
-    format_graph,
-    format_spectrum,
-    make_graph,
-    path_graph,
-    solve_instance,
-    spectrum_mismatch,
-    tridiagonalize,
-    verify,
-)
+from giep import SolverConfig, Spectrum, make_graph, solve_instance, tridiagonalize, verify
+from giep.apps import path_graph
 from giep.cli import EXIT_BAD_INPUT, main, random_graph, random_spectrum
+from giep.errors import DimensionMismatch, MatchingTooSmall, NumericalError, RepeatedEigenvalues
+from giep.graph import format_graph
+from giep.linalg import eig_all
+from giep.model import format_spectrum, spectrum_mismatch
+
+from conftest import build_seed
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
 
@@ -221,3 +212,102 @@ def test_solver_config_flows_through():
     rep = solve_instance(S3, g, cfg=cfg)
     d_radius = math.sqrt(8) / 3
     assert rep.matrix[1, 2] == pytest.approx(0.02 * d_radius, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Scale-relative tolerances
+
+
+def scaled(s: Spectrum, c: float) -> Spectrum:
+    return Spectrum(
+        pairs=tuple((a * c, b * c) for a, b in s.pairs), reals=tuple(x * c for x in s.reals)
+    )
+
+
+def test_solve_passes_verify_at_every_scale():
+    """Tolerances and the nonzero floor follow the spectrum's scale, so a
+    solve passes verify from 1e-12 to 1e12; an absolute floor of 1e-12
+    rejected the fills of the smallest scale."""
+    rng = np.random.default_rng(3)
+    s0 = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.4)
+    base = verify(solve_instance(s0, g).matrix, s0, g)
+    for e in range(-12, 13):
+        s = scaled(s0, 10.0**e)
+        report = verify(solve_instance(s, g).matrix, s, g)
+        assert report.passed, (e, report.render())
+        assert report.spectrum_error <= 1e-10 * s.inf_norm()
+        assert report.spectrum_tol == pytest.approx(base.spectrum_tol * 10.0**e, rel=1e-14)
+        assert report.nonzero_floor == pytest.approx(base.nonzero_floor * 10.0**e, rel=1e-14)
+
+
+def mixed_instances(seed: int, count: int = 60, n_min: int = 8, n_max: int = 24):
+    """Sizes cycling through [n_min, n_max], k and edge probability spread by
+    a golden-ratio sequence, as the benchmark's mixed instances are."""
+    rng = np.random.default_rng(seed)
+    golden = (5**0.5 - 1) / 2
+    start_k, start_p = rng.uniform(size=2)
+    for i in range(count):
+        n = n_min + i % (n_max - n_min + 1)
+        k = int((start_k + i * golden) % 1.0 * (n // 2 + 1))
+        s = random_spectrum(rng, k, n - 2 * k, box=max(5.0, n / 2.0))
+        yield s, random_graph(rng, n, k, 0.5 * ((start_p + i * golden**2) % 1.0))
+
+
+def test_power_of_two_scaling_scales_the_output_exactly():
+    """Every tolerance is a multiple of Spectrum.scale, so solving 2^j * s
+    takes the same path as solving s and returns 2^j * M bitwise."""
+    solved = 0
+    for s, g in mixed_instances(101):
+        try:
+            m = solve_instance(s, g).matrix
+        except NumericalError:
+            continue
+        solved += 1
+        for j in (-40, -20, 20, 40):
+            c = 2.0**j
+            assert np.array_equal(solve_instance(scaled(s, c), g).matrix, c * m), j
+    assert solved >= 50
+
+
+NEAR = Spectrum(pairs=((1e6, 1.0),), reals=(1e6, 1e6 + 1e-5))
+
+
+def test_near_degenerate_spectrum_verifies_or_fails_typed():
+    """Points 1e-5 apart at modulus 1e6: the tolerances stay below the disc
+    radius (3.3e-6), where a scale of 1 + |s| put them at 1e-2."""
+    assert NEAR.radius == pytest.approx(1e-5 / 3, rel=1e-4)
+    assert verify(build_seed(NEAR), NEAR, make_graph(4, [(1, 2)])).spectrum_tol <= 1e-2 * NEAR.radius
+    for g in (path_graph(4), make_graph(4, [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])):
+        try:
+            m = solve_instance(NEAR, g).matrix
+        except NumericalError:
+            continue
+        assert verify(m, NEAR, g).passed
+
+
+def test_verify_rejects_a_shift_larger_than_the_discs():
+    g = make_graph(4, [(1, 2)])
+    seed = build_seed(NEAR)
+    assert verify(seed, NEAR, g).passed
+    report = verify(seed - 1e-5 * np.eye(4), NEAR, g)
+    assert not report.spectrum_ok and report.spectrum_error > 1e-5
+
+
+def test_fills_below_the_nonzero_floor_are_refused(tmp_path, capsys):
+    """verify's floor is 1e-12 * scale; default fills that would fall below
+    it are bad input, and fills at the smallest accepted scale verify."""
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="above the nonzero floor"):
+        solve_instance(S3, g, cfg=SolverConfig(fill_scale=1e-12))
+    floor = verify(build_seed(S3), S3, make_graph(3, [(1, 2)])).nonzero_floor
+    assert floor == 1e-12 * S3.inf_norm()
+    rep = solve_instance(S3, g, cfg=SolverConfig(fill_scale=floor / S3.radius * 1.001))
+    assert verify(rep.matrix, S3, g).passed
+    spectrum, graph = tmp_path / "s.spectrum", tmp_path / "g.graph"
+    spectrum.write_text(format_spectrum(S3))
+    graph.write_text(format_graph(g))
+    code = main(["solve", "--spectrum", str(spectrum), "--graph", str(graph),
+                 "--out", str(tmp_path / "m.csv"), "--fill-scale", "1e-12"])
+    assert code == EXIT_BAD_INPUT
+    assert "above the nonzero floor" in capsys.readouterr().err

@@ -14,28 +14,13 @@ import numpy as np
 import pytest
 
 import giep.apps as apps
-from giep import (
-    DegenerateSpectrum,
-    DiscViolation,
-    IllConditioned,
-    NoConvergence,
-    Pattern,
-    SolverConfig,
-    Spectrum,
-    continuation_solve,
-    default_targets,
-    eig_all,
-    make_graph,
-    max_matching,
-    plan_relabeling,
-    spectrum_mismatch,
-    tridiagonalize,
-    verify,
-)
+from giep import SolverConfig, Spectrum, make_graph, tridiagonalize, verify
 from giep.cli import random_graph, random_spectrum
-from giep.linalg import RES_FACTOR, TOL_ORTHO, Eigenpairs, eigen_triple, spectrum_order
-from giep.model import assemble, label_eigenvalues
-from giep.solver import jacobian_xyz
+from giep.errors import DegenerateSpectrum, DiscViolation, IllConditioned, NoConvergence
+from giep.graph import max_matching, plan_relabeling
+from giep.linalg import RES_FACTOR, TOL_ORTHO, Eigenpairs, eig_all, eigen_triple, spectrum_order
+from giep.model import Pattern, assemble, label_eigenvalues, spectrum_mismatch
+from giep.solver import continuation_solve, default_targets, jacobian_xyz
 from conftest import edge_positions
 
 
@@ -556,14 +541,6 @@ def test_label_failure_messages_match_loop():
     assert "non-real eigenvalue" in messages["non-real"]
     assert "holds 2 eigenvalues" in messages["crowded"]
     assert "equidistant" in messages["equidistant"]
-    # Discs that reach across the real axis pair the i-th eigenvalue with
-    # the i-th center in (real, imag) order, -1j then +1j: the plus disc
-    # gets -0.25j.  The nearest-center loop never assigns an eigenvalue
-    # below the axis to a plus disc, so the kernel alone reaches this check.
-    straddling = widened(Spectrum(pairs=((0.0, 1.0),), reals=()), 2.0)
-    assert raised(label_eigenvalues, [-0.5j, -0.25j], straddling) == (
-        "plus-disc eigenvalue has nonpositive imaginary part"
-    )
 
 
 def test_label_reports_first_offending_eigenvalue():

@@ -4,18 +4,10 @@ import numpy as np
 import pytest
 
 import giep.cli
-from giep import (
-    BadFormat,
-    GiepError,
-    MatchingTooSmall,
-    SingularSystem,
-    StepUnderflow,
-    parse_graph,
-    parse_matrix_csv,
-    parse_spectrum,
-    verify,
-)
+from giep import GiepError, StepUnderflow, parse_graph, parse_spectrum, verify
 from giep.cli import main
+from giep.errors import BadFormat, MatchingTooSmall, SingularSystem
+from giep.model import parse_matrix_csv
 from conftest import bidirected_pairs
 
 SPECTRUM_3 = '{"pairs": [[1.0, 2.0]], "reals": [3.0]}\n'
@@ -229,8 +221,8 @@ def test_random_instance_invalid_sizes(tmp_path):
 
 
 def test_random_instances_are_feasible(tmp_path):
-    from giep import max_matching
     from giep.cli import random_graph
+    from giep.graph import max_matching
 
     rng = np.random.default_rng(13)
     for _ in range(40):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from giep import IllConditioned, NoConvergence, SingularSystem, eig_all
-from giep.linalg import check_conditioning, eigen_triple, solve_linear
+from giep.errors import IllConditioned, NoConvergence, SingularSystem
+from giep.linalg import check_conditioning, eig_all, eigen_triple, solve_linear
 
 
 def pairs_at(a, idx=None):

@@ -5,25 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from giep import (
-    BadFormat,
-    DegenerateSpectrum,
-    DimensionMismatch,
-    DiscViolation,
+from giep import Spectrum, parse_spectrum
+from giep.cli import random_spectrum
+from giep.errors import BadFormat, DegenerateSpectrum, DimensionMismatch, DiscViolation
+from giep.linalg import eig_all
+from giep.model import (
     Pattern,
-    Spectrum,
-    build_seed,
-    eig_all,
+    assemble,
     format_matrix_csv,
     format_matrix_market,
     format_spectrum,
+    label_eigenvalues,
     parse_matrix_csv,
-    parse_spectrum,
     spectrum_mismatch,
 )
-from giep.cli import random_spectrum
-from giep.model import assemble, label_eigenvalues
-from conftest import edge_positions
+from conftest import build_seed, edge_positions
 
 
 def test_spectrum_sizes_and_values():
