@@ -285,17 +285,17 @@ def random_graph(
         raise InputError(f"2k = {2 * k} exceeds n = {n}")
     if not 0.0 <= edge_prob <= 1.0:
         raise InputError("edge probability must be in [0, 1]")
-    order = [int(v) + 1 for v in rng.permutation(n)]
-    planted = {
-        (min(a, b), max(a, b))
-        for a, b in zip(order[0 : 2 * k : 2], order[1 : 2 * k : 2])
-    }
-    pairs = set(planted)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if (a, b) not in planted and rng.uniform() < edge_prob:
-                pairs.add((a, b))
-    return make_graph(n, sorted(pairs), directed=False)
+    order = rng.permutation(n)
+    pair = np.sort(order[: 2 * k].reshape(k, 2), axis=1)
+    adj = np.zeros((n, n), dtype=bool)  # upper triangle, 0-based
+    adj[pair[:, 0], pair[:, 1]] = True
+    # one draw per unplanted pair a < b in row-major order; uniform(size=N)
+    # yields the values of N scalar draws, so the stream is the pair loop's
+    a, b = np.triu_indices(n, 1)
+    free = ~adj[a, b]
+    adj[a[free], b[free]] = rng.uniform(size=np.count_nonzero(free)) < edge_prob
+    a, b = np.nonzero(adj)
+    return make_graph(n, zip((a + 1).tolist(), (b + 1).tolist()), directed=False)
 
 
 def _cmd_random_instance(args) -> int:

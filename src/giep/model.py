@@ -365,11 +365,30 @@ def spectrum_mismatch(eigs, s: Spectrum) -> float:
     For each target point, in :meth:`Spectrum.values` order, the nearest
     unused computed eigenvalue is consumed (the earliest one on a tie); the
     result is the largest distance over all assignments.
+
+    The i-th eigenvalue is first paired with the i-th target in (real,
+    imag) order, the order in which :func:`~giep.linalg.eig_all` returns
+    eigenvalues: one distance each.  When every one is below the radius,
+    each target's unique nearest eigenvalue is its own (any other lies
+    more than 2*radius away), so the greedy pass would consume exactly
+    these pairs and their largest distance is the greedy value, bit for
+    bit.  Otherwise (values outside their discs or out of order,
+    duplicates, a spectrum without a usable radius) the greedy pass runs
+    on the full target-by-eigenvalue distance matrix.
     """
     ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
     targets = s.values()
     if ev.size != targets.size:
         raise ValueError(f"expected {targets.size} eigenvalues, got {ev.size}")
+    paired = targets[s._rank]
+    # hypot of the negated differences _distances forms: the same bits
+    dist = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
+    try:
+        radius = s.radius
+    except ValueError:
+        radius = 0.0
+    if np.all(dist < radius):
+        return max(0.0, dist.max())  # the loop's result type: 0.0 stays a float
     dist = _distances(targets, ev)
     worst = 0.0
     for row in dist:

@@ -47,9 +47,11 @@ Newton instead, one decomposition with eigenvectors and a fresh Jacobian
 per iterate.  The final spectrum check reads the last accepted iterate's
 residual vector: inside disjoint discs the largest disc distance is the
 greedy multiset distance.  Only a solve without fills decomposes its
-output, the seed, for that check.  The discs are the spectrum's own: the
-corrector labels eigenvalues against ``Spectrum`` itself, and default fill
-targets are sized by :attr:`Spectrum.radius`.  :func:`final_tolerance` and
+output, the seed, for that check; :func:`spectrum_mismatch` finds the same
+greedy distance there in O(n log n), since the seed's eigenvalues sit in
+their discs.  The discs are the spectrum's own: the corrector labels
+eigenvalues against ``Spectrum`` itself, and default fill targets are
+sized by :attr:`Spectrum.radius`.  :func:`final_tolerance` and
 :func:`nonzero_floor` are the one definition of the default final
 tolerance and of the floor on edge entries, which ``verify`` applies too.
 They and the Newton tolerance are multiples of :attr:`Spectrum.scale`, so

@@ -88,6 +88,40 @@ def random_undirected_graph(rng: np.random.Generator, n: int, p: float) -> Graph
     return make_graph(n, pairs, directed=False)
 
 
+def loop_random_graph(rng: np.random.Generator, n: int, k: int, edge_prob: float) -> Graph:
+    """``random_graph`` as a per-pair loop: one scalar draw for every vertex
+    pair a < b, in row-major order, that the planted matching leaves free."""
+    order = [int(v) + 1 for v in rng.permutation(n)]
+    planted = {
+        (min(a, b), max(a, b))
+        for a, b in zip(order[0 : 2 * k : 2], order[1 : 2 * k : 2])
+    }
+    pairs = set(planted)
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if (a, b) not in planted and rng.uniform() < edge_prob:
+                pairs.add((a, b))
+    return make_graph(n, sorted(pairs), directed=False)
+
+
+def mask_pattern_failures(a: np.ndarray, g: Graph, floor: float) -> list[tuple]:
+    """``verify``'s pattern check as separate edge, stray and below-floor
+    masks over an edge mask built from the edge set; (i, j, value,
+    expected) per offending position, row-major, 1-based."""
+    n = a.shape[0]
+    edge = np.zeros((n, n), dtype=bool)
+    if g.edges:
+        rows, cols = np.array(list(g.edges)).T - 1
+        edge[rows, cols] = True
+    stray = (a != 0.0) & ~edge
+    np.fill_diagonal(stray, False)
+    bad = (edge & (np.abs(a) < floor)) | stray
+    return [
+        (int(i) + 1, int(j) + 1, float(a[i, j]), "nonzero" if edge[i, j] else "zero")
+        for i, j in np.argwhere(bad)
+    ]
+
+
 def eigen_derivative(eig: Eigenpairs, b) -> list[complex]:
     """Rate of change of every eigenvalue in ``eig`` along matrix direction ``b``.
 

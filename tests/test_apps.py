@@ -3,10 +3,13 @@
 import math
 import warnings
 from functools import cached_property
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import giep.apps as apps
+import giep.model as model
 from giep import SolverConfig, Spectrum, make_graph, solve_instance, tridiagonalize, verify
 from giep.apps import path_graph
 from giep.cli import EXIT_BAD_INPUT, main, random_graph, random_spectrum
@@ -311,3 +314,54 @@ def test_fills_below_the_nonzero_floor_are_refused(tmp_path, capsys):
                  "--out", str(tmp_path / "m.csv"), "--fill-scale", "1e-12"])
     assert code == EXIT_BAD_INPUT
     assert "above the nonzero floor" in capsys.readouterr().err
+
+
+def test_verify_of_large_sparse_outputs_builds_no_distance_matrix():
+    """A verify of a solved n=160 instance makes one eigenvalues call and,
+    with every eigenvalue in its disc, no n-by-n distance matrix."""
+    rng = np.random.default_rng(121)
+    for _ in range(5):
+        s = random_spectrum(rng, 40, 80, box=80.0)
+        g = random_graph(rng, 160, 40, 4 / 160)
+        matrix = solve_instance(s, g).matrix
+        assert s.radius > 0.0  # cached by the solve
+        with (
+            mock.patch.object(apps, "eig_all", wraps=apps.eig_all) as eigvals,
+            mock.patch.object(model, "_distances", wraps=model._distances) as distances,
+        ):
+            report = verify(matrix, s, g)
+        assert report.passed, report.render()
+        assert (eigvals.call_count, distances.call_count) == (1, 0)
+
+
+def test_tridiagonalize_tiny_matrix_passes_verify():
+    """The distinctness gate is relative to the matrix: a Gaussian 6x6 at
+    scale 1e-12 tridiagonalizes and verifies, where a gate of
+    1e-8 * (1 + ||A||_F) refused it as having repeated eigenvalues."""
+    a = 1e-12 * np.random.default_rng(0).standard_normal((6, 6))
+    report = verify(tridiagonalize(a).matrix, Spectrum.from_eigenvalues(eig_all(a)), path_graph(6))
+    assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("j", [-60, -20, 20, 60])
+def test_gap_gate_is_invariant_under_power_of_two_scaling(monkeypatch, j):
+    """Matrices with their smallest eigenvalue gap just either side of the
+    gate pass or fail it the same way when scaled by 2^j."""
+    monkeypatch.setattr(apps, "solve_instance", lambda *args: "solved")
+
+    def refused(a) -> bool:
+        try:
+            tridiagonalize(a)
+        except RepeatedEigenvalues:
+            return True
+        return False
+
+    base = np.diag([0.0, 0.0, 3.0, -2.0])
+    threshold = apps.GAP_FACTOR * np.linalg.norm(base)
+    outcomes = []
+    for step in (-2, -1, 0, 1, 2):
+        a = base.copy()
+        a[1, 1] = threshold * (1.0 + step * 2.0**-50)
+        outcomes.append(refused(a))
+        assert refused(2.0**j * a) == outcomes[-1]
+    assert outcomes == [True, True, True, False, False]

@@ -10,18 +10,23 @@ loops and strided slices that wrote the positions out by hand, down to
 the sign of every zero.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import giep.apps as apps
+import giep.model as model
 from giep import SolverConfig, Spectrum, make_graph, tridiagonalize, verify
 from giep.cli import random_graph, random_spectrum
 from giep.errors import DegenerateSpectrum, DiscViolation, IllConditioned, NoConvergence
 from giep.graph import max_matching, plan_relabeling
 from giep.linalg import RES_FACTOR, TOL_ORTHO, Eigenpairs, eig_all, eigen_triple, spectrum_order
 from giep.model import Pattern, assemble, label_eigenvalues, spectrum_mismatch
-from giep.solver import continuation_solve, default_targets, jacobian_xyz
-from conftest import edge_positions
+from giep.solver import continuation_solve, default_targets, jacobian_xyz, nonzero_floor
+from conftest import edge_positions, mask_pattern_failures
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +358,7 @@ def test_gap_gate_matches_loop(monkeypatch):
 
     def oracle(a, factor) -> str | None:
         gap = loop_gap(eig_all(a))
-        if gap <= factor * (1.0 + np.linalg.norm(a)):
+        if gap <= factor * np.linalg.norm(a):
             return f"minimum eigenvalue gap {gap:.3e} is below the distinctness gate"
         return None
 
@@ -366,7 +371,7 @@ def test_gap_gate_matches_loop(monkeypatch):
 
     outcomes = set()
     for kind in ("real", "complex"):
-        threshold = gate * (1.0 + np.linalg.norm(near_pair(kind, 0.0)))
+        threshold = gate * np.linalg.norm(near_pair(kind, 0.0))
         for step in range(-3, 4):
             b = near_pair(kind, threshold * (1.0 + step * 2.0**-50))
             got = repeated(b)
@@ -377,7 +382,7 @@ def test_gap_gate_matches_loop(monkeypatch):
     rng = np.random.default_rng(67)
     for n in rng.integers(2, 41, 40):
         a = rng.standard_normal((n, n))
-        gap, scale = loop_gap(eig_all(a)), 1.0 + np.linalg.norm(a)
+        gap, scale = loop_gap(eig_all(a)), np.linalg.norm(a)
         factor = gap / scale
         while factor * scale < gap:
             factor = np.nextafter(factor, np.inf)
@@ -577,6 +582,40 @@ def test_spectrum_mismatch_exact_ties_take_first_eigenvalue():
         assert spectrum_mismatch(ev, s) == loop_mismatch(ev, s)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["inside", "swap", "shift", "duplicate"]),
+    data=st.data(),
+)
+def test_spectrum_mismatch_property_bitwise_equal_to_loop(n, kind, data):
+    """Eigenvalues in (real, imag) order within 0.9 radii of their targets
+    take the one-distance-per-eigenvalue path; a swap of two of them, a
+    shift past the radius and a duplicate take the greedy pass.  Both give
+    the loop's value, bit for bit."""
+    k = data.draw(st.integers(0, n // 2), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    s = random_spectrum(rng, k, n - 2 * k, box=max(5.0, n / 2.0))
+    unit = st.floats(0.0, 1.0)
+    frac = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="frac"))
+    angle = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="angle"))
+    ev = s.values()[s._rank] + 0.9 * s.radius * frac * np.exp(2j * np.pi * angle)
+    if kind != "inside":
+        if n == 1 and kind != "shift":
+            kind = "shift"
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=n > 1))
+        if kind == "swap":
+            ev[[i, j]] = ev[[j, i]]
+        elif kind == "duplicate":
+            ev[j] = ev[i]
+        else:
+            ev[i] += s.radius * data.draw(st.floats(2.0, 1e3)) * np.exp(2j * np.pi * angle[j])
+    with mock.patch.object(model, "_distances", wraps=model._distances) as matrices:
+        got = spectrum_mismatch(ev, s)
+    assert got == loop_mismatch(ev, s)
+    assert matrices.call_count == (kind != "inside")
+
+
 # ---------------------------------------------------------------------------
 # Eigen triples
 
@@ -638,6 +677,35 @@ def test_verify_pattern_failures_match_loop():
         got = [(f.i, f.j, f.value, f.expected) for f in report.pattern_failures]
         assert got == loop_pattern_failures(a, g, report.nonzero_floor)
         assert all(type(f.i) is int and type(f.value) is float for f in report.pattern_failures)
+
+
+def test_pattern_failures_equal_the_mask_oracle():
+    """verify's one-mask pattern check reports what separate edge, stray
+    and below-floor masks did, and what the per-position loop does: the
+    same positions in row-major order, with the same values, on directed
+    and undirected graphs with stray entries, edge entries on either side
+    of the floor, and exact zeros on edges."""
+    rng = np.random.default_rng(71)
+    flagged = 0
+    for case in range(120):
+        n = int(rng.integers(1, 31))
+        k = int(rng.integers(0, n // 2 + 1))
+        s = random_spectrum(rng, k, n - 2 * k, box=max(5.0, n / 2.0))
+        floor = nonzero_floor(s)
+        directed = case % 2 == 1
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.uniform() < 0.3]
+        if directed:
+            pairs += [(b, a) for a, b in pairs if rng.uniform() < 0.5]
+        g = make_graph(n, pairs, directed=directed)
+        a = rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.1)
+        np.fill_diagonal(a, rng.standard_normal(n))
+        levels = np.array([0.0, floor, -floor, np.nextafter(floor, 0.0), 0.5 * floor, 2.0 * floor, 1.0])
+        for u, v in g.edges:
+            a[u - 1, v - 1] = rng.choice(levels)
+        got = [(f.i, f.j, f.value, f.expected) for f in verify(a, s, g).pattern_failures]
+        assert got == mask_pattern_failures(a, g, floor) == loop_pattern_failures(a, g, floor)
+        flagged += bool(got)
+    assert flagged >= 100
 
 
 # ---------------------------------------------------------------------------

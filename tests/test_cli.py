@@ -1,5 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from giep import GiepError, StepUnderflow, parse_graph, parse_spectrum, verify
 from giep.cli import main
 from giep.errors import BadFormat, MatchingTooSmall, SingularSystem
 from giep.model import parse_matrix_csv
-from conftest import bidirected_pairs
+from conftest import bidirected_pairs, loop_random_graph
 
 SPECTRUM_3 = '{"pairs": [[1.0, 2.0]], "reals": [3.0]}\n'
 PATH_3 = "3 2 undirected\n1 2\n2 3\n"
@@ -212,6 +214,41 @@ def test_random_instance_large_n_solves_and_verifies(tmp_path, capsys):
     assert main(["solve", "--spectrum", spectrum, "--graph", graph, "--out", str(out)]) == 0
     assert main(["verify", "--matrix", str(out), "--spectrum", spectrum, "--graph", graph]) == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_random_instance_output_is_pinned(tmp_path, capsys):
+    """The generator the benchmark builds its instances with stays
+    byte-identical: sha256 of both files of one n=160 instance."""
+    base = tmp_path / "r"
+    assert main(
+        ["random-instance", "--n", "160", "--k", "40", "--edge-prob", "0.025",
+         "--rng-seed", "7", "--out-prefix", str(base)]
+    ) == 0
+    digests = {
+        suffix: hashlib.sha256((tmp_path / f"r.{suffix}").read_bytes()).hexdigest()
+        for suffix in ("spectrum", "graph")
+    }
+    assert digests == {
+        "spectrum": "00c7ef4095599dd4f18c33337c26c182db5d61c1ef0dceef0a6f114f20fc6e44",
+        "graph": "1ee89bd98fa8c943a5a50f42184f8e036d41c83db48b4a949979d853e4ac5f1d",
+    }
+
+
+def test_random_graph_equals_the_pair_loop():
+    """One vectorized draw over the free pairs gives the per-pair loop's
+    graph and leaves the stream where the loop leaves it, including edge
+    probabilities 0 and 1, k = 0, a full planted matching, n = 1 and 2."""
+    from giep.cli import random_graph
+
+    cases = [(1, 0, 0.5), (2, 0, 1.0), (2, 1, 0.5), (7, 3, 1.0), (8, 0, 0.0), (160, 40, 0.025)]
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(1, 41))
+        cases.append((n, int(rng.integers(0, n // 2 + 1)), float(rng.uniform(0, 1))))
+    for seed, (n, k, edge_prob) in enumerate(cases):
+        ours, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_graph(ours, n, k, edge_prob) == loop_random_graph(loop, n, k, edge_prob)
+        assert ours.uniform() == loop.uniform()
 
 
 def test_random_instance_invalid_sizes(tmp_path):
