@@ -10,6 +10,10 @@ Exit codes are a total function of the error taxonomy:
       ill-conditioned systems)
 * 4 — verification failure (``verify`` only)
 
+``solve`` and ``tridiagonalize`` share one set of construction flags:
+--fill-scale, --step-min, --report and --mm-out.  Their final spectrum
+check is fixed; ``verify --tol`` checks a matrix at any tolerance.
+
 The environment variable GIEP_LOG in {quiet, info, trace} controls
 diagnostic verbosity on standard error.
 """
@@ -21,7 +25,8 @@ import functools
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +34,7 @@ import numpy as np
 from . import __version__
 from .apps import solve_instance, tridiagonalize, verify
 from .errors import (
+    DimensionMismatch,
     GiepError,
     InfeasibleError,
     InputError,
@@ -100,7 +106,7 @@ def _write(path: str, text: str) -> None:
 
 def _config_from_args(args) -> SolverConfig:
     """The solver configuration of the flags given; defaults for the rest."""
-    fields = ("fill_scale", "tol_final", "max_steps", "step_min")
+    fields = ("fill_scale", "step_min")
     return SolverConfig(**{f: getattr(args, f) for f in fields if getattr(args, f) is not None})
 
 
@@ -124,9 +130,9 @@ def format_report(report: SolveReport, n: int) -> str:
 
 def _emit_solution(args, report: SolveReport) -> None:
     _write(args.out, format_matrix_csv(report.matrix))
-    if getattr(args, "mm_out", None):
+    if args.mm_out:
         _write(args.mm_out, format_matrix_market(report.matrix))
-    if getattr(args, "report", None):
+    if args.report:
         _write(args.report, format_report(report, report.matrix.shape[0]))
     print(
         f"wrote {args.out}: n={report.matrix.shape[0]} steps={report.steps} "
@@ -152,19 +158,19 @@ def _failure(exc: Exception) -> tuple[int, str]:
     return next((code, label) for cls, code, label in _FAILURES if isinstance(exc, cls))
 
 
-def _solve_batch_item(stem: str, directory: Path, args):
-    """Solve one batch instance; returns (stem, exit_code, summary)."""
+def _solve_batch_item(stem: str, directory: Path, args) -> tuple[int, str]:
+    """Solve one batch instance; returns (exit_code, summary)."""
     try:
         s = parse_spectrum(_read(directory / f"{stem}.spectrum"))
         g = parse_graph(_read(directory / f"{stem}.graph"))
         report = solve_instance(s, g, args.mode, _config_from_args(args))
     except _HANDLED as exc:
         if isinstance(exc, StepUnderflow):
-            return stem, EXIT_NUMERICAL, f"step underflow at t={exc.t_reached:.4g}"
-        return stem, _failure(exc)[0], str(exc)
+            return EXIT_NUMERICAL, f"step underflow at t={exc.t_reached:.4g}"
+        return _failure(exc)[0], str(exc)
     _write(directory / f"{stem}.matrix.csv", format_matrix_csv(report.matrix))
     _write(directory / f"{stem}.report.txt", format_report(report, report.matrix.shape[0]))
-    return stem, EXIT_OK, f"residual={report.final_residual:.3e}"
+    return EXIT_OK, f"residual={report.final_residual:.3e}"
 
 
 def _run_batch(args) -> int:
@@ -178,15 +184,11 @@ def _run_batch(args) -> int:
     if not stems:
         raise InputError(f"no <name>.spectrum/<name>.graph pairs in {directory}")
     jobs = args.jobs or min(8, os.cpu_count() or 1)
-    results = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_solve_batch_item, st, directory, args) for st in stems]
-        for fut in as_completed(futures):
-            results.append(fut.result())
-    results.sort()
-    counts = {EXIT_OK: 0, EXIT_BAD_INPUT: 0, EXIT_INFEASIBLE: 0, EXIT_NUMERICAL: 0}
-    for stem, code, summary in results:
-        counts[code] += 1
+        # map yields the results in stem order
+        results = list(pool.map(lambda st: _solve_batch_item(st, directory, args), stems))
+    counts = Counter(code for code, _ in results)
+    for stem, (code, summary) in zip(stems, results):
         print(f"{stem}: {_STATUS[code]} ({summary})")
     print(
         f"batch: {len(results)} instances, {counts[EXIT_OK]} ok, "
@@ -210,13 +212,11 @@ def _cmd_verify(args) -> int:
     a = parse_matrix_csv(_read(args.matrix))
     s = parse_spectrum(_read(args.spectrum))
     g = parse_graph(_read(args.graph))
-    if g.n != a.shape[0] or s.n != a.shape[0]:
+    try:
+        report = verify(a, s, g, spectrum_tol=args.tol)
+    except DimensionMismatch as exc:
         # disagreeing documents are bad input for verify, not an infeasible solve
-        raise InputError(
-            f"matrix is {a.shape[0]}x{a.shape[0]}, graph has {g.n} vertices, "
-            f"spectrum has {s.n} values"
-        )
-    report = verify(a, s, g, spectrum_tol=args.tol)
+        raise InputError(str(exc)) from exc
     print(report.render())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
@@ -237,39 +237,29 @@ def random_spectrum(
     """
     if k < 0 or l < 0 or 2 * k + l < 1:
         raise ValueError("need 2k+l >= 1")
+    # Drawn values are all that is checked and kept.  Conjugation keeps
+    # distances, so a conjugate is as far from a real value or another
+    # conjugate as its pair value is, and at least mu + mu' >= min_gap from
+    # any pair value, its own included, as every mu is at least min_gap/2.
     points: list[complex] = []
 
-    def fits(cands: list[complex]) -> bool:
-        for i, c in enumerate(cands):
-            if any(abs(c - q) < min_gap for q in points):
-                return False
-            if any(abs(c - q) < min_gap for q in cands[:i]):
-                return False
-        return True
+    def place(draw, what: str) -> complex:
+        for _attempt in range(10_000):
+            c = draw()
+            if not any(abs(c - q) < min_gap for q in points):
+                points.append(c)
+                return c
+        raise InputError(f"could not place a {what}; box too crowded")
 
-    reals = []
-    for _ in range(l):
-        for _attempt in range(10_000):
-            gam = 0.0 if purely_imaginary else float(rng.uniform(-box, box))
-            if fits([complex(gam)]):
-                points.append(complex(gam))
-                reals.append(gam)
-                break
-        else:
-            raise InputError("could not place a real spectrum value; box too crowded")
-    pairs = []
-    for _ in range(k):
-        for _attempt in range(10_000):
-            lam = 0.0 if purely_imaginary else float(rng.uniform(-box, box))
-            mu = float(rng.uniform(min_gap / 2.0, box))
-            cand = [complex(lam, mu), complex(lam, -mu)]
-            if fits(cand):
-                points.extend(cand)
-                pairs.append((lam, mu))
-                break
-        else:
-            raise InputError("could not place a spectrum pair; box too crowded")
-    return Spectrum(pairs=tuple(pairs), reals=tuple(reals))
+    def coordinate() -> float:  # a real value or a pair's real part
+        return 0.0 if purely_imaginary else float(rng.uniform(-box, box))
+
+    reals = [place(lambda: complex(coordinate()), "real spectrum value").real for _ in range(l)]
+    pairs = [
+        place(lambda: complex(coordinate(), float(rng.uniform(min_gap / 2.0, box))), "spectrum pair")
+        for _ in range(k)
+    ]
+    return Spectrum(pairs=tuple((c.real, c.imag) for c in pairs), reals=tuple(reals))
 
 
 def random_graph(
@@ -332,30 +322,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"giep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve a spectrum/graph instance")
+    # the flags solve and tridiagonalize share
+    construct = argparse.ArgumentParser(add_help=False)
+    construct.add_argument("--fill-scale", dest="fill_scale", type=float)
+    construct.add_argument("--step-min", dest="step_min", type=float)
+    construct.add_argument("--report", help="write a structured run report here")
+    construct.add_argument("--mm-out", dest="mm_out", help="also export coordinate format")
+
+    solve = sub.add_parser("solve", parents=[construct], help="solve a spectrum/graph instance")
     solve.add_argument("--spectrum", help="spectrum JSON file")
     solve.add_argument("--graph", help="edge-list graph file")
     solve.add_argument("--out", help="output matrix CSV")
     solve.add_argument("--mode", choices=("generic", "symmetric", "skew"), default="generic")
-    solve.add_argument("--fill-scale", dest="fill_scale", type=float)
-    solve.add_argument("--tol", dest="tol_final", type=float, help="final spectrum tolerance")
-    solve.add_argument("--max-steps", dest="max_steps", type=int)
-    solve.add_argument("--step-min", dest="step_min", type=float)
-    solve.add_argument("--report", help="write a structured run report here")
-    solve.add_argument("--mm-out", dest="mm_out", help="also export coordinate format")
     solve.add_argument("--batch", help="solve every *.spectrum/*.graph pair in a directory")
     solve.add_argument("--jobs", type=int, help="batch worker count")
     solve.set_defaults(func=_cmd_solve)
 
-    tri = sub.add_parser("tridiagonalize", help="tridiagonal matrix similar to the input")
+    tri = sub.add_parser(
+        "tridiagonalize", parents=[construct], help="tridiagonal matrix similar to the input"
+    )
     tri.add_argument("--matrix", required=True, help="input matrix CSV")
     tri.add_argument("--out", required=True, help="output matrix CSV")
-    tri.add_argument("--fill-scale", dest="fill_scale", type=float)
-    tri.add_argument("--tol", dest="tol_final", type=float)
-    tri.add_argument("--max-steps", dest="max_steps", type=int)
-    tri.add_argument("--step-min", dest="step_min", type=float)
-    tri.add_argument("--report", help="write a structured run report here")
-    tri.add_argument("--mm-out", dest="mm_out")
     tri.set_defaults(func=_cmd_tridiagonalize)
 
     ver = sub.add_parser("verify", help="check a matrix against a spectrum and graph")

@@ -301,11 +301,12 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     Assignment is by nearest center, then validated: every disc must hold
     exactly one eigenvalue, an eigenvalue assigned to a real interval must
     be exactly real, and every eigenvalue must lie strictly inside its
-    disc.  Any violation means the matrix has left the neighborhood where
-    the labeling is meaningful and raises DiscViolation.  The
-    per-eigenvalue rules report the first offending eigenvalue in input
-    order, and the one-per-disc rule the first offending disc in center
-    order.
+    disc.  No tie needs breaking: an eigenvalue equidistant from two
+    centers is at least gap/2 > radius from both.  Any violation means the
+    matrix has left the neighborhood where the labeling is meaningful and
+    raises DiscViolation.  The per-eigenvalue rules report the first
+    offending eigenvalue in input order, and the one-per-disc rule the
+    first offending disc in center order.
 
     The i-th eigenvalue is first paired with the i-th center in (real,
     imag) order, the order in which :func:`~giep.linalg.eig_all` returns
@@ -324,15 +325,13 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     idx = s._rank
     paired = centers[idx]
     nearest = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
-    tied = np.zeros(ev.size, dtype=bool)
     if not np.all(nearest < s.radius):
         dist = _distances(ev, centers)
         idx = np.argmin(dist, axis=1)
         nearest = dist[np.arange(ev.size), idx]
-        tied = np.count_nonzero(dist == nearest[:, None], axis=1) > 1
     outside = nearest >= s.radius
     off_axis = (idx >= 2 * s.k) & (ev.imag != 0.0)
-    bad = np.flatnonzero(outside | tied | off_axis)
+    bad = np.flatnonzero(outside | off_axis)
     if bad.size:
         i = bad[0]
         e, c = ev[i], centers[idx[i]]
@@ -341,8 +340,6 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
                 f"eigenvalue {e} lies in no disc (nearest center {c}, "
                 f"distance {nearest[i]:.6g}, radius {s.radius:.6g})"
             )
-        if tied[i]:
-            raise DiscViolation(f"eigenvalue {e} is equidistant from two discs")
         raise DiscViolation(f"non-real eigenvalue {e} near real target {c.real}")
     counts = np.bincount(idx, minlength=s.n)
     crowded = np.flatnonzero(counts != 1)

@@ -94,6 +94,7 @@ TOL_NEWTON_FACTOR = 1e-11   # newton tolerance = factor * Spectrum.scale
 TOL_FINAL_FACTOR = 1e-8     # final spectrum tolerance, same scaling
 NONZERO_FLOOR = 1e-12       # verify's floor on edge entries, same scaling
 MAX_NEWTON = 25             # newton iterations before a trial is rejected
+MAX_STEPS = 10_000          # accepted continuation steps before StepUnderflow
 EASY_NEWTON_ITERS = 4       # an accept this cheap counts toward doubling the step
 CHORD_RATIO = 0.1           # a chord step shrinking the residual by less than this forms a Jacobian
 
@@ -293,15 +294,16 @@ class SolverConfig:
     aggressive values trade success probability for larger entries.
     The continuation starts with the whole interval as its trial step and
     gives up with StepUnderflow once halving takes the step below
-    ``step_min`` or ``max_steps`` steps have been accepted.
+    ``step_min`` or MAX_STEPS steps have been accepted.
     ``observer``, when set, is called as ``observer(state, eigs)`` after
-    every accepted step.
+    every accepted step.  The final spectrum check is at
+    :func:`final_tolerance`, a thousand times the Newton tolerance that
+    every accepted step already meets; ``verify`` checks a matrix at any
+    other tolerance.
     """
 
     fill_scale: float = 0.1
-    tol_final: float | None = None
     step_min: float = 1e-6
-    max_steps: int = 10_000
     observer: Callable[[ContinuationState, np.ndarray], None] | None = None
 
 
@@ -382,8 +384,10 @@ def continuation_solve(
     its exact target.
 
     Raises StepUnderflow (with the largest accepted t) when the step
-    shrinks below step_min — the construction is local, so distant fill
-    targets can honestly fail; other numerical errors propagate.
+    shrinks below step_min or MAX_STEPS steps were accepted short of t = 1
+    — the construction is local, so distant fill targets can honestly
+    fail — and NoConvergence when the output's spectrum distance exceeds
+    :func:`final_tolerance`; other numerical errors propagate.
     """
     cfg = cfg or SolverConfig()
     if p.n != s.n or p.k != s.k:
@@ -405,7 +409,6 @@ def continuation_solve(
     _check_mode(mode, p, u_target, omega_target)
 
     tol_newton = TOL_NEWTON_FACTOR * s.scale
-    tol_final = cfg.tol_final if cfg.tol_final is not None else final_tolerance(s)
     target = s.target_coordinates()
     theta = np.concatenate([target, np.zeros(2 * p.m)])  # the seed: x, y, z = target
 
@@ -425,9 +428,9 @@ def continuation_solve(
     easy_streak = 0
     retry = False  # a trial after a rejection runs full Newton
     while p.m > 0 and state.t < 1.0:
-        if accepted >= cfg.max_steps:
+        if accepted >= MAX_STEPS:
             raise StepUnderflow(
-                f"step budget {cfg.max_steps} exhausted at t={state.t:.6g}",
+                f"step budget {MAX_STEPS} exhausted at t={state.t:.6g}",
                 t_reached=state.t,
             )
         trial_dt = min(state.step, 1.0 - state.t)
@@ -484,6 +487,7 @@ def continuation_solve(
         )
     else:
         final_residual = spectrum_mismatch(eig_all(matrix), s)
+    tol_final = final_tolerance(s)
     if final_residual > tol_final:
         raise NoConvergence(
             f"final spectrum distance {final_residual:.3e} exceeds {tol_final:.3e}"

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from giep import Graph, Spectrum, make_graph
-from giep.errors import IllConditioned, MatchingTooSmall, NoConvergence
+from giep.errors import IllConditioned, InputError, MatchingTooSmall, NoConvergence
 from giep.graph import Matching, Relabeling, check_matching
 from giep.linalg import (
     TOL_ORTHO,
@@ -102,6 +102,54 @@ def loop_random_graph(rng: np.random.Generator, n: int, k: int, edge_prob: float
             if (a, b) not in planted and rng.uniform() < edge_prob:
                 pairs.add((a, b))
     return make_graph(n, sorted(pairs), directed=False)
+
+
+def loop_random_spectrum(
+    rng: np.random.Generator,
+    k: int,
+    l: int,
+    box: float = 5.0,
+    min_gap: float = 0.5,
+    purely_imaginary: bool = False,
+) -> Spectrum:
+    """``random_spectrum`` checking every candidate point: a real value, or
+    a pair's value and its conjugate, each against the placed points and
+    the conjugate against the value too."""
+    if k < 0 or l < 0 or 2 * k + l < 1:
+        raise ValueError("need 2k+l >= 1")
+    points: list[complex] = []
+
+    def fits(cands: list[complex]) -> bool:
+        for i, c in enumerate(cands):
+            if any(abs(c - q) < min_gap for q in points):
+                return False
+            if any(abs(c - q) < min_gap for q in cands[:i]):
+                return False
+        return True
+
+    reals = []
+    for _ in range(l):
+        for _attempt in range(10_000):
+            gam = 0.0 if purely_imaginary else float(rng.uniform(-box, box))
+            if fits([complex(gam)]):
+                points.append(complex(gam))
+                reals.append(gam)
+                break
+        else:
+            raise InputError("could not place a real spectrum value; box too crowded")
+    pairs = []
+    for _ in range(k):
+        for _attempt in range(10_000):
+            lam = 0.0 if purely_imaginary else float(rng.uniform(-box, box))
+            mu = float(rng.uniform(min_gap / 2.0, box))
+            cand = [complex(lam, mu), complex(lam, -mu)]
+            if fits(cand):
+                points.extend(cand)
+                pairs.append((lam, mu))
+                break
+        else:
+            raise InputError("could not place a spectrum pair; box too crowded")
+    return Spectrum(pairs=tuple(pairs), reals=tuple(reals))
 
 
 def mask_pattern_failures(a: np.ndarray, g: Graph, floor: float) -> list[tuple]:

@@ -61,8 +61,6 @@ def loop_label(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
                 f"eigenvalue {e} lies in no disc (nearest center {centers[idx]}, "
                 f"distance {dist[idx]:.6g}, radius {s.radius:.6g})"
             )
-        if np.count_nonzero(dist == dist[idx]) > 1:
-            raise DiscViolation(f"eigenvalue {e} is equidistant from two discs")
         if idx >= 2 * s.k and e.imag != 0.0:
             raise DiscViolation(
                 f"non-real eigenvalue {e} near real target {centers[idx].real}"
@@ -189,13 +187,6 @@ def spectrum_points(pairs, reals) -> np.ndarray:
     plus = [complex(a, b) for a, b in pairs]
     minus = [complex(a, -b) for a, b in pairs]
     return np.array(plus + minus + [complex(g) for g in reals], dtype=complex)
-
-
-def widened(s: Spectrum, radius: float) -> Spectrum:
-    """``s`` with its cached disc radius overridden, to reach labeling
-    failures that disjoint discs cannot produce."""
-    s.__dict__["radius"] = radius
-    return s
 
 
 def seeded_spectra(seed: int, count: int, n_max: int):
@@ -535,8 +526,6 @@ def test_label_failure_messages_match_loop():
         "no disc": (base[:5] + [30 + 0j], s),
         "non-real": (base[:4] + [3 + 0.01j, 5 + 0j], s),
         "crowded": (base[:4] + [3 + 0j, 3.01 + 0j], s),
-        # unreachable with the spectrum's own radius: two overlapping real discs
-        "equidistant": ([0.5 + 0j, 2 + 0j], widened(Spectrum(pairs=(), reals=(0.0, 1.0)), 1.0)),
     }
     messages = {}
     for kind, (ev, spectrum) in cases.items():
@@ -545,7 +534,6 @@ def test_label_failure_messages_match_loop():
     assert "lies in no disc" in messages["no disc"]
     assert "non-real eigenvalue" in messages["non-real"]
     assert "holds 2 eigenvalues" in messages["crowded"]
-    assert "equidistant" in messages["equidistant"]
 
 
 def test_label_reports_first_offending_eigenvalue():

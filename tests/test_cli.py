@@ -1,16 +1,25 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 import giep.cli
-from giep import GiepError, StepUnderflow, parse_graph, parse_spectrum, verify
-from giep.cli import main
+from giep import (
+    GiepError,
+    InputError,
+    SolverConfig,
+    StepUnderflow,
+    parse_graph,
+    parse_spectrum,
+    verify,
+)
+from giep.cli import main, random_graph, random_spectrum
 from giep.errors import BadFormat, MatchingTooSmall, SingularSystem
 from giep.model import parse_matrix_csv
-from conftest import bidirected_pairs, loop_random_graph
+from conftest import bidirected_pairs, loop_random_graph, loop_random_spectrum
 
 SPECTRUM_3 = '{"pairs": [[1.0, 2.0]], "reals": [3.0]}\n'
 PATH_3 = "3 2 undirected\n1 2\n2 3\n"
@@ -97,6 +106,43 @@ def test_solve_numerical_failure_exit_code(instance, capsys):
 def test_solve_usage_error_is_bad_input(instance):
     code = main(["solve", "--no-such-flag"])
     assert code == 1
+
+
+# Every option of every subcommand; a new option edits this pin.
+OPTIONS = {
+    "solve": ["--help", "--fill-scale", "--step-min", "--report", "--mm-out", "--spectrum",
+              "--graph", "--out", "--mode", "--batch", "--jobs"],
+    "tridiagonalize": ["--help", "--fill-scale", "--step-min", "--report", "--mm-out",
+                       "--matrix", "--out"],
+    "verify": ["--help", "--matrix", "--spectrum", "--graph", "--tol"],
+    "random-instance": ["--help", "--n", "--k", "--edge-prob", "--rng-seed", "--out-prefix"],
+}
+
+
+def test_option_surface_is_pinned():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["fill_scale", "step_min", "observer"]
+    parser = giep.cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    options = {
+        name: [opt for a in sub._actions for opt in a.option_strings if opt.startswith("--")]
+        for name, sub in commands.items()
+    }
+    assert options == OPTIONS
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-8"], ["--max-steps", "5"]], ids=["tol", "max-steps"])
+def test_removed_solve_flags_are_usage_errors(instance, capsys, flag):
+    tmp, spectrum, graph = instance
+    out = tmp / "m.csv"
+    argv = ["--spectrum", str(spectrum), "--graph", str(graph), "--out", str(out), *flag]
+    assert main(["solve", *argv]) == 1
+    assert capsys.readouterr().err == f"giep: bad input: unrecognized arguments: {' '.join(flag)}\n"
+    assert not out.exists()
+
+
+def test_solve_needs_an_instance_or_a_batch(capsys):
+    assert main(["solve"]) == 1
+    assert capsys.readouterr().err == "giep: bad input: --spectrum is required (or use --batch)\n"
 
 
 def test_mm_export(instance):
@@ -251,6 +297,48 @@ def test_random_graph_equals_the_pair_loop():
         assert ours.uniform() == loop.uniform()
 
 
+def outcome(generate, rng, *args, **kwargs):
+    """A generator's repr or error, then the stream's next draw."""
+    try:
+        result = repr(generate(rng, *args, **kwargs))
+    except (ValueError, GiepError) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, rng.uniform()
+
+
+def test_random_spectrum_equals_the_candidate_loop():
+    """Checking only the drawn value against the placed points gives the
+    per-candidate loop's spectra and errors, and leaves the stream where
+    the loop leaves it."""
+    cases = [
+        (0, 0, {}), (-1, 3, {}), (1, 0, {}), (0, 1, {}), (40, 80, {"box": 80.0}),
+        (3, 1, {"purely_imaginary": True}), (0, 2, {"purely_imaginary": True}),
+        (4, 3, {"min_gap": 1e-9, "box": 1e-8}),
+        (0, 3, {"box": 0.6}), (2, 0, {"box": 0.3}), (1, 1, {"box": 0.25}),
+    ]
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        k, l = int(rng.integers(0, 9)), int(rng.integers(0, 7))
+        cases.append((k, l, {"box": float(rng.choice([1.0, 2.0, 5.0]))}))
+    errors = []
+    for seed, (k, l, kwargs) in enumerate(cases):
+        ours = outcome(random_spectrum, np.random.default_rng(seed), k, l, **kwargs)
+        assert ours == outcome(loop_random_spectrum, np.random.default_rng(seed), k, l, **kwargs)
+        if isinstance(ours[0], tuple):
+            errors.append(ours[0][1].split(";")[0])
+    assert {"need 2k+l >= 1", "could not place a real spectrum value",
+            "could not place a spectrum pair"} == set(errors)
+    assert len(errors) < len(cases) // 3
+
+
+def test_random_graph_rejects_impossible_requests():
+    rng = np.random.default_rng(3)
+    with pytest.raises(InputError, match="2k = 4 exceeds n = 3"):
+        random_graph(rng, 3, 2, 0.5)
+    with pytest.raises(InputError, match=r"edge probability must be in \[0, 1\]"):
+        random_graph(rng, 3, 1, 1.5)
+
+
 def test_random_instance_invalid_sizes(tmp_path):
     assert main(
         ["random-instance", "--n", "3", "--k", "2", "--out-prefix", str(tmp_path / "x")]
@@ -349,6 +437,22 @@ def test_batch_requires_pairs(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
     assert main(["solve", "--batch", str(empty)]) == 1
+
+
+def test_batch_needs_an_existing_directory(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert main(["solve", "--batch", str(missing)]) == 1
+    assert capsys.readouterr().err == f"giep: bad input: batch directory {missing} does not exist\n"
+
+
+def test_batch_of_successes_exits_zero(tmp_path, capsys):
+    for name in ("b", "a"):
+        (tmp_path / f"{name}.spectrum").write_text(SPECTRUM_3)
+        (tmp_path / f"{name}.graph").write_text(PATH_3)
+    assert main(["solve", "--batch", str(tmp_path), "--jobs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in out[:2]] == ["a: ok", "b: ok"]
+    assert out[2:] == ["batch: 2 instances, 2 ok, 0 infeasible, 0 numerical, 0 bad-input"]
 
 
 def test_version_flag(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from giep import make_graph, parse_graph
+from giep import Graph, make_graph, parse_graph
 from giep.errors import BadFormat, MatchingTooSmall
 from giep.graph import Matching, Relabeling, format_graph, max_matching, plan_relabeling
 from giep.model import Pattern
@@ -49,11 +49,37 @@ def test_parse_crlf_and_blank_lines():
         "x y undirected\n",               # non-integer header
         "",                               # empty
         "2 1 undirected\n1 two",          # non-integer vertex
+        "2 1\n1 2",                       # header without a kind
+        "0 0 undirected",                 # no vertex
+        "2 -1 undirected",                # negative edge count
+        "2 1 undirected\n1 2 3",          # three vertices on an edge line
     ],
 )
 def test_parse_rejects(text):
     with pytest.raises(BadFormat):
         parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "n, directed, edges, message",
+    [
+        (0, True, (), "graph needs at least one vertex"),
+        (2, True, ((1, 1),), "loop edge (1,1) not allowed"),
+        (2, True, ((1, 3),), "edge (1,3) out of range 1..2"),
+        (2, False, ((1, 2),), "undirected graph missing reverse of (1,2)"),
+    ],
+)
+def test_graph_validates(n, directed, edges, message):
+    with pytest.raises(ValueError) as info:
+        Graph(n=n, directed=directed, edges=frozenset(edges))
+    assert str(info.value) == message
+
+
+def test_matching_validates():
+    with pytest.raises(ValueError, match=r"matching pair \(2,1\) must be stored \(min,max\)"):
+        Matching(pairs=((2, 1),))
+    with pytest.raises(ValueError, match=r"matching pairs are not vertex-disjoint at \{2,3\}"):
+        Matching(pairs=((1, 2), (2, 3)))
 
 
 def test_parse_allows_directed_both_ways():

@@ -246,6 +246,11 @@ def test_spectrum_file_round_trip():
         '{"pairs": [], "reals": [1.0], "extra": 3}',
         '{"pairs": [[1.0, -2.0]], "reals": []}',
         '{"pairs": [], "reals": []}',
+        '{"pairs": {"1": 2}, "reals": []}',
+        '{"pairs": [], "reals": 3.0}',
+        # Python's json accepts NaN and Infinity
+        '{"pairs": [[1.0, NaN]], "reals": []}',
+        '{"pairs": [], "reals": [-Infinity]}',
     ],
 )
 def test_parse_spectrum_rejects(text):
@@ -272,6 +277,13 @@ def test_matrix_csv_rejects():
         parse_matrix_csv("a,b\n")
     with pytest.raises(BadFormat):
         parse_matrix_csv("")
+    for entry in ("nan", "inf", "-1e999"):
+        with pytest.raises(BadFormat, match="matrix entries must be finite"):
+            parse_matrix_csv(f"1,{entry}\n0,1\n")
+
+
+def test_matrix_csv_skips_blank_lines():
+    assert np.array_equal(parse_matrix_csv("\n1,2\n  \n3,4\n\n"), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_matrix_market_lists_nonzeros():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import giep.solver
 from giep import SolverConfig, Spectrum, StepUnderflow, solve_instance, verify
 from giep.cli import random_graph, random_spectrum
-from giep.errors import DiscViolation, SingularSystem
+from giep.errors import DimensionMismatch, DiscViolation, NoConvergence, SingularSystem
 from giep.graph import make_graph, max_matching, plan_relabeling
 from giep.linalg import eig_all, eigen_triple
 from giep.model import Pattern, assemble, label_eigenvalues, spectrum_mismatch
@@ -403,6 +404,42 @@ def test_continuation_mode_validation():
 def test_continuation_rejects_nonfinite_fill_targets(u, omega):
     with pytest.raises(ValueError, match="fill targets must be finite"):
         continuation_solve(S3, P3, (np.array([u]), np.array([omega])))
+
+
+def test_continuation_rejects_inconsistent_inputs():
+    u, omega = np.array([0.1]), np.array([0.1])
+    with pytest.raises(DimensionMismatch, match=r"pattern \(n=2, k=0\) does not match"):
+        continuation_solve(S3, Pattern(n=2, k=0, slots=((1, 2),), bidirected=(True,)), (u, omega))
+    with pytest.raises(DimensionMismatch, match="fill targets have sizes 2/1, pattern m=1"):
+        continuation_solve(S3, P3, (np.array([0.1, 0.1]), omega))
+    with pytest.raises(ValueError, match="omega\\* must be nonzero on bidirected slots"):
+        continuation_solve(S3, P3, (u, np.array([0.0])))
+
+
+def test_step_budget_ends_a_multi_step_solve(monkeypatch):
+    """MAX_STEPS accepted steps short of t = 1 end the solve; fills three
+    radii wide make this seed take several steps."""
+    rng = np.random.default_rng(2)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.3)
+    cfg = SolverConfig(fill_scale=3.0)
+    history = solve_instance(s, g, cfg=cfg).history
+    assert len(history) > 2
+    monkeypatch.setattr(giep.solver, "MAX_STEPS", 1)
+    with pytest.raises(StepUnderflow, match="step budget 1 exhausted at t=") as info:
+        solve_instance(s, g, cfg=cfg)
+    assert info.value.t_reached == history[1].t  # the one accepted step
+
+
+@pytest.mark.parametrize("slots", [((2, 3),), ()], ids=["fills", "seed"])
+def test_final_check_fires_above_the_final_tolerance(monkeypatch, slots):
+    """The final spectrum check runs on every solve, with fills or without."""
+    p = Pattern(n=3, k=1, slots=slots, bidirected=(True,) * len(slots))
+    fills = (np.full(p.m, 0.1), np.full(p.m, 0.1))
+    assert continuation_solve(S3, p, fills).final_residual > 0.0
+    monkeypatch.setattr(giep.solver, "TOL_FINAL_FACTOR", 0.0)
+    with pytest.raises(NoConvergence, match="final spectrum distance .* exceeds 0.000e\\+00"):
+        continuation_solve(S3, p, fills)
 
 
 def test_continuation_step_underflow_for_huge_fill():
