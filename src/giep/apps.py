@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, RepeatedEigenvalues
-from .graph import Graph, _edge_array, make_graph, max_matching, plan_relabeling
+from .graph import Graph, make_graph, max_matching, plan_relabeling, sorted_edges
 from .linalg import as_square_matrix, eig_all
 from .model import Spectrum, _distances, spectrum_mismatch
 from .solver import (
@@ -49,11 +49,10 @@ def solve_instance(
         raise DimensionMismatch(
             f"graph has {g.n} vertices but the spectrum needs n = 2k+l = {s.n}"
         )
-    matching = max_matching(g)
-    relab, pattern = plan_relabeling(g, matching, s.k)
+    order, pattern = plan_relabeling(g, max_matching(g), s.k)
     targets = default_targets(pattern, s, mode, cfg)
     report = continuation_solve(s, pattern, targets, mode, cfg)
-    return replace(report, matrix=relab.unapply_matrix(report.matrix))
+    return replace(report, matrix=report.matrix[np.ix_(order, order)])
 
 
 def path_graph(n: int) -> Graph:
@@ -138,11 +137,14 @@ def verify(
     written, so exact comparison is the honest test).  The diagonal is
     unconstrained.  Spectrum check: greedy nearest-neighbor matching of the
     computed eigenvalues against the targets, within ``spectrum_tol``
-    (default :func:`~giep.solver.final_tolerance` of ``s``); when every
+    (default :func:`~giep.solver.final_tolerance` of ``s``; a NaN or
+    negative tolerance raises ValueError, 0 and inf are allowed); when every
     eigenvalue lies in its own disc, :func:`~giep.model.spectrum_mismatch`
     finds that greedy distance from one distance per eigenvalue instead of
     an n-by-n matrix.  Failures are reported, never raised.
     """
+    if spectrum_tol is not None and not spectrum_tol >= 0.0:
+        raise ValueError(f"spectrum tolerance must be nonnegative, got {spectrum_tol}")
     a = as_square_matrix(m)
     n = a.shape[0]
     if g.n != n or s.n != n:
@@ -150,8 +152,8 @@ def verify(
             f"matrix is {n}x{n}, graph has {g.n} vertices, spectrum has {s.n} values"
         )
     edge = np.zeros((n, n), dtype=bool)
-    rows, cols = _edge_array(g).T - 1
-    edge[rows, cols] = True
+    tail, head, _ = sorted_edges(g)
+    edge[tail - 1, head - 1] = True
     floor = nonzero_floor(s)
     bad = np.where(edge, np.abs(a) < floor, a != 0.0)
     np.fill_diagonal(bad, False)  # graphs are loopless: the diagonal is free

@@ -6,10 +6,13 @@ representation serves both kinds.  A matching may only use bidirected
 edges; in directed graphs an edge counts toward a matching only when its
 reverse is present too.
 
-``plan_relabeling`` permutes the vertices so that a chosen matching lands
-on the label pairs (1,2), (3,4), ..., (2k-1,2k) — the layout the solver's
-parameterized matrix family assumes — and emits the leftover edges as the
-ordered fill slots of a :class:`~giep.model.Pattern`.
+``max_matching`` returns a matching as the sorted tuple of its pairs
+(a, b), a < b.  ``plan_relabeling`` permutes the vertices so that k of
+those pairs land on the label pairs (1,2), (3,4), ..., (2k-1,2k) — the
+layout the solver's parameterized matrix family assumes — and emits the
+leftover edges as the ordered fill slots of a :class:`~giep.model.Pattern`.
+The permutation is an index array: ``order[old - 1]`` is the old vertex's
+0-based new index.  Both read the edges from :func:`sorted_edges`.
 """
 
 from __future__ import annotations
@@ -127,47 +130,24 @@ def format_graph(g: Graph) -> str:
     return "\n".join([head] + [f"{a} {b}" for a, b in listed]) + "\n"
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Vertex-disjoint unordered pairs, each stored as (min, max)."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for a, b in self.pairs:
-            if a >= b:
-                raise ValueError(f"matching pair ({a},{b}) must be stored (min,max)")
-            if a in seen or b in seen:
-                raise ValueError(f"matching pairs are not vertex-disjoint at {{{a},{b}}}")
-            seen.update((a, b))
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
+def sorted_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``g`` in (tail, head) order, as 1-based ``tail`` and
+    ``head`` arrays, with ``reverse`` flagging each edge whose reverse is
+    an edge too."""
+    n = g.n
+    e = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges))
+    key = np.sort(e[0::2] * (n + 1) + e[1::2])
+    tail, head = np.divmod(key, n + 1)
+    if not g.directed:  # an undirected edge set is closed under reversal
+        return tail, head, np.ones(key.size, dtype=bool)
+    twin = head * (n + 1) + tail
+    reverse = key[np.minimum(np.searchsorted(key, twin), key.size - 1)] == twin
+    return tail, head, reverse
 
 
-def check_matching(g: Graph, m: Matching) -> None:
-    """Raise ValueError unless every pair of ``m`` is a bidirected edge of ``g``."""
-    for a, b in m.pairs:
-        if not (g.has_edge(a, b) and g.has_edge(b, a)):
-            raise ValueError(f"matching pair {{{a},{b}}} is not a bidirected edge")
-
-
-def _edge_array(g: Graph) -> np.ndarray:
-    """The edges of ``g`` as an (m, 2) array of 1-based (tail, head) rows,
-    in no particular order."""
-    return np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges)).reshape(-1, 2)
-
-
-def _has_reverse(key: np.ndarray, reverse: np.ndarray) -> np.ndarray:
-    """Which of ``reverse`` occur in the sorted edge keys ``key``."""
-    at = np.minimum(np.searchsorted(key, reverse), key.size - 1)
-    return key[at] == reverse
-
-
-def max_matching(g: Graph) -> Matching:
-    """Maximum-cardinality matching over the bidirected subgraph (Edmonds).
+def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Maximum-cardinality matching over the bidirected subgraph (Edmonds),
+    as vertex-disjoint pairs (a, b) with a < b, sorted.
 
     Blossom contraction handles odd cycles, where pure augmenting-path
     search undercounts.  Vertices are scanned in increasing order with
@@ -179,10 +159,7 @@ def max_matching(g: Graph) -> Matching:
     whose neighbours are all matched runs the search.
     """
     n = g.n
-    e = _edge_array(g)
-    key = np.sort(e[:, 0] * (n + 1) + e[:, 1])  # edges in (tail, head) order
-    tail, head = np.divmod(key, n + 1)
-    both = _has_reverse(key, head * (n + 1) + tail)
+    tail, head, both = sorted_edges(g)
     neighbours = head[both].tolist()
     starts = np.searchsorted(tail[both], np.arange(n + 2)).tolist()
     adj = [neighbours[starts[v] : starts[v + 1]] for v in range(n + 1)]
@@ -261,68 +238,78 @@ def max_matching(g: Graph) -> Matching:
                 match[v], match[free] = free, v
             else:
                 augment_from(v)
-    pairs = tuple(
-        sorted((v, match[v]) for v in range(1, n + 1) if match[v] > v)
-    )
-    return Matching(pairs=pairs)
+    return tuple((v, match[v]) for v in range(1, n + 1) if match[v] > v)
 
 
-@dataclass(frozen=True)
-class Relabeling:
-    """A vertex permutation; ``perm[old-1] = new``."""
-
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
-            raise ValueError("perm must be a bijection on 1..n")
-
-    def unapply_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Inverse relabeling new -> old: out[i, j] = m[perm(i), perm(j)]."""
-        idx = np.asarray(self.perm) - 1
-        m = np.asarray(m, dtype=float)
-        return m[np.ix_(idx, idx)]
-
-
-def plan_relabeling(g: Graph, matching: Matching, k: int) -> tuple[Relabeling, Pattern]:
+def plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
     """Send k matched pairs to labels (1,2)..(2k-1,2k) and emit fill slots.
 
-    Matched pairs are ordered by their minimum vertex label and the smaller
-    vertex of each pair takes the odd position; vertices not consumed by
-    the first k pairs fill labels 2k+1..n in ascending old-label order.
-    Every edge outside the chosen pairs becomes a slot in new labels:
-    bidirected residual edges yield one slot (i, j) with i < j, while
-    one-directional residual edges keep their direction.
+    ``pairs`` is a matching of ``g`` as :func:`max_matching` returns it:
+    vertex-disjoint pairs (a, b), a < b, each a bidirected edge, in any
+    order.  The pairs with the k smallest first vertices are chosen, and
+    the smaller vertex of each takes the odd label; vertices outside the
+    chosen pairs fill labels 2k+1..n in ascending old-label order.  Every
+    edge outside the chosen pairs becomes a slot in new labels: bidirected
+    residual edges yield one slot (i, j) with i < j, while one-directional
+    residual edges keep their direction.
 
-    Raises MatchingTooSmall when the matching has fewer than k pairs.
+    Returns ``(order, pattern)``, where ``order[old - 1]`` is the 0-based
+    new index of vertex ``old``; ``m[np.ix_(order, order)]`` takes a matrix
+    in new labels back to the old ones.
+
+    Raises ValueError for a negative k or a pair that is out of order,
+    shares a vertex with an earlier pair or is not a bidirected edge, and
+    MatchingTooSmall when there are fewer than k pairs.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    check_matching(g, matching)
-    if matching.size < k:
+    n = g.n
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    a, b = pairs.T
+    # pairs are checked in order, as a loop over them would: the first
+    # pair out of order or sharing a vertex with an earlier pair
+    flat = pairs.ravel()
+    by_vertex = flat.argsort(kind="stable")
+    seen = np.zeros(flat.size, dtype=bool)
+    seen[by_vertex[1:]] = flat[by_vertex[1:]] == flat[by_vertex[:-1]]
+    bad = (a >= b) | seen[0::2] | seen[1::2]
+    if bad.any():
+        x, y = pairs[bad.argmax()].tolist()
+        if x >= y:
+            raise ValueError(f"matching pair ({x},{y}) must be stored (min,max)")
+        raise ValueError(f"matching pairs are not vertex-disjoint at {{{x},{y}}}")
+    tail, head, reverse = sorted_edges(g)
+    # bidirected edges as a mask over vertices 0..n+1, where 0 and n+1 stand
+    # for every vertex out of range and have no edges
+    bidirected = np.zeros((n + 2, n + 2), dtype=bool)
+    bidirected[tail[reverse], head[reverse]] = True
+    stray = ~bidirected[tuple(np.minimum(np.maximum(pairs, 0), n + 1).T)]
+    if stray.any():
+        x, y = pairs[stray.argmax()].tolist()
+        raise ValueError(f"matching pair {{{x},{y}}} is not a bidirected edge")
+    if len(pairs) < k:
         raise MatchingTooSmall(
             f"need a matching of size k={k}, but the graph's matching has "
-            f"size {matching.size}"
+            f"size {len(pairs)}"
         )
-    n = g.n
-    chosen = np.array(sorted(matching.pairs)[:k], dtype=np.intp).reshape(-1, 2)
-    perm = np.zeros(n, dtype=np.intp)
-    perm[chosen.ravel() - 1] = np.arange(1, 2 * k + 1)
-    perm[perm == 0] = np.arange(2 * k + 1, n + 1)
-    relab = Relabeling(perm=tuple(perm.tolist()))
+    chosen = pairs[a.argsort(kind="stable")[:k]].ravel() - 1
+    order = np.empty(n, dtype=np.intp)
+    rest = np.ones(n, dtype=bool)
+    rest[chosen] = False
+    order[chosen] = np.arange(2 * k)
+    order[rest] = np.arange(2 * k, n)
 
-    i, j = perm[_edge_array(g) - 1].T
-    # a chosen pair's two edges are the only ones inside a block (2b-1, 2b)
-    matched = (np.maximum(i, j) <= 2 * k) & ((i - 1) // 2 == (j - 1) // 2)
-    key = np.sort(i[~matched] * (n + 1) + j[~matched])  # residual edges in (i, j) order
-    i, j = np.divmod(key, n + 1)
-    bidirected = _has_reverse(key, j * (n + 1) + i)
+    i, j = order[tail - 1], order[head - 1]
+    # a chosen pair's two edges are the only ones inside a block (2b, 2b+1)
+    residual = ~((np.maximum(i, j) < 2 * k) & (i // 2 == j // 2))
+    by_slot = (i[residual] * n + j[residual]).argsort(kind="stable")
+    i, j, reverse = (x[residual][by_slot] for x in (i, j, reverse))
     # a bidirected edge is one slot (i, j) with i < j; a one-way edge keeps its direction
-    slot = (i < j) | ~bidirected
+    slot = (i < j) | ~reverse
     pattern = Pattern(
         n=n,
         k=k,
-        slots=tuple(zip(i[slot].tolist(), j[slot].tolist())),
-        bidirected=tuple(bidirected[slot].tolist()),
+        slots=tuple(zip((i[slot] + 1).tolist(), (j[slot] + 1).tolist())),
+        bidirected=tuple(reverse[slot].tolist()),
     )
-    return relab, pattern
+    return order, pattern

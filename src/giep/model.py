@@ -38,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadFormat, DegenerateSpectrum, DimensionMismatch, DiscViolation
+from .linalg import spectrum_order
 
 SCALE_CAP = 1e6  # Spectrum.scale <= SCALE_CAP * radius
 
@@ -148,8 +149,7 @@ class Spectrum:
     @cached_property
     def _rank(self) -> np.ndarray:
         # point indices in (real, imag) order, the order of eig_all's eigenvalues
-        points = self._points
-        return _freeze(np.lexsort((points.imag, points.real)))
+        return _freeze(spectrum_order(self._points))
 
     @classmethod
     def from_eigenvalues(cls, values) -> "Spectrum":

@@ -78,7 +78,6 @@ from .linalg import (
     eig_all,
     eigen_triple,
     solve_linear,
-    spectrum_order,
 )
 from .model import (
     Pattern,
@@ -294,7 +293,8 @@ class SolverConfig:
     aggressive values trade success probability for larger entries.
     The continuation starts with the whole interval as its trial step and
     gives up with StepUnderflow once halving takes the step below
-    ``step_min`` or MAX_STEPS steps have been accepted.
+    ``step_min``, which must be positive, once a step no longer advances
+    t, or once MAX_STEPS steps have been accepted.
     ``observer``, when set, is called as ``observer(state, eigs)`` after
     every accepted step.  The final spectrum check is at
     :func:`final_tolerance`, a thousand times the Newton tolerance that
@@ -384,9 +384,10 @@ def continuation_solve(
     its exact target.
 
     Raises StepUnderflow (with the largest accepted t) when the step
-    shrinks below step_min or MAX_STEPS steps were accepted short of t = 1
-    — the construction is local, so distant fill targets can honestly
-    fail — and NoConvergence when the output's spectrum distance exceeds
+    shrinks below step_min or below the rounding of t, or MAX_STEPS steps
+    were accepted short of t = 1 — the construction is local, so distant
+    fill targets can honestly fail — ValueError unless step_min is
+    positive, and NoConvergence when the output's spectrum distance exceeds
     :func:`final_tolerance`; other numerical errors propagate.
     """
     cfg = cfg or SolverConfig()
@@ -407,6 +408,8 @@ def continuation_solve(
     if np.any((omega_target == 0.0) & np.fromiter(p.bidirected, bool, p.m)):
         raise ValueError("omega* must be nonzero on bidirected slots")
     _check_mode(mode, p, u_target, omega_target)
+    if not cfg.step_min > 0.0:
+        raise ValueError(f"step_min must be positive, got {cfg.step_min}")
 
     tol_newton = TOL_NEWTON_FACTOR * s.scale
     target = s.target_coordinates()
@@ -415,8 +418,7 @@ def continuation_solve(
     state = ContinuationState(t=0.0, theta=theta, step=1.0)
     # The seed realizes the targets exactly; record it as the first accepted
     # state, with its exact spectrum in eig_all's order and no decomposition.
-    ev = s.values()
-    ev = ev[spectrum_order(ev)]
+    ev = s.values()[s._rank]
     state.history.append(StepRecord(t=0.0, residual=0.0, newton_iterations=0))
     if cfg.observer is not None:
         cfg.observer(state, ev)
@@ -437,6 +439,12 @@ def continuation_solve(
         t_try = state.t + trial_dt
         if 1.0 - t_try < 1e-12:
             t_try = 1.0
+        if t_try == state.t:
+            # the step is below the rounding of t: a trial would accept the same point
+            raise StepUnderflow(
+                f"step {trial_dt:.3g} no longer advances t={state.t:.6g}",
+                t_reached=state.t,
+            )
         # a trial from the seed starts on the second-order curve target - t^2 shift
         xyz = target - (t_try * t_try) * shift if state.t == 0.0 else state.theta[: p.n]
         theta_try = np.concatenate([xyz, t_try * u_target, t_try * omega_target])

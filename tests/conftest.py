@@ -9,7 +9,6 @@ import numpy as np
 
 from giep import Graph, Spectrum, make_graph
 from giep.errors import IllConditioned, InputError, MatchingTooSmall, NoConvergence
-from giep.graph import Matching, Relabeling, check_matching
 from giep.linalg import (
     TOL_ORTHO,
     Eigenpairs,
@@ -25,20 +24,6 @@ from giep.solver import MAX_NEWTON, jacobian_xyz
 def bidirected_pairs(g: Graph) -> list[tuple[int, int]]:
     """Unordered pairs {a,b} present in both directions, sorted."""
     return sorted({(min(a, b), max(a, b)) for a, b in g.edges if (b, a) in g.edges})
-
-
-def apply_vertex(relab: Relabeling, v: int) -> int:
-    """The new label of old vertex ``v``."""
-    return relab.perm[v - 1]
-
-
-def apply_matrix(relab: Relabeling, m: np.ndarray) -> np.ndarray:
-    """Relabel rows and columns old -> new: out[perm(i), perm(j)] = m[i, j];
-    the inverse of :meth:`Relabeling.unapply_matrix`."""
-    idx = np.asarray(relab.perm) - 1
-    out = np.empty_like(np.asarray(m, dtype=float))
-    out[np.ix_(idx, idx)] = m
-    return out
 
 
 def build_seed(s: Spectrum) -> np.ndarray:
@@ -249,7 +234,7 @@ def second_order_shift_dense(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.n
 # must reproduce exactly
 
 
-def loop_max_matching(g: Graph) -> Matching:
+def loop_max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
     """Edmonds' blossom search from every exposed vertex in increasing order,
     over sorted adjacency, with no direct-neighbour shortcut."""
     n = g.n
@@ -328,21 +313,31 @@ def loop_max_matching(g: Graph) -> Matching:
     for v in range(1, n + 1):
         if match[v] == 0:
             augment_from(v)
-    return Matching(pairs=tuple(sorted((v, match[v]) for v in range(1, n + 1) if match[v] > v)))
+    return tuple(sorted((v, match[v]) for v in range(1, n + 1) if match[v] > v))
 
 
-def loop_plan_relabeling(g: Graph, matching: Matching, k: int) -> tuple[Relabeling, Pattern]:
-    """Relabeling and fill slots built through sets and per-edge loops."""
+def loop_plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
+    """The permutation and fill slots built through sets and per-pair and
+    per-edge loops; the pairs are checked one by one."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    check_matching(g, matching)
-    if matching.size < k:
+    seen: set[int] = set()
+    for a, b in pairs:
+        if a >= b:
+            raise ValueError(f"matching pair ({a},{b}) must be stored (min,max)")
+        if a in seen or b in seen:
+            raise ValueError(f"matching pairs are not vertex-disjoint at {{{a},{b}}}")
+        seen.update((a, b))
+    for a, b in pairs:
+        if not (g.has_edge(a, b) and g.has_edge(b, a)):
+            raise ValueError(f"matching pair {{{a},{b}}} is not a bidirected edge")
+    if len(pairs) < k:
         raise MatchingTooSmall(
             f"need a matching of size k={k}, but the graph's matching has "
-            f"size {matching.size}"
+            f"size {len(pairs)}"
         )
     n = g.n
-    chosen = sorted(matching.pairs)[:k]
+    chosen = sorted(pairs)[:k]
     perm = [0] * n
     for j, (a, b) in enumerate(chosen, start=1):
         perm[a - 1] = 2 * j - 1
@@ -350,7 +345,6 @@ def loop_plan_relabeling(g: Graph, matching: Matching, k: int) -> tuple[Relabeli
     rest = [v for v in range(1, n + 1) if perm[v - 1] == 0]
     for pos, v in enumerate(rest, start=2 * k + 1):
         perm[v - 1] = pos
-    relab = Relabeling(perm=tuple(perm))
 
     matched_edges = {(a, b) for a, b in chosen} | {(b, a) for a, b in chosen}
     new_edges = {
@@ -367,7 +361,8 @@ def loop_plan_relabeling(g: Graph, matching: Matching, k: int) -> tuple[Relabeli
         else:
             slots.append((i, j))
             flags.append((j, i) in new_edges)
-    return relab, Pattern(n=n, k=k, slots=tuple(slots), bidirected=tuple(flags))
+    order = np.array(perm, dtype=np.intp) - 1  # order[old - 1] = new - 1
+    return order, Pattern(n=n, k=k, slots=tuple(slots), bidirected=tuple(flags))
 
 
 def loop_pattern_check(n: int, k: int, slots, bidirected) -> None:

@@ -257,7 +257,7 @@ def test_criterion_8_matching_oracle():
     for _ in range(500):
         n = int(rng.integers(1, 11))
         g = random_undirected_graph(rng, n, float(rng.uniform(0.0, 1.0)))
-        if max_matching(g).size != brute_force_matching_size(g):
+        if len(max_matching(g)) != brute_force_matching_size(g):
             mismatches += 1
     ok = mismatches == 0
     _report(8, ok, f"500 graphs, blossom vs exhaustive matching: {mismatches} mismatches")

@@ -204,6 +204,13 @@ def test_verify_spectrum_failure():
     assert report.spectrum_error == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300])
+def test_verify_rejects_a_nan_or_negative_tolerance(tol):
+    s = Spectrum(pairs=(), reals=(1.0, 2.0))
+    with pytest.raises(ValueError, match="spectrum tolerance must be nonnegative"):
+        verify(np.diag([1.0, 2.0]), s, make_graph(2, []), spectrum_tol=tol)
+
+
 def test_verify_dimension_check():
     with pytest.raises(DimensionMismatch):
         verify(np.eye(2), S3, path_graph(3))

@@ -76,6 +76,30 @@ def test_every_wrapped_attribute_resolves(tracing):
     assert missing == []
 
 
+def test_solve_instance_calls_each_traced_layer_once(tracing):
+    """The per-layer split times matching, relabeling and continuation
+    through separate ``giep.apps`` attributes; a solve that merged or
+    bypassed one of them would leave its layer's time at zero."""
+    from giep import apps
+    from giep.cli import random_graph, random_spectrum
+
+    rng = np.random.default_rng(5)
+    s = random_spectrum(rng, 2, 3)
+    g = random_graph(rng, 7, 2, 0.4)
+    attrs = ("solve_instance", "max_matching", "plan_relabeling", "continuation_solve")
+    originals = [getattr(apps, attr) for attr in attrs]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        apps.solve_instance(s, g)
+    finally:
+        tracer.restore()
+    assert [getattr(apps, attr) for attr in attrs] == originals
+    names = [span.name for span in tracer.spans]
+    for layer in ("graph.max_matching", "graph.plan_relabeling", "solver.continuation"):
+        assert names.count(layer) == 1, layer
+
+
 def test_cli_solver_config_takes_an_observer(tracing):
     cli = importlib.import_module("giep.cli")
     tracer = tracing.Tracer()

@@ -197,6 +197,32 @@ def test_verify_cli_pass_and_fail(instance, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol, code", [("nan", 1), ("-1", 1), ("0", 4), ("inf", 0)])
+def test_verify_cli_tolerance_must_be_nonnegative(instance, capsys, tol, code):
+    tmp, spectrum, graph = instance
+    out = tmp / "m.csv"
+    assert main(["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(out)]) == 0
+    argv = ["verify", "--matrix", str(out), "--spectrum", str(spectrum), "--graph", str(graph)]
+    assert main(argv + ["--tol", tol]) == code
+    if code == 1:
+        assert "bad input: spectrum tolerance must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step_min", ["0", "-1", "nan"])
+def test_solve_step_min_must_be_positive(tmp_path, capsys, step_min):
+    """The stalling instance of the step-rounding test: a step_min that is
+    not positive is bad input before any step."""
+    prefix = str(tmp_path / "a")
+    argv = ["random-instance", "--n", "8", "--k", "2", "--edge-prob", "0.5", "--rng-seed", "3"]
+    assert main(argv + ["--out-prefix", prefix]) == 0
+    code = main(
+        ["solve", "--spectrum", prefix + ".spectrum", "--graph", prefix + ".graph",
+         "--out", str(tmp_path / "m.csv"), "--fill-scale", "30", "--step-min", step_min]
+    )
+    assert code == 1
+    assert "bad input: step_min must be positive" in capsys.readouterr().err
+
+
 def test_parser_built_once_gives_same_output_as_fresh_parser(instance, capsys):
     tmp, spectrum, graph = instance
     out = tmp / "m.csv"
@@ -354,7 +380,7 @@ def test_random_instances_are_feasible(tmp_path):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(0, n // 2 + 1))
         g = random_graph(rng, n, k, float(rng.uniform(0, 0.6)))
-        assert max_matching(g).size >= k
+        assert len(max_matching(g)) >= k
 
 
 def test_batch_mode(tmp_path, capsys):

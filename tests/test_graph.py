@@ -5,11 +5,9 @@ import pytest
 
 from giep import Graph, make_graph, parse_graph
 from giep.errors import BadFormat, MatchingTooSmall
-from giep.graph import Matching, Relabeling, format_graph, max_matching, plan_relabeling
+from giep.graph import format_graph, max_matching, plan_relabeling, sorted_edges
 from giep.model import Pattern
 from conftest import (
-    apply_matrix,
-    apply_vertex,
     bidirected_pairs,
     brute_force_matching_size,
     edge_positions,
@@ -76,10 +74,25 @@ def test_graph_validates(n, directed, edges, message):
 
 
 def test_matching_validates():
-    with pytest.raises(ValueError, match=r"matching pair \(2,1\) must be stored \(min,max\)"):
-        Matching(pairs=((2, 1),))
-    with pytest.raises(ValueError, match=r"matching pairs are not vertex-disjoint at \{2,3\}"):
-        Matching(pairs=((1, 2), (2, 3)))
+    g = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
+    for pairs, message in (
+        (((2, 1),), "matching pair (2,1) must be stored (min,max)"),
+        (((1, 2), (2, 3)), "matching pairs are not vertex-disjoint at {2,3}"),
+        # the first offender in order, whichever check it fails
+        (((1, 2), (2, 3), (5, 4)), "matching pairs are not vertex-disjoint at {2,3}"),
+        (((3, 4), (1, 1), (3, 5)), "matching pair (1,1) must be stored (min,max)"),
+        # order and disjointness are checked for every pair before any edge
+        (((2, 4), (5, 4)), "matching pair (5,4) must be stored (min,max)"),
+        (((1, 2), (1, 3)), "matching pairs are not vertex-disjoint at {1,3}"),
+        (((1, 2), (4, 5), (0, 3)), "matching pair {4,5} is not a bidirected edge"),
+        (((0, 1),), "matching pair {0,1} is not a bidirected edge"),
+        # vertices outside 1..n are never matched, however far out
+        (((1, 6),), "matching pair {1,6} is not a bidirected edge"),
+        (((-7, -2),), "matching pair {-7,-2} is not a bidirected edge"),
+    ):
+        with pytest.raises(ValueError) as info:
+            plan_relabeling(g, pairs, 0)
+        assert str(info.value) == message
 
 
 def test_parse_allows_directed_both_ways():
@@ -95,16 +108,22 @@ def test_format_graph_round_trip():
     assert parse_graph(format_graph(dg)) == dg
 
 
+def test_sorted_edges_flags_reverses():
+    g = make_graph(3, [(3, 1), (2, 1), (1, 2)], directed=True)
+    tail, head, reverse = sorted_edges(g)
+    assert (tail.tolist(), head.tolist(), reverse.tolist()) == ([1, 2, 3], [2, 1, 1], [True, True, False])
+    assert all(x.size == 0 for x in sorted_edges(make_graph(2, [])))
+    assert sorted_edges(make_graph(3, [(3, 1)]))[2].tolist() == [True, True]
+
+
 def test_matching_path4():
     g = make_graph(4, [(1, 2), (2, 3), (3, 4)])
-    m = max_matching(g)
-    assert m.size == 2
-    assert m.pairs == ((1, 2), (3, 4))
+    assert max_matching(g) == ((1, 2), (3, 4))
 
 
 def test_matching_triangle():
     g = make_graph(3, [(1, 2), (2, 3), (3, 1)])
-    assert max_matching(g).size == 1
+    assert len(max_matching(g)) == 1
 
 
 def test_matching_petersen_is_perfect():
@@ -112,21 +131,19 @@ def test_matching_petersen_is_perfect():
     inner = [(6, 8), (8, 10), (10, 7), (7, 9), (9, 6)]
     spokes = [(1, 6), (2, 7), (3, 8), (4, 9), (5, 10)]
     g = make_graph(10, outer + inner + spokes)
-    m = max_matching(g)
-    assert m.size == 5
+    assert len(max_matching(g)) == 5
     assert brute_force_matching_size(g) == 5
 
 
 def test_matching_needs_blossoms():
     # two triangles joined by a bridge: greedy non-blossom search can miss size 3
     g = make_graph(6, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 4)])
-    assert max_matching(g).size == 3
+    assert len(max_matching(g)) == 3
 
 
 def test_matching_ignores_one_directional_edges():
     g = make_graph(4, [(1, 2), (2, 1), (3, 4)], directed=True)
-    m = max_matching(g)
-    assert m.pairs == ((1, 2),)
+    assert max_matching(g) == ((1, 2),)
 
 
 def test_matching_matches_brute_force_on_randoms():
@@ -136,11 +153,11 @@ def test_matching_matches_brute_force_on_randoms():
         g = random_undirected_graph(rng, n, float(rng.uniform(0, 1)))
         m = max_matching(g)
         # validity: disjoint and made of edges
-        used = [v for pair in m.pairs for v in pair]
+        used = [v for pair in m for v in pair]
         assert len(used) == len(set(used))
-        for a, b in m.pairs:
+        for a, b in m:
             assert g.has_edge(a, b) and g.has_edge(b, a)
-        assert m.size == brute_force_matching_size(g)
+        assert len(m) == brute_force_matching_size(g)
 
 
 def test_matching_deterministic():
@@ -151,8 +168,8 @@ def test_matching_deterministic():
 
 def test_plan_relabeling_path3():
     g = make_graph(3, [(1, 2), (2, 3)])
-    relab, pattern = plan_relabeling(g, Matching(pairs=((2, 3),)), k=1)
-    assert relab.perm == (3, 1, 2)  # 1->3, 2->1, 3->2
+    order, pattern = plan_relabeling(g, ((2, 3),), k=1)
+    assert order.tolist() == [2, 0, 1]  # 1->3, 2->1, 3->2
     assert pattern.n == 3 and pattern.k == 1 and pattern.l == 1
     # residual edge {1,2} lands on new labels {3,1}
     assert pattern.slots == ((1, 3),)
@@ -161,8 +178,8 @@ def test_plan_relabeling_path3():
 
 def test_plan_relabeling_path4_identity():
     g = make_graph(4, [(1, 2), (2, 3), (3, 4)])
-    relab, pattern = plan_relabeling(g, Matching(pairs=((1, 2), (3, 4))), k=2)
-    assert relab.perm == (1, 2, 3, 4)
+    order, pattern = plan_relabeling(g, ((1, 2), (3, 4)), k=2)
+    assert order.tolist() == [0, 1, 2, 3]
     assert pattern.slots == ((2, 3),)
     assert pattern.bidirected == (True,)
 
@@ -176,8 +193,8 @@ def test_plan_relabeling_too_small():
 
 def test_plan_relabeling_directed_residuals():
     g = make_graph(3, [(1, 2), (2, 1), (1, 3)], directed=True)
-    relab, pattern = plan_relabeling(g, max_matching(g), k=1)
-    assert relab.perm == (1, 2, 3)
+    order, pattern = plan_relabeling(g, max_matching(g), k=1)
+    assert order.tolist() == [0, 1, 2]
     assert pattern.slots == ((1, 3),)
     assert pattern.bidirected == (False,)
 
@@ -188,33 +205,14 @@ def test_plan_relabeling_puts_matching_on_leading_pairs():
         n = int(rng.integers(2, 10))
         g = random_undirected_graph(rng, n, 0.5)
         m = max_matching(g)
-        k = int(rng.integers(0, m.size + 1))
-        relab, pattern = plan_relabeling(g, m, k)
-        new_edges = {(apply_vertex(relab, a), apply_vertex(relab, b)) for a, b in g.edges}
+        k = int(rng.integers(0, len(m) + 1))
+        order, pattern = plan_relabeling(g, m, k)
+        new_edges = {(order[a - 1] + 1, order[b - 1] + 1) for a, b in g.edges}
         for j in range(1, k + 1):
             assert (2 * j - 1, 2 * j) in new_edges and (2 * j, 2 * j - 1) in new_edges
         # slots plus matched blocks account for every edge
         expect = edge_positions(pattern)
         assert new_edges == expect
-
-
-def test_relabeling_matrix_round_trip():
-    rng = np.random.default_rng(53)
-    perm = (3, 1, 4, 2)
-    relab = Relabeling(perm=perm)
-    m = rng.standard_normal((4, 4))
-    assert np.array_equal(relab.unapply_matrix(apply_matrix(relab, m)), m)
-    assert np.array_equal(apply_matrix(relab, relab.unapply_matrix(m)), m)
-    # entry mapping: applied[perm(i), perm(j)] == m[i, j]
-    applied = apply_matrix(relab, m)
-    assert applied[perm[0] - 1, perm[1] - 1] == m[0, 1]
-
-
-def test_relabeling_validates():
-    with pytest.raises(ValueError):
-        Relabeling(perm=(1, 1, 2))
-    with pytest.raises(ValueError):
-        Relabeling(perm=(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +272,21 @@ def test_matching_and_relabeling_match_loop_oracles():
         m = max_matching(g)
         want = loop_max_matching(g)
         assert repr(m) == repr(want)  # Python ints, same pairs in the same order
-        ks = {0, m.size, m.size + 1, int(rng.integers(0, m.size + 1))}
+        ks = {0, len(m), len(m) + 1, int(rng.integers(0, len(m) + 1))}
         for k in sorted(ks):
             assert outcome(plan_relabeling, g, m, k) == outcome(loop_plan_relabeling, g, m, k)
         # a shuffled sub-matching: other pairs land on the blocks
-        keep = [pair for pair in m.pairs if rng.uniform() < 0.7]
-        sub = Matching(pairs=tuple(keep[i] for i in rng.permutation(len(keep))))
-        k = int(rng.integers(0, sub.size + 1))
+        keep = [pair for pair in m if rng.uniform() < 0.7]
+        sub = tuple(keep[i] for i in rng.permutation(len(keep)))
+        k = int(rng.integers(0, len(sub) + 1))
         assert outcome(plan_relabeling, g, sub, k) == outcome(loop_plan_relabeling, g, sub, k)
     assert graphs >= 2000
-    # pairs that are not bidirected edges, and a negative k
-    g = make_graph(4, [(1, 2), (3, 4)], directed=True)
-    for m, k in ((Matching(pairs=((1, 2),)), 1), (Matching(pairs=((1, 3),)), 0), (max_matching(g), -1)):
+    # pairs that are out of order, overlap or are not bidirected edges, and a negative k
+    g = make_graph(4, [(1, 2), (2, 1), (3, 4)], directed=True)
+    for m, k in (
+        (((3, 4),), 1), (((1, 3),), 0), (((1, 2), (2, 4)), 0), (((2, 1), (1, 2)), 0),
+        (((1, 2), (0, 5)), 1), (((1, 2),), 2), (max_matching(g), -1),
+    ):
         assert outcome(plan_relabeling, g, m, k) == outcome(loop_plan_relabeling, g, m, k)
         assert isinstance(outcome(plan_relabeling, g, m, k), tuple)
 

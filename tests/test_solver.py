@@ -431,6 +431,25 @@ def test_step_budget_ends_a_multi_step_solve(monkeypatch):
     assert info.value.t_reached == history[1].t  # the one accepted step
 
 
+def test_a_step_below_the_rounding_of_t_ends_the_solve(monkeypatch):
+    """``giep random-instance --n 8 --k 2 --edge-prob 0.5 --rng-seed 3`` at
+    fill 30 stalls at t = 0.134678.  With step_min = 1e-300 the step halves
+    until t + dt == t, and the solve then raises StepUnderflow instead of
+    accepting the same point again until the step budget runs out."""
+    rng = np.random.default_rng(3)
+    s, g = random_spectrum(rng, 2, 4), random_graph(rng, 8, 2, 0.5)
+    calls = []
+    real_eig_all = giep.solver.eig_all
+    monkeypatch.setattr(giep.solver, "eig_all", lambda *a, **kw: calls.append(1) or real_eig_all(*a, **kw))
+    accepted = []
+    cfg = SolverConfig(fill_scale=30.0, step_min=1e-300, observer=lambda state, eigs: accepted.append(state.t))
+    with pytest.raises(StepUnderflow, match="no longer advances t=0.134678") as info:
+        solve_instance(s, g, cfg=cfg)
+    assert np.all(np.diff(accepted) > 0.0)
+    assert info.value.t_reached == accepted[-1]
+    assert len(calls) < 2_000  # a crawl to the step budget takes over 10,000
+
+
 @pytest.mark.parametrize("slots", [((2, 3),), ()], ids=["fills", "seed"])
 def test_final_check_fires_above_the_final_tolerance(monkeypatch, slots):
     """The final spectrum check runs on every solve, with fills or without."""
