@@ -21,13 +21,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, RepeatedEigenvalues
 from .graph import Graph, make_graph, max_matching, plan_relabeling, sorted_edges
-from .linalg import as_square_matrix, eig_all
+from .linalg import as_square_matrix, eig_all, unit_exponent
 from .model import Spectrum, _distances, spectrum_mismatch
 from .solver import (
     SolveReport,
     SolverConfig,
     continuation_solve,
-    default_targets,
     final_tolerance,
     nonzero_floor,
 )
@@ -44,14 +43,12 @@ def solve_instance(
     MatchingTooSmall when the graph cannot host the k conjugate pairs, and
     propagates solver errors (StepUnderflow and friends) otherwise.
     """
-    cfg = cfg or SolverConfig()
     if g.n != s.n:
         raise DimensionMismatch(
             f"graph has {g.n} vertices but the spectrum needs n = 2k+l = {s.n}"
         )
     order, pattern = plan_relabeling(g, max_matching(g), s.k)
-    targets = default_targets(pattern, s, mode, cfg)
-    report = continuation_solve(s, pattern, targets, mode, cfg)
+    report = continuation_solve(s, pattern, mode, cfg)
     return replace(report, matrix=report.matrix[np.ix_(order, order)])
 
 
@@ -77,7 +74,9 @@ def tridiagonalize(m, cfg: SolverConfig | None = None) -> SolveReport:
     n = a.shape[0]
     if n > 1:
         gap = _distances(ev, ev)[np.triu_indices(n, 1)].min()
-        if gap <= GAP_FACTOR * np.linalg.norm(a):
+        # compared at order one, where the norm's sum of squares neither overflows nor underflows
+        exp = unit_exponent(a)
+        if np.ldexp(gap, -exp) <= GAP_FACTOR * np.linalg.norm(np.ldexp(a, -exp)):
             raise RepeatedEigenvalues(
                 f"minimum eigenvalue gap {gap:.3e} is below the distinctness gate"
             )

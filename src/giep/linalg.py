@@ -23,6 +23,7 @@ the matrix.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +55,13 @@ def as_vector(v, n: int) -> np.ndarray:
     if not np.isfinite(b).all():
         raise ValueError("vector entries must be finite")
     return b
+
+
+def unit_exponent(x) -> int:
+    """The exponent e with the largest |x| in [2^(e-1), 2^e), or 0 when ``x``
+    is zero: ``np.ldexp(x, -e)`` is ``x`` scaled exactly to order one, where
+    sums of squares neither overflow nor underflow."""
+    return math.frexp(np.abs(x).max(initial=0.0))[1]
 
 
 def spectrum_order(ev: np.ndarray) -> np.ndarray:
@@ -130,11 +138,19 @@ def eigen_triple(m, ev, vecs, idx) -> Eigenpairs:
     rows (left) of one array; the checks still hold for every one
     separately, and the first that fails one raises.
 
+    The values, residuals and tolerance are computed with ``m`` scaled by
+    the power of two of :func:`unit_exponent`, which leaves the eigenvectors
+    as they are, and the values are scaled back: the same bits as unscaled
+    wherever nothing overflows or underflows, and checks that hold at every
+    finite scale.
+
     Raises IllConditioned when |w^T v| < TOL_ORTHO or the eigenvector
     matrix is singular (near-defective), and NoConvergence when a residual
     is too large.
     """
     a = as_square_matrix(m)
+    exp = unit_exponent(a)
+    a = np.ldexp(a, -exp)
     try:
         w = np.linalg.inv(vecs)[idx]
     except np.linalg.LinAlgError as exc:
@@ -164,6 +180,9 @@ def eigen_triple(m, ev, vecs, idx) -> Eigenpairs:
         raise NoConvergence(
             f"eigenpair residuals {res_right[i]:.3e}/{res_left[i]:.3e} exceed {tol:.3e}"
         )
+    if np.iscomplexobj(value):
+        value.imag = np.ldexp(value.imag, exp)
+    value.real = np.ldexp(value.real, exp)
     return Eigenpairs(right=v, left=w, pairing=pairing, value=value)
 
 
@@ -189,10 +208,16 @@ def solve_linear(a, rhs) -> np.ndarray:
     TOL_LIN * (||rhs|| + ||a|| * ||s||) on its residual; beyond that, or
     when LAPACK finds an exactly singular pivot, the system is reported
     singular.  Ill-conditioned but solvable matrices pass: callers that
-    must reject them run :func:`check_conditioning` on ``a`` first.
+    must reject them run :func:`check_conditioning` on ``a`` first.  The
+    system is solved and checked with ``a`` and ``rhs`` each scaled by the
+    power of two of :func:`unit_exponent`, and the solution scaled back:
+    the same bits as unscaled wherever nothing overflows or underflows, and
+    a bound that holds at every finite scale.
     """
     a = as_square_matrix(a)
     b = as_vector(rhs, a.shape[0])
+    exp_a, exp_b = unit_exponent(a), unit_exponent(b)
+    a, b = np.ldexp(a, -exp_a), np.ldexp(b, -exp_b)
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -203,4 +228,4 @@ def solve_linear(a, rhs) -> np.ndarray:
         raise SingularSystem(
             f"solve residual {residual:.3e} exceeds the backward-stable bound {stable:.3e}"
         )
-    return x
+    return np.ldexp(x, exp_b - exp_a)

@@ -54,8 +54,11 @@ class Spectrum:
     reals: tuple[float, ...]
 
     def __post_init__(self):
-        pairs = tuple((float(a), float(b)) for a, b in self.pairs)
-        reals = tuple(float(g) for g in self.reals)
+        try:
+            pairs = tuple((float(a), float(b)) for a, b in self.pairs)
+            reals = tuple(float(g) for g in self.reals)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValueError(f"spectrum values must be finite: {exc}") from exc
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "reals", reals)
         vals = [x for p in pairs for x in p] + list(reals)
@@ -414,7 +417,6 @@ def parse_spectrum(text: str) -> Spectrum:
     reals = doc.get("reals", [])
     if not isinstance(pairs, list) or not isinstance(reals, list):
         raise BadFormat("'pairs' and 'reals' must be arrays")
-    out_pairs = []
     for item in pairs:
         if (
             not isinstance(item, list)
@@ -422,12 +424,11 @@ def parse_spectrum(text: str) -> Spectrum:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
         ):
             raise BadFormat(f"each pair must be [lam, mu], got {item!r}")
-        out_pairs.append((float(item[0]), float(item[1])))
     for item in reals:
         if not isinstance(item, (int, float)) or isinstance(item, bool):
             raise BadFormat(f"each real must be a number, got {item!r}")
     try:
-        return Spectrum(pairs=tuple(out_pairs), reals=tuple(float(g) for g in reals))
+        return Spectrum(pairs=tuple(map(tuple, pairs)), reals=tuple(reals))
     except ValueError as exc:
         raise BadFormat(str(exc)) from exc
 

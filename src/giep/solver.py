@@ -50,12 +50,14 @@ greedy multiset distance.  Only a solve without fills decomposes its
 output, the seed, for that check; :func:`spectrum_mismatch` finds the same
 greedy distance there in O(n log n), since the seed's eigenvalues sit in
 their discs.  The discs are the spectrum's own: the corrector labels
-eigenvalues against ``Spectrum`` itself, and default fill targets are
-sized by :attr:`Spectrum.radius`.  :func:`final_tolerance` and
-:func:`nonzero_floor` are the one definition of the default final
-tolerance and of the floor on edge entries, which ``verify`` applies too.
-They and the Newton tolerance are multiples of :attr:`Spectrum.scale`, so
-solving a spectrum scaled by a power of two scales the output exactly.
+eigenvalues against ``Spectrum`` itself, and the solver sizes its own
+fill targets by :attr:`Spectrum.radius` in :func:`default_targets`.
+:func:`final_tolerance` and :func:`nonzero_floor` are the one definition
+of the default final tolerance and of the floor on edge entries, which
+``verify`` applies too.  They and the Newton tolerance are multiples of
+:attr:`Spectrum.scale`, and sums of squares are taken at order one after
+an exact power-of-two scaling, so the solver's arithmetic commutes with
+scaling the spectrum by a power of two.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ from .linalg import (
     eig_all,
     eigen_triple,
     solve_linear,
+    unit_exponent,
 )
 from .model import (
     Pattern,
@@ -106,7 +109,7 @@ def final_tolerance(s: Spectrum) -> float:
 
 def nonzero_floor(s: Spectrum) -> float:
     """The smallest edge-entry magnitude ``verify`` accepts on a matrix for
-    ``s``: far above rounding noise, and never above a default fill, which
+    ``s``: far above rounding noise, and never above a fill, which
     :func:`default_targets` ensures."""
     return NONZERO_FLOOR * s.scale
 
@@ -158,9 +161,14 @@ def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray
     (r, c) adds to G_ab for the at most two eigenvalues a of r's block and b
     of c's; the contributions are summed per key a*n + b and each key is
     paired with its transpose, so work and memory grow with the number of
-    fill entries, not with n^2.  Returns the shifts as (lam, mu, gamma)
-    coordinates, the real and imaginary parts of the plus shifts, then the
-    real shifts.
+    fill entries, not with n^2.  The shift is homogeneous of degree one in
+    the fills and the spectrum together, so it is evaluated with both
+    scaled by the power of two that brings the largest fill to order one
+    and scaled back: the same bits wherever the products G_ab G_ba neither
+    overflow nor underflow, and finite wherever the shift itself is.
+    Returns the shifts as (lam, mu, gamma) coordinates, the real and
+    imaginary parts of the plus shifts, then the real shifts; a shift
+    beyond the float range comes back infinite.
     """
     n, k = p.n, p.k
     vertex = np.arange(n)
@@ -177,6 +185,8 @@ def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray
     fill = e.param >= n
     r, c = e.rows[fill], e.cols[fill]
     value = e.coef[fill] * fills[e.param[fill] - n]
+    exp = unit_exponent(value)
+    value = np.ldexp(value, -exp)
     g_part = wco[r][:, :, None] * value[:, None, None] * vco[c][:, None, :]
     key = (owner[r][:, :, None] * n + owner[c][:, None, :]).ravel()
     # a stable argsort, not np.unique: its quicksort kernels are half a
@@ -191,28 +201,30 @@ def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray
     mate = np.minimum(np.searchsorted(keys, b * n + a), keys.size - 1)
     paired = keys[mate] == b * n + a
     lam = s.values()
-    term = g[paired] * g[mate[paired]] / (lam[a[paired]] - lam[b[paired]])
+    gap = lam[a[paired]] - lam[b[paired]]
+    gap.real, gap.imag = np.ldexp(gap.real, -exp), np.ldexp(gap.imag, -exp)
+    term = g[paired] * g[mate[paired]] / gap
     shift = np.bincount(a[paired], term.real, n) + 1j * np.bincount(a[paired], term.imag, n)
-    return np.concatenate([shift[:k].real, shift[:k].imag, shift[2 * k :].real])
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.concatenate([shift[:k].real, shift[:k].imag, shift[2 * k :].real]), exp)
 
 
 def newton_correct(
     p: Pattern,
     s: Spectrum,
     theta: np.ndarray,
-    target: np.ndarray,
-    tol: float,
     jac: np.ndarray | None = None,
     refresh: bool = False,
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None]:
     """Chord Newton iteration on (x, y, z) until the labeled coordinates are
-    within ``tol`` of ``target``; returns (theta, iterations, residual, eigs,
+    within the Newton tolerance TOL_NEWTON_FACTOR * s.scale of
+    ``s.target_coordinates()``; returns (theta, iterations, residual, eigs,
     jac) there, where ``residual`` is the vector target - coordinates.
 
-    ``theta`` is the stacked parameter vector and ``target`` the stacked
-    coordinates; a correction adds to theta's first n = 2k+l entries, the
-    block parameters, and never touches u and omega.  A point that already
-    meets ``tol`` is returned unchanged after zero iterations.
+    ``theta`` is the stacked parameter vector; a correction adds to its
+    first n = 2k+l entries, the block parameters, and never touches u and
+    omega.  A point that already meets the tolerance is returned unchanged
+    after zero iterations.
 
     ``jac`` is the chord matrix every correction solves with; None stands
     for the seed's identity Jacobian, whose correction is the residual
@@ -228,12 +240,17 @@ def newton_correct(
     the Jacobian.  continuation_solve sets it on a trial that retries a
     rejected one, where a stale chord matrix can stall near a fold.
 
-    Raises NoConvergence past MAX_NEWTON iterations or when LAPACK or an
-    eigenpair check fails, DiscViolation when an iterate leaves the discs
-    (continuation_solve rejects the trial on either), and SingularSystem.
+    Raises NoConvergence past MAX_NEWTON iterations, at an iterate that is
+    not finite, or when LAPACK or an eigenpair check fails, DiscViolation
+    when an iterate leaves the discs (continuation_solve rejects the trial
+    on either), and SingularSystem.
     """
+    target = s.target_coordinates()
+    tol = TOL_NEWTON_FACTOR * s.scale
     previous = np.inf  # the residual before the last chord step
     for it in range(MAX_NEWTON + 1):
+        if not np.isfinite(theta).all():
+            raise NoConvergence(f"newton iterate {it} is not finite")
         mtx = assemble(p, theta)
         ev, vecs = eig_all(mtx, vectors=True) if refresh else (eig_all(mtx), None)
         coords, idx = label_eigenvalues(ev, s)
@@ -288,7 +305,7 @@ class ContinuationState:
 class SolverConfig:
     """Knobs for the continuation driver (all have safe defaults).
 
-    ``fill_scale`` sizes default fill targets as a fraction of the disc
+    ``fill_scale`` sizes the fill targets as a fraction of the disc
     radius; the construction is only guaranteed for small fills, so
     aggressive values trade success probability for larger entries.
     The continuation starts with the whole interval as its trial step and
@@ -331,63 +348,49 @@ def default_targets(
 
     generic and symmetric set omega* = u*; skew sets omega* = -u*.  For
     one-directional slots the omega component is zero (never written).
-    Raises ValueError unless the fills reach :func:`nonzero_floor`, so that
-    ``verify`` accepts every edge entry the solver writes.
+    The one check of ``mode`` and ``fill_scale``: raises ValueError for an
+    unknown mode, a tied mode with a one-directional slot, or fills that
+    are not finite or below :func:`nonzero_floor`, which ``verify`` applies.
     """
     cfg = cfg or SolverConfig()
-    magnitude = cfg.fill_scale * s.radius
-    u = np.full(p.m, magnitude)
-    omega = np.where(p.bidirected, magnitude, 0.0) if p.m else np.zeros(0)
-    if mode == "skew":
-        omega = -omega
-    _check_mode(mode, p, u, omega)
-    floor = nonzero_floor(s)
-    if not magnitude >= floor:
-        raise ValueError(
-            f"fill_scale must be positive and size fills at or above the nonzero "
-            f"floor {floor:.3g}, got fills of {magnitude:.3g}"
-        )
-    return u, omega
-
-
-def _check_mode(mode: str, p: Pattern, u: np.ndarray, omega: np.ndarray) -> None:
     if mode not in ("generic", "symmetric", "skew"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "generic":
-        return
-    if not all(p.bidirected):
+    if mode != "generic" and not all(p.bidirected):
         raise ValueError(f"{mode} mode requires every slot to be bidirected")
-    tied = u if mode == "symmetric" else -u
-    # a NaN fill_scale ties NaN to NaN; default_targets reports it itself
-    if not np.array_equal(omega, tied, equal_nan=True):
-        raise ValueError(f"{mode} mode requires omega* = {'u*' if mode == 'symmetric' else '-u*'}")
+    magnitude = cfg.fill_scale * s.radius
+    floor = nonzero_floor(s)
+    if not floor <= magnitude < np.inf:
+        raise ValueError(
+            f"fill_scale must be positive and finite and size fills at or above the "
+            f"nonzero floor {floor:.3g}, got fills of {magnitude:.3g}"
+        )
+    u = np.full(p.m, magnitude)
+    omega = np.where(p.bidirected, magnitude, 0.0) if p.m else np.zeros(0)
+    return u, -omega if mode == "skew" else omega
 
 
 def continuation_solve(
-    s: Spectrum,
-    p: Pattern,
-    targets: tuple[np.ndarray, np.ndarray],
-    mode: str = "generic",
-    cfg: SolverConfig | None = None,
+    s: Spectrum, p: Pattern, mode: str = "generic", cfg: SolverConfig | None = None
 ) -> SolveReport:
-    """Ramp the fills from zero to their targets, Newton-correcting (x, y, z).
+    """Ramp the fills from zero to :func:`default_targets`, Newton-correcting (x, y, z).
 
     The first trial step is the whole interval t: 0 -> 1.  The step halves
-    after a rejected trial (disc violation, stalled Newton or a failed
-    eigendecomposition) and doubles after two consecutive easy accepts, up
-    to 1; each trial is clipped to the rest of the interval.  A trial from
-    the seed starts at (x, y, z) = target - t^2 * second_order_shift, the
-    seed's second-order solution curve; later trials start at the last
-    accepted point.  Trials correct with the chord iteration, except that a
-    trial after a rejection runs full Newton.  On success the returned
-    matrix realizes the target spectrum with every slot entry written at
-    its exact target.
+    after a rejected trial (disc violation, stalled Newton, a non-finite
+    iterate or a failed eigendecomposition) and doubles after two
+    consecutive easy accepts, up to 1; each trial is clipped to the rest of
+    the interval.  A trial from the seed starts at (x, y, z) = target -
+    t^2 * second_order_shift, the seed's second-order solution curve; later
+    trials start at the last accepted point.  Trials correct with the chord
+    iteration, except that a trial after a rejection runs full Newton.  On
+    success the returned matrix realizes the target spectrum with every
+    slot entry written at its exact target.
 
-    Raises StepUnderflow (with the largest accepted t) when the step
-    shrinks below step_min or below the rounding of t, or MAX_STEPS steps
-    were accepted short of t = 1 — the construction is local, so distant
-    fill targets can honestly fail — ValueError unless step_min is
-    positive, and NoConvergence when the output's spectrum distance exceeds
+    Raises DimensionMismatch unless ``p`` fits the spectrum, ValueError for
+    a bad mode, fill_scale or step_min, StepUnderflow (with the largest
+    accepted t) when the step shrinks below step_min or below the rounding
+    of t, or MAX_STEPS steps were accepted short of t = 1 — the
+    construction is local, so distant fill targets can honestly fail — and
+    NoConvergence when the output's spectrum distance exceeds
     :func:`final_tolerance`; other numerical errors propagate.
     """
     cfg = cfg or SolverConfig()
@@ -395,23 +398,10 @@ def continuation_solve(
         raise DimensionMismatch(
             f"pattern (n={p.n}, k={p.k}) does not match spectrum (n={s.n}, k={s.k})"
         )
-    u_target = np.asarray(targets[0], dtype=float).reshape(-1)
-    omega_target = np.asarray(targets[1], dtype=float).reshape(-1)
-    if u_target.size != p.m or omega_target.size != p.m:
-        raise DimensionMismatch(
-            f"fill targets have sizes {u_target.size}/{omega_target.size}, pattern m={p.m}"
-        )
-    if not (np.isfinite(u_target).all() and np.isfinite(omega_target).all()):
-        raise ValueError("fill targets must be finite")
-    if np.any(u_target == 0.0):
-        raise ValueError("every u* component must be nonzero")
-    if np.any((omega_target == 0.0) & np.fromiter(p.bidirected, bool, p.m)):
-        raise ValueError("omega* must be nonzero on bidirected slots")
-    _check_mode(mode, p, u_target, omega_target)
+    u_target, omega_target = default_targets(p, s, mode, cfg)
     if not cfg.step_min > 0.0:
         raise ValueError(f"step_min must be positive, got {cfg.step_min}")
 
-    tol_newton = TOL_NEWTON_FACTOR * s.scale
     target = s.target_coordinates()
     theta = np.concatenate([target, np.zeros(2 * p.m)])  # the seed: x, y, z = target
 
@@ -449,9 +439,7 @@ def continuation_solve(
         xyz = target - (t_try * t_try) * shift if state.t == 0.0 else state.theta[: p.n]
         theta_try = np.concatenate([xyz, t_try * u_target, t_try * omega_target])
         try:
-            theta_new, iters, r, ev, jac = newton_correct(
-                p, s, theta_try, target, tol_newton, jac, retry
-            )
+            theta_new, iters, r, ev, jac = newton_correct(p, s, theta_try, jac, retry)
         except (NoConvergence, DiscViolation) as exc:
             state.step = trial_dt / 2.0
             easy_streak = 0

@@ -18,7 +18,7 @@ from giep.linalg import (
     solve_linear,
 )
 from giep.model import Pattern, assemble, label_eigenvalues
-from giep.solver import MAX_NEWTON, jacobian_xyz
+from giep.solver import MAX_NEWTON, TOL_NEWTON_FACTOR, jacobian_xyz
 
 
 def bidirected_pairs(g: Graph) -> list[tuple[int, int]]:
@@ -187,12 +187,14 @@ def edge_positions(p: Pattern) -> set[tuple[int, int]]:
 
 
 def newton_every_iterate(
-    p: Pattern, s: Spectrum, theta: np.ndarray, target: np.ndarray, tol: float
+    p: Pattern, s: Spectrum, theta: np.ndarray
 ) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Full Newton on (x, y, z), with a fresh Jacobian from one ``eig`` with
-    eigenvectors on every iterate: the oracle for the solver's chord
-    iteration.  Returns (theta, iterations, residual, eigs), where residual
-    is the vector target - coordinates."""
+    eigenvectors on every iterate, to the solver's target and Newton
+    tolerance: the oracle for the solver's chord iteration.  Returns (theta,
+    iterations, residual, eigs), where residual is the vector target -
+    coordinates."""
+    target, tol = s.target_coordinates(), TOL_NEWTON_FACTOR * s.scale
     for it in range(MAX_NEWTON + 1):
         mtx = assemble(p, theta)
         ev, vecs = eig_all(mtx, vectors=True)

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import giep.apps as apps
 import giep.model as model
@@ -236,13 +238,15 @@ def scaled(s: Spectrum, c: float) -> Spectrum:
 
 def test_solve_passes_verify_at_every_scale():
     """Tolerances and the nonzero floor follow the spectrum's scale, so a
-    solve passes verify from 1e-12 to 1e12; an absolute floor of 1e-12
-    rejected the fills of the smallest scale."""
+    solve passes verify from 1e-300 to 1e300; an absolute floor of 1e-12
+    rejected the fills of the smallest scale, and from 1e160 up the
+    second-order shift's G_ab G_ba overflowed until it was taken at fills
+    of order one."""
     rng = np.random.default_rng(3)
     s0 = random_spectrum(rng, 3, 4)
     g = random_graph(rng, 10, 3, 0.4)
     base = verify(solve_instance(s0, g).matrix, s0, g)
-    for e in range(-12, 13):
+    for e in range(-300, 301):
         s = scaled(s0, 10.0**e)
         report = verify(solve_instance(s, g).matrix, s, g)
         assert report.passed, (e, report.render())
@@ -278,6 +282,32 @@ def test_power_of_two_scaling_scales_the_output_exactly():
             c = 2.0**j
             assert np.array_equal(solve_instance(scaled(s, c), g).matrix, c * m), j
     assert solved >= 50
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+       edge_prob=st.floats(0.0, 1.0), half_j=st.integers(-20, 20))
+def test_power_of_two_scaling_is_exact_on_generated_instances(data, seed, n, edge_prob, half_j):
+    """Solving 2^j * s returns 2^j * M(s) bitwise, or fails as s does, over
+    generated instances.  j is even: LAPACK's 2x2 standardization takes
+    square roots, so eigvals(2M) and 2 eigvals(M) can differ in the last
+    bit (an n=2 all-real instance at j = 1 does).  |j| stays within 40:
+    from 2^-50 on, all-real instances stop being equivariant, because
+    LAPACK's eigvals of the exactly scaled matrix already differ."""
+    j = 2 * half_j
+    k = data.draw(st.integers(0, n // 2), label="k")
+    rng = np.random.default_rng(seed)
+    s = random_spectrum(rng, k, n - 2 * k, box=max(5.0, n / 2.0))
+    g = random_graph(rng, n, k, edge_prob)
+    try:
+        m = solve_instance(s, g).matrix
+    except NumericalError as exc:
+        for c in (2.0**j, 2.0**-j):
+            with pytest.raises(type(exc)):
+                solve_instance(scaled(s, c), g)
+        return
+    for c in (2.0**j, 2.0**-j):
+        assert np.array_equal(solve_instance(scaled(s, c), g).matrix, c * m)
 
 
 NEAR = Spectrum(pairs=((1e6, 1.0),), reals=(1e6, 1e6 + 1e-5))
@@ -344,13 +374,16 @@ def test_verify_of_large_sparse_outputs_builds_no_distance_matrix():
 def test_tridiagonalize_tiny_matrix_passes_verify():
     """The distinctness gate is relative to the matrix: a Gaussian 6x6 at
     scale 1e-12 tridiagonalizes and verifies, where a gate of
-    1e-8 * (1 + ||A||_F) refused it as having repeated eigenvalues."""
-    a = 1e-12 * np.random.default_rng(0).standard_normal((6, 6))
-    report = verify(tridiagonalize(a).matrix, Spectrum.from_eigenvalues(eig_all(a)), path_graph(6))
-    assert report.passed, report.render()
+    1e-8 * (1 + ||A||_F) refused it as having repeated eigenvalues.  So it
+    does from 1e-300 to 1e300: from 1e160 up ||A||_F overflowed and the
+    gate refused every matrix."""
+    for scale in (1e-300, 1e-160, 1e-12, 1e160, 1e300):
+        a = scale * np.random.default_rng(0).standard_normal((6, 6))
+        report = verify(tridiagonalize(a).matrix, Spectrum.from_eigenvalues(eig_all(a)), path_graph(6))
+        assert report.passed, (scale, report.render())
 
 
-@pytest.mark.parametrize("j", [-60, -20, 20, 60])
+@pytest.mark.parametrize("j", [-990, -60, -20, 20, 60, 990])
 def test_gap_gate_is_invariant_under_power_of_two_scaling(monkeypatch, j):
     """Matrices with their smallest eigenvalue gap just either side of the
     gate pass or fail it the same way when scaled by 2^j."""

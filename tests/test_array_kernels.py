@@ -418,7 +418,7 @@ def test_written_fills_and_structural_zeros_are_exact(mode):
     g = random_graph(rng, 40, 16, 0.1)
     _, p = plan_relabeling(g, max_matching(g), s.k)
     cfg = SolverConfig()
-    m = continuation_solve(s, p, default_targets(p, s, mode, cfg), mode, cfg).matrix
+    m = continuation_solve(s, p, mode, cfg).matrix
     fill = cfg.fill_scale * loop_radius(s)
     for (i, j), bidirected in zip(p.slots, p.bidirected):
         assert m[i - 1, j - 1] == fill

@@ -223,6 +223,27 @@ def test_solve_step_min_must_be_positive(tmp_path, capsys, step_min):
     assert "bad input: step_min must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fill_scale", ["0", "-1", "nan", "inf", "1e-20"])
+def test_solve_fill_scale_must_size_finite_fills_above_the_floor(instance, capsys, fill_scale):
+    tmp, spectrum, graph = instance
+    argv = ["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(tmp / "m.csv")]
+    assert main(argv + ["--fill-scale", fill_scale]) == 1
+    assert "bad input: fill_scale must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fill_scale", ["1e150", "1e200", "1e300"])
+def test_solve_huge_fills_end_in_step_underflow(instance, capsys, recwarn, fill_scale):
+    """Fills far beyond the discs end in StepUnderflow (exit 3).  From 1e200
+    the second-order start overflows; a trial whose start or iterate is not
+    finite is rejected like any other, where it was bad input (exit 1)
+    after RuntimeWarnings."""
+    tmp, spectrum, graph = instance
+    argv = ["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(tmp / "m.csv")]
+    assert main(argv + ["--fill-scale", fill_scale]) == 3
+    assert "numerical failure: step" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_parser_built_once_gives_same_output_as_fresh_parser(instance, capsys):
     tmp, spectrum, graph = instance
     out = tmp / "m.csv"

@@ -116,6 +116,13 @@ def test_eigen_triple_cross_checks_eig_all():
             # residuals of both sides against the refined eigenvalue
             assert np.linalg.norm(a @ right - value * right) <= 1e-10 * np.linalg.norm(a)
             assert np.linalg.norm(a.T @ left - value * left) <= 1e-10 * np.linalg.norm(a)
+        # on the same decomposition, a power of two scales the values exactly
+        # and leaves the vectors, past where sums of squares overflow
+        ev, vecs = eig_all(a, vectors=True)
+        for j in (-1000, 1000):
+            scaled = eigen_triple(2.0**j * a, 2.0**j * ev, vecs, np.arange(5))
+            assert np.array_equal(scaled.value, 2.0**j * eig.value)
+            assert np.array_equal(scaled.right, eig.right) and np.array_equal(scaled.left, eig.left)
 
 
 def test_eigen_triple_real_eigenvalue_gives_real_vectors():
@@ -146,11 +153,13 @@ def test_eigen_triple_near_defective_raises():
 
 def test_eigen_triple_wrong_vectors_fail_residual():
     # eigenvectors of another matrix: the pairs are consistent with each
-    # other (w^T v = 1) but not eigenpairs of a, so the residual check fails
-    a = np.diag([5.0, 7.0])
-    ev = eig_all(a)
-    with pytest.raises(NoConvergence):
-        eigen_triple(a, ev, np.array([[1.0, 1.0], [0.0, 1.0]]), [1])
+    # other (w^T v = 1) but not eigenpairs of a, so the residual check fails,
+    # at every scale: above 1e154 ||a||_F overflowed and turned the check off
+    for scale in (1e-300, 1.0, 1e300):
+        a = np.diag([5.0, 7.0]) * scale
+        ev = eig_all(a)
+        with pytest.raises(NoConvergence):
+            eigen_triple(a, ev, np.array([[1.0, 1.0], [0.0, 1.0]]), [1])
 
 
 def test_solve_identity():
@@ -169,6 +178,10 @@ def test_solve_residual_random():
         b = rng.standard_normal(6)
         x = solve_linear(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+        # powers of two scale the solution exactly, far past where the
+        # norms' sums of squares overflow or underflow
+        for i, j in ((-1000, 0), (1000, 0), (0, 1000), (-500, 500)):
+            assert np.array_equal(solve_linear(2.0**i * a, 2.0**j * b), 2.0 ** (j - i) * x)
 
 
 def test_solve_singular_raises():

@@ -251,6 +251,9 @@ def test_spectrum_file_round_trip():
         # Python's json accepts NaN and Infinity
         '{"pairs": [[1.0, NaN]], "reals": []}',
         '{"pairs": [], "reals": [-Infinity]}',
+        # integers too large for a float raised OverflowError
+        pytest.param('{"pairs": [[1, %s]], "reals": []}' % ("9" * 400), id="400-digit-mu"),
+        pytest.param('{"pairs": [], "reals": [-%s]}' % ("9" * 400), id="400-digit-real"),
     ],
 )
 def test_parse_spectrum_rejects(text):

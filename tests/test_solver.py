@@ -31,7 +31,6 @@ from conftest import (
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
 P3 = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
-TOL3 = TOL_NEWTON_FACTOR * S3.scale
 
 
 def evaluate_f(p, theta, s):
@@ -220,7 +219,7 @@ def test_second_order_start_is_third_order_accurate():
 
 def test_newton_zero_iterations_when_exact():
     theta = seed_point(S3, m=1)
-    out, _, _, _, jac = newton_correct(P3, S3, theta, S3.target_coordinates(), TOL3)
+    out, _, _, _, jac = newton_correct(P3, S3, theta)
     assert out is theta  # unchanged object: converged before the first update
     assert jac is None  # and the chord is still the identity
 
@@ -229,7 +228,7 @@ def test_newton_recovers_small_fill():
     theta = with_fill(P3, seed_point(S3, m=1), np.array([0.05]), np.array([0.05]))
     before = theta.copy()
     target = S3.target_coordinates()
-    out, iters, residual, _, _ = newton_correct(P3, S3, theta, target, TOL3)
+    out, iters, residual, _, _ = newton_correct(P3, S3, theta)
     assert iters <= 5
     assert np.abs(residual).max() <= 1e-10
     assert np.array_equal(residual, target - evaluate_f(P3, out, S3))  # the returned iterate's
@@ -242,9 +241,8 @@ def test_newton_refresh_is_full_newton():
     """With ``refresh`` every iterate forms its Jacobian from its one
     decomposition: the same bits as the every-iterate Newton oracle."""
     theta = with_fill(P3, seed_point(S3, m=1), np.array([0.3]), np.array([0.3]))
-    target = S3.target_coordinates()
-    out, iters, residual, ev, jac = newton_correct(P3, S3, theta, target, TOL3, refresh=True)
-    oracle, oracle_iters, oracle_residual, oracle_ev = newton_every_iterate(P3, S3, theta, target, TOL3)
+    out, iters, residual, ev, jac = newton_correct(P3, S3, theta, refresh=True)
+    oracle, oracle_iters, oracle_residual, oracle_ev = newton_every_iterate(P3, S3, theta)
     assert iters == oracle_iters >= 2 and np.array_equal(residual, oracle_residual)
     assert np.array_equal(out, oracle) and np.array_equal(ev, oracle_ev)
     assert jac is not None
@@ -253,13 +251,13 @@ def test_newton_refresh_is_full_newton():
 def test_newton_disc_violation_far_from_discs():
     theta = np.array([40.0, 2.0, 3.0, 0.0, 0.0])  # x, y, z, u, omega
     with pytest.raises(DiscViolation):
-        newton_correct(P3, S3, theta, S3.target_coordinates(), TOL3)
+        newton_correct(P3, S3, theta)
 
 
 def test_continuation_no_slots_returns_seed():
     s = Spectrum(pairs=((1.0, 2.0), (4.0, 1.0)), reals=())
     p = Pattern(n=4, k=2)
-    rep = continuation_solve(s, p, (np.zeros(0), np.zeros(0)))
+    rep = continuation_solve(s, p)
     assert rep.steps == 0
     assert np.array_equal(rep.matrix, build_seed(s))
     assert rep.final_residual <= 1e-12
@@ -278,7 +276,7 @@ def test_continuation_no_slots_decomposes_its_output_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("eigenvectors of the seed"))
     s = Spectrum(pairs=((np.pi, np.e), (0.3, 1.7)), reals=(0.2,))
-    rep = continuation_solve(s, Pattern(n=5, k=2), (np.zeros(0), np.zeros(0)))
+    rep = continuation_solve(s, Pattern(n=5, k=2))
     assert len(calls) == 1 and np.array_equal(calls[0], rep.matrix)
     # the 2x2 blocks' computed eigenvalues are off in the last bits
     assert rep.final_residual == spectrum_mismatch(real_eigvals(build_seed(s)), s) > 0.0
@@ -341,10 +339,10 @@ def test_final_residual_is_the_greedy_distance_of_the_last_iterate(fill_scale):
 
 
 def test_continuation_path3():
-    targets = (np.array([0.1]), np.array([0.1]))
-    rep = continuation_solve(S3, P3, targets)
+    rep = continuation_solve(S3, P3)
     m = rep.matrix
-    assert m[1, 2] == 0.1 and m[2, 1] == 0.1  # written exactly
+    fill = SolverConfig().fill_scale * S3.radius
+    assert m[1, 2] == fill and m[2, 1] == fill  # written exactly
     assert m[0, 2] == 0.0 and m[2, 0] == 0.0  # structural zeros stay exact
     assert spectrum_mismatch(eig_all(m), S3) <= 1e-8 * (1 + S3.inf_norm())
     assert rep.history[0].t == 0.0 and rep.history[-1].t == 1.0
@@ -353,14 +351,13 @@ def test_continuation_path3():
 def test_continuation_symmetric_mode_exact_symmetry():
     s = Spectrum(pairs=(), reals=(1.0, 2.0, 3.0))
     p = Pattern(n=3, k=0, slots=((1, 2), (2, 3)), bidirected=(True, True))
-    u, omega = default_targets(p, s, "symmetric")
 
     def assert_symmetric(state, eigs):
         m = assemble(p, state.theta)
         assert np.array_equal(m, m.T)  # exactly, at every accepted step
 
     cfg = SolverConfig(observer=assert_symmetric)
-    rep = continuation_solve(s, p, (u, omega), mode="symmetric", cfg=cfg)
+    rep = continuation_solve(s, p, mode="symmetric", cfg=cfg)
     assert np.array_equal(rep.matrix, rep.matrix.T)
     assert spectrum_mismatch(eig_all(rep.matrix), s) <= 1e-8 * (1 + s.inf_norm())
 
@@ -368,7 +365,6 @@ def test_continuation_symmetric_mode_exact_symmetry():
 def test_continuation_skew_mode_exact_antisymmetry():
     s = Spectrum(pairs=((0.0, 1.0),), reals=(0.0,))
     p = Pattern(n=3, k=1, slots=((1, 3), (2, 3)), bidirected=(True, True))
-    u, omega = default_targets(p, s, "skew")
 
     def assert_skew_offdiag(state, eigs):
         m = assemble(p, state.theta)
@@ -376,7 +372,7 @@ def test_continuation_skew_mode_exact_antisymmetry():
         assert np.all(total[~np.eye(3, dtype=bool)] == 0.0)
 
     cfg = SolverConfig(observer=assert_skew_offdiag)
-    rep = continuation_solve(s, p, (u, omega), mode="skew", cfg=cfg)
+    rep = continuation_solve(s, p, mode="skew", cfg=cfg)
     total = rep.matrix + rep.matrix.T
     off = total - np.diag(np.diagonal(total))
     assert np.all(off == 0.0)
@@ -384,36 +380,25 @@ def test_continuation_skew_mode_exact_antisymmetry():
 
 
 def test_continuation_mode_validation():
+    """default_targets is the one check of mode and fill_scale, and the
+    solver derives its fills there."""
     s = Spectrum(pairs=(), reals=(1.0, 2.0))
     p = Pattern(n=2, k=0, slots=((1, 2),), bidirected=(True,))
-    with pytest.raises(ValueError):
-        continuation_solve(s, p, (np.array([0.1]), np.array([0.1])), mode="skew")
     p_dir = Pattern(n=2, k=0, slots=((2, 1),), bidirected=(False,))
-    with pytest.raises(ValueError):
-        default_targets(p_dir, s, "symmetric")
-    with pytest.raises(ValueError):
-        continuation_solve(s, p, (np.array([0.0]), np.array([0.1])))  # zero u*
+    for mode in ("symmetric", "skew"):
+        with pytest.raises(ValueError, match=f"{mode} mode requires every slot to be bidirected"):
+            continuation_solve(s, p_dir, mode)
     with pytest.raises(ValueError, match="unknown mode"):  # checked before the scale
-        default_targets(p, s, "bogus", SolverConfig(fill_scale=-1.0))
+        continuation_solve(s, p, "bogus", SolverConfig(fill_scale=-1.0))
     for mode in ("generic", "symmetric", "skew"):
-        with pytest.raises(ValueError, match="fill_scale must be positive"):
-            default_targets(p, s, mode, SolverConfig(fill_scale=float("nan")))
-
-
-@pytest.mark.parametrize("u, omega", [(np.nan, 0.1), (0.1, np.inf)], ids=["nan-u", "inf-omega"])
-def test_continuation_rejects_nonfinite_fill_targets(u, omega):
-    with pytest.raises(ValueError, match="fill targets must be finite"):
-        continuation_solve(S3, P3, (np.array([u]), np.array([omega])))
+        for fill_scale in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="fill_scale must be positive and finite"):
+                continuation_solve(s, p, mode, SolverConfig(fill_scale=fill_scale))
 
 
 def test_continuation_rejects_inconsistent_inputs():
-    u, omega = np.array([0.1]), np.array([0.1])
     with pytest.raises(DimensionMismatch, match=r"pattern \(n=2, k=0\) does not match"):
-        continuation_solve(S3, Pattern(n=2, k=0, slots=((1, 2),), bidirected=(True,)), (u, omega))
-    with pytest.raises(DimensionMismatch, match="fill targets have sizes 2/1, pattern m=1"):
-        continuation_solve(S3, P3, (np.array([0.1, 0.1]), omega))
-    with pytest.raises(ValueError, match="omega\\* must be nonzero on bidirected slots"):
-        continuation_solve(S3, P3, (u, np.array([0.0])))
+        continuation_solve(S3, Pattern(n=2, k=0, slots=((1, 2),), bidirected=(True,)))
 
 
 def test_step_budget_ends_a_multi_step_solve(monkeypatch):
@@ -454,19 +439,17 @@ def test_a_step_below_the_rounding_of_t_ends_the_solve(monkeypatch):
 def test_final_check_fires_above_the_final_tolerance(monkeypatch, slots):
     """The final spectrum check runs on every solve, with fills or without."""
     p = Pattern(n=3, k=1, slots=slots, bidirected=(True,) * len(slots))
-    fills = (np.full(p.m, 0.1), np.full(p.m, 0.1))
-    assert continuation_solve(S3, p, fills).final_residual > 0.0
+    assert continuation_solve(S3, p).final_residual > 0.0
     monkeypatch.setattr(giep.solver, "TOL_FINAL_FACTOR", 0.0)
     with pytest.raises(NoConvergence, match="final spectrum distance .* exceeds 0.000e\\+00"):
-        continuation_solve(S3, p, fills)
+        continuation_solve(S3, p)
 
 
 def test_continuation_step_underflow_for_huge_fill():
     # fills two hundred radii wide leave the provable neighborhood at tiny t
     cfg = SolverConfig(fill_scale=200.0, step_min=1e-3)
-    u, omega = default_targets(P3, S3, "generic", cfg)
     with pytest.raises(StepUnderflow) as info:
-        continuation_solve(S3, P3, (u, omega), cfg=cfg)
+        continuation_solve(S3, P3, cfg=cfg)
     assert 0.0 <= info.value.t_reached < 1.0
 
 
@@ -477,7 +460,7 @@ def test_continuation_observer_sees_every_accepted_state():
         seen.append((state.t, len(eigs)))
 
     cfg = SolverConfig(observer=watch)
-    rep = continuation_solve(S3, P3, (np.array([0.1]), np.array([0.1])), cfg=cfg)
+    rep = continuation_solve(S3, P3, cfg=cfg)
     assert [t for t, _ in seen] == [rec.t for rec in rep.history]
     assert all(count == 3 for _, count in seen)
     assert seen[0][0] == 0.0 and seen[-1][0] == 1.0
@@ -491,7 +474,7 @@ def test_default_fill_takes_one_whole_interval_step():
     g = random_graph(rng, 40, 10, 0.1)
     _, p = plan_relabeling(g, max_matching(g), s.k)
     u, omega = default_targets(p, s)
-    rep = continuation_solve(s, p, (u, omega))
+    rep = continuation_solve(s, p)
     assert rep.steps == 1
     assert [rec.t for rec in rep.history] == [0.0, 1.0]
     m = rep.matrix
@@ -523,7 +506,7 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     _, p = plan_relabeling(g, max_matching(g), s.k)
     cfg = SolverConfig(fill_scale=3.0)
     u, omega = default_targets(p, s, "generic", cfg)
-    rep = continuation_solve(s, p, (u, omega), cfg=cfg)
+    rep = continuation_solve(s, p, cfg=cfg)
 
     ts = [rec.t for rec in rep.history]
     assert len(trial_u) > rep.steps  # some trials were rejected
@@ -558,7 +541,7 @@ def test_trials_from_the_seed_start_on_the_second_order_curve(monkeypatch):
     _, p = plan_relabeling(g, max_matching(g), s.k)
     cfg = SolverConfig(fill_scale=3.0)
     u, omega = default_targets(p, s, "generic", cfg)
-    continuation_solve(s, p, (u, omega), cfg=cfg)
+    continuation_solve(s, p, cfg=cfg)
 
     shift = second_order_shift(p, s, np.concatenate([u, omega]))
     first = next(i for i, (_, out) in enumerate(trials) if out is not None)
@@ -591,8 +574,8 @@ def test_trials_after_a_rejection_run_full_newton_past_a_fold(monkeypatch):
 
     real_correct = solver.newton_correct
 
-    def chord_only(p, s, theta, target, tol, jac, refresh):
-        return real_correct(p, s, theta, target, tol, jac)
+    def chord_only(p, s, theta, jac, refresh):
+        return real_correct(p, s, theta, jac)
 
     monkeypatch.setattr(solver, "newton_correct", chord_only)
     with pytest.raises(StepUnderflow):
@@ -602,8 +585,8 @@ def test_trials_after_a_rejection_run_full_newton_past_a_fold(monkeypatch):
 def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
     """An eigenpair check that fails inside the whole-interval trial rejects
     that trial like a disc violation: the step halves and t still reaches 1.
-    Fills one unit wide (about one disc radius) make that trial's first
-    chord step contract weakly, so the trial forms a Jacobian."""
+    Fills one disc radius wide make that trial's first chord step contract
+    weakly, so the trial forms a Jacobian."""
     import giep.solver as solver
 
     trials = []
@@ -612,7 +595,7 @@ def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
     real_triple = solver.eigen_triple
 
     def record(p, s, theta, *args):
-        trials.append(theta[p.n])  # t * u*, with u* = 1
+        trials.append(theta[p.n] / S3.radius)  # t, exactly: u* is the radius
         return real_correct(p, s, theta, *args)
 
     def fail_first(mtx, ev, vecs, idx):
@@ -624,7 +607,7 @@ def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
 
     monkeypatch.setattr(solver, "newton_correct", record)
     monkeypatch.setattr(solver, "eigen_triple", fail_first)
-    rep = continuation_solve(S3, P3, (np.array([1.0]), np.array([1.0])))
+    rep = continuation_solve(S3, P3, cfg=SolverConfig(fill_scale=1.0))
     assert trials[0] == 1.0 and calls[0] == 1.0  # the whole-interval trial formed one
     assert [rec.t for rec in rep.history] == [0.0, 0.5, 1.0]
     assert spectrum_mismatch(eig_all(rep.matrix), S3) <= 1e-8 * (1 + S3.inf_norm())
@@ -652,7 +635,7 @@ def test_conditioning_checked_once_per_jacobian(monkeypatch):
     g = random_graph(rng, 10, 3, 0.3)
     _, p = plan_relabeling(g, max_matching(g), s.k)
     cfg = SolverConfig(fill_scale=2.0)
-    continuation_solve(s, p, default_targets(p, s, "generic", cfg), cfg=cfg)
+    continuation_solve(s, p, cfg=cfg)
     assert counts["svd"] == counts["jacobian"] >= 2
     assert counts["solve"] > counts["jacobian"]
 
@@ -677,9 +660,9 @@ def test_singular_jacobian_raises_where_it_is_formed(monkeypatch):
     monkeypatch.setattr(linalg, "PIVOT_FACTOR", 1.0)  # no matrix passes the check
     monkeypatch.setattr(solver, "jacobian_xyz", jacobian)
     monkeypatch.setattr(solver, "solve_linear", solve)
-    # fills one unit wide: the whole-interval trial forms a Jacobian
+    # fills one disc radius wide: the whole-interval trial forms a Jacobian
     with pytest.raises(SingularSystem, match="smallest singular value .* below 1e\\+00 times"):
-        continuation_solve(S3, P3, (np.array([1.0]), np.array([1.0])))
+        continuation_solve(S3, P3, cfg=SolverConfig(fill_scale=1.0))
     assert len(formed) == 1 and solves == []
 
 
@@ -708,8 +691,7 @@ def test_continuation_random_spectra_jacobian_scale():
         n = s.n
         slots = tuple((i, i + 1) for i in range(1, n) if not (i % 2 == 1 and i < 2 * k))
         p = Pattern(n=n, k=k, slots=slots, bidirected=(True,) * len(slots))
-        u, omega = default_targets(p, s, "generic")
-        rep = continuation_solve(s, p, (u, omega))
+        rep = continuation_solve(s, p)
         assert rep.final_residual <= 1e-8 * (1 + s.inf_norm())
 
 
@@ -759,7 +741,7 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
     assert s.radius > 0.0
     monkeypatch.setattr(model, "_distances", counting("distances", model._distances))
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    rep = continuation_solve(s, p, default_targets(p, s))
+    rep = continuation_solve(s, p)
 
     assert counts[("driver", "trial")] == rep.steps == 1
     assert counts[("newton", "iterate")] == rep.steps + rep.newton_iterations_total
@@ -790,10 +772,10 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         )
     }
 
-    def correct(p, s, theta, target, *args):
-        events.append(("trial", target))
+    def correct(p, s, theta, *args):
+        events.append(("trial", s.target_coordinates()))
         try:
-            return real["newton_correct"](p, s, theta, target, *args)
+            return real["newton_correct"](p, s, theta, *args)
         except Exception:
             events.append(("rejected", None))
             raise
@@ -837,7 +819,7 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         _, p = plan_relabeling(g, max_matching(g), s.k)
         cfg = SolverConfig(fill_scale=fill_scale)
         try:
-            continuation_solve(s, p, default_targets(p, s, "generic", cfg), cfg=cfg)
+            continuation_solve(s, p, cfg=cfg)
         except StepUnderflow:
             pass
         tol = TOL_NEWTON_FACTOR * s.scale
@@ -906,23 +888,26 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
 def test_chord_solve_matches_every_iterate_newton(monkeypatch, mode, n):
     """The chord iteration stops at other iterates than full Newton, so the
     block entries may differ in their last bits, but the written fills and
-    the structural zeros are the same bits.  The generic case writes
-    omega* = -u*/2, a target no tied mode allows."""
+    the structural zeros are the same bits.  The generic case runs on a
+    directed graph whose unmatched edges are one-way, a pattern no tied mode
+    allows."""
     import giep.solver as solver
 
     rng = np.random.default_rng(n + 1)
     s = random_spectrum(rng, n // 4, n // 2, box=n / 2)
     g = random_graph(rng, n, n // 4, 4 / n)
+    pairs = set(max_matching(g))
+    if mode == "generic":
+        g = make_graph(n, sorted(e for e in g.edges if e[0] < e[1] or e[::-1] in pairs), directed=True)
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    u, omega = default_targets(p, s, mode)
-    targets = (u, omega) if mode == "symmetric" else (u, -0.5 * omega)
-    chord = continuation_solve(s, p, targets, mode).matrix
+    assert all(p.bidirected) == (mode == "symmetric")
+    chord = continuation_solve(s, p, mode).matrix
 
-    def full_newton(p, s, theta, target, tol, jac, refresh):
-        return (*newton_every_iterate(p, s, theta, target, tol), jac)
+    def full_newton(p, s, theta, jac, refresh):
+        return (*newton_every_iterate(p, s, theta), jac)
 
     monkeypatch.setattr(solver, "newton_correct", full_newton)
-    oracle = continuation_solve(s, p, targets, mode).matrix
+    oracle = continuation_solve(s, p, mode).matrix
 
     e = p.entries
     fill = e.param >= p.n
