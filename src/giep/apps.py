@@ -8,9 +8,10 @@ irreducible tridiagonal matrix with the same spectrum as its input — and
 spectrum equality with distinct eigenvalues certifies similarity.
 ``verify`` is the independent check used everywhere: exact structural
 zeros, nonzero entries on every edge, and eigenvalues matched to the
-target spectrum.  It costs one eigenvalues-only decomposition plus array
-work: the greedy spectrum distance takes O(n log n) whenever every
-eigenvalue sits in its own disc.
+target spectrum.  It costs one eigenvalues-only decomposition, which also
+validates the matrix, plus array work: the edge mask comes from the
+graph's own edge arrays, and the greedy spectrum distance takes
+O(n log n) whenever every eigenvalue sits in its own disc.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, RepeatedEigenvalues
-from .graph import Graph, make_graph, max_matching, plan_relabeling, sorted_edges
-from .linalg import as_square_matrix, eig_all, unit_exponent
+from .graph import Graph, make_graph, max_matching, plan_relabeling
+from .linalg import eig_all, unit_exponent
 from .model import Spectrum, _distances, spectrum_mismatch
 from .solver import (
     SolveReport,
@@ -69,8 +70,8 @@ def tridiagonalize(m, cfg: SolverConfig | None = None) -> SolveReport:
 
     Raises RepeatedEigenvalues when the gap check fails.
     """
-    a = as_square_matrix(m)
-    ev = eig_all(a)
+    ev = eig_all(m)  # validates m as a nonempty, square, finite matrix
+    a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if n > 1:
         gap = _distances(ev, ev)[np.triu_indices(n, 1)].min()
@@ -141,26 +142,31 @@ def verify(
     eigenvalue lies in its own disc, :func:`~giep.model.spectrum_mismatch`
     finds that greedy distance from one distance per eigenvalue instead of
     an n-by-n matrix.  Failures are reported, never raised.
+
+    ``m`` is validated once, by the eigenvalue decomposition, before the
+    sizes are compared: ValueError for a matrix that is not nonempty,
+    square and finite, then DimensionMismatch.
     """
     if spectrum_tol is not None and not spectrum_tol >= 0.0:
         raise ValueError(f"spectrum tolerance must be nonnegative, got {spectrum_tol}")
-    a = as_square_matrix(m)
+    ev = eig_all(m)  # validates m as a nonempty, square, finite matrix
+    a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if g.n != n or s.n != n:
         raise DimensionMismatch(
             f"matrix is {n}x{n}, graph has {g.n} vertices, spectrum has {s.n} values"
         )
     edge = np.zeros((n, n), dtype=bool)
-    tail, head, _ = sorted_edges(g)
+    tail, head, _ = g.edge_arrays
     edge[tail - 1, head - 1] = True
     floor = nonzero_floor(s)
     bad = np.where(edge, np.abs(a) < floor, a != 0.0)
-    np.fill_diagonal(bad, False)  # graphs are loopless: the diagonal is free
+    bad.flat[:: n + 1] = False  # graphs are loopless: the diagonal is free
     failures = [
         PatternFailure(int(i) + 1, int(j) + 1, float(a[i, j]), "nonzero" if edge[i, j] else "zero")
         for i, j in np.argwhere(bad)
     ]
-    err = spectrum_mismatch(eig_all(a), s)
+    err = spectrum_mismatch(ev, s)
     tol = spectrum_tol if spectrum_tol is not None else final_tolerance(s)
     return VerificationReport(
         pattern_ok=not failures,

@@ -93,7 +93,8 @@ def _configure_logging() -> None:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
         root.addHandler(handler)
-    root.setLevel(level)
+    if root.level != level:  # setLevel clears every logger's cache
+        root.setLevel(level)
 
 
 def _read(path: str) -> str:

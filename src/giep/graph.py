@@ -12,13 +12,20 @@ those pairs land on the label pairs (1,2), (3,4), ..., (2k-1,2k) — the
 layout the solver's parameterized matrix family assumes — and emits the
 leftover edges as the ordered fill slots of a :class:`~giep.model.Pattern`.
 The permutation is an index array: ``order[old - 1]`` is the old vertex's
-0-based new index.  Both read the edges from :func:`sorted_edges`.
+0-based new index.
+
+A :class:`Graph` carries its edges twice: as the frozenset of ordered
+pairs it is built from, and as :attr:`Graph.edge_arrays`, the read-only
+(tail, head, reverse) arrays of :func:`sorted_edges`, converted once per
+graph on first use.  ``max_matching``, ``plan_relabeling`` and
+:func:`giep.apps.verify` read the arrays; membership tests read the set.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -39,18 +46,24 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 1:
+        n, edges, undirected = self.n, self.edges, not self.directed
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        for a, b in self.edges:
+        for a, b in edges:
             if a == b:
                 raise ValueError(f"loop edge ({a},{a}) not allowed")
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"edge ({a},{b}) out of range 1..{self.n}")
-            if not self.directed and (b, a) not in self.edges:
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
+            if undirected and (b, a) not in edges:
                 raise ValueError(f"undirected graph missing reverse of ({a},{b})")
 
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`sorted_edges` of this graph, built once and read-only."""
+        return sorted_edges(self)
 
 
 def make_graph(n: int, pairs, directed: bool = False) -> Graph:
@@ -131,17 +144,20 @@ def format_graph(g: Graph) -> str:
 
 
 def sorted_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges of ``g`` in (tail, head) order, as 1-based ``tail`` and
-    ``head`` arrays, with ``reverse`` flagging each edge whose reverse is
-    an edge too."""
+    """The edges of ``g`` in (tail, head) order, as read-only 1-based
+    ``tail`` and ``head`` arrays, with ``reverse`` flagging each edge whose
+    reverse is an edge too."""
     n = g.n
     e = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges))
     key = np.sort(e[0::2] * (n + 1) + e[1::2])
     tail, head = np.divmod(key, n + 1)
     if not g.directed:  # an undirected edge set is closed under reversal
-        return tail, head, np.ones(key.size, dtype=bool)
-    twin = head * (n + 1) + tail
-    reverse = key[np.minimum(np.searchsorted(key, twin), key.size - 1)] == twin
+        reverse = np.ones(key.size, dtype=bool)
+    else:
+        twin = head * (n + 1) + tail
+        reverse = key[np.minimum(np.searchsorted(key, twin), key.size - 1)] == twin
+    for x in (tail, head, reverse):
+        x.setflags(write=False)
     return tail, head, reverse
 
 
@@ -156,10 +172,15 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
     one in its adjacency directly: that one-edge path is the first
     augmenting path the search from the vertex would find, since it scans
     the vertex's own neighbours before any other vertex.  Only a vertex
-    whose neighbours are all matched runs the search.
+    whose neighbours are all matched runs the search, and only when its
+    component holds another exposed vertex, which every augmenting path
+    from it ends at.  A blossom contraction relabels only vertices of the
+    search tree, which hold every base the blossom absorbs and every
+    vertex those bases stand for, in increasing order as a scan over all
+    vertices would.
     """
     n = g.n
-    tail, head, both = sorted_edges(g)
+    tail, head, both = g.edge_arrays
     neighbours = head[both].tolist()
     starts = np.searchsorted(tail[both], np.arange(n + 2)).tolist()
     adj = [neighbours[starts[v] : starts[v + 1]] for v in range(n + 1)]
@@ -172,6 +193,7 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
         in_queue = [False] * (n + 1)
         queue: deque[int] = deque([root])
         in_queue[root] = True
+        tree = [root]  # every vertex the search has reached
 
         def lowest_common_base(a: int, b: int) -> int:
             seen = [False] * (n + 1)
@@ -208,7 +230,8 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
                     in_blossom = [False] * (n + 1)
                     mark_path(v, stem, to, in_blossom)
                     mark_path(to, stem, v, in_blossom)
-                    for i in range(1, n + 1):
+                    tree.sort()
+                    for i in tree:
                         if in_blossom[base[i]]:
                             base[i] = stem
                             if not in_queue[i]:
@@ -216,6 +239,7 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
                                 queue.append(i)
                 elif parent[to] == 0:
                     parent[to] = v
+                    tree.append(to)
                     if match[to] == 0:
                         # Augment along the alternating path root..to.
                         u = to
@@ -229,16 +253,38 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
                     if not in_queue[match[to]]:
                         in_queue[match[to]] = True
                         queue.append(match[to])
+                        tree.append(match[to])
         return False
 
+    # exposed vertices per component; every vertex is exposed before the first match
+    component, exposed = _components(adj)
     for v in range(1, n + 1):
         if match[v] == 0:
             free = next((to for to in adj[v] if match[to] == 0), 0)
             if free:
                 match[v], match[free] = free, v
-            else:
-                augment_from(v)
+            # an augmenting path from v ends at another exposed vertex of its component
+            elif exposed[component[v]] < 2 or not augment_from(v):
+                continue
+            exposed[component[v]] -= 2
     return tuple((v, match[v]) for v in range(1, n + 1) if match[v] > v)
+
+
+def _components(adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Component labels of the vertices v >= 1 of the graph ``adj`` and the
+    size of each component, indexed by label."""
+    component, size = [0] * len(adj), [0]
+    for v in range(1, len(adj)):
+        if not component[v]:
+            component[v] = label = len(size)
+            members = [v]
+            for u in members:  # grows as the search reaches new vertices
+                for to in adj[u]:
+                    if not component[to]:
+                        component[to] = label
+                        members.append(to)
+            size.append(len(members))
+    return component, size
 
 
 def plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
@@ -278,15 +324,10 @@ def plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
         if x >= y:
             raise ValueError(f"matching pair ({x},{y}) must be stored (min,max)")
         raise ValueError(f"matching pairs are not vertex-disjoint at {{{x},{y}}}")
-    tail, head, reverse = sorted_edges(g)
-    # bidirected edges as a mask over vertices 0..n+1, where 0 and n+1 stand
-    # for every vertex out of range and have no edges
-    bidirected = np.zeros((n + 2, n + 2), dtype=bool)
-    bidirected[tail[reverse], head[reverse]] = True
-    stray = ~bidirected[tuple(np.minimum(np.maximum(pairs, 0), n + 1).T)]
-    if stray.any():
-        x, y = pairs[stray.argmax()].tolist()
-        raise ValueError(f"matching pair {{{x},{y}}} is not a bidirected edge")
+    edges = g.edges
+    for x, y in pairs.tolist():
+        if (x, y) not in edges or (y, x) not in edges:
+            raise ValueError(f"matching pair {{{x},{y}}} is not a bidirected edge")
     if len(pairs) < k:
         raise MatchingTooSmall(
             f"need a matching of size k={k}, but the graph's matching has "
@@ -299,6 +340,7 @@ def plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
     order[chosen] = np.arange(2 * k)
     order[rest] = np.arange(2 * k, n)
 
+    tail, head, reverse = g.edge_arrays
     i, j = order[tail - 1], order[head - 1]
     # a chosen pair's two edges are the only ones inside a block (2b, 2b+1)
     residual = ~((np.maximum(i, j) < 2 * k) & (i // 2 == j // 2))

@@ -90,7 +90,7 @@ def eig_all(m, vectors: bool = False):
             ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    ev = np.atleast_1d(ev).astype(np.complex128)
+    ev = ev.astype(np.complex128, copy=False)
     order = spectrum_order(ev)
     if vectors:
         return ev[order], vecs[:, order]

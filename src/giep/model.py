@@ -30,6 +30,7 @@ the target coordinate vector followed by 2m zero fills.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -61,17 +62,18 @@ class Spectrum:
             raise ValueError(f"spectrum values must be finite: {exc}") from exc
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "reals", reals)
-        vals = [x for p in pairs for x in p] + list(reals)
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, chain(chain.from_iterable(pairs), reals))):
             raise ValueError("spectrum values must be finite")
         if any(mu <= 0.0 for _, mu in pairs):
             raise ValueError("mu must be positive for every conjugate pair")
         if self.n < 1:
             raise ValueError("spectrum must contain at least one value")
-        points = self.values()
-        repeated = np.triu(np.equal.outer(points, points), 1).any(axis=1)
-        if repeated.any():
-            raise DegenerateSpectrum(f"duplicate spectrum value {points[repeated.argmax()]}")
+        # the earliest point equal to a later one, as comparing every pair names it
+        first: dict[complex, int] = {}
+        points = self._points.tolist()
+        repeated = [i for j, z in enumerate(points) if (i := first.setdefault(z, j)) < j]
+        if repeated:
+            raise DegenerateSpectrum(f"duplicate spectrum value {self._points[min(repeated)]}")
 
     @property
     def k(self) -> int:
@@ -94,12 +96,12 @@ class Spectrum:
 
     @cached_property
     def _points(self) -> np.ndarray:
-        # parts set one by one: complex arithmetic would turn a -0.0 real part into +0.0
-        lam, mu = np.array(self.pairs, dtype=float).reshape(-1, 2).T
-        points = np.zeros(self.n, dtype=complex)
-        points.real = np.concatenate([lam, lam, self.reals])
-        points.imag[: 2 * self.k] = np.concatenate([mu, -mu])
-        return _freeze(points)
+        # (real, imag) parts interleaved and viewed as complex: complex
+        # arithmetic would turn a -0.0 real part into +0.0
+        parts = [x for lam, mu in self.pairs for x in (lam, mu)]
+        parts += [x for lam, mu in self.pairs for x in (lam, -mu)]
+        parts += [x for g in self.reals for x in (g, 0.0)]
+        return _freeze(np.array(parts, dtype=float).view(complex))
 
     def inf_norm(self) -> float:
         """Largest modulus among the spectrum points."""
@@ -137,11 +139,11 @@ class Spectrum:
             return float((1.0 + abs(points[0])) / 3.0)
         with np.errstate(over="ignore"):
             dist = _distances(points, points)
-        np.fill_diagonal(dist, np.inf)
+        dist.flat[:: self.n + 1] = np.inf  # the diagonal
         gap = dist.min()
-        mu_min = points.imag[: self.k].min(initial=np.inf)
+        mu_min = min((mu for _, mu in self.pairs), default=math.inf)
         eps = min(gap / 3.0, mu_min / 2.0)
-        if not (np.isfinite(eps) and eps > 0.0):
+        if not (math.isfinite(eps) and eps > 0.0):
             raise ValueError("disc radius must be positive and finite")
         # eps <= mu_min/2 < mu_min: no non-real disc reaches the real axis
         if not gap > 2.0 * eps:
@@ -208,11 +210,12 @@ class Pattern:
         if len(self.slots) != len(self.bidirected):
             raise ValueError("slots and bidirected flags must align")
         m = len(self.slots)
-        i, j = np.array(self.slots, dtype=np.intp).reshape(m, 2).T
+        ij, bidirected = self._slot_arrays
+        i, j = ij.T
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         off_range = (lo < 1) | (hi > self.n) | (i == j)
         in_block = (hi <= 2 * self.k) & (hi % 2 == 0) & (lo == hi - 1)
-        backward = np.fromiter(self.bidirected, bool, m) & (i >= j)
+        backward = bidirected & (i >= j)
         # a later slot on the same vertex pair as an earlier one; lexsort is stable
         order = np.lexsort((hi, lo))
         repeat = np.zeros(m, dtype=bool)
@@ -238,13 +241,23 @@ class Pattern:
         return len(self.slots)
 
     @cached_property
+    def _slot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # the slots as one (m, 2) array of 1-based (i, j) and the bidirected
+        # flags, converted once for the validation and the entries table
+        return (
+            np.array(self.slots, dtype=np.intp).reshape(self.m, 2),
+            np.array(self.bidirected, dtype=bool),
+        )
+
+    @cached_property
     def entries(self) -> Entries:
         """The parameter-to-position table, built once per pattern."""
         k, n, m = self.k, self.n, self.m
         b = np.arange(2 * k)  # x_j at (a, a) and +-y_j at (a, a ^ 1), a = 2j, 2j+1
         d = np.arange(2 * k, n)
-        bi = np.flatnonzero(np.fromiter(self.bidirected, bool, m))
-        ij = np.fromiter(chain.from_iterable(self.slots), np.intp, 2 * m).reshape(m, 2) - 1
+        ij, bidirected = self._slot_arrays
+        bi = np.flatnonzero(bidirected)
+        ij = ij - 1
         fill = np.concatenate([ij, ij[bi, ::-1]])  # u_r, then omega_r mirrored
         coef = np.ones(4 * k + self.l + len(fill))
         coef[2 * k + 1 : 4 * k : 2] = -1.0  # -y_j at (2j+1, 2j)
@@ -258,7 +271,7 @@ class Pattern:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -328,7 +341,8 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     idx = s._rank
     paired = centers[idx]
     nearest = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
-    if not np.all(nearest < s.radius):
+    paired_inside = np.all(nearest < s.radius)
+    if not paired_inside:
         dist = _distances(ev, centers)
         idx = np.argmin(dist, axis=1)
         nearest = dist[np.arange(ev.size), idx]
@@ -344,13 +358,15 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
                 f"distance {nearest[i]:.6g}, radius {s.radius:.6g})"
             )
         raise DiscViolation(f"non-real eigenvalue {e} near real target {c.real}")
-    counts = np.bincount(idx, minlength=s.n)
-    crowded = np.flatnonzero(counts != 1)
-    if crowded.size:
-        j = crowded[0]
-        raise DiscViolation(
-            f"disc at {centers[j]} holds {counts[j]} eigenvalues, expected 1"
-        )
+    # the paired assignment is the bijection s._rank, one eigenvalue per disc
+    if not paired_inside:
+        counts = np.bincount(idx, minlength=s.n)
+        crowded = np.flatnonzero(counts != 1)
+        if crowded.size:
+            j = crowded[0]
+            raise DiscViolation(
+                f"disc at {centers[j]} holds {counts[j]} eigenvalues, expected 1"
+            )
     pos = np.empty_like(idx)
     pos[idx] = np.arange(ev.size)  # the eigenvalue each disc holds, in center order
     # inside a disc of radius <= mu/2 around lam + i*mu, the imaginary part exceeds mu/2 > 0
@@ -446,7 +462,7 @@ def parse_matrix_csv(text: str) -> np.ndarray:
         if not ln.strip():
             continue
         try:
-            rows.append([float(tok) for tok in ln.split(",")])
+            rows.append(list(map(float, ln.split(","))))
         except ValueError as exc:
             raise BadFormat(f"line {no}: not a numeric row") from exc
     if not rows:
@@ -463,7 +479,8 @@ def parse_matrix_csv(text: str) -> np.ndarray:
 def format_matrix_csv(m: np.ndarray) -> str:
     """17-significant-digit CSV; write-then-read reproduces entries bit-exactly."""
     a = np.asarray(m, dtype=float)
-    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in a) + "\n"
+    row = ",".join(["%.17g"] * a.shape[1])
+    return "\n".join([row % tuple(r) for r in a.tolist()]) + "\n"
 
 
 def format_matrix_market(m: np.ndarray) -> str:

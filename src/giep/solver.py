@@ -172,17 +172,17 @@ def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray
     """
     n, k = p.n, p.k
     vertex = np.arange(n)
-    block = vertex < 2 * k
-    # the eigenvalues of each vertex's block, and their eigenvector components there
-    owner = np.where(block, [vertex // 2, k + vertex // 2], vertex).T
+    # the eigenvalues of each vertex's block, and their eigenvector components
+    # there; the blocks are the vertices below 2k
+    owner = vertex.repeat(2).reshape(n, 2)
+    owner[: 2 * k] = vertex[: 2 * k, None] // 2 + [0, k]
     vco = np.ones((n, 2), dtype=complex)
-    odd = block & (vertex % 2 == 1)
-    vco[odd] = [1j, -1j]
-    vco[~block, 1] = 0.0  # a real vertex has one eigenvalue
-    wco = vco.conj() * np.where(block, 0.5, 1.0)[:, None]
+    vco[1 : 2 * k : 2] = [1j, -1j]
+    vco[2 * k :, 1] = 0.0  # a real vertex has one eigenvalue
+    wco = vco.conj() * np.where(vertex < 2 * k, 0.5, 1.0)[:, None]
 
     e = p.entries
-    fill = e.param >= n
+    fill = slice(np.searchsorted(e.param, n), None)  # entries are ordered by parameter
     r, c = e.rows[fill], e.cols[fill]
     value = e.coef[fill] * fills[e.param[fill] - n]
     exp = unit_exponent(value)
@@ -193,18 +193,21 @@ def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray
     # megabyte of code that nothing else in a solve touches, and peak RSS grows by it
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
+    first = np.ones(key.size, dtype=bool)  # the first of each run of equal keys
+    first[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(first)
     keys = key[first]
     g = np.add.reduceat(g_part.ravel()[order], first)
 
     a, b = np.divmod(keys, n)
-    mate = np.minimum(np.searchsorted(keys, b * n + a), keys.size - 1)
-    paired = keys[mate] == b * n + a
+    twin = b * n + a
+    mate = np.minimum(np.searchsorted(keys, twin), keys.size - 1)
+    paired = keys[mate] == twin
+    a, b = a[paired], b[paired]
     lam = s.values()
-    gap = lam[a[paired]] - lam[b[paired]]
-    gap.real, gap.imag = np.ldexp(gap.real, -exp), np.ldexp(gap.imag, -exp)
+    gap = np.ldexp((lam[a] - lam[b]).view(float), -exp).view(complex)  # both parts scaled
     term = g[paired] * g[mate[paired]] / gap
-    shift = np.bincount(a[paired], term.real, n) + 1j * np.bincount(a[paired], term.imag, n)
+    shift = np.bincount(a, term.real, n) + 1j * np.bincount(a, term.imag, n)
     with np.errstate(over="ignore"):
         return np.ldexp(np.concatenate([shift[:k].real, shift[:k].imag, shift[2 * k :].real]), exp)
 
@@ -412,7 +415,8 @@ def continuation_solve(
     state.history.append(StepRecord(t=0.0, residual=0.0, newton_iterations=0))
     if cfg.observer is not None:
         cfg.observer(state, ev)
-    shift = second_order_shift(p, s, np.concatenate([u_target, omega_target]))
+    # without fills the seed is the solution and no trial runs
+    shift = second_order_shift(p, s, np.concatenate([u_target, omega_target])) if p.m else None
 
     jac = None  # the chord matrix; None is the seed's identity Jacobian
     newton_total = 0

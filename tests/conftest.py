@@ -8,7 +8,8 @@ from functools import lru_cache
 import numpy as np
 
 from giep import Graph, Spectrum, make_graph
-from giep.errors import IllConditioned, InputError, MatchingTooSmall, NoConvergence
+from giep.errors import BadFormat, IllConditioned, InputError, MatchingTooSmall, NoConvergence
+from giep.graph import sorted_edges
 from giep.linalg import (
     TOL_ORTHO,
     Eigenpairs,
@@ -318,6 +319,93 @@ def loop_max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((v, match[v]) for v in range(1, n + 1) if match[v] > v))
 
 
+def full_search_max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
+    """``graph.max_matching`` before it skipped searches: a blossom search
+    from every exposed vertex without an exposed neighbour, and a scan over
+    all n vertices at every blossom contraction."""
+    n = g.n
+    tail, head, both = sorted_edges(g)
+    neighbours = head[both].tolist()
+    starts = np.searchsorted(tail[both], np.arange(n + 2)).tolist()
+    adj = [neighbours[starts[v] : starts[v + 1]] for v in range(n + 1)]
+
+    match = [0] * (n + 1)  # 0 = unmatched; vertices are 1-based
+
+    def augment_from(root: int) -> bool:
+        parent = [0] * (n + 1)
+        base = list(range(n + 1))
+        in_queue = [False] * (n + 1)
+        queue: deque[int] = deque([root])
+        in_queue[root] = True
+
+        def lowest_common_base(a: int, b: int) -> int:
+            seen = [False] * (n + 1)
+            x = a
+            while True:
+                x = base[x]
+                seen[x] = True
+                if match[x] == 0:
+                    break
+                x = parent[match[x]]
+            y = b
+            while True:
+                y = base[y]
+                if seen[y]:
+                    return y
+                y = parent[match[y]]
+
+        def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+            while base[v] != stem:
+                in_blossom[base[v]] = True
+                in_blossom[base[match[v]]] = True
+                parent[v] = child
+                child = match[v]
+                v = parent[match[v]]
+
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != 0 and parent[match[to]] != 0):
+                    # Odd cycle: contract the blossom to its base vertex.
+                    stem = lowest_common_base(v, to)
+                    in_blossom = [False] * (n + 1)
+                    mark_path(v, stem, to, in_blossom)
+                    mark_path(to, stem, v, in_blossom)
+                    for i in range(1, n + 1):
+                        if in_blossom[base[i]]:
+                            base[i] = stem
+                            if not in_queue[i]:
+                                in_queue[i] = True
+                                queue.append(i)
+                elif parent[to] == 0:
+                    parent[to] = v
+                    if match[to] == 0:
+                        # Augment along the alternating path root..to.
+                        u = to
+                        while u != 0:
+                            pv = parent[u]
+                            nxt = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = nxt
+                        return True
+                    if not in_queue[match[to]]:
+                        in_queue[match[to]] = True
+                        queue.append(match[to])
+        return False
+
+    for v in range(1, n + 1):
+        if match[v] == 0:
+            free = next((to for to in adj[v] if match[to] == 0), 0)
+            if free:
+                match[v], match[free] = free, v
+            else:
+                augment_from(v)
+    return tuple((v, match[v]) for v in range(1, n + 1) if match[v] > v)
+
+
 def loop_plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
     """The permutation and fill slots built through sets and per-pair and
     per-edge loops; the pairs are checked one by one."""
@@ -387,3 +475,46 @@ def loop_pattern_check(n: int, k: int, slots, bidirected) -> None:
         if key in seen_pairs:
             raise ValueError(f"duplicate slot for pair {{{i},{j}}}")
         seen_pairs.add(key)
+
+
+# ---------------------------------------------------------------------------
+# Matrix CSV oracles: one f-string per entry, one list comprehension per row
+
+
+def loop_format_matrix_csv(m) -> str:
+    a = np.asarray(m, dtype=float)
+    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in a) + "\n"
+
+
+def loop_parse_matrix_csv(text: str) -> np.ndarray:
+    rows = []
+    for no, ln in enumerate(text.splitlines(), start=1):
+        if not ln.strip():
+            continue
+        try:
+            rows.append([float(tok) for tok in ln.split(",")])
+        except ValueError as exc:
+            raise BadFormat(f"line {no}: not a numeric row") from exc
+    if not rows:
+        raise BadFormat("empty matrix document")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise BadFormat("rows have inconsistent lengths")
+    a = np.array(rows, dtype=float)
+    if not np.isfinite(a).all():
+        raise BadFormat("matrix entries must be finite")
+    return a
+
+
+def outer_duplicate(pairs, reals) -> str | None:
+    """The DegenerateSpectrum message of the n-by-n comparison of every
+    point with every later one, or None for distinct points."""
+    points = np.array(
+        [complex(a, b) for a, b in pairs] + [complex(a, -b) for a, b in pairs] + list(reals),
+        dtype=complex,
+    )
+    points.real = [a for a, _ in pairs] * 2 + list(reals)  # keeps -0.0 real parts
+    repeated = np.triu(np.equal.outer(points, points), 1).any(axis=1)
+    if not repeated.any():
+        return None
+    return f"duplicate spectrum value {points[repeated.argmax()]}"

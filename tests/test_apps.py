@@ -310,6 +310,36 @@ def test_power_of_two_scaling_is_exact_on_generated_instances(data, seed, n, edg
         assert np.array_equal(solve_instance(scaled(s, c), g).matrix, c * m)
 
 
+def shifted(s: Spectrum, sigma: float) -> Spectrum:
+    """s + sigma with pairs and reals in their order: from_eigenvalues would
+    sort them again, and the order is the assignment of targets to blocks."""
+    return Spectrum(
+        pairs=tuple((a + sigma, b) for a, b in s.pairs), reals=tuple(x + sigma for x in s.reals)
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.5, 3.0, 100.0])
+def test_shifting_the_spectrum_shifts_the_output(sigma):
+    """A shift moves every point and leaves the distances, so the radius,
+    the fills and the step control are the same up to rounding: solving
+    s + sigma takes the same steps and returns M(s) + sigma*I to within the
+    Newton tolerance of the shifted spectrum."""
+    solved = 0
+    for s, g in mixed_instances(303, count=40, n_min=2, n_max=16):
+        try:
+            base = solve_instance(s, g)
+        except NumericalError:
+            continue
+        solved += 1
+        s_shift = shifted(s, sigma)
+        moved = solve_instance(s_shift, g)
+        assert moved.steps == base.steps
+        n = s.n
+        drift = np.abs(moved.matrix - base.matrix - sigma * np.eye(n)).max()
+        assert drift <= 1e-11 * s_shift.scale
+    assert solved >= 35
+
+
 NEAR = Spectrum(pairs=((1e6, 1.0),), reals=(1e6, 1e6 + 1e-5))
 
 

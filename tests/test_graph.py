@@ -7,10 +7,12 @@ from giep import Graph, make_graph, parse_graph
 from giep.errors import BadFormat, MatchingTooSmall
 from giep.graph import format_graph, max_matching, plan_relabeling, sorted_edges
 from giep.model import Pattern
+from giep.cli import random_graph
 from conftest import (
     bidirected_pairs,
     brute_force_matching_size,
     edge_positions,
+    full_search_max_matching,
     loop_max_matching,
     loop_pattern_check,
     loop_plan_relabeling,
@@ -289,6 +291,79 @@ def test_matching_and_relabeling_match_loop_oracles():
     ):
         assert outcome(plan_relabeling, g, m, k) == outcome(loop_plan_relabeling, g, m, k)
         assert isinstance(outcome(plan_relabeling, g, m, k), tuple)
+
+
+def odd_component_graphs(seed: int, count: int):
+    """Graphs whose bidirected components have odd sizes, each an odd cycle,
+    a path or a star with random chords inside it, on shuffled labels.
+    Every component leaves a vertex exposed, and from there a search fails.
+    Every other graph is directed, with one-way edges between components."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, 61))
+        order = [int(v) + 1 for v in rng.permutation(n)]
+        pairs, start = set(), 0
+        while start < n:
+            size = min(int(rng.choice([1, 3, 5, 7, 9])), n - start)
+            part = order[start : start + size]
+            shape = case % 3
+            if shape == 0:  # an odd cycle, a blossom
+                links = zip(part, part[1:] + part[:1])
+            elif shape == 1:  # a path
+                links = zip(part, part[1:])
+            else:  # a star
+                links = ((part[0], v) for v in part[1:])
+            pairs.update(frozenset(e) for e in links if e[0] != e[1])
+            for _ in range(int(rng.integers(0, size))):
+                a, b = rng.choice(part, 2)
+                if a != b:
+                    pairs.add(frozenset((int(a), int(b))))
+            start += size
+        edges = [tuple(e) for e in pairs]
+        if case % 2:
+            edges += [(b, a) for a, b in edges]
+            for _ in range(int(rng.integers(0, n + 1))):
+                a, b = (int(v) + 1 for v in rng.choice(n, 2))
+                if a != b and (a, b) not in edges and (b, a) not in edges:
+                    edges.append((a, b))  # one way
+            yield make_graph(n, edges, directed=True)
+        else:
+            yield make_graph(n, edges)
+
+
+def dense_graphs(seed: int, count: int):
+    """G(n, p) for n 3-10 and p 0.2-0.7, where blossoms are frequent."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 11))
+        a, b = np.nonzero(np.triu(rng.uniform(size=(n, n)) < rng.uniform(0.2, 0.7), 1))
+        yield make_graph(n, zip((a + 1).tolist(), (b + 1).tolist()))
+
+
+# graphs where a blossom contraction that queued the search tree in
+# discovery order, not in vertex order, finds another matching
+BLOSSOM_ORDER = [
+    make_graph(8, [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 6), (2, 8), (3, 6), (4, 5),
+                   (4, 6), (5, 7), (6, 7), (6, 8)]),
+    make_graph(9, [(1, 2), (1, 4), (1, 5), (1, 6), (1, 8), (2, 4), (2, 5), (2, 9), (4, 6),
+                   (4, 7), (4, 8), (4, 9), (5, 9), (7, 9), (8, 9)]),
+]
+
+
+def test_matching_equals_the_full_search():
+    """Skipped searches are searches that fail: the matching is the one a
+    search from every exposed vertex finds, on graphs where many fail, on
+    dense small graphs full of blossoms, and on large_sparse-shaped graphs
+    (n = 160, k = 40, edge probability 4/n)."""
+    rng = np.random.default_rng(7)
+    graphs = BLOSSOM_ORDER + list(odd_component_graphs(31, 600)) + list(dense_graphs(8, 3000))
+    graphs += [random_graph(rng, 160, 40, 4 / 160) for _ in range(10)]
+    exposed = 0
+    for g in graphs:
+        m = max_matching(g)
+        assert repr(m) == repr(full_search_max_matching(g))
+        exposed += g.n - 2 * len(m)
+    assert exposed >= 2000
 
 
 def pattern_outcome(n, k, slots, flags):

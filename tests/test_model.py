@@ -19,7 +19,7 @@ from giep.model import (
     parse_matrix_csv,
     spectrum_mismatch,
 )
-from conftest import build_seed, edge_positions
+from conftest import build_seed, edge_positions, outer_duplicate
 
 
 def test_spectrum_sizes_and_values():
@@ -38,6 +38,29 @@ def test_spectrum_rejects_bad_values():
         Spectrum(pairs=((1.0, 2.0), (1.0, 2.0)), reals=())
     with pytest.raises(DegenerateSpectrum):
         Spectrum(pairs=(), reals=(4.0, 4.0))
+
+
+@pytest.mark.parametrize(
+    "pairs, reals",
+    [
+        ((), (0.0, -0.0)),  # equal, though their bits differ
+        ((), (-0.0, 1.0, 0.0)),
+        (((1.0, 2.0), (3.0, 1.0), (1.0, 2.0)), ()),  # a repeated pair
+        (((-0.0, 1.0), (0.0, 1.0)), (5.0,)),
+        (((1.0, 1.0),), (2.0, 3.0, 3.0, 2.0)),  # the earlier of two duplicates is named
+        (((1.0, 1.0), (2.0, 1.0), (2.0, 1.0), (1.0, 1.0)), (0.0, -0.0)),
+        ((), (7.0, 4.0, 4.0, 7.0, 4.0)),
+        (((0.0, 2.0),), (0.0, 2.0)),  # a real equal to a pair's real part is distinct
+    ],
+)
+def test_duplicate_check_names_the_value_the_outer_comparison_names(pairs, reals):
+    want = outer_duplicate(pairs, reals)
+    try:
+        Spectrum(pairs=pairs, reals=reals)
+    except DegenerateSpectrum as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
 
 
 def test_spectrum_from_eigenvalues_round_trip():
