@@ -50,7 +50,7 @@ def solve_instance(
         )
     order, pattern = plan_relabeling(g, max_matching(g), s.k)
     report = continuation_solve(s, pattern, mode, cfg)
-    return replace(report, matrix=report.matrix[np.ix_(order, order)])
+    return replace(report, matrix=report.matrix[order[:, None], order])
 
 
 def path_graph(n: int) -> Graph:

@@ -97,12 +97,16 @@ def _configure_logging() -> None:
         root.setLevel(level)
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+# Text mode with universal newlines, as Path.read_text and Path.write_text
+# open files, without building a Path for every file.
+def _read(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _config_from_args(args) -> SolverConfig:

@@ -10,7 +10,8 @@ reverse is present too.
 (a, b), a < b.  ``plan_relabeling`` permutes the vertices so that k of
 those pairs land on the label pairs (1,2), (3,4), ..., (2k-1,2k) — the
 layout the solver's parameterized matrix family assumes — and emits the
-leftover edges as the ordered fill slots of a :class:`~giep.model.Pattern`.
+leftover edges as the ordered fill slots of a :class:`~giep.model.Pattern`,
+built from their arrays.
 The permutation is an index array: ``order[old - 1]`` is the old vertex's
 0-based new index.
 
@@ -300,7 +301,7 @@ def plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
     residual edges keep their direction.
 
     Returns ``(order, pattern)``, where ``order[old - 1]`` is the 0-based
-    new index of vertex ``old``; ``m[np.ix_(order, order)]`` takes a matrix
+    new index of vertex ``old``; ``m[order[:, None], order]`` takes a matrix
     in new labels back to the old ones.
 
     Raises ValueError for a negative k or a pair that is out of order,
@@ -346,12 +347,8 @@ def plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
     residual = ~((np.maximum(i, j) < 2 * k) & (i // 2 == j // 2))
     by_slot = (i[residual] * n + j[residual]).argsort(kind="stable")
     i, j, reverse = (x[residual][by_slot] for x in (i, j, reverse))
-    # a bidirected edge is one slot (i, j) with i < j; a one-way edge keeps its direction
+    # a bidirected edge is one slot (i, j) with i < j; a one-way edge keeps its
+    # direction.  The slots are valid by construction: off the diagonal and
+    # the blocks, one per vertex pair, and i < j where bidirected.
     slot = (i < j) | ~reverse
-    pattern = Pattern(
-        n=n,
-        k=k,
-        slots=tuple(zip((i[slot] + 1).tolist(), (j[slot] + 1).tolist())),
-        bidirected=tuple(reverse[slot].tolist()),
-    )
-    return order, pattern
+    return order, Pattern.from_arrays(n, k, i[slot], j[slot], reverse[slot])

@@ -38,12 +38,18 @@ PIVOT_FACTOR = 1e-13      # singular when sigma_min <= PIVOT_FACTOR * sigma_max
 
 
 def as_square_matrix(m) -> np.ndarray:
-    """Validate and return ``m`` as a square float64 array."""
+    """Validate and return ``m`` as a finite square float64 array."""
+    a = _square(m)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _square(m) -> np.ndarray:
+    """``m`` as a nonempty square float64 array; finiteness is not checked."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     return a
 
 
@@ -80,15 +86,19 @@ def eig_all(m, vectors: bool = False):
     instead, where column ``i`` of ``vecs`` is a right eigenvector of
     ``ev[i]``; :func:`eigen_triple` takes this pair.
 
-    Raises NoConvergence if the QR iteration fails to converge.
+    Raises ValueError unless ``m`` is a nonempty, square, finite matrix, and
+    NoConvergence if the QR iteration fails to converge.  numpy checks
+    finiteness before LAPACK runs, and that one check is all there is.
     """
-    a = as_square_matrix(m)
+    a = _square(m)
     try:
         if vectors:
             ev, vecs = np.linalg.eig(a)
         else:
             ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(a).all():  # numpy's own check refused the matrix
+            raise ValueError("matrix entries must be finite") from None
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
     ev = ev.astype(np.complex128, copy=False)
     order = spectrum_order(ev)

@@ -13,7 +13,12 @@ exactly.  A pattern places free parameters into a matrix family M:
 The parameters travel as one stacked vector theta = (x, y, z, u, omega).
 M is linear in theta, and :attr:`Pattern.entries` is the single
 description of this layout: :func:`assemble` scatters theta through it and
-the solver's Jacobian contracts eigenvectors with it.
+the solver's Jacobian contracts eigenvectors with it.  A pattern keeps its
+slots as arrays, :attr:`Pattern.slot_arrays`, and builds its entries from
+them once.  ``Pattern(...)`` checks the slots it is given;
+:meth:`Pattern.from_arrays` takes the arrays that
+:func:`~giep.graph.plan_relabeling` builds, which meet every rule by
+construction, without checking them again.
 
 The spectrum is also its own disc system: a disc of the common radius
 :attr:`Spectrum.radius` around every spectrum point, the discs disjoint
@@ -22,7 +27,10 @@ near the seed are identified by which disc they fall in.
 :func:`label_eigenvalues` reads off the stacked (lambda, mu, gamma)
 coordinates, the quantities the Newton corrector drives to
 :meth:`Spectrum.target_coordinates`, together with the positions of the
-tracked eigenvalues, which select their eigenvectors.
+tracked eigenvalues, which select their eigenvectors.  A spectrum builds
+its target coordinates and the labeling's fixed tables once, so a
+labeling of eigenvalues that all sit in their own discs costs one
+distance per eigenvalue and one gather.
 Since the seed has x = lambda, y = mu and z = gamma, the seed's theta is
 the target coordinate vector followed by 2m zero fills.
 """
@@ -117,10 +125,15 @@ class Spectrum:
     def target_coordinates(self) -> np.ndarray:
         """The stacked coordinates (lam_1..k, mu_1..k, gamma_1..l) this spectrum prescribes.
 
-        They are also the seed's block parameters (x, y, z).
+        They are also the seed's block parameters (x, y, z).  Built once per
+        spectrum and returned read-only.
         """
+        return self._coordinates
+
+    @cached_property
+    def _coordinates(self) -> np.ndarray:
         k, points = self.k, self._points
-        return np.concatenate([points.real[:k], points.imag[:k], points.real[2 * k :]])
+        return _freeze(np.concatenate([points.real[:k], points.imag[:k], points.real[2 * k :]]))
 
     @cached_property
     def radius(self) -> float:
@@ -156,6 +169,22 @@ class Spectrum:
         # point indices in (real, imag) order, the order of eig_all's eigenvalues
         return _freeze(spectrum_order(self._points))
 
+    @cached_property
+    def _paired(self) -> "_PairedLabels":
+        # label_eigenvalues' tables for eigenvalue i in the disc of point _rank[i]
+        k, n, rank = self.k, self.n, self._rank
+        pos = np.empty(n, dtype=np.intp)
+        pos[rank] = np.arange(n)  # the eigenvalue each disc holds, in point order
+        # float offsets of (plus real parts, plus imaginary parts, real parts),
+        # then of the imaginary parts that must be exactly zero
+        re = 2 * pos
+        gather = np.concatenate([re[:k], re[:k] + 1, re[2 * k :], re[2 * k :] + 1])
+        return _PairedLabels(
+            centers=_freeze(self._points[rank]),
+            tracked=_freeze(np.concatenate([pos[:k], pos[2 * k :]])),
+            gather=_freeze(gather),
+        )
+
     @classmethod
     def from_eigenvalues(cls, values) -> "Spectrum":
         """Build a Spectrum from a conjugate-closed set of computed eigenvalues."""
@@ -171,6 +200,15 @@ class Spectrum:
             pairs=tuple((v.real, v.imag) for v in plus),
             reals=tuple(reals),
         )
+
+
+class _PairedLabels(NamedTuple):
+    """The fixed tables of :func:`label_eigenvalues` when eigenvalue i lies
+    in the disc of spectrum point ``Spectrum._rank[i]``."""
+
+    centers: np.ndarray  # the spectrum points in (real, imag) order
+    tracked: np.ndarray  # positions of the k plus-disc and l real eigenvalues
+    gather: np.ndarray  # offsets into the eigenvalues viewed as floats
 
 
 class Entries(NamedTuple):
@@ -197,6 +235,8 @@ class Pattern:
     ``slots[r] = (i_r, j_r)`` hosts u_r at position (i_r, j_r); when
     ``bidirected[r]`` is set, omega_r lives at (j_r, i_r) and i_r < j_r.
     Slots may not touch the diagonal or the interior of a matched block.
+    ``Pattern(...)`` checks this; :meth:`from_arrays` takes slots that hold
+    it by construction, as 0-based arrays, and does not check them again.
     """
 
     n: int
@@ -209,16 +249,14 @@ class Pattern:
             raise ValueError(f"invalid sizes n={self.n}, k={self.k}")
         if len(self.slots) != len(self.bidirected):
             raise ValueError("slots and bidirected flags must align")
-        m = len(self.slots)
-        ij, bidirected = self._slot_arrays
-        i, j = ij.T
+        i, j, bidirected = self.slot_arrays
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        off_range = (lo < 1) | (hi > self.n) | (i == j)
-        in_block = (hi <= 2 * self.k) & (hi % 2 == 0) & (lo == hi - 1)
+        off_range = (lo < 0) | (hi >= self.n) | (i == j)
+        in_block = (hi < 2 * self.k) & (hi % 2 == 1) & (lo == hi - 1)
         backward = bidirected & (i >= j)
         # a later slot on the same vertex pair as an earlier one; lexsort is stable
         order = np.lexsort((hi, lo))
-        repeat = np.zeros(m, dtype=bool)
+        repeat = np.zeros(self.m, dtype=bool)
         repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
         bad = np.flatnonzero(off_range | in_block | backward | repeat)
         if bad.size:
@@ -232,6 +270,25 @@ class Pattern:
                 raise ValueError(f"bidirected slot ({i},{j}) must have i < j")
             raise ValueError(f"duplicate slot for pair {{{i},{j}}}")
 
+    @classmethod
+    def from_arrays(cls, n: int, k: int, rows, cols, bidirected) -> "Pattern":
+        """The pattern with slot r at the 0-based position (rows[r], cols[r]),
+        from slots that meet every rule of the class by construction.
+
+        The arrays become :attr:`slot_arrays`, read-only; nothing is checked.
+        """
+        p = cls.__new__(cls)
+        # a frozen dataclass keeps its fields in the instance dict: filling it
+        # directly skips __init__, and so the validation
+        p.__dict__.update(
+            n=n,
+            k=k,
+            slots=tuple(zip((rows + 1).tolist(), (cols + 1).tolist())),
+            bidirected=tuple(bidirected.tolist()),
+            slot_arrays=(_freeze(rows), _freeze(cols), _freeze(bidirected)),
+        )
+        return p
+
     @property
     def l(self) -> int:
         return self.n - 2 * self.k
@@ -241,32 +298,32 @@ class Pattern:
         return len(self.slots)
 
     @cached_property
-    def _slot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # the slots as one (m, 2) array of 1-based (i, j) and the bidirected
-        # flags, converted once for the validation and the entries table
-        return (
-            np.array(self.slots, dtype=np.intp).reshape(self.m, 2),
-            np.array(self.bidirected, dtype=bool),
-        )
+    def slot_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slots as read-only arrays: 0-based ``rows`` and ``cols``, and
+        the ``bidirected`` flags."""
+        ij = _freeze(np.array(self.slots, dtype=np.intp).reshape(self.m, 2) - 1)
+        return ij[:, 0], ij[:, 1], _freeze(np.array(self.bidirected, dtype=bool))
 
     @cached_property
     def entries(self) -> Entries:
         """The parameter-to-position table, built once per pattern."""
         k, n, m = self.k, self.n, self.m
-        b = np.arange(2 * k)  # x_j at (a, a) and +-y_j at (a, a ^ 1), a = 2j, 2j+1
-        d = np.arange(2 * k, n)
-        ij, bidirected = self._slot_arrays
-        bi = np.flatnonzero(bidirected)
-        ij = ij - 1
-        fill = np.concatenate([ij, ij[bi, ::-1]])  # u_r, then omega_r mirrored
-        coef = np.ones(4 * k + self.l + len(fill))
+        rows, cols, bidirected = self.slot_arrays
+        v = np.arange(n)
+        block = v < 2 * k
+        # x_j at (a, a) for a = 2j, 2j+1, then +-y_j at (a, a ^ 1) and z_j on
+        # the diagonal below the blocks, then u_r, then omega_r mirrored
+        at = np.concatenate([v[: 2 * k], v, rows, cols[bidirected]])
+        coef = np.ones(at.size)
         coef[2 * k + 1 : 4 * k : 2] = -1.0  # -y_j at (2j+1, 2j)
+        # x_1, x_1, ..., x_k, x_k, y_1, y_1, ..., y_k, y_k, z, u, then omega
+        half = v >> 1
+        param = [half[: 2 * k], np.where(block, half + k, v), np.arange(n, n + m)]
         return Entries(
-            rows=_freeze(np.concatenate([b, b, d, fill[:, 0]])),
-            cols=_freeze(np.concatenate([b, b ^ 1, d, fill[:, 1]])),
+            rows=_freeze(at),
+            cols=_freeze(np.concatenate([v[: 2 * k], v ^ block, cols, rows[bidirected]])),
             coef=_freeze(coef),
-            # x_1, x_1, ..., x_k, x_k, y_1, y_1, ..., y_k, y_k, then one each
-            param=_freeze(np.concatenate([b.repeat(2), d, np.arange(n, n + m), n + m + bi])),
+            param=_freeze(np.concatenate([*param, np.arange(n + m, n + 2 * m)[bidirected]])),
         )
 
 
@@ -332,16 +389,24 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     pairing is the nearest-center assignment.  Otherwise (an eigenvalue
     outside every disc, or eigenvalues whose order differs from their
     centers') the distances to every center come from one
-    eigenvalue-by-center matrix.
+    eigenvalue-by-center matrix.  The pairing's centers, its positions and
+    the offsets of the coordinates in the eigenvalues viewed as floats are
+    fixed per spectrum and built once, on first use.
     """
-    ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
+    ev = np.ascontiguousarray(eigs, dtype=complex)
     if ev.size != s.n:
         raise ValueError(f"expected {s.n} eigenvalues, got {ev.size}")
+    paired = s._paired
+    nearest = np.hypot(ev.real - paired.centers.real, ev.imag - paired.centers.imag)
+    paired_inside = nearest.max() < s.radius
+    if paired_inside:
+        # the assignment is s._rank; it stands unless an eigenvalue in a real
+        # interval is not exactly real, which the checks below report
+        picked = ev.view(float)[paired.gather]
+        if not picked[s.n :].any():
+            return picked[: s.n], paired.tracked
     centers = s.values()
     idx = s._rank
-    paired = centers[idx]
-    nearest = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
-    paired_inside = np.all(nearest < s.radius)
     if not paired_inside:
         dist = _distances(ev, centers)
         idx = np.argmin(dist, axis=1)
@@ -358,15 +423,13 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
                 f"distance {nearest[i]:.6g}, radius {s.radius:.6g})"
             )
         raise DiscViolation(f"non-real eigenvalue {e} near real target {c.real}")
-    # the paired assignment is the bijection s._rank, one eigenvalue per disc
-    if not paired_inside:
-        counts = np.bincount(idx, minlength=s.n)
-        crowded = np.flatnonzero(counts != 1)
-        if crowded.size:
-            j = crowded[0]
-            raise DiscViolation(
-                f"disc at {centers[j]} holds {counts[j]} eigenvalues, expected 1"
-            )
+    # only a nearest-center assignment gets here; the paired one, the
+    # bijection s._rank, returned above or failed a check
+    counts = np.bincount(idx, minlength=s.n)
+    crowded = np.flatnonzero(counts != 1)
+    if crowded.size:
+        j = crowded[0]
+        raise DiscViolation(f"disc at {centers[j]} holds {counts[j]} eigenvalues, expected 1")
     pos = np.empty_like(idx)
     pos[idx] = np.arange(ev.size)  # the eigenvalue each disc holds, in center order
     # inside a disc of radius <= mu/2 around lam + i*mu, the imaginary part exceeds mu/2 > 0

@@ -15,10 +15,11 @@ solved for, so the output matrix carries its prescribed nonzeros exactly.
 By the implicit function theorem at the seed, the solution curve is
 (x, y, z)(t) = target - t^2 * delta_2 + O(t^3), where delta_2 is the
 fills' second-order eigenvalue shift.  :func:`second_order_shift` computes
-it in closed form from the seed's known eigenvectors, and every trial from
-the seed starts on that curve, so one chord correction usually absorbs
-default-size fills.  The seed itself is never decomposed: it realizes the
-targets by construction.
+it in closed form from the seed's known eigenvectors, whose components at
+a vertex follow from the vertex and k alone, and every trial from the seed
+starts on that curve, so one chord correction usually absorbs default-size
+fills.  The seed itself is never decomposed: it realizes the targets by
+construction.
 
 A first-order eigenvalue perturbation identity supplies the Jacobian: for
 a simple eigenvalue with unit right/left eigenvectors v and w, moving the
@@ -92,6 +93,13 @@ from .model import (
 
 logger = logging.getLogger("giep.solver")
 
+# The seed's eigenvector components at a block's first vertex, its second
+# vertex and a real vertex, for the plus then the minus eigenvalue: block
+# vectors v = (1, +-i) and w = (1, -+i)/2 on the block's two vertices, so
+# that w^T v = 1, and 1 on a real vertex, which has one eigenvalue.
+_V = np.array([[1, 1], [1j, -1j], [1, 0]])
+_W = _V.conj() * [[0.5], [0.5], [1.0]]
+
 TOL_NEWTON_FACTOR = 1e-11   # newton tolerance = factor * Spectrum.scale
 TOL_FINAL_FACTOR = 1e-8     # final spectrum tolerance, same scaling
 NONZERO_FLOOR = 1e-12       # verify's floor on edge entries, same scaling
@@ -157,7 +165,9 @@ def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray
     G_aa is zero because no fill sits inside a block.  Eigenvalues are
     numbered as :meth:`Spectrum.values` lists them.  Block j's plus and minus
     eigenvectors are v = (1, +-i) and w = (1, -+i)/2 on its two vertices,
-    scaled so that w^T v = 1, and a real vertex's are 1.  Each fill entry
+    scaled so that w^T v = 1, and a real vertex's are 1; a fill entry's
+    eigenvalues and components follow from its row and column by closed
+    form, with no table over the n vertices.  Each fill entry
     (r, c) adds to G_ab for the at most two eigenvalues a of r's block and b
     of c's; the contributions are summed per key a*n + b and each key is
     paired with its transpose, so work and memory grow with the number of
@@ -171,24 +181,21 @@ def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray
     beyond the float range comes back infinite.
     """
     n, k = p.n, p.k
-    vertex = np.arange(n)
-    # the eigenvalues of each vertex's block, and their eigenvector components
-    # there; the blocks are the vertices below 2k
-    owner = vertex.repeat(2).reshape(n, 2)
-    owner[: 2 * k] = vertex[: 2 * k, None] // 2 + [0, k]
-    vco = np.ones((n, 2), dtype=complex)
-    vco[1 : 2 * k : 2] = [1j, -1j]
-    vco[2 * k :, 1] = 0.0  # a real vertex has one eigenvalue
-    wco = vco.conj() * np.where(vertex < 2 * k, 0.5, 1.0)[:, None]
-
     e = p.entries
-    fill = slice(np.searchsorted(e.param, n), None)  # entries are ordered by parameter
-    r, c = e.rows[fill], e.cols[fill]
-    value = e.coef[fill] * fills[e.param[fill] - n]
+    fill = n + 2 * k  # the first fill entry: x, y and z have 4k + l entries
+    size = e.rows.size - fill
+    rc = np.concatenate([e.rows[fill:], e.cols[fill:]])  # the fill rows, then their columns
+    # each vertex's eigenvalues and their eigenvector components there: a
+    # block vertex 2j or 2j+1 holds the block's plus and minus eigenvalues j
+    # and j + k, a real vertex its one eigenvalue, twice with no second component
+    real = rc >= 2 * k
+    owner = np.where(real[:, None], rc[:, None], (rc >> 1)[:, None] + [0, k])
+    kind = np.where(real, 2, rc & 1)
+    value = fills[e.param[fill:] - n]  # fill entries are written verbatim
     exp = unit_exponent(value)
     value = np.ldexp(value, -exp)
-    g_part = wco[r][:, :, None] * value[:, None, None] * vco[c][:, None, :]
-    key = (owner[r][:, :, None] * n + owner[c][:, None, :]).ravel()
+    g_part = _W[kind[:size]][:, :, None] * value[:, None, None] * _V[kind[size:]][:, None, :]
+    key = (owner[:size, :, None] * n + owner[size:, None, :]).ravel()
     # a stable argsort, not np.unique: its quicksort kernels are half a
     # megabyte of code that nothing else in a solve touches, and peak RSS grows by it
     order = np.argsort(key, kind="stable")
@@ -368,7 +375,7 @@ def default_targets(
             f"nonzero floor {floor:.3g}, got fills of {magnitude:.3g}"
         )
     u = np.full(p.m, magnitude)
-    omega = np.where(p.bidirected, magnitude, 0.0) if p.m else np.zeros(0)
+    omega = np.where(p.slot_arrays[2], magnitude, 0.0)
     return u, -omega if mode == "skew" else omega
 
 
@@ -411,10 +418,9 @@ def continuation_solve(
     state = ContinuationState(t=0.0, theta=theta, step=1.0)
     # The seed realizes the targets exactly; record it as the first accepted
     # state, with its exact spectrum in eig_all's order and no decomposition.
-    ev = s.values()[s._rank]
     state.history.append(StepRecord(t=0.0, residual=0.0, newton_iterations=0))
     if cfg.observer is not None:
-        cfg.observer(state, ev)
+        cfg.observer(state, s.values()[s._rank])
     # without fills the seed is the solution and no trial runs
     shift = second_order_shift(p, s, np.concatenate([u_target, omega_target])) if p.m else None
 

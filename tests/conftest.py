@@ -17,6 +17,7 @@ from giep.linalg import (
     eig_all,
     eigen_triple,
     solve_linear,
+    unit_exponent,
 )
 from giep.model import Pattern, assemble, label_eigenvalues
 from giep.solver import MAX_NEWTON, TOL_NEWTON_FACTOR, jacobian_xyz
@@ -230,6 +231,49 @@ def second_order_shift_dense(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.n
     idx = label_eigenvalues(lam, s)[1]
     plus, real = shift[idx[: s.k]], shift[idx[s.k :]]
     return np.concatenate([plus.real, plus.imag, real.real])
+
+
+def second_order_shift_reference(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
+    """``solver.second_order_shift`` as it was first written: vertex tables
+    of length n, then the COO terms of every fill entry grouped by a stable
+    argsort and paired with their transposes by ``searchsorted``.  The
+    solver's version must return the same bits."""
+    n, k = p.n, p.k
+    vertex = np.arange(n)
+    owner = vertex.repeat(2).reshape(n, 2)
+    owner[: 2 * k] = vertex[: 2 * k, None] // 2 + [0, k]
+    vco = np.ones((n, 2), dtype=complex)
+    vco[1 : 2 * k : 2] = [1j, -1j]
+    vco[2 * k :, 1] = 0.0
+    wco = vco.conj() * np.where(vertex < 2 * k, 0.5, 1.0)[:, None]
+
+    e = p.entries
+    fill = slice(np.searchsorted(e.param, n), None)
+    r, c = e.rows[fill], e.cols[fill]
+    value = e.coef[fill] * fills[e.param[fill] - n]
+    exp = unit_exponent(value)
+    value = np.ldexp(value, -exp)
+    g_part = wco[r][:, :, None] * value[:, None, None] * vco[c][:, None, :]
+    key = (owner[r][:, :, None] * n + owner[c][:, None, :]).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(first)
+    keys = key[first]
+    g = np.add.reduceat(g_part.ravel()[order], first)
+
+    a, b = np.divmod(keys, n)
+    twin = b * n + a
+    mate = np.minimum(np.searchsorted(keys, twin), keys.size - 1)
+    paired = keys[mate] == twin
+    a, b = a[paired], b[paired]
+    lam = s.values()
+    gap = np.ldexp((lam[a] - lam[b]).view(float), -exp).view(complex)
+    term = g[paired] * g[mate[paired]] / gap
+    shift = np.bincount(a, term.real, n) + 1j * np.bincount(a, term.imag, n)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.concatenate([shift[:k].real, shift[:k].imag, shift[2 * k :].real]), exp)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 from functools import cached_property
 from unittest import mock
 
@@ -12,10 +13,16 @@ from hypothesis import strategies as st
 
 import giep.apps as apps
 import giep.model as model
-from giep import SolverConfig, Spectrum, make_graph, solve_instance, tridiagonalize, verify
+from giep import Graph, SolverConfig, Spectrum, make_graph, solve_instance, tridiagonalize, verify
 from giep.apps import path_graph
 from giep.cli import EXIT_BAD_INPUT, main, random_graph, random_spectrum
-from giep.errors import DimensionMismatch, MatchingTooSmall, NumericalError, RepeatedEigenvalues
+from giep.errors import (
+    DimensionMismatch,
+    InfeasibleError,
+    MatchingTooSmall,
+    NumericalError,
+    RepeatedEigenvalues,
+)
 from giep.graph import format_graph
 from giep.linalg import eig_all
 from giep.model import format_spectrum, spectrum_mismatch
@@ -435,3 +442,96 @@ def test_gap_gate_is_invariant_under_power_of_two_scaling(monkeypatch, j):
         outcomes.append(refused(a))
         assert refused(2.0**j * a) == outcomes[-1]
     assert outcomes == [True, True, True, False, False]
+
+
+def outcome_of(s: Spectrum, g) -> tuple[str, np.ndarray | None]:
+    """("ok", matrix) for a solve that passes verify, or the typed failure's
+    class name; any other failure propagates."""
+    try:
+        m = solve_instance(s, g).matrix
+    except (NumericalError, InfeasibleError) as exc:
+        return type(exc).__name__, None
+    report = verify(m, s, g)
+    assert report.passed, report.render()
+    return "ok", m
+
+
+def relabeled(g: Graph, perm) -> Graph:
+    """``g`` with vertex v renamed perm[v - 1]."""
+    return Graph(n=g.n, directed=g.directed, edges=frozenset((perm[a - 1], perm[b - 1]) for a, b in g.edges))
+
+
+def planted_directed_graph(rng, n: int, k: int, prob: float) -> Graph:
+    """A planted bidirected matching of size k plus one-way edges drawn with
+    probability ``prob``; an edge whose reverse is drawn too is bidirected."""
+    order = (rng.permutation(n) + 1).tolist()
+    edges = set()
+    for a, b in zip(order[0 : 2 * k : 2], order[1 : 2 * k : 2]):
+        edges.update({(a, b), (b, a)})
+    edges.update((a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b and rng.uniform() < prob)
+    return make_graph(n, sorted(edges), directed=True)
+
+
+def test_relabeling_the_vertices_keeps_the_outcome():
+    """Renaming the vertices changes which pairs the greedy matching picks,
+    and so the matrix, but not whether the instance is solvable: a solve of
+    the permuted graph ends the same way, and a success passes verify on
+    the permuted graph."""
+    rng = np.random.default_rng(808)
+    kinds = Counter()
+    for i in range(80):
+        n = 2 + i % 23
+        k = int(rng.integers(0, n // 2 + 1))
+        s = random_spectrum(rng, k, n - 2 * k, box=max(5.0, n / 2))
+        prob = float(rng.uniform(0.05, 0.5))
+        g = random_graph(rng, n, k, prob) if i % 2 else planted_directed_graph(rng, n, k, prob)
+        perm = (rng.permutation(n) + 1).tolist()
+        kind, _ = outcome_of(s, g)
+        assert outcome_of(s, relabeled(g, perm))[0] == kind, i
+        kinds[kind] += 1
+    assert kinds["ok"] >= 70
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_complete_graph_with_the_largest_matching(n):
+    """K_n with k = n // 2: every off-block position is a bidirected slot."""
+    rng = np.random.default_rng(900 + n)
+    s = random_spectrum(rng, n // 2, n % 2, box=max(5.0, n / 2))
+    g = make_graph(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)])
+    kind, m = outcome_of(s, g)
+    assert kind in ("ok", "StepUnderflow", "NoConvergence")
+    if m is not None:
+        assert np.count_nonzero(m - np.diag(np.diag(m))) == n * (n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 24])
+def test_one_way_cycle(n):
+    """1 -> 2 -> ... -> n -> 1 holds no bidirected edge from n = 3 on, so
+    only k = 0 is feasible there and every slot is one-directional."""
+    rng = np.random.default_rng(950 + n)
+    g = make_graph(n, [(v, v % n + 1) for v in range(1, n + 1)], directed=True)
+    box = max(5.0, n / 2)
+    assert outcome_of(random_spectrum(rng, 0, n, box=box), g)[0] == "ok"
+    kind, _ = outcome_of(random_spectrum(rng, 1, n - 2, box=box), g)
+    assert kind == ("ok" if n == 2 else "MatchingTooSmall")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_tiny_mu_relative_to_the_scale(scale):
+    """A pair whose imaginary part is 1e-9 of the spectrum's modulus sets
+    the disc radius, and with it the fills and every tolerance."""
+    s = Spectrum(pairs=((scale, 1e-9 * scale), (-2 * scale, 3 * scale)), reals=(4 * scale, -5 * scale))
+    assert s.radius == 0.5e-9 * scale
+    for g in (path_graph(6), make_graph(6, [(a, b) for a in range(1, 7) for b in range(a + 1, 7)])):
+        kind, _ = outcome_of(s, g)
+        assert kind in ("ok", "StepUnderflow", "NoConvergence")
+
+
+def test_single_vertex_through_the_cli(tmp_path, capsys):
+    spectrum, graph, out = (tmp_path / name for name in ("s.spectrum", "g.graph", "m.csv"))
+    spectrum.write_text('{"pairs": [], "reals": [-7.5]}\n')
+    graph.write_text("1 0 undirected\n")
+    assert main(["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(out)]) == 0
+    assert out.read_text() == "-7.5\n"
+    assert main(["verify", "--matrix", str(out), "--spectrum", str(spectrum), "--graph", str(graph)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"

@@ -18,7 +18,8 @@ from giep import (
 )
 from giep.cli import main, random_graph, random_spectrum
 from giep.errors import BadFormat, MatchingTooSmall, SingularSystem
-from giep.model import parse_matrix_csv
+from giep.graph import format_graph
+from giep.model import format_spectrum, parse_matrix_csv
 from conftest import bidirected_pairs, loop_random_graph, loop_random_spectrum
 
 SPECTRUM_3 = '{"pairs": [[1.0, 2.0]], "reals": [3.0]}\n'
@@ -507,3 +508,39 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "giep" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_line_endings_read_as_path_reads_them(tmp_path, newline):
+    """The CLI opens its files in text mode with universal newlines, as
+    Path.read_text and Path.write_text do: CRLF and CR inputs give the
+    same output bytes as LF inputs."""
+    rng = np.random.default_rng(41)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.4)
+    written = []
+    for name, nl in (("lf", "\n"), ("other", newline)):
+        spectrum, graph, out = (tmp_path / f"{name}.{ext}" for ext in ("spectrum", "graph", "csv"))
+        spectrum.write_bytes(format_spectrum(s).replace("\n", nl).encode())
+        graph.write_bytes(format_graph(g).replace("\n", nl).encode())
+        assert giep.cli._read(spectrum) == spectrum.read_text(encoding="utf-8")
+        assert main(["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    text = "a\nb\r\nc"
+    giep.cli._write(tmp_path / "w.txt", text)
+    (tmp_path / "p.txt").write_text(text, encoding="utf-8")
+    assert (tmp_path / "w.txt").read_bytes() == (tmp_path / "p.txt").read_bytes()
+
+
+def test_unreadable_files_report_as_path_does(tmp_path, capsys):
+    missing = tmp_path / "missing.spectrum"
+    with pytest.raises(OSError) as want:
+        missing.read_text(encoding="utf-8")
+    assert main(["solve", "--spectrum", str(missing), "--graph", str(tmp_path), "--out", "x"]) == 1
+    assert capsys.readouterr().err == f"giep: cannot read/write: {want.value}\n"
+    with pytest.raises(OSError) as want:
+        tmp_path.read_text(encoding="utf-8")
+    with pytest.raises(OSError) as got:
+        giep.cli._read(tmp_path)
+    assert str(got.value) == str(want.value)

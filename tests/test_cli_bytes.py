@@ -4,6 +4,10 @@
 byte for byte, across rewrites of the parsing, validation and formatting
 around the solver.  The pinned digests were taken with numpy 2.4 and its
 bundled OpenBLAS; another LAPACK build may round differently and move them.
+The CLI byte pin also depends on the CPU kernel OpenBLAS picks at run time:
+the default (SkylakeX) kernel of an AVX-512 machine reproduces it, and
+forcing OPENBLAS_CORETYPE=Haswell, Zen, Sandybridge or Prescott there fails
+it, as it fails every group in test_output_pin.py.
 """
 
 import hashlib

@@ -404,3 +404,18 @@ def test_pattern_validation_matches_loop_oracle():
         assert got == want
         kinds.update(kind for kind in PATTERN_OUTCOMES if kind in want)
     assert kinds == set(PATTERN_OUTCOMES)
+
+
+def test_relabeling_pattern_equals_the_checked_pattern():
+    """plan_relabeling builds its pattern from arrays without the checks;
+    the same slots through Pattern(...) pass them and give the same
+    fields, slot arrays and entries table."""
+    rng = np.random.default_rng(74)
+    for g in oracle_graphs(75, 300):
+        m = max_matching(g)
+        _, p = plan_relabeling(g, m, int(rng.integers(0, len(m) + 1)))
+        q = Pattern(n=p.n, k=p.k, slots=p.slots, bidirected=p.bidirected)
+        assert p == q and repr(p) == repr(q)
+        for got, want in zip((*p.slot_arrays, *p.entries), (*q.slot_arrays, *q.entries)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable

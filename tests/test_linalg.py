@@ -61,8 +61,10 @@ def test_eig_trace_and_determinant_identities():
 
 
 def test_eig_rejects_nonfinite_and_nonsquare():
-    with pytest.raises(ValueError):
-        eig_all(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    for vectors in (False, True):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                eig_all(np.array([[1.0, bad], [0.0, 1.0]]), vectors=vectors)
     with pytest.raises(ValueError):
         eig_all(np.ones((2, 3)))
 

@@ -5,7 +5,13 @@ relabeling and continuation layers.  Each group below solves a fixed,
 seeded set of instances and hashes, per instance, the output matrix's
 float64 bytes, or the type and message of the typed failure it raised.
 The digests were taken with numpy 2.4 and its bundled OpenBLAS; another
-LAPACK build may round differently and move them.
+LAPACK build may round differently and move them.  They also depend on the
+CPU kernel OpenBLAS picks at run time: on an AVX-512 machine the default
+(SkylakeX) kernel reproduces them, while forcing OPENBLAS_CORETYPE=Haswell,
+Zen, Sandybridge or Prescott there fails all five groups here and the CLI
+byte pin in test_cli_bytes.py: 6 of the 11 tests in the two modules.
+``numpy.show_config()`` names the BLAS build; compare kernels before
+suspecting the code when a pin fails on another machine.
 """
 
 import hashlib

@@ -26,6 +26,7 @@ from conftest import (
     eigen_derivative,
     newton_every_iterate,
     second_order_shift_dense,
+    second_order_shift_reference,
 )
 
 
@@ -178,6 +179,44 @@ def test_second_order_shift_matches_dense_oracle(k, l, slots, bidirected, mode):
     closed, dense = second_order_shift(p, s, fills), second_order_shift_dense(p, s, fills)
     assert np.abs(dense).max() > 0.0
     assert np.abs(closed - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def random_pattern(rng, n: int, k: int) -> Pattern:
+    """Valid slots in random order and orientation, each bidirected (then
+    stored i < j) or one-way with probability one half."""
+    block = {(2 * j + 1, 2 * j + 2) for j in range(k)}
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if (a, b) not in block]
+    keep = [pairs[i] for i in rng.permutation(len(pairs))[: int(rng.integers(0, len(pairs) + 1))]]
+    bidirected = tuple(bool(f) for f in rng.uniform(size=len(keep)) < 0.5)
+    slots = tuple(ab if bi or rng.uniform() < 0.5 else ab[::-1] for ab, bi in zip(keep, bidirected))
+    return Pattern(n=n, k=k, slots=slots, bidirected=bidirected)
+
+
+def test_second_order_shift_equals_its_reference_bitwise():
+    """The shift from closed-form eigenvector tables has the bits of the
+    first implementation's, which built them as arrays of length n: on
+    random patterns with one-way slots, on plan_relabeling's patterns, with
+    signed-zero, subnormal and huge fills, and on spectra scaled by powers
+    of two across the float range and by other factors."""
+    rng = np.random.default_rng(1717)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300])
+    for case in range(800):
+        n = int(rng.integers(1, 25))
+        k = int(rng.integers(0, n // 2 + 1))
+        s = random_spectrum(rng, k, n - 2 * k, box=max(5.0, n / 2))
+        c = float(2.0 ** int(rng.integers(-1000, 1000)) if case % 2 else rng.uniform(0.1, 10.0))
+        s = Spectrum(pairs=tuple((c * a, c * b) for a, b in s.pairs), reals=tuple(c * g for g in s.reals))
+        if case % 3:
+            p = random_pattern(rng, n, k)
+        else:
+            g = random_graph(rng, n, k, float(rng.uniform(0.0, 0.8)))
+            p = plan_relabeling(g, max_matching(g), k)[1]
+        fills = rng.uniform(-1.0, 1.0, 2 * p.m) * s.radius * 2.0 ** int(rng.integers(-30, 30))
+        odd = rng.uniform(size=fills.size) < 0.2
+        fills[odd] = rng.choice(specials, int(odd.sum()))
+        with np.errstate(all="ignore"):  # the extremes divide by zero and overflow, alike
+            want = second_order_shift_reference(p, s, fills)
+            assert second_order_shift(p, s, fills).tobytes() == want.tobytes(), case
 
 
 def test_second_order_shift_allocates_no_square_array():
