@@ -15,18 +15,18 @@ built from their arrays.
 The permutation is an index array: ``order[old - 1]`` is the old vertex's
 0-based new index.
 
-A :class:`Graph` carries its edges twice: as the frozenset of ordered
-pairs it is built from, and as :attr:`Graph.edge_arrays`, the read-only
-(tail, head, reverse) arrays of :func:`sorted_edges`, converted once per
-graph on first use.  ``max_matching``, ``plan_relabeling`` and
+A :class:`Graph` converts its edge set to arrays once, when it is built:
+the checks of its labels run over those arrays, and the sorted, read-only
+(tail, head, reverse) arrays are kept as :attr:`Graph.edge_arrays`.
+``max_matching``, ``plan_relabeling``, :func:`format_graph` and
 :func:`giep.apps.verify` read the arrays; membership tests read the set.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -40,42 +40,111 @@ class Graph:
     """A loopless graph on vertices 1..n with an ordered-pair edge set.
 
     For ``directed=False`` the edge set is closed under reversal.
+    ``edge_arrays`` holds the edges sorted by (tail, head) as read-only
+    1-based ``tail`` and ``head`` arrays, with ``reverse`` flagging each
+    edge whose reverse is an edge too.  Raises ValueError for n < 1, and
+    for the first edge in the set's order with a label that is no integer,
+    a loop, a label outside 1..n or, when undirected, no reverse, checked
+    in that order.
     """
 
     n: int
     directed: bool
     edges: frozenset[tuple[int, int]]
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        n, edges, undirected = self.n, self.edges, not self.directed
+        n, edges = self.n, self.edges
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"loop edge ({a},{a}) not allowed")
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
-            if undirected and (b, a) not in edges:
-                raise ValueError(f"undirected graph missing reverse of ({a},{b})")
+        if not set(map(len, edges)) <= {2}:
+            raise ValueError("every edge must be a pair of vertices")
+        try:
+            e = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.intp, 2 * len(edges))
+        except (TypeError, OverflowError):  # a label that is no integer, or beyond intp
+            raise _edge_error(list(chain.from_iterable(edges)), n, self.directed) from None
+        a, b = e[0::2], e[1::2]
+        # the keys decode to the edges when every label is in range, which
+        # the check below requires before the arrays are kept
+        ordered = np.sort(a * (n + 1) + b)
+        tail, head = np.divmod(ordered, n + 1)
+        if self.directed:
+            reverse = _has_reverse(ordered, tail, head, n)
+        else:  # closed under reversal exactly when the sorted twins are the keys
+            reverse = np.sort(head * (n + 1) + tail) == ordered
+        faults = np.count_nonzero((e < 1) | (e > n)) + np.count_nonzero(a == b)
+        if faults or not (self.directed or np.count_nonzero(reverse) == reverse.size):
+            raise _edge_error(list(chain.from_iterable(edges)), n, self.directed)
+        for x in (tail, head, reverse):
+            x.setflags(write=False)
+        object.__setattr__(self, "edge_arrays", (tail, head, reverse))
 
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
 
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`sorted_edges` of this graph, built once and read-only."""
-        return sorted_edges(self)
+
+def _edge_error(labels: list, n: int, directed: bool) -> ValueError:
+    """The error of the first edge, in the order of the flattened ``labels``,
+    that has a label that is no integer, is a loop, has a label outside 1..n
+    or, when undirected, has no reverse, checked in that order.  The labels
+    are compared as Python objects, so integers beyond intp are exact."""
+    integer = np.fromiter(map(_is_integer, labels), bool, len(labels))
+    e = np.fromiter(labels, object, len(labels))
+    e[~integer] = 0  # out of range
+    a, b = e[0::2], e[1::2]
+    loop = a == b
+    out = (np.minimum(a, b) < 1) | (np.maximum(a, b) > n)
+    bad = loop | out
+    if not directed:
+        # an edge that breaks a rule gets key -1, which is no edge's twin
+        key = np.where(bad, -1, a * (n + 1) + b).astype(np.intp)
+        bad |= ~_has_reverse(np.sort(key), *np.divmod(key, n + 1), n)
+    r = int(bad.argmax())
+    x, y = labels[2 * r : 2 * r + 2]
+    if not (integer[2 * r] and integer[2 * r + 1]):
+        return _label_error(x, y)
+    if loop[r]:
+        return ValueError(f"loop edge ({x},{x}) not allowed")
+    if out[r]:
+        return ValueError(f"edge ({x},{y}) out of range 1..{n}")
+    return ValueError(f"undirected graph missing reverse of ({x},{y})")
+
+
+def _is_integer(x) -> bool:
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return True
+
+
+def _label_error(a, b) -> ValueError:
+    return ValueError(f"edge ({a!r},{b!r}): vertices must be integers")
+
+
+def _has_reverse(ordered: np.ndarray, tail: np.ndarray, head: np.ndarray, n: int) -> np.ndarray:
+    """Whether each edge (tail, head) has its reverse among the sorted keys
+    ``ordered``, where edge (a, b) has key a * (n + 1) + b."""
+    twin = head * (n + 1) + tail
+    return ordered[np.minimum(np.searchsorted(ordered, twin), ordered.size - 1)] == twin
 
 
 def make_graph(n: int, pairs, directed: bool = False) -> Graph:
     """Build a Graph from a list of edges, rejecting duplicates.
 
     For undirected graphs ``pairs`` lists each edge once (either order);
-    a repeated pair, including the reversed copy, is a duplicate.
+    a repeated pair, including the reversed copy, is a duplicate.  Vertex
+    labels must be integers (anything ``operator.index`` accepts); a float
+    or a string raises ValueError naming the pair.
     """
     edges: set[tuple[int, int]] = set()
     for a, b in pairs:
-        a, b = int(a), int(b)
+        try:
+            a, b = operator.index(a), operator.index(b)
+        except TypeError:
+            raise _label_error(a, b) from None
         if directed:
             if (a, b) in edges:
                 raise ValueError(f"duplicate edge ({a},{b})")
@@ -136,30 +205,13 @@ def parse_graph(text: str) -> Graph:
 
 def format_graph(g: Graph) -> str:
     """Inverse of :func:`parse_graph` (undirected edges listed once, sorted)."""
-    if g.directed:
-        listed = sorted(g.edges)
-    else:
-        listed = sorted({(min(a, b), max(a, b)) for a, b in g.edges})
-    head = f"{g.n} {len(listed)} {'directed' if g.directed else 'undirected'}"
-    return "\n".join([head] + [f"{a} {b}" for a, b in listed]) + "\n"
-
-
-def sorted_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges of ``g`` in (tail, head) order, as read-only 1-based
-    ``tail`` and ``head`` arrays, with ``reverse`` flagging each edge whose
-    reverse is an edge too."""
-    n = g.n
-    e = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges))
-    key = np.sort(e[0::2] * (n + 1) + e[1::2])
-    tail, head = np.divmod(key, n + 1)
-    if not g.directed:  # an undirected edge set is closed under reversal
-        reverse = np.ones(key.size, dtype=bool)
-    else:
-        twin = head * (n + 1) + tail
-        reverse = key[np.minimum(np.searchsorted(key, twin), key.size - 1)] == twin
-    for x in (tail, head, reverse):
-        x.setflags(write=False)
-    return tail, head, reverse
+    tail, head, _ = g.edge_arrays
+    if not g.directed:  # each undirected edge once, as (a, b) with a < b
+        once = tail < head
+        tail, head = tail[once], head[once]
+    lines = [f"{g.n} {tail.size} {'directed' if g.directed else 'undirected'}"]
+    lines += [f"{a} {b}" for a, b in zip(tail.tolist(), head.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
@@ -302,7 +354,10 @@ def plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
 
     Returns ``(order, pattern)``, where ``order[old - 1]`` is the 0-based
     new index of vertex ``old``; ``m[order[:, None], order]`` takes a matrix
-    in new labels back to the old ones.
+    in new labels back to the old ones.  The slots come out as 0-based
+    arrays sorted by (row, column), which meet every rule of
+    :class:`~giep.model.Pattern` by construction and become the pattern's
+    arrays unchecked.
 
     Raises ValueError for a negative k or a pair that is out of order,
     shares a vertex with an earlier pair or is not a bidirected edge, and
@@ -351,4 +406,4 @@ def plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
     # direction.  The slots are valid by construction: off the diagonal and
     # the blocks, one per vertex pair, and i < j where bidirected.
     slot = (i < j) | ~reverse
-    return order, Pattern.from_arrays(n, k, i[slot], j[slot], reverse[slot])
+    return order, Pattern(n, k, i[slot], j[slot], reverse[slot])

@@ -13,12 +13,12 @@ exactly.  A pattern places free parameters into a matrix family M:
 The parameters travel as one stacked vector theta = (x, y, z, u, omega).
 M is linear in theta, and :attr:`Pattern.entries` is the single
 description of this layout: :func:`assemble` scatters theta through it and
-the solver's Jacobian contracts eigenvectors with it.  A pattern keeps its
-slots as arrays, :attr:`Pattern.slot_arrays`, and builds its entries from
-them once.  ``Pattern(...)`` checks the slots it is given;
-:meth:`Pattern.from_arrays` takes the arrays that
-:func:`~giep.graph.plan_relabeling` builds, which meet every rule by
-construction, without checking them again.
+the solver's Jacobian contracts eigenvectors with it.  A pattern stores its
+slots in one form, the read-only 0-based arrays ``rows``, ``cols`` and
+``bidirected``, and builds its entries from them once.  ``Pattern(...)``
+takes arrays that meet every rule by construction, as
+:func:`~giep.graph.plan_relabeling` builds them, and checks nothing;
+:meth:`Pattern.from_slots` is the checked entry for 1-based slots.
 
 The spectrum is also its own disc system: a disc of the common radius
 :attr:`Spectrum.radius` around every spectrum point, the discs disjoint
@@ -228,66 +228,66 @@ class Entries(NamedTuple):
     param: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pattern:
     """Placement of the free parameters for a graph on n = 2k+l vertices.
 
-    ``slots[r] = (i_r, j_r)`` hosts u_r at position (i_r, j_r); when
-    ``bidirected[r]`` is set, omega_r lives at (j_r, i_r) and i_r < j_r.
-    Slots may not touch the diagonal or the interior of a matched block.
-    ``Pattern(...)`` checks this; :meth:`from_arrays` takes slots that hold
-    it by construction, as 0-based arrays, and does not check them again.
+    Slot r hosts u_r at the 0-based position ``(rows[r], cols[r])``; when
+    ``bidirected[r]`` is set, omega_r lives at ``(cols[r], rows[r])`` and
+    ``rows[r] < cols[r]``.  Slots may not touch the diagonal or the
+    interior of a matched block, and two slots may not share a vertex pair.
+    ``Pattern(...)`` takes integer ``rows`` and ``cols`` and boolean
+    ``bidirected`` arrays that meet these rules by construction, as
+    :func:`~giep.graph.plan_relabeling` builds them, makes them read-only
+    and checks nothing; :meth:`from_slots` checks 1-based slots.
     """
 
     n: int
     k: int
-    slots: tuple[tuple[int, int], ...] = ()
-    bidirected: tuple[bool, ...] = ()
+    rows: np.ndarray
+    cols: np.ndarray
+    bidirected: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 0 or 2 * self.k > self.n:
-            raise ValueError(f"invalid sizes n={self.n}, k={self.k}")
-        if len(self.slots) != len(self.bidirected):
+        for a in (self.rows, self.cols, self.bidirected):
+            _freeze(a)
+
+    @classmethod
+    def from_slots(cls, n: int, k: int, slots=(), bidirected=()) -> "Pattern":
+        """The pattern whose slot r sits at the 1-based position ``slots[r]``,
+        bidirected where ``bidirected[r]`` is set.
+
+        Raises ValueError for sizes with n < 1, k < 0 or 2k > n, for slots
+        and flags of different lengths, and for the first slot that is out
+        of range, on the diagonal, inside a matched block, bidirected with
+        i >= j, or on the vertex pair of an earlier slot.
+        """
+        if n < 1 or k < 0 or 2 * k > n:
+            raise ValueError(f"invalid sizes n={n}, k={k}")
+        if len(slots) != len(bidirected):
             raise ValueError("slots and bidirected flags must align")
-        i, j, bidirected = self.slot_arrays
+        i, j = np.array(slots, dtype=np.intp).reshape(len(slots), 2).T - 1
+        flags = np.array(bidirected, dtype=bool)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        off_range = (lo < 0) | (hi >= self.n) | (i == j)
-        in_block = (hi < 2 * self.k) & (hi % 2 == 1) & (lo == hi - 1)
-        backward = bidirected & (i >= j)
+        off_range = (lo < 0) | (hi >= n) | (i == j)
+        in_block = (hi < 2 * k) & (hi % 2 == 1) & (lo == hi - 1)
+        backward = flags & (i >= j)
         # a later slot on the same vertex pair as an earlier one; lexsort is stable
         order = np.lexsort((hi, lo))
-        repeat = np.zeros(self.m, dtype=bool)
+        repeat = np.zeros(len(slots), dtype=bool)
         repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
         bad = np.flatnonzero(off_range | in_block | backward | repeat)
         if bad.size:
             r = bad[0]
-            i, j = self.slots[r]
+            a, b = slots[r]
             if off_range[r]:
-                raise ValueError(f"slot ({i},{j}) out of range or on the diagonal")
+                raise ValueError(f"slot ({a},{b}) out of range or on the diagonal")
             if in_block[r]:
-                raise ValueError(f"slot ({i},{j}) collides with a matched block")
+                raise ValueError(f"slot ({a},{b}) collides with a matched block")
             if backward[r]:
-                raise ValueError(f"bidirected slot ({i},{j}) must have i < j")
-            raise ValueError(f"duplicate slot for pair {{{i},{j}}}")
-
-    @classmethod
-    def from_arrays(cls, n: int, k: int, rows, cols, bidirected) -> "Pattern":
-        """The pattern with slot r at the 0-based position (rows[r], cols[r]),
-        from slots that meet every rule of the class by construction.
-
-        The arrays become :attr:`slot_arrays`, read-only; nothing is checked.
-        """
-        p = cls.__new__(cls)
-        # a frozen dataclass keeps its fields in the instance dict: filling it
-        # directly skips __init__, and so the validation
-        p.__dict__.update(
-            n=n,
-            k=k,
-            slots=tuple(zip((rows + 1).tolist(), (cols + 1).tolist())),
-            bidirected=tuple(bidirected.tolist()),
-            slot_arrays=(_freeze(rows), _freeze(cols), _freeze(bidirected)),
-        )
-        return p
+                raise ValueError(f"bidirected slot ({a},{b}) must have i < j")
+            raise ValueError(f"duplicate slot for pair {{{a},{b}}}")
+        return cls(n, k, i, j, flags)
 
     @property
     def l(self) -> int:
@@ -295,20 +295,13 @@ class Pattern:
 
     @property
     def m(self) -> int:
-        return len(self.slots)
-
-    @cached_property
-    def slot_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The slots as read-only arrays: 0-based ``rows`` and ``cols``, and
-        the ``bidirected`` flags."""
-        ij = _freeze(np.array(self.slots, dtype=np.intp).reshape(self.m, 2) - 1)
-        return ij[:, 0], ij[:, 1], _freeze(np.array(self.bidirected, dtype=bool))
+        return self.rows.size
 
     @cached_property
     def entries(self) -> Entries:
         """The parameter-to-position table, built once per pattern."""
         k, n, m = self.k, self.n, self.m
-        rows, cols, bidirected = self.slot_arrays
+        rows, cols, bidirected = self.rows, self.cols, self.bidirected
         v = np.arange(n)
         block = v < 2 * k
         # x_j at (a, a) for a = 2j, 2j+1, then +-y_j at (a, a ^ 1) and z_j on

@@ -365,7 +365,7 @@ def default_targets(
     cfg = cfg or SolverConfig()
     if mode not in ("generic", "symmetric", "skew"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "generic" and not all(p.bidirected):
+    if mode != "generic" and not p.bidirected.all():
         raise ValueError(f"{mode} mode requires every slot to be bidirected")
     magnitude = cfg.fill_scale * s.radius
     floor = nonzero_floor(s)
@@ -375,7 +375,7 @@ def default_targets(
             f"nonzero floor {floor:.3g}, got fills of {magnitude:.3g}"
         )
     u = np.full(p.m, magnitude)
-    omega = np.where(p.slot_arrays[2], magnitude, 0.0)
+    omega = np.where(p.bidirected, magnitude, 0.0)
     return u, -omega if mode == "skew" else omega
 
 
@@ -425,12 +425,10 @@ def continuation_solve(
     shift = second_order_shift(p, s, np.concatenate([u_target, omega_target])) if p.m else None
 
     jac = None  # the chord matrix; None is the seed's identity Jacobian
-    newton_total = 0
-    accepted = 0
     easy_streak = 0
     retry = False  # a trial after a rejection runs full Newton
     while p.m > 0 and state.t < 1.0:
-        if accepted >= MAX_STEPS:
+        if len(state.history) - 1 >= MAX_STEPS:  # the seed's record is no step
             raise StepUnderflow(
                 f"step budget {MAX_STEPS} exhausted at t={state.t:.6g}",
                 t_reached=state.t,
@@ -465,8 +463,6 @@ def continuation_solve(
         retry = False
         state.t = t_try
         state.theta = theta_new
-        accepted += 1
-        newton_total += iters
         state.history.append(
             StepRecord(t=t_try, residual=float(np.abs(r).max()), newton_iterations=iters)
         )
@@ -498,16 +494,18 @@ def continuation_solve(
         raise NoConvergence(
             f"final spectrum distance {final_residual:.3e} exceeds {tol_final:.3e}"
         )
+    steps = len(state.history) - 1
+    newton_total = sum(record.newton_iterations for record in state.history)
     logger.info(
         "continuation finished: %d steps, %d newton iterations, residual %.3e",
-        accepted,
+        steps,
         newton_total,
         final_residual,
     )
     return SolveReport(
         matrix=matrix,
         final_residual=final_residual,
-        steps=accepted,
+        steps=steps,
         newton_iterations_total=newton_total,
         mode=mode,
         history=tuple(state.history),

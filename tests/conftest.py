@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import operator
 from collections import deque
 from functools import lru_cache
 
@@ -9,7 +11,6 @@ import numpy as np
 
 from giep import Graph, Spectrum, make_graph
 from giep.errors import BadFormat, IllConditioned, InputError, MatchingTooSmall, NoConvergence
-from giep.graph import sorted_edges
 from giep.linalg import (
     TOL_ORTHO,
     Eigenpairs,
@@ -23,6 +24,19 @@ from giep.model import Pattern, assemble, label_eigenvalues
 from giep.solver import MAX_NEWTON, TOL_NEWTON_FACTOR, jacobian_xyz
 
 
+def openblas_corename(symbol: str = "scipy_openblas_get_corename64_") -> str:
+    """The CPU kernel numpy's bundled OpenBLAS picked at run time (for
+    example SkylakeX, or Haswell under OPENBLAS_CORETYPE=Haswell), read
+    through ctypes; "unknown" when numpy's BLAS does not export ``symbol``.
+    The exact-output pins depend on it."""
+    try:
+        corename = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), symbol)
+    except (AttributeError, OSError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def bidirected_pairs(g: Graph) -> list[tuple[int, int]]:
     """Unordered pairs {a,b} present in both directions, sorted."""
     return sorted({(min(a, b), max(a, b)) for a, b in g.edges if (b, a) in g.edges})
@@ -30,7 +44,7 @@ def bidirected_pairs(g: Graph) -> list[tuple[int, int]]:
 
 def build_seed(s: Spectrum) -> np.ndarray:
     """The block-diagonal seed matrix realizing the spectrum exactly."""
-    return assemble(Pattern(n=s.n, k=s.k), s.target_coordinates())
+    return assemble(Pattern.from_slots(n=s.n, k=s.k), s.target_coordinates())
 
 
 def brute_force_matching_size(g: Graph) -> int:
@@ -174,6 +188,11 @@ def eigen_derivative(eig: Eigenpairs, b) -> list[complex]:
     return rates
 
 
+def pattern_slots(p: Pattern) -> tuple[tuple[int, int], ...]:
+    """The pattern's slots as 1-based (i, j) tuples, as ``Pattern.from_slots`` takes them."""
+    return tuple(zip((p.rows + 1).tolist(), (p.cols + 1).tolist()))
+
+
 def edge_positions(p: Pattern) -> set[tuple[int, int]]:
     """All off-diagonal positions the assembled matrix may fill (1-based)."""
     pos = {
@@ -181,7 +200,7 @@ def edge_positions(p: Pattern) -> set[tuple[int, int]]:
         for j in range(1, p.k + 1)
         for q in ((2 * j - 1, 2 * j), (2 * j, 2 * j - 1))
     }
-    for (i, j), bi in zip(p.slots, p.bidirected):
+    for (i, j), bi in zip(pattern_slots(p), p.bidirected.tolist()):
         pos.add((i, j))
         if bi:
             pos.add((j, i))
@@ -277,6 +296,43 @@ def second_order_shift_reference(p: Pattern, s: Spectrum, fills: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------------
+# Graph oracles: the per-edge check and the set-based formatter
+
+
+def loop_graph_check(n: int, directed: bool, edges) -> tuple[list, list, list]:
+    """Graph's checks edge by edge in the set's order: integer labels, then
+    no loop, then the range, then for an undirected graph the reverse.
+    Raises the ValueError of the first offending edge; otherwise returns the
+    sorted edges as (tails, heads, whether the reverse is an edge)."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    for a, b in edges:
+        try:
+            operator.index(a), operator.index(b)
+        except TypeError:
+            raise ValueError(f"edge ({a!r},{b!r}): vertices must be integers") from None
+        if a == b:
+            raise ValueError(f"loop edge ({a},{a}) not allowed")
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
+        if not directed and (b, a) not in edges:
+            raise ValueError(f"undirected graph missing reverse of ({a},{b})")
+    listed = sorted(edges)
+    return [a for a, _ in listed], [b for _, b in listed], [(b, a) in edges for a, b in listed]
+
+
+def set_format_graph(g: Graph) -> str:
+    """``format_graph`` from the edge set: every ordered pair if directed,
+    each undirected edge once as (min, max), sorted."""
+    if g.directed:
+        listed = sorted(g.edges)
+    else:
+        listed = sorted({(min(a, b), max(a, b)) for a, b in g.edges})
+    head = f"{g.n} {len(listed)} {'directed' if g.directed else 'undirected'}"
+    return "\n".join([head] + [f"{a} {b}" for a, b in listed]) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Matching and relabeling oracles: the Python-loop versions the array code
 # must reproduce exactly
 
@@ -368,7 +424,7 @@ def full_search_max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
     from every exposed vertex without an exposed neighbour, and a scan over
     all n vertices at every blossom contraction."""
     n = g.n
-    tail, head, both = sorted_edges(g)
+    tail, head, both = g.edge_arrays
     neighbours = head[both].tolist()
     starts = np.searchsorted(tail[both], np.arange(n + 2)).tolist()
     adj = [neighbours[starts[v] : starts[v + 1]] for v in range(n + 1)]
@@ -496,7 +552,7 @@ def loop_plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
             slots.append((i, j))
             flags.append((j, i) in new_edges)
     order = np.array(perm, dtype=np.intp) - 1  # order[old - 1] = new - 1
-    return order, Pattern(n=n, k=k, slots=tuple(slots), bidirected=tuple(flags))
+    return order, Pattern.from_slots(n=n, k=k, slots=tuple(slots), bidirected=tuple(flags))
 
 
 def loop_pattern_check(n: int, k: int, slots, bidirected) -> None:

@@ -51,7 +51,7 @@ def test_criterion_1_jacobian_identity_at_seed():
         s = random_spectrum(rng, k, l)
         mtx = build_seed(s)
         _, triples = _triples_for(mtx, s)
-        jac = jacobian_xyz(Pattern(n=s.n, k=s.k), triples)
+        jac = jacobian_xyz(Pattern.from_slots(n=s.n, k=s.k), triples)
         worst = max(worst, float(np.abs(jac - np.eye(2 * k + l)).max()))
     ok = worst <= 1e-9
     _report(1, ok, f"seed jacobian vs identity, max deviation {worst:.3e} (tol 1e-9)")

@@ -26,7 +26,7 @@ from giep.graph import max_matching, plan_relabeling
 from giep.linalg import RES_FACTOR, TOL_ORTHO, Eigenpairs, eig_all, eigen_triple, spectrum_order
 from giep.model import Pattern, assemble, label_eigenvalues, spectrum_mismatch
 from giep.solver import continuation_solve, default_targets, jacobian_xyz, nonzero_floor
-from conftest import edge_positions, mask_pattern_failures
+from conftest import edge_positions, mask_pattern_failures, pattern_slots
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def loop_assemble(p: Pattern, x, y, z, u, omega) -> np.ndarray:
     for j in range(p.l):
         d = 2 * p.k + j
         mtx[d, d] = z[j]
-    for r, (i, j) in enumerate(p.slots):
+    for r, (i, j) in enumerate(pattern_slots(p)):
         mtx[i - 1, j - 1] = u[r]
         if p.bidirected[r]:
             mtx[j - 1, i - 1] = omega[r]
@@ -245,7 +245,7 @@ def seeded_patterns(seed: int):
                 slots.append((i, j) if kind < 2 else (j, i))
                 flags.append(kind == 0)
         order = rng.permutation(len(slots))
-        yield rng, Pattern(
+        yield rng, Pattern.from_slots(
             n=n, k=k, slots=tuple(slots[o] for o in order), bidirected=tuple(flags[o] for o in order)
         )
 
@@ -420,7 +420,7 @@ def test_written_fills_and_structural_zeros_are_exact(mode):
     cfg = SolverConfig()
     m = continuation_solve(s, p, mode, cfg).matrix
     fill = cfg.fill_scale * loop_radius(s)
-    for (i, j), bidirected in zip(p.slots, p.bidirected):
+    for (i, j), bidirected in zip(pattern_slots(p), p.bidirected):
         assert m[i - 1, j - 1] == fill
         if bidirected:
             assert m[j - 1, i - 1] == fill
@@ -703,7 +703,7 @@ def test_pattern_failures_equal_the_mask_oracle():
 def test_pattern_entries_hand_written_3x3():
     # x_1, y_1, z_1, u_1 at (2,3), u_2 at (3,1), omega_1 at (3,2); the
     # one-directional slot's omega_2 has no entry
-    p = Pattern(n=3, k=1, slots=((2, 3), (3, 1)), bidirected=(True, False))
+    p = Pattern.from_slots(n=3, k=1, slots=((2, 3), (3, 1)), bidirected=(True, False))
     e = p.entries
     assert e.rows.tolist() == [0, 1, 0, 1, 2, 1, 2, 2]
     assert e.cols.tolist() == [0, 1, 1, 0, 2, 2, 0, 1]

@@ -5,7 +5,7 @@ import pytest
 
 from giep import Graph, make_graph, parse_graph
 from giep.errors import BadFormat, MatchingTooSmall
-from giep.graph import format_graph, max_matching, plan_relabeling, sorted_edges
+from giep.graph import format_graph, max_matching, plan_relabeling
 from giep.model import Pattern
 from giep.cli import random_graph
 from conftest import (
@@ -13,10 +13,13 @@ from conftest import (
     brute_force_matching_size,
     edge_positions,
     full_search_max_matching,
+    loop_graph_check,
     loop_max_matching,
     loop_pattern_check,
     loop_plan_relabeling,
+    pattern_slots,
     random_undirected_graph,
+    set_format_graph,
 )
 
 
@@ -67,12 +70,96 @@ def test_parse_rejects(text):
         (2, True, ((1, 1),), "loop edge (1,1) not allowed"),
         (2, True, ((1, 3),), "edge (1,3) out of range 1..2"),
         (2, False, ((1, 2),), "undirected graph missing reverse of (1,2)"),
+        (3, True, ((1, 2, 3),), "every edge must be a pair of vertices"),
+        (4, True, ((1, 2, 3), (4,)), "every edge must be a pair of vertices"),
     ],
 )
 def test_graph_validates(n, directed, edges, message):
     with pytest.raises(ValueError) as info:
         Graph(n=n, directed=directed, edges=frozenset(edges))
     assert str(info.value) == message
+
+
+def graph_cases(seed: int, count: int):
+    """Corner edge sets, then ``count`` seeded (n, directed, edges) cases,
+    directed and undirected in turn: random pairs, a few loops, undirected
+    sets that miss a few reverses, and in every third case one stray label,
+    cycling through 0, -1, n+1, 2**70 and 1.5.  Every fifth case has numpy
+    integer labels."""
+    yield 1, False, frozenset()
+    yield 1, True, frozenset()
+    yield 0, True, frozenset()
+    yield 3, True, frozenset({(2**70, 2**70)})
+    yield 3, True, frozenset({(2**70, 2**71)})
+    yield 3, False, frozenset({(1.5, 1.5)})
+    yield 3, True, frozenset({(2**63, 1), (1, 2**63), (-(2**63) - 1, 2)})
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, 8))
+        directed = bool(case % 2)
+        edges = set()
+        for _ in range(int(rng.integers(0, 2 * n + 1))):
+            a, b = (int(v) for v in rng.integers(1, n + 1, size=2))
+            if a == b and rng.uniform() < 0.9:
+                continue
+            if case % 5 == 0:
+                a, b = np.intp(a), np.intp(b)
+            edges.add((a, b))
+            if not directed and rng.uniform() < 0.97:
+                edges.add((b, a))
+        if case % 3 == 0:
+            stray = (0, -1, n + 1, 2**70, 1.5)[case // 3 % 5]
+            other = int(rng.integers(1, n + 1))
+            edges.add((stray, other) if rng.uniform() < 0.5 else (other, stray))
+        yield n, directed, frozenset(edges)
+
+
+def graph_outcome(check, n, directed, edges):
+    """The edge arrays ``check`` accepts, as lists, or its ValueError's message."""
+    try:
+        arrays = check(n, directed, edges)
+    except ValueError as exc:
+        return str(exc)
+    return [list(x) for x in arrays]
+
+
+def graph_arrays(n, directed, edges):
+    return [x.tolist() for x in Graph(n=n, directed=directed, edges=edges).edge_arrays]
+
+
+# every outcome of Graph's check: accepted, and each rejection's message
+GRAPH_OUTCOMES = ("accepted", "at least one vertex", "must be integers", "not allowed",
+                  "out of range", "missing reverse")
+
+
+def test_graph_check_matches_loop_oracle():
+    """Graph's array check names the edge and the rule that the per-edge
+    loop names first, and accepts what it accepts, with the same arrays."""
+    kinds = set()
+    for n, directed, edges in graph_cases(81, 1500):
+        got = graph_outcome(graph_arrays, n, directed, edges)
+        assert got == graph_outcome(loop_graph_check, n, directed, edges)
+        if isinstance(got, str):
+            kinds.update(kind for kind in GRAPH_OUTCOMES if kind in got)
+        else:
+            kinds.add("accepted")
+    assert kinds == set(GRAPH_OUTCOMES)
+
+
+def test_graph_refuses_non_integer_labels():
+    for pairs, message in (
+        ([(1.7, 3), (2, 3)], "edge (1.7,3): vertices must be integers"),
+        ([(1, 2), (2.0, 3)], "edge (2.0,3): vertices must be integers"),
+        ([("1", 2)], "edge ('1',2): vertices must be integers"),
+    ):
+        with pytest.raises(ValueError) as info:
+            make_graph(3, pairs)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        Graph(n=3, directed=True, edges=frozenset({(1.5, 3)}))
+    assert str(info.value) == "edge (1.5,3): vertices must be integers"
+    # numpy integers and bools are integers, as before
+    assert make_graph(3, [(np.int32(3), True), (np.int64(2), 3)]) == make_graph(3, [(1, 3), (2, 3)])
 
 
 def test_matching_validates():
@@ -110,12 +197,20 @@ def test_format_graph_round_trip():
     assert parse_graph(format_graph(dg)) == dg
 
 
+def test_format_graph_equals_the_set_formatter():
+    for g in oracle_graphs(77, 400):
+        text = format_graph(g)
+        assert text == set_format_graph(g)
+        assert parse_graph(text) == g
+
+
 def test_sorted_edges_flags_reverses():
     g = make_graph(3, [(3, 1), (2, 1), (1, 2)], directed=True)
-    tail, head, reverse = sorted_edges(g)
+    tail, head, reverse = g.edge_arrays
     assert (tail.tolist(), head.tolist(), reverse.tolist()) == ([1, 2, 3], [2, 1, 1], [True, True, False])
-    assert all(x.size == 0 for x in sorted_edges(make_graph(2, [])))
-    assert sorted_edges(make_graph(3, [(3, 1)]))[2].tolist() == [True, True]
+    assert all(not x.flags.writeable for x in g.edge_arrays)
+    assert all(x.size == 0 for x in make_graph(2, []).edge_arrays)
+    assert make_graph(3, [(3, 1)]).edge_arrays[2].tolist() == [True, True]
 
 
 def test_matching_path4():
@@ -174,16 +269,16 @@ def test_plan_relabeling_path3():
     assert order.tolist() == [2, 0, 1]  # 1->3, 2->1, 3->2
     assert pattern.n == 3 and pattern.k == 1 and pattern.l == 1
     # residual edge {1,2} lands on new labels {3,1}
-    assert pattern.slots == ((1, 3),)
-    assert pattern.bidirected == (True,)
+    assert pattern_slots(pattern) == ((1, 3),)
+    assert pattern.bidirected.tolist() == [True]
 
 
 def test_plan_relabeling_path4_identity():
     g = make_graph(4, [(1, 2), (2, 3), (3, 4)])
     order, pattern = plan_relabeling(g, ((1, 2), (3, 4)), k=2)
     assert order.tolist() == [0, 1, 2, 3]
-    assert pattern.slots == ((2, 3),)
-    assert pattern.bidirected == (True,)
+    assert pattern_slots(pattern) == ((2, 3),)
+    assert pattern.bidirected.tolist() == [True]
 
 
 def test_plan_relabeling_too_small():
@@ -197,8 +292,8 @@ def test_plan_relabeling_directed_residuals():
     g = make_graph(3, [(1, 2), (2, 1), (1, 3)], directed=True)
     order, pattern = plan_relabeling(g, max_matching(g), k=1)
     assert order.tolist() == [0, 1, 2]
-    assert pattern.slots == ((1, 3),)
-    assert pattern.bidirected == (False,)
+    assert pattern_slots(pattern) == ((1, 3),)
+    assert pattern.bidirected.tolist() == [False]
 
 
 def test_plan_relabeling_puts_matching_on_leading_pairs():
@@ -368,7 +463,7 @@ def test_matching_equals_the_full_search():
 
 def pattern_outcome(n, k, slots, flags):
     try:
-        p = Pattern(n=n, k=k, slots=slots, bidirected=flags)
+        p = Pattern.from_slots(n=n, k=k, slots=slots, bidirected=flags)
     except ValueError as exc:
         got = str(exc)
     else:
@@ -378,7 +473,7 @@ def pattern_outcome(n, k, slots, flags):
     except ValueError as exc:
         want = str(exc)
     else:
-        want = repr(Pattern(n=n, k=k, slots=slots, bidirected=flags))
+        want = repr(Pattern.from_slots(n=n, k=k, slots=slots, bidirected=flags))
     return got, want
 
 
@@ -408,14 +503,15 @@ def test_pattern_validation_matches_loop_oracle():
 
 def test_relabeling_pattern_equals_the_checked_pattern():
     """plan_relabeling builds its pattern from arrays without the checks;
-    the same slots through Pattern(...) pass them and give the same
-    fields, slot arrays and entries table."""
+    the same slots through Pattern.from_slots pass them and give the same
+    sizes, slot arrays and entries table, all read-only."""
     rng = np.random.default_rng(74)
     for g in oracle_graphs(75, 300):
         m = max_matching(g)
         _, p = plan_relabeling(g, m, int(rng.integers(0, len(m) + 1)))
-        q = Pattern(n=p.n, k=p.k, slots=p.slots, bidirected=p.bidirected)
-        assert p == q and repr(p) == repr(q)
-        for got, want in zip((*p.slot_arrays, *p.entries), (*q.slot_arrays, *q.entries)):
+        q = Pattern.from_slots(n=p.n, k=p.k, slots=pattern_slots(p), bidirected=tuple(p.bidirected.tolist()))
+        assert (p.n, p.k, p.m) == (q.n, q.k, q.m)
+        arrays = (p.rows, p.cols, p.bidirected, *p.entries)
+        for got, want in zip(arrays, (q.rows, q.cols, q.bidirected, *q.entries)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert not got.flags.writeable
+            assert not got.flags.writeable and not want.flags.writeable

@@ -130,7 +130,7 @@ def test_disc_system_disjointness_property():
 
 
 def test_assemble_example():
-    p = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
+    p = Pattern.from_slots(n=3, k=1, slots=((2, 3),), bidirected=(True,))
     theta = [1.0, 2.0, 3.0, 0.1, 0.2]  # x, y, z, u, omega
     expected = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.1], [0.0, 0.2, 3.0]])
     assert np.array_equal(assemble(p, theta), expected)
@@ -138,13 +138,13 @@ def test_assemble_example():
 
 def test_assemble_zero_fill_equals_seed():
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
-    p = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
+    p = Pattern.from_slots(n=3, k=1, slots=((2, 3),), bidirected=(True,))
     theta = [1.0, 2.0, 3.0, 0.0, 0.0]
     assert np.array_equal(assemble(p, theta), build_seed(s))
 
 
 def test_assemble_one_directional_slot():
-    p = Pattern(n=3, k=1, slots=((1, 3),), bidirected=(False,))
+    p = Pattern.from_slots(n=3, k=1, slots=((1, 3),), bidirected=(False,))
     theta = [1.0, 2.0, 3.0, 0.5, 9.9]
     m = assemble(p, theta)
     assert m[0, 2] == 0.5
@@ -152,7 +152,7 @@ def test_assemble_one_directional_slot():
 
 
 def test_assemble_dimension_mismatch():
-    p = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
+    p = Pattern.from_slots(n=3, k=1, slots=((2, 3),), bidirected=(True,))
     with pytest.raises(DimensionMismatch):
         assemble(p, [1.0, 2.0, 2.0, 3.0, 0.1, 0.2])  # two x for one block
     with pytest.raises(DimensionMismatch):
@@ -178,7 +178,7 @@ def test_assemble_writes_only_pattern_positions():
         m_slots = candidates[: rng.integers(0, len(candidates) + 1)] if candidates else []
         m_slots = sorted(m_slots)
         flags = tuple(bool(rng.integers(0, 2)) for _ in m_slots)
-        p = Pattern(n=n, k=k, slots=tuple(m_slots), bidirected=flags)
+        p = Pattern.from_slots(n=n, k=k, slots=tuple(m_slots), bidirected=flags)
         theta = np.concatenate(
             [
                 rng.uniform(1, 2, k),
@@ -200,15 +200,15 @@ def test_assemble_writes_only_pattern_positions():
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        Pattern(n=3, k=1, slots=((1, 2),), bidirected=(True,))  # inside block
+        Pattern.from_slots(n=3, k=1, slots=((1, 2),), bidirected=(True,))  # inside block
     with pytest.raises(ValueError):
-        Pattern(n=3, k=1, slots=((3, 3),), bidirected=(False,))  # diagonal
+        Pattern.from_slots(n=3, k=1, slots=((3, 3),), bidirected=(False,))  # diagonal
     with pytest.raises(ValueError):
-        Pattern(n=3, k=1, slots=((3, 2),), bidirected=(True,))  # bidirected needs i<j
+        Pattern.from_slots(n=3, k=1, slots=((3, 2),), bidirected=(True,))  # bidirected needs i<j
     with pytest.raises(ValueError):
-        Pattern(n=3, k=1, slots=((2, 3), (3, 2)), bidirected=(False, False))  # dup pair
+        Pattern.from_slots(n=3, k=1, slots=((2, 3), (3, 2)), bidirected=(False, False))  # dup pair
     with pytest.raises(ValueError):
-        Pattern(n=3, k=2)  # 2k > n
+        Pattern.from_slots(n=3, k=2)  # 2k > n
 
 
 def test_label_exact_and_perturbed():

@@ -10,11 +10,16 @@ CPU kernel OpenBLAS picks at run time: on an AVX-512 machine the default
 (SkylakeX) kernel reproduces them, while forcing OPENBLAS_CORETYPE=Haswell,
 Zen, Sandybridge or Prescott there fails all five groups here and the CLI
 byte pin in test_cli_bytes.py: 6 of the 11 tests in the two modules.
-``numpy.show_config()`` names the BLAS build; compare kernels before
-suspecting the code when a pin fails on another machine.
+``numpy.show_config()`` names the BLAS build and
+``conftest.openblas_corename()`` the kernel, which every pin's failure
+message states; compare kernels before suspecting the code when a pin fails
+on another machine.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ import pytest
 from giep import Spectrum, make_graph, solve_instance, tridiagonalize
 from giep.cli import random_graph, random_spectrum
 from giep.errors import GiepError
+from conftest import openblas_corename
 
 
 def digest(runs) -> str:
@@ -130,4 +136,15 @@ PINS = {
 @pytest.mark.parametrize("group", sorted(PINS))
 def test_outputs_are_bitwise_pinned(group):
     runs, want = PINS[group]
-    assert digest(runs()) == want
+    assert digest(runs()) == want, f"OpenBLAS kernel {openblas_corename()}; the pins hold for SkylakeX"
+
+
+def test_openblas_corename_names_the_forced_kernel():
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "from conftest import openblas_corename; print(openblas_corename())"
+    forced = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    assert forced in ("Haswell", "unknown")
+    assert (forced == "unknown") == (openblas_corename() == "unknown")
+    assert openblas_corename("no_such_symbol") == "unknown"

@@ -25,13 +25,14 @@ from conftest import (
     edge_positions,
     eigen_derivative,
     newton_every_iterate,
+    pattern_slots,
     second_order_shift_dense,
     second_order_shift_reference,
 )
 
 
 S3 = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
-P3 = Pattern(n=3, k=1, slots=((2, 3),), bidirected=(True,))
+P3 = Pattern.from_slots(n=3, k=1, slots=((2, 3),), bidirected=(True,))
 
 
 def evaluate_f(p, theta, s):
@@ -96,7 +97,7 @@ def test_jacobian_identity_at_seed():
         Spectrum(pairs=((0.0, 1.0), (2.0, 0.5)), reals=(-3.0, 5.5, 7.0)),
     ):
         mtx, triples = seed_triples(s)
-        p = Pattern(n=s.n, k=s.k)
+        p = Pattern.from_slots(n=s.n, k=s.k)
         jac = jacobian_xyz(p, triples)
         assert np.abs(jac - np.eye(2 * s.k + s.l)).max() <= 1e-9
 
@@ -104,7 +105,7 @@ def test_jacobian_identity_at_seed():
 def test_jacobian_matches_finite_differences_off_seed():
     rng = np.random.default_rng(3)
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0, -1.0))
-    p = Pattern(n=4, k=1, slots=((1, 3), (2, 4)), bidirected=(True, True))
+    p = Pattern.from_slots(n=4, k=1, slots=((1, 3), (2, 4)), bidirected=(True, True))
     theta = with_fill(p, seed_point(s, m=2), np.array([0.03, -0.02]), np.array([0.01, 0.025]))
     mtx = assemble(p, theta)
     jac = jacobian_xyz(p, tracked_pairs(mtx, s))
@@ -149,7 +150,7 @@ def test_evaluate_f_exact_at_targets():
 
 def test_evaluate_f_single_real():
     s = Spectrum(pairs=(), reals=(7.0,))
-    assert np.array_equal(evaluate_f(Pattern(n=1, k=0), seed_point(s), s), [7.0])
+    assert np.array_equal(evaluate_f(Pattern.from_slots(n=1, k=0), seed_point(s), s), [7.0])
 
 
 def test_evaluate_f_small_fill_second_order_shift():
@@ -172,7 +173,7 @@ def test_evaluate_f_small_fill_second_order_shift():
 def test_second_order_shift_matches_dense_oracle(k, l, slots, bidirected, mode):
     rng = np.random.default_rng(2 * k + l + len(slots))
     s = random_spectrum(rng, k, l)
-    p = Pattern(n=s.n, k=k, slots=slots, bidirected=bidirected)
+    p = Pattern.from_slots(n=s.n, k=k, slots=slots, bidirected=bidirected)
     u = rng.uniform(-1.0, 1.0, p.m) * s.radius
     omega = np.where(bidirected, -u if mode == "skew" else rng.uniform(-1.0, 1.0, p.m), 0.0)
     fills = np.concatenate([u, omega])
@@ -189,7 +190,7 @@ def random_pattern(rng, n: int, k: int) -> Pattern:
     keep = [pairs[i] for i in rng.permutation(len(pairs))[: int(rng.integers(0, len(pairs) + 1))]]
     bidirected = tuple(bool(f) for f in rng.uniform(size=len(keep)) < 0.5)
     slots = tuple(ab if bi or rng.uniform() < 0.5 else ab[::-1] for ab, bi in zip(keep, bidirected))
-    return Pattern(n=n, k=k, slots=slots, bidirected=bidirected)
+    return Pattern.from_slots(n=n, k=k, slots=slots, bidirected=bidirected)
 
 
 def test_second_order_shift_equals_its_reference_bitwise():
@@ -225,7 +226,7 @@ def test_second_order_shift_allocates_no_square_array():
     n = 2000
     s = Spectrum(pairs=tuple((float(j), 1.0) for j in range(200)), reals=tuple(range(1600)))
     slots = tuple((i, i + 2) for i in range(1, n - 1))  # one per vertex, block to block
-    p = Pattern(n=n, k=200, slots=slots, bidirected=(True,) * len(slots))
+    p = Pattern.from_slots(n=n, k=200, slots=slots, bidirected=(True,) * len(slots))
     fills = np.full(2 * p.m, 0.01)
     p.entries  # the table is built once per pattern, outside the measurement
     tracemalloc.start()
@@ -295,7 +296,7 @@ def test_newton_disc_violation_far_from_discs():
 
 def test_continuation_no_slots_returns_seed():
     s = Spectrum(pairs=((1.0, 2.0), (4.0, 1.0)), reals=())
-    p = Pattern(n=4, k=2)
+    p = Pattern.from_slots(n=4, k=2)
     rep = continuation_solve(s, p)
     assert rep.steps == 0
     assert np.array_equal(rep.matrix, build_seed(s))
@@ -315,7 +316,7 @@ def test_continuation_no_slots_decomposes_its_output_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("eigenvectors of the seed"))
     s = Spectrum(pairs=((np.pi, np.e), (0.3, 1.7)), reals=(0.2,))
-    rep = continuation_solve(s, Pattern(n=5, k=2))
+    rep = continuation_solve(s, Pattern.from_slots(n=5, k=2))
     assert len(calls) == 1 and np.array_equal(calls[0], rep.matrix)
     # the 2x2 blocks' computed eigenvalues are off in the last bits
     assert rep.final_residual == spectrum_mismatch(real_eigvals(build_seed(s)), s) > 0.0
@@ -389,7 +390,7 @@ def test_continuation_path3():
 
 def test_continuation_symmetric_mode_exact_symmetry():
     s = Spectrum(pairs=(), reals=(1.0, 2.0, 3.0))
-    p = Pattern(n=3, k=0, slots=((1, 2), (2, 3)), bidirected=(True, True))
+    p = Pattern.from_slots(n=3, k=0, slots=((1, 2), (2, 3)), bidirected=(True, True))
 
     def assert_symmetric(state, eigs):
         m = assemble(p, state.theta)
@@ -403,7 +404,7 @@ def test_continuation_symmetric_mode_exact_symmetry():
 
 def test_continuation_skew_mode_exact_antisymmetry():
     s = Spectrum(pairs=((0.0, 1.0),), reals=(0.0,))
-    p = Pattern(n=3, k=1, slots=((1, 3), (2, 3)), bidirected=(True, True))
+    p = Pattern.from_slots(n=3, k=1, slots=((1, 3), (2, 3)), bidirected=(True, True))
 
     def assert_skew_offdiag(state, eigs):
         m = assemble(p, state.theta)
@@ -422,8 +423,8 @@ def test_continuation_mode_validation():
     """default_targets is the one check of mode and fill_scale, and the
     solver derives its fills there."""
     s = Spectrum(pairs=(), reals=(1.0, 2.0))
-    p = Pattern(n=2, k=0, slots=((1, 2),), bidirected=(True,))
-    p_dir = Pattern(n=2, k=0, slots=((2, 1),), bidirected=(False,))
+    p = Pattern.from_slots(n=2, k=0, slots=((1, 2),), bidirected=(True,))
+    p_dir = Pattern.from_slots(n=2, k=0, slots=((2, 1),), bidirected=(False,))
     for mode in ("symmetric", "skew"):
         with pytest.raises(ValueError, match=f"{mode} mode requires every slot to be bidirected"):
             continuation_solve(s, p_dir, mode)
@@ -437,7 +438,7 @@ def test_continuation_mode_validation():
 
 def test_continuation_rejects_inconsistent_inputs():
     with pytest.raises(DimensionMismatch, match=r"pattern \(n=2, k=0\) does not match"):
-        continuation_solve(S3, Pattern(n=2, k=0, slots=((1, 2),), bidirected=(True,)))
+        continuation_solve(S3, Pattern.from_slots(n=2, k=0, slots=((1, 2),), bidirected=(True,)))
 
 
 def test_step_budget_ends_a_multi_step_solve(monkeypatch):
@@ -477,7 +478,7 @@ def test_a_step_below_the_rounding_of_t_ends_the_solve(monkeypatch):
 @pytest.mark.parametrize("slots", [((2, 3),), ()], ids=["fills", "seed"])
 def test_final_check_fires_above_the_final_tolerance(monkeypatch, slots):
     """The final spectrum check runs on every solve, with fills or without."""
-    p = Pattern(n=3, k=1, slots=slots, bidirected=(True,) * len(slots))
+    p = Pattern.from_slots(n=3, k=1, slots=slots, bidirected=(True,) * len(slots))
     assert continuation_solve(S3, p).final_residual > 0.0
     monkeypatch.setattr(giep.solver, "TOL_FINAL_FACTOR", 0.0)
     with pytest.raises(NoConvergence, match="final spectrum distance .* exceeds 0.000e\\+00"):
@@ -517,7 +518,7 @@ def test_default_fill_takes_one_whole_interval_step():
     assert rep.steps == 1
     assert [rec.t for rec in rep.history] == [0.0, 1.0]
     m = rep.matrix
-    for r, ((i, j), bidirected) in enumerate(zip(p.slots, p.bidirected)):
+    for r, ((i, j), bidirected) in enumerate(zip(pattern_slots(p), p.bidirected)):
         assert m[i - 1, j - 1] == u[r]
         if bidirected:
             assert m[j - 1, i - 1] == omega[r]
@@ -729,7 +730,7 @@ def test_continuation_random_spectra_jacobian_scale():
         s = random_spectrum(rng, k, l)
         n = s.n
         slots = tuple((i, i + 1) for i in range(1, n) if not (i % 2 == 1 and i < 2 * k))
-        p = Pattern(n=n, k=k, slots=slots, bidirected=(True,) * len(slots))
+        p = Pattern.from_slots(n=n, k=k, slots=slots, bidirected=(True,) * len(slots))
         rep = continuation_solve(s, p)
         assert rep.final_residual <= 1e-8 * (1 + s.inf_norm())
 
