@@ -74,7 +74,9 @@ def tridiagonalize(m, cfg: SolverConfig | None = None) -> SolveReport:
     a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if n > 1:
-        gap = _distances(ev, ev)[np.triu_indices(n, 1)].min()
+        dist = _distances(ev, ev)
+        dist.flat[:: n + 1] = np.inf  # the diagonal, as Spectrum.radius takes the gap
+        gap = dist.min()
         # compared at order one, where the norm's sum of squares neither overflows nor underflows
         exp = unit_exponent(a)
         if np.ldexp(gap, -exp) <= GAP_FACTOR * np.linalg.norm(np.ldexp(a, -exp)):

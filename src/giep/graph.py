@@ -17,7 +17,8 @@ The permutation is an index array: ``order[old - 1]`` is the old vertex's
 
 A :class:`Graph` converts its edge set to arrays once, when it is built:
 the checks of its labels run over those arrays, and the sorted, read-only
-(tail, head, reverse) arrays are kept as :attr:`Graph.edge_arrays`.
+(tail, head, reverse) arrays are kept as :attr:`Graph.edge_arrays`.  Only
+when a check fails does a plain loop over the set name the first offender.
 ``max_matching``, ``plan_relabeling``, :func:`format_graph` and
 :func:`giep.apps.verify` read the arrays; membership tests read the set.
 """
@@ -42,10 +43,11 @@ class Graph:
     For ``directed=False`` the edge set is closed under reversal.
     ``edge_arrays`` holds the edges sorted by (tail, head) as read-only
     1-based ``tail`` and ``head`` arrays, with ``reverse`` flagging each
-    edge whose reverse is an edge too.  Raises ValueError for n < 1, and
-    for the first edge in the set's order with a label that is no integer,
-    a loop, a label outside 1..n or, when undirected, no reverse, checked
-    in that order.
+    edge whose reverse is an edge too; ``n`` is kept as a Python int.
+    Raises ValueError for an n that is no integer, below 1 or too large for
+    intp keys a * (n + 1) + b, and for the first edge in the set's order
+    with a label that is no integer, a loop, a label outside 1..n or, when
+    undirected, no reverse, checked in that order.
     """
 
     n: int
@@ -56,27 +58,34 @@ class Graph:
     )
 
     def __post_init__(self):
-        n, edges = self.n, self.edges
+        try:
+            n, edges = operator.index(self.n), self.edges
+        except TypeError:
+            raise ValueError(f"vertex count n={self.n!r} must be an integer") from None
         if n < 1:
             raise ValueError("graph needs at least one vertex")
+        if n * (n + 2) > np.iinfo(np.intp).max:  # the largest key, n * (n + 1) + n
+            raise ValueError(f"vertex count n={n} is too large")
+        object.__setattr__(self, "n", n)
         if not set(map(len, edges)) <= {2}:
             raise ValueError("every edge must be a pair of vertices")
         try:
             e = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.intp, 2 * len(edges))
         except (TypeError, OverflowError):  # a label that is no integer, or beyond intp
-            raise _edge_error(list(chain.from_iterable(edges)), n, self.directed) from None
+            raise _edge_error(edges, n, self.directed) from None
         a, b = e[0::2], e[1::2]
         # the keys decode to the edges when every label is in range, which
         # the check below requires before the arrays are kept
         ordered = np.sort(a * (n + 1) + b)
         tail, head = np.divmod(ordered, n + 1)
+        twin = head * (n + 1) + tail
         if self.directed:
-            reverse = _has_reverse(ordered, tail, head, n)
+            reverse = ordered[np.minimum(np.searchsorted(ordered, twin), ordered.size - 1)] == twin
         else:  # closed under reversal exactly when the sorted twins are the keys
-            reverse = np.sort(head * (n + 1) + tail) == ordered
+            reverse = np.sort(twin) == ordered
         faults = np.count_nonzero((e < 1) | (e > n)) + np.count_nonzero(a == b)
         if faults or not (self.directed or np.count_nonzero(reverse) == reverse.size):
-            raise _edge_error(list(chain.from_iterable(edges)), n, self.directed)
+            raise _edge_error(edges, n, self.directed)
         for x in (tail, head, reverse):
             x.setflags(write=False)
         object.__setattr__(self, "edge_arrays", (tail, head, reverse))
@@ -85,50 +94,25 @@ class Graph:
         return (a, b) in self.edges
 
 
-def _edge_error(labels: list, n: int, directed: bool) -> ValueError:
-    """The error of the first edge, in the order of the flattened ``labels``,
-    that has a label that is no integer, is a loop, has a label outside 1..n
-    or, when undirected, has no reverse, checked in that order.  The labels
-    are compared as Python objects, so integers beyond intp are exact."""
-    integer = np.fromiter(map(_is_integer, labels), bool, len(labels))
-    e = np.fromiter(labels, object, len(labels))
-    e[~integer] = 0  # out of range
-    a, b = e[0::2], e[1::2]
-    loop = a == b
-    out = (np.minimum(a, b) < 1) | (np.maximum(a, b) > n)
-    bad = loop | out
-    if not directed:
-        # an edge that breaks a rule gets key -1, which is no edge's twin
-        key = np.where(bad, -1, a * (n + 1) + b).astype(np.intp)
-        bad |= ~_has_reverse(np.sort(key), *np.divmod(key, n + 1), n)
-    r = int(bad.argmax())
-    x, y = labels[2 * r : 2 * r + 2]
-    if not (integer[2 * r] and integer[2 * r + 1]):
-        return _label_error(x, y)
-    if loop[r]:
-        return ValueError(f"loop edge ({x},{x}) not allowed")
-    if out[r]:
-        return ValueError(f"edge ({x},{y}) out of range 1..{n}")
-    return ValueError(f"undirected graph missing reverse of ({x},{y})")
-
-
-def _is_integer(x) -> bool:
-    try:
-        operator.index(x)
-    except TypeError:
-        return False
-    return True
+def _edge_error(edges, n: int, directed: bool) -> ValueError:
+    """The error of the first edge, in the set's order, with a label that is
+    no integer, a loop, a label outside 1..n (compared as Python objects, so
+    beyond intp too) or, when undirected, no reverse, checked in that order."""
+    for a, b in edges:
+        try:
+            operator.index(a), operator.index(b)
+        except TypeError:
+            return _label_error(a, b)
+        if a == b:
+            return ValueError(f"loop edge ({a},{a}) not allowed")
+        if not (1 <= a <= n and 1 <= b <= n):
+            return ValueError(f"edge ({a},{b}) out of range 1..{n}")
+        if not directed and (b, a) not in edges:
+            return ValueError(f"undirected graph missing reverse of ({a},{b})")
 
 
 def _label_error(a, b) -> ValueError:
     return ValueError(f"edge ({a!r},{b!r}): vertices must be integers")
-
-
-def _has_reverse(ordered: np.ndarray, tail: np.ndarray, head: np.ndarray, n: int) -> np.ndarray:
-    """Whether each edge (tail, head) has its reverse among the sorted keys
-    ``ordered``, where edge (a, b) has key a * (n + 1) + b."""
-    twin = head * (n + 1) + tail
-    return ordered[np.minimum(np.searchsorted(ordered, twin), ordered.size - 1)] == twin
 
 
 def make_graph(n: int, pairs, directed: bool = False) -> Graph:
@@ -361,35 +345,29 @@ def plan_relabeling(g: Graph, pairs, k: int) -> tuple[np.ndarray, Pattern]:
 
     Raises ValueError for a negative k or a pair that is out of order,
     shares a vertex with an earlier pair or is not a bidirected edge, and
-    MatchingTooSmall when there are fewer than k pairs.
+    MatchingTooSmall when there are fewer than k pairs.  Every pair's order
+    and disjointness are checked before any pair's edge.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = g.n
-    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    a, b = pairs.T
-    # pairs are checked in order, as a loop over them would: the first
-    # pair out of order or sharing a vertex with an earlier pair
-    flat = pairs.ravel()
-    by_vertex = flat.argsort(kind="stable")
-    seen = np.zeros(flat.size, dtype=bool)
-    seen[by_vertex[1:]] = flat[by_vertex[1:]] == flat[by_vertex[:-1]]
-    bad = (a >= b) | seen[0::2] | seen[1::2]
-    if bad.any():
-        x, y = pairs[bad.argmax()].tolist()
-        if x >= y:
-            raise ValueError(f"matching pair ({x},{y}) must be stored (min,max)")
-        raise ValueError(f"matching pairs are not vertex-disjoint at {{{x},{y}}}")
-    edges = g.edges
-    for x, y in pairs.tolist():
-        if (x, y) not in edges or (y, x) not in edges:
-            raise ValueError(f"matching pair {{{x},{y}}} is not a bidirected edge")
+    seen: set[int] = set()
+    for a, b in pairs:
+        if a >= b:
+            raise ValueError(f"matching pair ({a},{b}) must be stored (min,max)")
+        if a in seen or b in seen:
+            raise ValueError(f"matching pairs are not vertex-disjoint at {{{a},{b}}}")
+        seen.update((a, b))
+    for a, b in pairs:
+        if (a, b) not in g.edges or (b, a) not in g.edges:
+            raise ValueError(f"matching pair {{{a},{b}}} is not a bidirected edge")
     if len(pairs) < k:
         raise MatchingTooSmall(
             f"need a matching of size k={k}, but the graph's matching has "
             f"size {len(pairs)}"
         )
-    chosen = pairs[a.argsort(kind="stable")[:k]].ravel() - 1
+    n = g.n
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    chosen = pairs[pairs[:, 0].argsort(kind="stable")[:k]].ravel() - 1
     order = np.empty(n, dtype=np.intp)
     rest = np.ones(n, dtype=bool)
     rest[chosen] = False

@@ -258,36 +258,28 @@ class Pattern:
         bidirected where ``bidirected[r]`` is set.
 
         Raises ValueError for sizes with n < 1, k < 0 or 2k > n, for slots
-        and flags of different lengths, and for the first slot that is out
-        of range, on the diagonal, inside a matched block, bidirected with
-        i >= j, or on the vertex pair of an earlier slot.
+        and flags of different lengths, and for the first slot in order that
+        is out of range or on the diagonal, inside a matched block,
+        bidirected with i >= j, or on the vertex pair of an earlier slot.
         """
         if n < 1 or k < 0 or 2 * k > n:
             raise ValueError(f"invalid sizes n={n}, k={k}")
         if len(slots) != len(bidirected):
             raise ValueError("slots and bidirected flags must align")
-        i, j = np.array(slots, dtype=np.intp).reshape(len(slots), 2).T - 1
-        flags = np.array(bidirected, dtype=bool)
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        off_range = (lo < 0) | (hi >= n) | (i == j)
-        in_block = (hi < 2 * k) & (hi % 2 == 1) & (lo == hi - 1)
-        backward = flags & (i >= j)
-        # a later slot on the same vertex pair as an earlier one; lexsort is stable
-        order = np.lexsort((hi, lo))
-        repeat = np.zeros(len(slots), dtype=bool)
-        repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
-        bad = np.flatnonzero(off_range | in_block | backward | repeat)
-        if bad.size:
-            r = bad[0]
-            a, b = slots[r]
-            if off_range[r]:
+        seen = set()
+        for (a, b), bi in zip(slots, bidirected):
+            lo, hi = min(a, b), max(a, b)
+            if not 1 <= lo < hi <= n:
                 raise ValueError(f"slot ({a},{b}) out of range or on the diagonal")
-            if in_block[r]:
+            if hi <= 2 * k and hi % 2 == 0 and lo == hi - 1:  # block hi/2's pair
                 raise ValueError(f"slot ({a},{b}) collides with a matched block")
-            if backward[r]:
+            if bi and a >= b:
                 raise ValueError(f"bidirected slot ({a},{b}) must have i < j")
-            raise ValueError(f"duplicate slot for pair {{{a},{b}}}")
-        return cls(n, k, i, j, flags)
+            if (lo, hi) in seen:
+                raise ValueError(f"duplicate slot for pair {{{a},{b}}}")
+            seen.add((lo, hi))
+        i, j = np.array(slots, dtype=np.intp).reshape(len(slots), 2).T - 1
+        return cls(n, k, i, j, np.array(bidirected, dtype=bool))
 
     @property
     def l(self) -> int:
@@ -543,11 +535,9 @@ def format_matrix_market(m: np.ndarray) -> str:
     """Coordinate-format export of the nonzero entries, for sparse viewing."""
     a = np.asarray(m, dtype=float)
     rows, cols = a.shape
+    i, j = np.nonzero(a)  # row-major, as the entries are listed
     entries = [
-        f"{i + 1} {j + 1} {a[i, j]:.17g}"
-        for i in range(rows)
-        for j in range(cols)
-        if a[i, j] != 0.0
+        f"{r} {c} {v:.17g}" for r, c, v in zip((i + 1).tolist(), (j + 1).tolist(), a[i, j].tolist())
     ]
     head = ["%%MatrixMarket matrix coordinate real general", f"{rows} {cols} {len(entries)}"]
     return "\n".join(head + entries) + "\n"

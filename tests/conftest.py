@@ -37,6 +37,14 @@ def openblas_corename(symbol: str = "scipy_openblas_get_corename64_") -> str:
     return corename().decode()
 
 
+def kernel_pin(pins: dict[str, str]) -> str:
+    """The digest ``pins`` holds for the running OpenBLAS kernel; fails,
+    naming the kernel, when it holds none."""
+    kernel = openblas_corename()
+    assert kernel in pins, f"no pin for OpenBLAS kernel {kernel}; pinned: {', '.join(pins)}"
+    return pins[kernel]
+
+
 def bidirected_pairs(g: Graph) -> list[tuple[int, int]]:
     """Unordered pairs {a,b} present in both directions, sorted."""
     return sorted({(min(a, b), max(a, b)) for a, b in g.edges if (b, a) in g.edges})
@@ -578,7 +586,7 @@ def loop_pattern_check(n: int, k: int, slots, bidirected) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Matrix CSV oracles: one f-string per entry, one list comprehension per row
+# Matrix format oracles: one f-string per entry, one list comprehension per row
 
 
 def loop_format_matrix_csv(m) -> str:
@@ -604,6 +612,20 @@ def loop_parse_matrix_csv(text: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise BadFormat("matrix entries must be finite")
     return a
+
+
+def loop_format_matrix_market(m) -> str:
+    """``format_matrix_market`` as a loop over every entry, row by row."""
+    a = np.asarray(m, dtype=float)
+    rows, cols = a.shape
+    entries = [
+        f"{i + 1} {j + 1} {a[i, j]:.17g}"
+        for i in range(rows)
+        for j in range(cols)
+        if a[i, j] != 0.0
+    ]
+    head = ["%%MatrixMarket matrix coordinate real general", f"{rows} {cols} {len(entries)}"]
+    return "\n".join(head + entries) + "\n"
 
 
 def outer_duplicate(pairs, reals) -> str | None:

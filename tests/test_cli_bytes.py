@@ -4,10 +4,9 @@
 byte for byte, across rewrites of the parsing, validation and formatting
 around the solver.  The pinned digests were taken with numpy 2.4 and its
 bundled OpenBLAS; another LAPACK build may round differently and move them.
-The CLI byte pin also depends on the CPU kernel OpenBLAS picks at run time:
-the default (SkylakeX) kernel of an AVX-512 machine reproduces it, and
-forcing OPENBLAS_CORETYPE=Haswell, Zen, Sandybridge or Prescott there fails
-it, as it fails every group in test_output_pin.py.
+The CLI byte pin also depends on the CPU kernel OpenBLAS picks at run time,
+so it holds one digest per kernel, selected as test_output_pin.py selects
+its own.
 """
 
 import hashlib
@@ -21,7 +20,15 @@ from giep.cli import main, random_graph, random_spectrum
 from giep.errors import BadFormat
 from giep.graph import format_graph
 from giep.model import format_matrix_csv, format_spectrum, parse_matrix_csv
-from conftest import loop_format_matrix_csv, loop_parse_matrix_csv, openblas_corename
+from conftest import kernel_pin, loop_format_matrix_csv, loop_parse_matrix_csv, openblas_corename
+
+# the digest for each OpenBLAS kernel, recorded as test_output_pin.PINS is
+CLI_PINS = {
+    "SkylakeX": "56e71de297ac76474ec1a9c245a56157e4ae867aab08784a5024d22fc74dfbf1",
+    "Haswell": "612e1e1ee1f923abac4c332b140418f6a9ee7578b3f04fe5885455fa99041645",
+    "Sandybridge": "e4f86662a24b4d193d0a9909edd98a46b33b67b1925bb86b9fb2b1484bc8e90a",
+    "Katmai": "e4f86662a24b4d193d0a9909edd98a46b33b67b1925bb86b9fb2b1484bc8e90a",
+}
 
 
 def run_cli(argv, out):
@@ -57,9 +64,7 @@ def test_cli_output_bytes_are_pinned(tmp_path, capsys):
         h.update(f"{code}:{len(text)}:".encode() + text)
     capsys.readouterr()
     assert len(codes) == 3 * 23 + 23 and codes.count(0) >= 80
-    assert h.hexdigest() == "56e71de297ac76474ec1a9c245a56157e4ae867aab08784a5024d22fc74dfbf1", (
-        f"OpenBLAS kernel {openblas_corename()}; the pin holds for SkylakeX"
-    )
+    assert h.hexdigest() == kernel_pin(CLI_PINS), f"OpenBLAS kernel {openblas_corename()}"
 
 
 # floats from every binade: signed zeros, subnormals and the extreme exponents

@@ -72,12 +72,27 @@ def test_parse_rejects(text):
         (2, False, ((1, 2),), "undirected graph missing reverse of (1,2)"),
         (3, True, ((1, 2, 3),), "every edge must be a pair of vertices"),
         (4, True, ((1, 2, 3), (4,)), "every edge must be a pair of vertices"),
+        (2.5, False, ((1, 2), (2, 1)), "vertex count n=2.5 must be an integer"),
+        ("3", True, (), "vertex count n='3' must be an integer"),
+        (2**70, True, ((1, 2),), f"vertex count n={2**70} is too large"),
+        (3037000499, True, (), "vertex count n=3037000499 is too large"),
     ],
 )
 def test_graph_validates(n, directed, edges, message):
     with pytest.raises(ValueError) as info:
         Graph(n=n, directed=directed, edges=frozenset(edges))
     assert str(info.value) == message
+
+
+def test_graph_stores_its_vertex_count_as_an_int():
+    """numpy integers pass as n and are kept as Python ints; the largest n
+    whose keys n * (n + 1) + b fit in int64 is accepted."""
+    for n in (np.int64(3), np.uint8(3), 3):
+        g = Graph(n=n, directed=True, edges=frozenset({(1, 3)}))
+        assert type(g.n) is int and g.n == 3
+    n = 3037000498
+    g = Graph(n=n, directed=False, edges=frozenset({(1, n), (n, 1)}))
+    assert g.edge_arrays[1].tolist() == [n, 1]
 
 
 def graph_cases(seed: int, count: int):
@@ -162,6 +177,11 @@ def test_graph_refuses_non_integer_labels():
     assert make_graph(3, [(np.int32(3), True), (np.int64(2), 3)]) == make_graph(3, [(1, 3), (2, 3)])
 
 
+def numpy_pairs(rows, dtype=np.intp) -> tuple:
+    """``rows`` as a tuple of pairs of numpy integers."""
+    return tuple(map(tuple, np.array(rows, dtype=dtype)))
+
+
 def test_matching_validates():
     g = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
     for pairs, message in (
@@ -178,6 +198,11 @@ def test_matching_validates():
         # vertices outside 1..n are never matched, however far out
         (((1, 6),), "matching pair {1,6} is not a bidirected edge"),
         (((-7, -2),), "matching pair {-7,-2} is not a bidirected edge"),
+        # numpy integers, as rows of max_matching's shape, print as Python ints
+        (numpy_pairs([[1, 2], [3, 4], [2, 3]]), "matching pairs are not vertex-disjoint at {2,3}"),
+        (numpy_pairs([[3, 4], [2, 1]], np.int32), "matching pair (2,1) must be stored (min,max)"),
+        (numpy_pairs([[1, 2], [2**40, 2**40 + 1]]),
+         "matching pair {1099511627776,1099511627777} is not a bidirected edge"),
     ):
         with pytest.raises(ValueError) as info:
             plan_relabeling(g, pairs, 0)

@@ -19,7 +19,7 @@ from giep.model import (
     parse_matrix_csv,
     spectrum_mismatch,
 )
-from conftest import build_seed, edge_positions, outer_duplicate
+from conftest import build_seed, edge_positions, loop_format_matrix_market, outer_duplicate
 
 
 def test_spectrum_sizes_and_values():
@@ -319,3 +319,23 @@ def test_matrix_market_lists_nonzeros():
     assert lines[0] == "%%MatrixMarket matrix coordinate real general"
     assert lines[1] == "2 2 2"
     assert lines[2:] == ["1 1 1", "2 1 0.5"]
+
+
+def test_matrix_market_equals_the_entry_loop():
+    """The same bytes as the loop over every entry, on sparse matrices of
+    every shape up to 9x9 that mix nonzeros with -0.0, +0.0, subnormals and
+    the extreme binades, in C and Fortran order."""
+    rng = np.random.default_rng(57)
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                         1.7976931348623157e308, -1e-300, 1.0, -2.5])
+    for case in range(400):
+        shape = tuple(rng.integers(1, 10, size=2))
+        a = rng.standard_normal(shape) * 2.0 ** rng.integers(-1074, 1000, size=shape)
+        a[rng.uniform(size=shape) < 0.6] = 0.0
+        picked = rng.uniform(size=shape) < 0.2
+        a[picked] = rng.choice(specials, size=int(picked.sum()))
+        a = np.asfortranarray(a) if case % 2 else a
+        assert format_matrix_market(a) == loop_format_matrix_market(a)
+    tiny = [[-0.0, 5e-324]]
+    want = "%%MatrixMarket matrix coordinate real general\n1 2 1\n1 2 4.9406564584124654e-324\n"
+    assert format_matrix_market(tiny) == loop_format_matrix_market(tiny) == want

@@ -6,14 +6,14 @@ seeded set of instances and hashes, per instance, the output matrix's
 float64 bytes, or the type and message of the typed failure it raised.
 The digests were taken with numpy 2.4 and its bundled OpenBLAS; another
 LAPACK build may round differently and move them.  They also depend on the
-CPU kernel OpenBLAS picks at run time: on an AVX-512 machine the default
-(SkylakeX) kernel reproduces them, while forcing OPENBLAS_CORETYPE=Haswell,
-Zen, Sandybridge or Prescott there fails all five groups here and the CLI
-byte pin in test_cli_bytes.py: 6 of the 11 tests in the two modules.
-``numpy.show_config()`` names the BLAS build and
-``conftest.openblas_corename()`` the kernel, which every pin's failure
-message states; compare kernels before suspecting the code when a pin fails
-on another machine.
+CPU kernel OpenBLAS picks at run time, so each group holds one digest per
+kernel, selected by ``conftest.openblas_corename()``: the default
+(SkylakeX) kernel of an AVX-512 machine, and the Haswell, Sandybridge and
+Prescott kernels as forced through OPENBLAS_CORETYPE on that machine.  A
+kernel without a digest fails every pin, naming the kernel; the CLI byte
+pin in test_cli_bytes.py is kept the same way.  ``numpy.show_config()``
+names the BLAS build; compare builds and kernels before suspecting the code
+when a pin fails on another machine.
 """
 
 import hashlib
@@ -27,7 +27,7 @@ import pytest
 from giep import Spectrum, make_graph, solve_instance, tridiagonalize
 from giep.cli import random_graph, random_spectrum
 from giep.errors import GiepError
-from conftest import openblas_corename
+from conftest import kernel_pin, openblas_corename
 
 
 def digest(runs) -> str:
@@ -124,19 +124,49 @@ def tridiagonalize_runs():
         yield lambda a=a: tridiagonalize(a).matrix
 
 
+# per group, the digest for each OpenBLAS kernel, by the name
+# conftest.openblas_corename() reports: SkylakeX is an AVX-512 machine's
+# default; the others were recorded on that machine under
+# OPENBLAS_CORETYPE=Haswell (Zen reports Haswell too), Sandybridge and
+# Prescott, which reports Katmai
 PINS = {
-    "random": (random_runs, "ce441053eca910a2ad73696af099490bf4228c7dc79fe24c55254b00796538bc"),
-    "directed": (directed_runs, "fc5a75bf22c5029e5394f06f814d9ea6730f37699864a22564c57bc9c5144a67"),
-    "blossom": (blossom_runs, "a0e6a08bd4e7957a4bab151150797059a9776af556fe505990f3461b175a3786"),
-    "corner": (corner_runs, "eccc2c21a07f49cda777e8c790fdb0db3f8e26d31d3c716b6be3f6760eaec46d"),
-    "tridiagonalize": (tridiagonalize_runs, "9ba3f4fb1a4c5ccb0ce54f5c683bc8e5d242bd643e0a6e4bb75f3cb0bd7d7016"),
+    "random": (random_runs, {
+        "SkylakeX": "ce441053eca910a2ad73696af099490bf4228c7dc79fe24c55254b00796538bc",
+        "Haswell": "a337f35c919f93e180ac0a878a72658c014c2fad22843736f3d3cdabdcd59ed7",
+        "Sandybridge": "73c5441c273b07c67cb6c6a2625faf06d63c398af740705c52bf619240be6a05",
+        "Katmai": "73c5441c273b07c67cb6c6a2625faf06d63c398af740705c52bf619240be6a05",
+    }),
+    "directed": (directed_runs, {
+        "SkylakeX": "fc5a75bf22c5029e5394f06f814d9ea6730f37699864a22564c57bc9c5144a67",
+        "Haswell": "0ce07873d6bb48b2ee29688094db8d1170de4f182484d5d2d0cce1b8a9635569",
+        "Sandybridge": "63b0a134da6dd6a04ff567520fcc830ba20b1bb244ca4258445107b419b0edad",
+        "Katmai": "63b0a134da6dd6a04ff567520fcc830ba20b1bb244ca4258445107b419b0edad",
+    }),
+    "blossom": (blossom_runs, {
+        "SkylakeX": "a0e6a08bd4e7957a4bab151150797059a9776af556fe505990f3461b175a3786",
+        "Haswell": "12d8e3af6b691c3f958c738405dd0407e994a8ad11beff01b88a09dbc2bcc626",
+        "Sandybridge": "ff02c83fa7f16248c465c8920ccb26fec200e157ccb45ec5513eb4e21db8c08e",
+        "Katmai": "ff02c83fa7f16248c465c8920ccb26fec200e157ccb45ec5513eb4e21db8c08e",
+    }),
+    "corner": (corner_runs, {
+        "SkylakeX": "eccc2c21a07f49cda777e8c790fdb0db3f8e26d31d3c716b6be3f6760eaec46d",
+        "Haswell": "80a0048f9b9652f357f8e688c4a96b4ead8033f6dddf0a8e768c5a0ccf5e5099",
+        "Sandybridge": "63d1663ea5f1a8d4d95cae5ce30e2b031281364ea4cf414c0fe7460d25cdd54a",
+        "Katmai": "63d1663ea5f1a8d4d95cae5ce30e2b031281364ea4cf414c0fe7460d25cdd54a",
+    }),
+    "tridiagonalize": (tridiagonalize_runs, {
+        "SkylakeX": "9ba3f4fb1a4c5ccb0ce54f5c683bc8e5d242bd643e0a6e4bb75f3cb0bd7d7016",
+        "Haswell": "991e4d22c5b307ca17af0ed503e24aa1e962dec221adffc2c0832bcfe7f6bb24",
+        "Sandybridge": "53284899054f3a6d228044ca014eadb356a1b41eafd3bd6929a68b4762db2a8a",
+        "Katmai": "53284899054f3a6d228044ca014eadb356a1b41eafd3bd6929a68b4762db2a8a",
+    }),
 }
 
 
 @pytest.mark.parametrize("group", sorted(PINS))
 def test_outputs_are_bitwise_pinned(group):
-    runs, want = PINS[group]
-    assert digest(runs()) == want, f"OpenBLAS kernel {openblas_corename()}; the pins hold for SkylakeX"
+    runs, pins = PINS[group]
+    assert digest(runs()) == kernel_pin(pins), f"OpenBLAS kernel {openblas_corename()}"
 
 
 def test_openblas_corename_names_the_forced_kernel():
@@ -148,3 +178,8 @@ def test_openblas_corename_names_the_forced_kernel():
     assert forced in ("Haswell", "unknown")
     assert (forced == "unknown") == (openblas_corename() == "unknown")
     assert openblas_corename("no_such_symbol") == "unknown"
+
+
+def test_a_kernel_without_a_pin_fails_naming_it():
+    with pytest.raises(AssertionError, match=f"no pin for OpenBLAS kernel {openblas_corename()}"):
+        kernel_pin({"NoSuchKernel": "0" * 64})
