@@ -115,12 +115,12 @@ def _config_from_args(args) -> SolverConfig:
     return SolverConfig(**{f: getattr(args, f) for f in fields if getattr(args, f) is not None})
 
 
-def format_report(report: SolveReport, n: int) -> str:
+def format_report(report: SolveReport) -> str:
     """Structured-text run report for --report files."""
     lines = [
         "status: success",
         f"mode: {report.mode}",
-        f"n: {n}",
+        f"n: {report.matrix.shape[0]}",
         f"steps: {report.steps}",
         f"newton_iterations: {report.newton_iterations_total}",
         f"final_residual: {report.final_residual:.6e}",
@@ -138,7 +138,7 @@ def _emit_solution(args, report: SolveReport) -> None:
     if args.mm_out:
         _write(args.mm_out, format_matrix_market(report.matrix))
     if args.report:
-        _write(args.report, format_report(report, report.matrix.shape[0]))
+        _write(args.report, format_report(report))
     print(
         f"wrote {args.out}: n={report.matrix.shape[0]} steps={report.steps} "
         f"newton={report.newton_iterations_total} residual={report.final_residual:.3e}"
@@ -174,7 +174,7 @@ def _solve_batch_item(stem: str, directory: Path, args) -> tuple[int, str]:
             return EXIT_NUMERICAL, f"step underflow at t={exc.t_reached:.4g}"
         return _failure(exc)[0], str(exc)
     _write(directory / f"{stem}.matrix.csv", format_matrix_csv(report.matrix))
-    _write(directory / f"{stem}.report.txt", format_report(report, report.matrix.shape[0]))
+    _write(directory / f"{stem}.report.txt", format_report(report))
     return EXIT_OK, f"residual={report.final_residual:.3e}"
 
 

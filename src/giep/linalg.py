@@ -2,8 +2,9 @@
 
 Matrices are plain 2-D float64 numpy arrays and vectors are 1-D arrays;
 complex quantities use numpy's complex128 (a pair of 64-bit reals).  All
-operations are pure functions of their inputs and validate finiteness and
-shape on entry, so arrays can be shared freely between threads.
+operations are pure functions of their inputs, so arrays can be shared
+freely between threads, and validate finiteness and shape on entry, except
+``eigen_triple``, whose matrix ``eig_all`` has already validated.
 
 Everything delegates to LAPACK through numpy.  ``eig_all`` wraps the real
 nonsymmetric eigensolver (Hessenberg reduction plus multishift QR), which
@@ -14,11 +15,11 @@ the right eigenvectors.  ``eigen_triple`` takes that decomposition
 reads the right eigenvectors from those columns of ``V`` and the left ones
 from the same rows of ``V^-1``.  It returns them as arrays, treats every
 selected eigenvalue at once, and still checks each one for
-near-defectiveness and for both eigen-residuals.  ``solve_linear``
-is an LU solve with a backward-stability check on its residual;
-``check_conditioning`` is the separate condition-number check, which a
-caller that solves with one matrix many times runs once, when it forms
-the matrix.
+near-defectiveness and for both eigen-residuals against ``ev``.
+``solve_linear`` is an LU solve with a backward-stability check on its
+residual; ``check_conditioning`` is the separate condition-number check,
+which a caller that solves with one matrix many times runs once, when it
+forms the matrix.
 """
 
 from __future__ import annotations
@@ -110,20 +111,18 @@ def eig_all(m, vectors: bool = False):
 class Eigenpairs(NamedTuple):
     """Unit right/left eigenvectors of selected simple eigenvalues, as arrays.
 
-    Column i of ``right`` satisfies ``m @ right[:, i] = value[i] * right[:, i]``
-    and row i of ``left`` satisfies ``left[i] @ m = value[i] * left[i]``
-    (plain transpose, no conjugation).  ``pairing[i]`` is the conditioning
-    scalar ``left[i] @ right[:, i]``, bounded away from zero for simple
-    eigenvalues, and ``value`` holds the two-sided Rayleigh quotients.  The
-    columns and rows of real eigenvalues are exactly real: the arrays are
-    real when every eigenvalue is, and otherwise carry +0.0 imaginary parts
-    there.
+    Column i of ``right`` is a right eigenvector and row i of ``left`` a
+    left eigenvector (plain transpose, no conjugation) of the i-th selected
+    eigenvalue.  ``pairing[i]`` is the conditioning scalar
+    ``left[i] @ right[:, i]``, bounded away from zero for simple
+    eigenvalues.  The columns and rows of real eigenvalues are exactly
+    real: the arrays are real when every eigenvalue is, and otherwise carry
+    +0.0 imaginary parts there.
     """
 
     right: np.ndarray
     left: np.ndarray
     pairing: np.ndarray
-    value: np.ndarray
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -136,36 +135,36 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 def eigen_triple(m, ev, vecs, idx) -> Eigenpairs:
     """Unit right/left eigenvectors of the eigenvalues ``ev[idx]`` of ``m``.
 
-    ``(ev, vecs)`` is the decomposition ``eig_all(m, vectors=True)`` and
-    ``idx`` selects eigenvalues by position (in practice the tracked
-    positions from the disc labeling).  Right eigenvectors are columns of
-    ``vecs`` and left eigenvectors the matching rows of its inverse, so
-    before normalisation ``w^T v = 1``; after it the pairing ``w^T v`` is
-    positive up to rounding.  The eigenvalue is refined with the two-sided
-    Rayleigh quotient, and both residuals ``||m v - value v||`` and
-    ``||w^T m - value w^T||`` are verified against RES_FACTOR * ||m||_F.
-    All selected eigenvalues are handled together as columns (right) and
-    rows (left) of one array; the checks still hold for every one
-    separately, and the first that fails one raises.
+    ``(ev, vecs)`` is the decomposition ``eig_all(m, vectors=True)``, which
+    has validated ``m``, and ``idx`` selects eigenvalues by position (in
+    practice the tracked positions from the disc labeling).  Right
+    eigenvectors are columns of ``vecs`` and left eigenvectors the matching
+    rows of its inverse, so before normalisation ``w^T v = 1``; after it
+    the pairing ``w^T v`` is positive up to rounding.  Both residuals
+    ``||m v - ev[i] v||`` and ``||w^T m - ev[i] w^T||`` are verified against
+    RES_FACTOR * ||m||_F.  All selected eigenvalues are handled together as
+    columns (right) and rows (left) of one array; the checks still hold for
+    every one separately, and the first that fails one raises.
 
-    The values, residuals and tolerance are computed with ``m`` scaled by
-    the power of two of :func:`unit_exponent`, which leaves the eigenvectors
-    as they are, and the values are scaled back: the same bits as unscaled
-    wherever nothing overflows or underflows, and checks that hold at every
-    finite scale.
+    The residuals and tolerance are computed with ``m`` and ``ev`` scaled
+    by the power of two of :func:`unit_exponent` of ``m``, which leaves the
+    eigenvectors as they are: the same bits as unscaled wherever nothing
+    overflows or underflows, and checks that hold at every finite scale.
 
     Raises IllConditioned when |w^T v| < TOL_ORTHO or the eigenvector
     matrix is singular (near-defective), and NoConvergence when a residual
     is too large.
     """
-    a = as_square_matrix(m)
+    a = np.asarray(m, dtype=float)
     exp = unit_exponent(a)
     a = np.ldexp(a, -exp)
+    value = np.asarray(ev, dtype=complex)[idx]
+    value = np.ldexp(value.view(float), -exp).view(complex)  # both parts scaled
     try:
         w = np.linalg.inv(vecs)[idx]
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"eigenvector matrix is singular: {exc}") from exc
-    real = ev[idx].imag == 0.0
+    real = value.imag == 0.0
     v = vecs[:, idx]
     if np.iscomplexobj(v):
         v[:, real] = v[:, real].real
@@ -173,11 +172,8 @@ def eigen_triple(m, ev, vecs, idx) -> Eigenpairs:
     v /= np.linalg.norm(v, axis=0)
     w /= np.linalg.norm(w, axis=1)[:, None]
     pairing = np.einsum("ij,ji->i", w, v)
-    wa = _real_matmul(a.T, w.T).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.einsum("ij,ji->i", wa, v) / pairing
-        res_right = np.linalg.norm(_real_matmul(a, v) - v * value, axis=0)
-        res_left = np.linalg.norm(wa - value[:, None] * w, axis=1)
+    res_right = np.linalg.norm(_real_matmul(a, v) - v * value, axis=0)
+    res_left = np.linalg.norm(_real_matmul(a.T, w.T).T - value[:, None] * w, axis=1)
     tol = RES_FACTOR * np.linalg.norm(a)
     orthogonal = ~(np.abs(pairing) >= TOL_ORTHO)
     failed = np.flatnonzero(orthogonal | ~((res_right <= tol) & (res_left <= tol)))
@@ -190,10 +186,7 @@ def eigen_triple(m, ev, vecs, idx) -> Eigenpairs:
         raise NoConvergence(
             f"eigenpair residuals {res_right[i]:.3e}/{res_left[i]:.3e} exceed {tol:.3e}"
         )
-    if np.iscomplexobj(value):
-        value.imag = np.ldexp(value.imag, exp)
-    value.real = np.ldexp(value.real, exp)
-    return Eigenpairs(right=v, left=w, pairing=pairing, value=value)
+    return Eigenpairs(right=v, left=w, pairing=pairing)
 
 
 def check_conditioning(a) -> None:

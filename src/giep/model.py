@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -170,6 +171,11 @@ class Spectrum:
         return _freeze(spectrum_order(self._points))
 
     @cached_property
+    def _centers(self) -> np.ndarray:
+        # the spectrum points in _rank order: eigenvalue i's paired target
+        return _freeze(self._points[self._rank])
+
+    @cached_property
     def _paired(self) -> "_PairedLabels":
         # label_eigenvalues' tables for eigenvalue i in the disc of point _rank[i]
         k, n, rank = self.k, self.n, self._rank
@@ -180,7 +186,6 @@ class Spectrum:
         re = 2 * pos
         gather = np.concatenate([re[:k], re[:k] + 1, re[2 * k :], re[2 * k :] + 1])
         return _PairedLabels(
-            centers=_freeze(self._points[rank]),
             tracked=_freeze(np.concatenate([pos[:k], pos[2 * k :]])),
             gather=_freeze(gather),
         )
@@ -206,7 +211,6 @@ class _PairedLabels(NamedTuple):
     """The fixed tables of :func:`label_eigenvalues` when eigenvalue i lies
     in the disc of spectrum point ``Spectrum._rank[i]``."""
 
-    centers: np.ndarray  # the spectrum points in (real, imag) order
     tracked: np.ndarray  # positions of the k plus-disc and l real eigenvalues
     gather: np.ndarray  # offsets into the eigenvalues viewed as floats
 
@@ -258,8 +262,9 @@ class Pattern:
         bidirected where ``bidirected[r]`` is set.
 
         Raises ValueError for sizes with n < 1, k < 0 or 2k > n, for slots
-        and flags of different lengths, and for the first slot in order that
-        is out of range or on the diagonal, inside a matched block,
+        and flags of different lengths, and for the first slot in order with
+        a label that is no integer (anything ``operator.index`` accepts), or
+        that is out of range or on the diagonal, inside a matched block,
         bidirected with i >= j, or on the vertex pair of an earlier slot.
         """
         if n < 1 or k < 0 or 2 * k > n:
@@ -268,6 +273,10 @@ class Pattern:
             raise ValueError("slots and bidirected flags must align")
         seen = set()
         for (a, b), bi in zip(slots, bidirected):
+            try:
+                a, b = operator.index(a), operator.index(b)
+            except TypeError:
+                raise ValueError(f"slot ({a!r},{b!r}): vertices must be integers") from None
             lo, hi = min(a, b), max(a, b)
             if not 1 <= lo < hi <= n:
                 raise ValueError(f"slot ({a},{b}) out of range or on the diagonal")
@@ -381,15 +390,15 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     ev = np.ascontiguousarray(eigs, dtype=complex)
     if ev.size != s.n:
         raise ValueError(f"expected {s.n} eigenvalues, got {ev.size}")
-    paired = s._paired
-    nearest = np.hypot(ev.real - paired.centers.real, ev.imag - paired.centers.imag)
+    paired = s._centers
+    nearest = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
     paired_inside = nearest.max() < s.radius
     if paired_inside:
         # the assignment is s._rank; it stands unless an eigenvalue in a real
         # interval is not exactly real, which the checks below report
-        picked = ev.view(float)[paired.gather]
+        picked = ev.view(float)[s._paired.gather]
         if not picked[s.n :].any():
-            return picked[: s.n], paired.tracked
+            return picked[: s.n], s._paired.tracked
     centers = s.values()
     idx = s._rank
     if not paired_inside:
@@ -444,7 +453,7 @@ def spectrum_mismatch(eigs, s: Spectrum) -> float:
     targets = s.values()
     if ev.size != targets.size:
         raise ValueError(f"expected {targets.size} eigenvalues, got {ev.size}")
-    paired = targets[s._rank]
+    paired = s._centers
     # hypot of the negated differences _distances forms: the same bits
     dist = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
     try:

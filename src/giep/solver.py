@@ -45,14 +45,13 @@ step is decomposed again with eigenvectors; the eigenvectors at the
 labeled positions, as arrays, give its true Jacobian, the chord matrix for
 the rest of the solve.  A trial that retries a rejected one runs full
 Newton instead, one decomposition with eigenvectors and a fresh Jacobian
-per iterate.  The final spectrum check reads the last accepted iterate's
-residual vector: inside disjoint discs the largest disc distance is the
-greedy multiset distance.  Only a solve without fills decomposes its
-output, the seed, for that check; :func:`spectrum_mismatch` finds the same
-greedy distance there in O(n log n), since the seed's eigenvalues sit in
-their discs.  The discs are the spectrum's own: the corrector labels
-eigenvalues against ``Spectrum`` itself, and the solver sizes its own
-fill targets by :attr:`Spectrum.radius` in :func:`default_targets`.
+per iterate.  The final spectrum check is ``verify``'s own distance,
+:func:`spectrum_mismatch`, taken over the last accepted iterate's
+eigenvalues, which are those of the returned matrix.  Only a solve without
+fills decomposes its output, the seed, for that check.  The discs are the
+spectrum's own: the corrector labels eigenvalues against ``Spectrum``
+itself, and the solver sizes its own fill targets by
+:attr:`Spectrum.radius` in :func:`default_targets`.
 :func:`final_tolerance` and :func:`nonzero_floor` are the one definition
 of the default final tolerance and of the floor on edge entries, which
 ``verify`` applies too.  They and the Newton tolerance are multiples of
@@ -307,7 +306,6 @@ class ContinuationState:
 
     t: float
     theta: np.ndarray
-    step: float
     history: list[StepRecord] = field(default_factory=list)
 
 
@@ -393,7 +391,9 @@ def continuation_solve(
     trials start at the last accepted point.  Trials correct with the chord
     iteration, except that a trial after a rejection runs full Newton.  On
     success the returned matrix realizes the target spectrum with every
-    slot entry written at its exact target.
+    slot entry written at its exact target, and ``final_residual`` is the
+    float :func:`spectrum_mismatch` of its eigenvalues: the last accepted
+    iterate's, or one decomposition of the seed when ``p`` has no slots.
 
     Raises DimensionMismatch unless ``p`` fits the spectrum, ValueError for
     a bad mode, fill_scale or step_min, StepUnderflow (with the largest
@@ -415,16 +415,17 @@ def continuation_solve(
     target = s.target_coordinates()
     theta = np.concatenate([target, np.zeros(2 * p.m)])  # the seed: x, y, z = target
 
-    state = ContinuationState(t=0.0, theta=theta, step=1.0)
+    state = ContinuationState(t=0.0, theta=theta)
     # The seed realizes the targets exactly; record it as the first accepted
     # state, with its exact spectrum in eig_all's order and no decomposition.
     state.history.append(StepRecord(t=0.0, residual=0.0, newton_iterations=0))
     if cfg.observer is not None:
-        cfg.observer(state, s.values()[s._rank])
+        cfg.observer(state, s._centers)
     # without fills the seed is the solution and no trial runs
     shift = second_order_shift(p, s, np.concatenate([u_target, omega_target])) if p.m else None
 
     jac = None  # the chord matrix; None is the seed's identity Jacobian
+    step = 1.0
     easy_streak = 0
     retry = False  # a trial after a rejection runs full Newton
     while p.m > 0 and state.t < 1.0:
@@ -433,7 +434,7 @@ def continuation_solve(
                 f"step budget {MAX_STEPS} exhausted at t={state.t:.6g}",
                 t_reached=state.t,
             )
-        trial_dt = min(state.step, 1.0 - state.t)
+        trial_dt = min(step, 1.0 - state.t)
         t_try = state.t + trial_dt
         if 1.0 - t_try < 1e-12:
             t_try = 1.0
@@ -449,13 +450,13 @@ def continuation_solve(
         try:
             theta_new, iters, r, ev, jac = newton_correct(p, s, theta_try, jac, retry)
         except (NoConvergence, DiscViolation) as exc:
-            state.step = trial_dt / 2.0
+            step = trial_dt / 2.0
             easy_streak = 0
             retry = True
-            logger.debug("rejected t=%.6g (%s); step -> %.3g", t_try, exc, state.step)
-            if state.step < cfg.step_min:
+            logger.debug("rejected t=%.6g (%s); step -> %.3g", t_try, exc, step)
+            if step < cfg.step_min:
                 raise StepUnderflow(
-                    f"step {state.step:.3g} fell below {cfg.step_min:.3g} at "
+                    f"step {step:.3g} fell below {cfg.step_min:.3g} at "
                     f"t={state.t:.6g}: {exc}",
                     t_reached=state.t,
                 ) from exc
@@ -474,21 +475,13 @@ def continuation_solve(
         else:
             easy_streak = 0
         if easy_streak >= 2:
-            state.step = min(state.step * 2.0, 1.0)
+            step = min(step * 2.0, 1.0)
             easy_streak = 0
 
     matrix = assemble(p, state.theta)
-    if p.m:
-        # r belongs to the last accepted iterate, whose assembled matrix is the
-        # one returned.  Its eigenvalues lie inside disjoint discs, where the
-        # greedy multiset distance pairs each target with its own disc's
-        # eigenvalue, so that distance is the largest disc distance.
-        k = p.k
-        final_residual = float(
-            np.concatenate([np.hypot(r[:k], r[k : 2 * k]), np.abs(r[2 * k :])]).max()
-        )
-    else:
-        final_residual = spectrum_mismatch(eig_all(matrix), s)
+    if not p.m:  # no trial ran; otherwise ev is the last accepted iterate's
+        ev = eig_all(matrix)
+    final_residual = float(spectrum_mismatch(ev, s))
     tol_final = final_tolerance(s)
     if final_residual > tol_final:
         raise NoConvergence(

@@ -535,3 +535,16 @@ def test_single_vertex_through_the_cli(tmp_path, capsys):
     assert out.read_text() == "-7.5\n"
     assert main(["verify", "--matrix", str(out), "--spectrum", str(spectrum), "--graph", str(graph)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
+
+
+def test_n320_instances_solve_and_verify():
+    """The north star's largest size: a seeded k=80 instance at edge
+    probability 4/n, and a k=0 undirected one, whose tied fills keep the
+    output exactly symmetric."""
+    n = 320
+    rng = np.random.default_rng(7)
+    for k in (80, 0):
+        s = random_spectrum(rng, k, n - 2 * k, box=n / 2)
+        kind, m = outcome_of(s, random_graph(rng, n, k, 4 / n))
+        assert kind == "ok"
+    assert np.array_equal(m, m.T)

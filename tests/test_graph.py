@@ -522,8 +522,17 @@ def test_pattern_validation_matches_loop_oracle():
             flags = flags[:-1]
         got, want = pattern_outcome(n, k, slots, flags)
         assert got == want
+        # numpy integer labels give the same outcome
+        assert pattern_outcome(n, k, tuple(map(tuple, np.array(slots, dtype=np.int64))), flags) == (got, want)
         kinds.update(kind for kind in PATTERN_OUTCOMES if kind in want)
     assert kinds == set(PATTERN_OUTCOMES)
+
+
+@pytest.mark.parametrize("slot", [(1.5, 3), (1, 3.0), ("1", 3), (None, 2), (np.float64(2), 3)])
+def test_pattern_refuses_labels_that_are_no_integers(slot):
+    with pytest.raises(ValueError, match=r"^slot \(.*\): vertices must be integers$") as info:
+        Pattern.from_slots(n=3, k=0, slots=(slot,), bidirected=(False,))
+    assert repr(slot[0]) in str(info.value) and repr(slot[1]) in str(info.value)
 
 
 def test_relabeling_pattern_equals_the_checked_pattern():

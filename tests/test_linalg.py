@@ -70,12 +70,12 @@ def test_eig_rejects_nonfinite_and_nonsquare():
 
 
 def _assert_unit_eigenpair(a, eig, i, value, pairing_modulus):
-    """Phase-invariant checks of eigenpair i: both eigen-equations, unit norms, |w^T v|."""
+    """Phase-invariant checks of eigenpair i: both eigen-equations at the exact
+    eigenvalue ``value``, unit norms, |w^T v|."""
     a = np.asarray(a)
-    right, left, pairing, refined = eig.right[:, i], eig.left[i], eig.pairing[i], eig.value[i]
-    assert abs(refined - value) < 1e-12
-    assert np.linalg.norm(a @ right - refined * right) < 1e-12
-    assert np.linalg.norm(left @ a - refined * left) < 1e-12
+    right, left, pairing = eig.right[:, i], eig.left[i], eig.pairing[i]
+    assert np.linalg.norm(a @ right - value * right) < 1e-12
+    assert np.linalg.norm(left @ a - value * left) < 1e-12
     assert abs(np.linalg.norm(right) - 1.0) < 1e-14
     assert abs(np.linalg.norm(left) - 1.0) < 1e-14
     assert abs(abs(pairing) - pairing_modulus) < 1e-12
@@ -99,7 +99,7 @@ def test_eigen_triple_non_normal_pairing_is_shared():
 
 def test_eigen_triple_diagonal_real_path():
     eig = pairs_at(np.diag([5.0, 7.0]), [1])
-    assert abs(eig.value[0] - 7.0) < 1e-12
+    _assert_unit_eigenpair(np.diag([5.0, 7.0]), eig, 0, 7.0, 1.0)
     assert not np.iscomplexobj(eig.right) and not np.iscomplexobj(eig.left)
     assert np.allclose(eig.right[:, 0], [0.0, 1.0], atol=1e-10)
     assert np.allclose(eig.left[0], [0.0, 1.0], atol=1e-10)
@@ -112,19 +112,18 @@ def test_eigen_triple_cross_checks_eig_all():
         a = rng.standard_normal((5, 5))
         ev = eig_all(a)
         eig = pairs_at(a)
-        for i, v in enumerate(ev):
-            value, right, left = eig.value[i], eig.right[:, i], eig.left[i]
-            assert abs(value - v) <= 1e-10
-            # residuals of both sides against the refined eigenvalue
+        for i, value in enumerate(ev):
+            right, left = eig.right[:, i], eig.left[i]
+            # residuals of both sides against eig_all's eigenvalue
             assert np.linalg.norm(a @ right - value * right) <= 1e-10 * np.linalg.norm(a)
             assert np.linalg.norm(a.T @ left - value * left) <= 1e-10 * np.linalg.norm(a)
-        # on the same decomposition, a power of two scales the values exactly
-        # and leaves the vectors, past where sums of squares overflow
+        # on the same decomposition scaled by a power of two, past where sums
+        # of squares overflow, the checks pass and the vectors stay the same
         ev, vecs = eig_all(a, vectors=True)
         for j in (-1000, 1000):
             scaled = eigen_triple(2.0**j * a, 2.0**j * ev, vecs, np.arange(5))
-            assert np.array_equal(scaled.value, 2.0**j * eig.value)
             assert np.array_equal(scaled.right, eig.right) and np.array_equal(scaled.left, eig.left)
+            assert np.array_equal(scaled.pairing, eig.pairing)
 
 
 def test_eigen_triple_real_eigenvalue_gives_real_vectors():
@@ -132,8 +131,8 @@ def test_eigen_triple_real_eigenvalue_gives_real_vectors():
     a = rng.standard_normal((4, 4))
     a = a + a.T  # symmetric: all eigenvalues real
     eig = pairs_at(a)
-    assert np.all(np.imag(eig.value) == 0.0)
-    assert not np.iscomplexobj(eig.right)
+    assert np.all(eig_all(a).imag == 0.0)
+    assert not np.iscomplexobj(eig.right) and not np.iscomplexobj(eig.left)
 
 
 def test_eigen_triple_real_columns_exactly_real_beside_complex_ones():

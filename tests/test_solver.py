@@ -358,8 +358,8 @@ def test_observer_sees_the_exact_seed_spectrum(monkeypatch):
 
 @pytest.mark.parametrize("fill_scale", [0.1, 1.0, 2.0])
 def test_final_residual_is_the_greedy_distance_of_the_last_iterate(fill_scale):
-    """The final check reads the last accepted iterate's residual vector;
-    inside disjoint discs that is the greedy multiset distance, to the bit."""
+    """The final check is verify's greedy distance of the last accepted
+    iterate's eigenvalues, which the observer sees, as a float."""
     rng = np.random.default_rng(31)
     solved = 0
     for _ in range(12):
@@ -375,7 +375,17 @@ def test_final_residual_is_the_greedy_distance_of_the_last_iterate(fill_scale):
             continue
         solved += 1
         assert rep.final_residual == spectrum_mismatch(last[-1], s)
+        assert type(rep.final_residual) is float
     assert solved >= 8
+
+
+def test_final_residual_is_a_float_with_and_without_fills():
+    s = Spectrum(pairs=(), reals=(1.0, 2.0, 3.0))
+    for slots in ((), ((1, 2),)):
+        p = Pattern.from_slots(n=3, k=0, slots=slots, bidirected=(False,) * len(slots))
+        rep = continuation_solve(s, p)
+        assert type(rep.final_residual) is float
+        assert rep.final_residual == spectrum_mismatch(eig_all(rep.matrix), s)
 
 
 def test_continuation_path3():
