@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch, RepeatedEigenvalues
 from .graph import Graph, make_graph, max_matching, plan_relabeling
 from .linalg import eig_all, unit_exponent
-from .model import Spectrum, _distances, spectrum_mismatch
+from .model import Spectrum, min_gap, spectrum_mismatch
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -74,9 +74,7 @@ def tridiagonalize(m, cfg: SolverConfig | None = None) -> SolveReport:
     a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if n > 1:
-        dist = _distances(ev, ev)
-        dist.flat[:: n + 1] = np.inf  # the diagonal, as Spectrum.radius takes the gap
-        gap = dist.min()
+        gap, _, _ = min_gap(ev)
         # compared at order one, where the norm's sum of squares neither overflows nor underflows
         exp = unit_exponent(a)
         if np.ldexp(gap, -exp) <= GAP_FACTOR * np.linalg.norm(np.ldexp(a, -exp)):

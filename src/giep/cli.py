@@ -15,7 +15,8 @@ Exit codes are a total function of the error taxonomy:
 check is fixed; ``verify --tol`` checks a matrix at any tolerance.
 
 The environment variable GIEP_LOG in {quiet, info, trace} controls
-diagnostic verbosity on standard error.
+diagnostic verbosity on standard error; any other value is reported there
+and read as quiet.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .model import (
     parse_matrix_csv,
     parse_spectrum,
 )
-from .solver import SolveReport, SolverConfig
+from .solver import MODES, SolveReport, SolverConfig
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -75,8 +76,6 @@ DEFAULT_SEED = 20240801
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
 
-logger = logging.getLogger("giep.cli")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage errors through the exit-code mapping."""
@@ -85,12 +84,29 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is
+    emitted, so a caller that redirects stderr receives the records."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _stream):
+        pass  # always the current sys.stderr
+
+
 def _configure_logging() -> None:
-    level_name = os.environ.get("GIEP_LOG", "quiet").strip().lower()
-    level = _LOG_LEVELS.get(level_name, logging.WARNING)
+    value = os.environ.get("GIEP_LOG", "quiet")
+    level = _LOG_LEVELS.get(value.strip().lower())
+    if level is None:
+        print(f"giep: ignoring GIEP_LOG={value!r}; accepted values: {', '.join(_LOG_LEVELS)}",
+              file=sys.stderr)
+        level = logging.WARNING
     root = logging.getLogger("giep")
     if not root.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
         root.addHandler(handler)
     if root.level != level:  # setLevel clears every logger's cache
@@ -338,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--spectrum", help="spectrum JSON file")
     solve.add_argument("--graph", help="edge-list graph file")
     solve.add_argument("--out", help="output matrix CSV")
-    solve.add_argument("--mode", choices=("generic", "symmetric", "skew"), default="generic")
+    solve.add_argument("--mode", choices=MODES, default="generic")
     solve.add_argument("--batch", help="solve every *.spectrum/*.graph pair in a directory")
     solve.add_argument("--jobs", type=int, help="batch worker count")
     solve.set_defaults(func=_cmd_solve)

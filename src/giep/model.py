@@ -151,17 +151,13 @@ class Spectrum:
         points = self._points
         if self.n == 1:
             return float((1.0 + abs(points[0])) / 3.0)
-        with np.errstate(over="ignore"):
-            dist = _distances(points, points)
-        dist.flat[:: self.n + 1] = np.inf  # the diagonal
-        gap = dist.min()
+        gap, i, j = min_gap(points)
         mu_min = min((mu for _, mu in self.pairs), default=math.inf)
         eps = min(gap / 3.0, mu_min / 2.0)
         if not (math.isfinite(eps) and eps > 0.0):
             raise ValueError("disc radius must be positive and finite")
         # eps <= mu_min/2 < mu_min: no non-real disc reaches the real axis
         if not gap > 2.0 * eps:
-            i, j = np.unravel_index(dist.argmin(), dist.shape)
             raise ValueError(f"discs at {points[i]} and {points[j]} are not disjoint")
         return float(eps)
 
@@ -335,6 +331,16 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     re = np.subtract.outer(a.real, b.real)
     return np.hypot(re, np.subtract.outer(a.imag, b.imag), out=re)
+
+
+def min_gap(points: np.ndarray) -> tuple[float, int, int]:
+    """The minimum distance between two of at least two complex ``points``,
+    and the first pair (i, j) in row-major order at that distance."""
+    with np.errstate(over="ignore"):
+        dist = _distances(points, points)
+    dist.flat[:: points.size + 1] = np.inf  # the diagonal
+    i, j = np.unravel_index(dist.argmin(), dist.shape)
+    return dist[i, j], int(i), int(j)
 
 
 def assemble(p: Pattern, theta) -> np.ndarray:

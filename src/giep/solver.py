@@ -106,6 +106,7 @@ MAX_NEWTON = 25             # newton iterations before a trial is rejected
 MAX_STEPS = 10_000          # accepted continuation steps before StepUnderflow
 EASY_NEWTON_ITERS = 4       # an accept this cheap counts toward doubling the step
 CHORD_RATIO = 0.1           # a chord step shrinking the residual by less than this forms a Jacobian
+MODES = ("generic", "skew")  # how default_targets ties omega* to u*
 
 
 def final_tolerance(s: Spectrum) -> float:
@@ -354,17 +355,16 @@ def default_targets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fill targets sized fill_scale * s.radius, tied together by mode.
 
-    generic and symmetric set omega* = u*; skew sets omega* = -u*.  For
-    one-directional slots the omega component is zero (never written).
-    The one check of ``mode`` and ``fill_scale``: raises ValueError for an
-    unknown mode, a tied mode with a one-directional slot, or fills that
-    are not finite or below :func:`nonzero_floor`, which ``verify`` applies.
+    generic sets omega* = u*, so with k = 0 and every slot bidirected its
+    output is bitwise symmetric; skew sets omega* = -u*.  The one check of
+    ``mode`` and ``fill_scale``: raises ValueError for a mode not in MODES,
+    skew with a one-way slot, or fills not finite or below :func:`nonzero_floor`.
     """
     cfg = cfg or SolverConfig()
-    if mode not in ("generic", "symmetric", "skew"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "generic" and not p.bidirected.all():
-        raise ValueError(f"{mode} mode requires every slot to be bidirected")
+    if mode == "skew" and not p.bidirected.all():
+        raise ValueError("skew mode requires every slot to be bidirected")
     magnitude = cfg.fill_scale * s.radius
     floor = nonzero_floor(s)
     if not floor <= magnitude < np.inf:

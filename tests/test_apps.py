@@ -110,7 +110,7 @@ def test_solve_instance_dimension_mismatch():
 def test_solve_instance_symmetric_2x2_closed_form():
     s = Spectrum(pairs=(), reals=(1.0, 2.0))
     g = make_graph(2, [(1, 2)])
-    rep = solve_instance(s, g, mode="symmetric")
+    rep = solve_instance(s, g, mode="generic")
     m = rep.matrix
     b = m[0, 1]
     assert b != 0.0 and m[1, 0] == b
@@ -138,11 +138,17 @@ def test_solve_instance_directed_graph():
     assert verify(m, S3, g).passed
 
 
-def test_solve_instance_symmetric_mode_needs_undirected():
+def test_solve_instance_skew_mode_needs_bidirected_slots():
     s = Spectrum(pairs=(), reals=(1.0, 2.0))
     g_dir = make_graph(2, [(1, 2)], directed=True)
-    with pytest.raises(ValueError):
-        solve_instance(s, g_dir, mode="symmetric")
+    with pytest.raises(ValueError, match="skew mode requires every slot to be bidirected"):
+        solve_instance(s, g_dir, mode="skew")
+
+
+def test_solve_instance_has_no_symmetric_mode():
+    s = Spectrum(pairs=(), reals=(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"^unknown mode 'symmetric'$"):
+        solve_instance(s, make_graph(2, [(1, 2)]), "symmetric")
 
 
 def test_solve_instance_random_sweep_verifies():

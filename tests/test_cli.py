@@ -1,7 +1,11 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from giep.cli import main, random_graph, random_spectrum
 from giep.errors import BadFormat, MatchingTooSmall, SingularSystem
 from giep.graph import format_graph
 from giep.model import format_spectrum, parse_matrix_csv
+from giep.solver import MODES
 from conftest import bidirected_pairs, loop_random_graph, loop_random_spectrum
 
 SPECTRUM_3 = '{"pairs": [[1.0, 2.0]], "reals": [3.0]}\n'
@@ -138,6 +143,20 @@ def test_removed_solve_flags_are_usage_errors(instance, capsys, flag):
     argv = ["--spectrum", str(spectrum), "--graph", str(graph), "--out", str(out), *flag]
     assert main(["solve", *argv]) == 1
     assert capsys.readouterr().err == f"giep: bad input: unrecognized arguments: {' '.join(flag)}\n"
+    assert not out.exists()
+
+
+def test_mode_choices_are_the_solver_modes(instance, capsys):
+    (commands,) = [a.choices for a in giep.cli.build_parser()._actions if a.dest == "command"]
+    (mode,) = [a for a in commands["solve"]._actions if a.dest == "mode"]
+    assert mode.choices is MODES
+    assert MODES == ("generic", "skew")
+    tmp, spectrum, graph = instance
+    out = tmp / "m.csv"
+    argv = ["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(out)]
+    assert main([*argv, "--mode", "symmetric"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("giep: bad input: argument --mode: invalid choice: 'symmetric'")
     assert not out.exists()
 
 
@@ -544,3 +563,57 @@ def test_unreadable_files_report_as_path_does(tmp_path, capsys):
     with pytest.raises(OSError) as got:
         giep.cli._read(tmp_path)
     assert str(got.value) == str(want.value)
+
+
+@pytest.fixture
+def giep_log(monkeypatch):
+    """Sets GIEP_LOG for one test; afterwards the giep logger is quiet again,
+    as the next ``main`` call would leave it."""
+    yield lambda value: monkeypatch.setenv("GIEP_LOG", value)
+    logging.getLogger("giep").setLevel(logging.WARNING)
+
+
+def test_log_lines_reach_the_current_stderr(instance, giep_log):
+    """Every in-process call logs to the stderr it runs under, not to the
+    stream of the first call."""
+    giep_log("info")
+    tmp, spectrum, graph = instance
+    argv = ["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(tmp / "m.csv")]
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 0
+        assert err.getvalue().startswith("giep.solver: continuation finished: ")
+
+
+def test_trace_logs_every_rejected_trial(tmp_path, monkeypatch, capsys, giep_log):
+    import giep.solver as solver
+
+    trials = []
+    real_correct = solver.newton_correct
+
+    def counted(*args):
+        trials.append(args)
+        return real_correct(*args)
+
+    monkeypatch.setattr(solver, "newton_correct", counted)
+    giep_log("trace")
+    # fill three radii wide: the whole-interval trial is rejected on this seed
+    rng = np.random.default_rng(2)
+    spectrum, graph = tmp_path / "s.spectrum", tmp_path / "g.graph"
+    spectrum.write_text(format_spectrum(random_spectrum(rng, 3, 4)))
+    graph.write_text(format_graph(random_graph(rng, 10, 3, 0.3)))
+    argv = ["--spectrum", str(spectrum), "--graph", str(graph), "--out", str(tmp_path / "m.csv")]
+    assert main(["solve", *argv, "--fill-scale", "3"]) == 0
+    out, err = capsys.readouterr()
+    rejected = [line for line in err.splitlines() if line.startswith("giep.solver: rejected t=")]
+    steps = int(re.search(r" steps=(\d+) ", out).group(1))
+    assert rejected[0].startswith("giep.solver: rejected t=1 (eigenvalue ")
+    assert len(rejected) == len(trials) - steps > 0
+
+
+def test_unknown_log_level_is_reported(instance, capsys, giep_log):
+    giep_log("debug")
+    tmp, spectrum, graph = instance
+    assert main(["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(tmp / "m.csv")]) == 0
+    assert capsys.readouterr().err == "giep: ignoring GIEP_LOG='debug'; accepted values: quiet, info, trace\n"

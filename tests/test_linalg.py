@@ -194,6 +194,16 @@ def test_solve_singular_raises():
         check_conditioning([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
 
 
+def test_linear_algebra_rejects_nonfinite_and_misshapen_inputs():
+    for call in (check_conditioning, lambda a: solve_linear(a, [1.0, 1.0])):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            call([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^expected a vector of length 2, got shape \(3,\)$"):
+        solve_linear(np.eye(2), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        solve_linear(np.eye(2), [1.0, np.inf])
+
+
 def test_check_conditioning_is_the_only_svd(monkeypatch):
     with pytest.raises(SingularSystem, match="smallest singular value"):
         check_conditioning([[1.0, 1.0], [1.0, 1.0 + 1e-15]])

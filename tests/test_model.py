@@ -253,6 +253,22 @@ def test_spectrum_mismatch_counts_multiset():
     assert spectrum_mismatch([1.0 + 0j, 1.0 + 0j], s) == pytest.approx(1.0)
 
 
+def test_label_and_mismatch_need_one_eigenvalue_per_target():
+    s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
+    for call in (label_eigenvalues, spectrum_mismatch):
+        with pytest.raises(ValueError, match="^expected 3 eigenvalues, got 2$"):
+            call([1 + 2j, 1 - 2j], s)
+
+
+def test_spectrum_mismatch_without_a_usable_radius_is_the_greedy_distance():
+    s = Spectrum(pairs=(), reals=(0.0, 1e-323, 2e-323))
+    with pytest.raises(ValueError, match="are not disjoint"):
+        s.radius
+    assert spectrum_mismatch(s.values(), s) == 0.0
+    # the target 1e-323 takes the earlier of its two nearest eigenvalues, 0.0
+    assert spectrum_mismatch([0.0, 0.0, 2e-323], s) == 1e-323
+
+
 def test_spectrum_file_round_trip():
     s = Spectrum(pairs=((1.25, 2.5), (-0.75, 0.001220703125)), reals=(3.0, -7.125))
     assert parse_spectrum(format_spectrum(s)) == s

@@ -13,6 +13,7 @@ from giep.model import Pattern, assemble, label_eigenvalues, spectrum_mismatch
 from giep.solver import (
     CHORD_RATIO,
     MAX_NEWTON,
+    MODES,
     TOL_NEWTON_FACTOR,
     continuation_solve,
     default_targets,
@@ -100,6 +101,15 @@ def test_jacobian_identity_at_seed():
         p = Pattern.from_slots(n=s.n, k=s.k)
         jac = jacobian_xyz(p, triples)
         assert np.abs(jac - np.eye(2 * s.k + s.l)).max() <= 1e-9
+
+
+def test_jacobian_rejects_eigenvectors_of_the_wrong_shape():
+    _, triples = seed_triples(S3)  # two eigenpairs
+    p = Pattern.from_slots(n=3, k=0)  # needs three
+    with pytest.raises(
+        DimensionMismatch, match=r"^eigenvectors have shapes \(3, 2\)/\(2, 3\), pattern n=3 needs 3 eigenpairs$"
+    ):
+        jacobian_xyz(p, triples)
 
 
 def test_jacobian_matches_finite_differences_off_seed():
@@ -398,7 +408,9 @@ def test_continuation_path3():
     assert rep.history[0].t == 0.0 and rep.history[-1].t == 1.0
 
 
-def test_continuation_symmetric_mode_exact_symmetry():
+def test_continuation_k0_bidirected_exact_symmetry():
+    """With k = 0 and every slot bidirected, generic mode's tied fills keep
+    the matrix bitwise symmetric."""
     s = Spectrum(pairs=(), reals=(1.0, 2.0, 3.0))
     p = Pattern.from_slots(n=3, k=0, slots=((1, 2), (2, 3)), bidirected=(True, True))
 
@@ -407,7 +419,7 @@ def test_continuation_symmetric_mode_exact_symmetry():
         assert np.array_equal(m, m.T)  # exactly, at every accepted step
 
     cfg = SolverConfig(observer=assert_symmetric)
-    rep = continuation_solve(s, p, mode="symmetric", cfg=cfg)
+    rep = continuation_solve(s, p, mode="generic", cfg=cfg)
     assert np.array_equal(rep.matrix, rep.matrix.T)
     assert spectrum_mismatch(eig_all(rep.matrix), s) <= 1e-8 * (1 + s.inf_norm())
 
@@ -435,12 +447,11 @@ def test_continuation_mode_validation():
     s = Spectrum(pairs=(), reals=(1.0, 2.0))
     p = Pattern.from_slots(n=2, k=0, slots=((1, 2),), bidirected=(True,))
     p_dir = Pattern.from_slots(n=2, k=0, slots=((2, 1),), bidirected=(False,))
-    for mode in ("symmetric", "skew"):
-        with pytest.raises(ValueError, match=f"{mode} mode requires every slot to be bidirected"):
-            continuation_solve(s, p_dir, mode)
+    with pytest.raises(ValueError, match="skew mode requires every slot to be bidirected"):
+        continuation_solve(s, p_dir, "skew")
     with pytest.raises(ValueError, match="unknown mode"):  # checked before the scale
         continuation_solve(s, p, "bogus", SolverConfig(fill_scale=-1.0))
-    for mode in ("generic", "symmetric", "skew"):
+    for mode in MODES:
         for fill_scale in (float("nan"), float("inf"), 0.0, -1.0):
             with pytest.raises(ValueError, match="fill_scale must be positive and finite"):
                 continuation_solve(s, p, mode, SolverConfig(fill_scale=fill_scale))
@@ -934,30 +945,29 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [40, 160])
-@pytest.mark.parametrize("mode", ["generic", "symmetric"])
-def test_chord_solve_matches_every_iterate_newton(monkeypatch, mode, n):
+@pytest.mark.parametrize("graph", ["directed", "undirected"])
+def test_chord_solve_matches_every_iterate_newton(monkeypatch, graph, n):
     """The chord iteration stops at other iterates than full Newton, so the
     block entries may differ in their last bits, but the written fills and
-    the structural zeros are the same bits.  The generic case runs on a
-    directed graph whose unmatched edges are one-way, a pattern no tied mode
-    allows."""
+    the structural zeros are the same bits.  The directed case keeps the
+    matching bidirected and makes every unmatched edge one-way."""
     import giep.solver as solver
 
     rng = np.random.default_rng(n + 1)
     s = random_spectrum(rng, n // 4, n // 2, box=n / 2)
     g = random_graph(rng, n, n // 4, 4 / n)
     pairs = set(max_matching(g))
-    if mode == "generic":
+    if graph == "directed":
         g = make_graph(n, sorted(e for e in g.edges if e[0] < e[1] or e[::-1] in pairs), directed=True)
     _, p = plan_relabeling(g, max_matching(g), s.k)
-    assert all(p.bidirected) == (mode == "symmetric")
-    chord = continuation_solve(s, p, mode).matrix
+    assert all(p.bidirected) == (graph == "undirected")
+    chord = continuation_solve(s, p).matrix
 
     def full_newton(p, s, theta, jac, refresh):
         return (*newton_every_iterate(p, s, theta), jac)
 
     monkeypatch.setattr(solver, "newton_correct", full_newton)
-    oracle = continuation_solve(s, p, mode).matrix
+    oracle = continuation_solve(s, p).matrix
 
     e = p.entries
     fill = e.param >= p.n
