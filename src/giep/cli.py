@@ -385,7 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.  The ``giep`` logger
+    logs at GIEP_LOG's level during the call and gets its own level back
+    after it, so library calls that follow in the same process log as
+    they did before."""
+    giep_logger = logging.getLogger("giep")
+    level = giep_logger.level
     _configure_logging()
     parser = build_parser()
     try:
@@ -395,6 +400,9 @@ def main(argv=None) -> int:
         code, label = _failure(exc)
         print(f"giep: {label}: {exc}", file=sys.stderr)
         return code
+    finally:
+        if giep_logger.level != level:  # setLevel clears every logger's cache
+            giep_logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -13,13 +13,15 @@ and stays nonsingular nearby.  Fill entries are written verbatim and never
 solved for, so the output matrix carries its prescribed nonzeros exactly.
 
 By the implicit function theorem at the seed, the solution curve is
-(x, y, z)(t) = target - t^2 * delta_2 + O(t^3), where delta_2 is the
-fills' second-order eigenvalue shift.  :func:`second_order_shift` computes
-it in closed form from the seed's known eigenvectors, whose components at
-a vertex follow from the vertex and k alone, and every trial from the seed
-starts on that curve, so one chord correction usually absorbs default-size
-fills.  The seed itself is never decomposed: it realizes the targets by
-construction.
+analytic in t: (x, y, z)(t) = target - t^2 c2 - t^3 c3 - t^4 c4 + O(t^5),
+where c2 is the fills' second-order eigenvalue shift.
+:func:`solution_curve` computes the three coefficients from the seed's
+known eigenvectors, whose components at a vertex follow from the vertex
+and k alone: c2 by :func:`second_order_shift` in closed form, c3 and c4
+from the same coupling, densified.  Every trial from the seed starts on
+that curve, so a default-size solve usually starts within the Newton
+tolerance and needs no correction at all.  The seed itself is never
+decomposed: it realizes the targets by construction.
 
 A first-order eigenvalue perturbation identity supplies the Jacobian: for
 a simple eigenvalue with unit right/left eigenvectors v and w, moving the
@@ -106,6 +108,7 @@ MAX_NEWTON = 25             # newton iterations before a trial is rejected
 MAX_STEPS = 10_000          # accepted continuation steps before StepUnderflow
 EASY_NEWTON_ITERS = 4       # an accept this cheap counts toward doubling the step
 CHORD_RATIO = 0.1           # a chord step shrinking the residual by less than this forms a Jacobian
+SHIFT_ROWS = 32             # rows per block of the higher-order terms, which bounds their memory
 MODES = ("generic", "skew")  # how default_targets ties omega* to u*
 
 
@@ -155,30 +158,21 @@ def jacobian_xyz(p: Pattern, eig: Eigenpairs) -> np.ndarray:
     return np.vstack([zeta[: p.k].real, zeta[: p.k].imag, zeta[p.k :].real])
 
 
-def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
-    """Second-order shift of the labeled coordinates when the fills
-    ``fills`` = (u, omega) are written into the seed, in closed form.
+def _coupling(p: Pattern, fills: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The coupling G = W^T F V of the fills ``fills`` = (u, omega) in the
+    seed's eigenbasis, as its entries G_ab at the sorted keys a*n + b, with
+    the fills scaled by 2^-exp, the power of two that brings the largest to
+    order one; returns (keys, G values, exp).
 
-    Eigenvalue a of seed + F moves by sum_{b != a} G_ab G_ba / (lam_a - lam_b)
-    to second order, where G = W^T F V in the seed's eigenbasis (Kato,
-    *Perturbation Theory for Linear Operators*, II.2); the first-order term
-    G_aa is zero because no fill sits inside a block.  Eigenvalues are
-    numbered as :meth:`Spectrum.values` lists them.  Block j's plus and minus
-    eigenvectors are v = (1, +-i) and w = (1, -+i)/2 on its two vertices,
-    scaled so that w^T v = 1, and a real vertex's are 1; a fill entry's
-    eigenvalues and components follow from its row and column by closed
-    form, with no table over the n vertices.  Each fill entry
+    Eigenvalues are numbered as :meth:`Spectrum.values` lists them.  Block
+    j's plus and minus eigenvectors are v = (1, +-i) and w = (1, -+i)/2 on
+    its two vertices, scaled so that w^T v = 1, and a real vertex's are 1; a
+    fill entry's eigenvalues and components follow from its row and column
+    by closed form, with no table over the n vertices.  Each fill entry
     (r, c) adds to G_ab for the at most two eigenvalues a of r's block and b
-    of c's; the contributions are summed per key a*n + b and each key is
-    paired with its transpose, so work and memory grow with the number of
-    fill entries, not with n^2.  The shift is homogeneous of degree one in
-    the fills and the spectrum together, so it is evaluated with both
-    scaled by the power of two that brings the largest fill to order one
-    and scaled back: the same bits wherever the products G_ab G_ba neither
-    overflow nor underflow, and finite wherever the shift itself is.
-    Returns the shifts as (lam, mu, gamma) coordinates, the real and
-    imaginary parts of the plus shifts, then the real shifts; a shift
-    beyond the float range comes back infinite.
+    of c's, and the contributions are summed per key, so work and memory
+    grow with the number of fill entries, not with n^2.  G_aa is zero: no
+    fill sits inside a block.
     """
     n, k = p.n, p.k
     e = p.entries
@@ -203,20 +197,125 @@ def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray
     first = np.ones(key.size, dtype=bool)  # the first of each run of equal keys
     first[1:] = key[1:] != key[:-1]
     first = np.flatnonzero(first)
-    keys = key[first]
-    g = np.add.reduceat(g_part.ravel()[order], first)
+    return key[first], np.add.reduceat(g_part.ravel()[order], first), exp
 
+
+def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
+    """Second-order shift of the labeled coordinates when the fills
+    ``fills`` = (u, omega) are written into the seed, in closed form.
+
+    Eigenvalue a of seed + F moves by E2_a = sum_{b != a} G_ab G_ba /
+    (lam_a - lam_b) to second order, where G = W^T F V is
+    :func:`_coupling` (Kato, *Perturbation Theory for Linear Operators*,
+    II.2); the first-order term G_aa is zero.  Each key of G is paired with
+    its transpose, so work and memory grow with the number of fill entries,
+    not with n^2.  The shift is homogeneous of degree one in the fills and
+    the spectrum together, so it is evaluated with both scaled by the power
+    of two that brings the largest fill to order one and scaled back: the
+    same bits wherever the products G_ab G_ba neither overflow nor
+    underflow, and finite wherever the shift itself is.  Returns the shifts
+    as (lam, mu, gamma) coordinates, the real and imaginary parts of the
+    plus shifts, then the real shifts; a shift beyond the float range comes
+    back infinite.
+    """
+    coupling = _coupling(p, fills)
+    with np.errstate(over="ignore"):
+        return _coordinates(_second_order(p, coupling, s.values()), p.k, coupling[2])
+
+
+def _second_order(p: Pattern, coupling: tuple, lam: np.ndarray) -> np.ndarray:
+    """E2 of all n eigenvalues ``lam``, numbered as :meth:`Spectrum.values`
+    numbers them, from the coupling, at its scale 2^-exp."""
+    n = p.n
+    keys, g, exp = coupling
     a, b = np.divmod(keys, n)
     twin = b * n + a
     mate = np.minimum(np.searchsorted(keys, twin), keys.size - 1)
     paired = keys[mate] == twin
     a, b = a[paired], b[paired]
-    lam = s.values()
     gap = np.ldexp((lam[a] - lam[b]).view(float), -exp).view(complex)  # both parts scaled
     term = g[paired] * g[mate[paired]] / gap
-    shift = np.bincount(a, term.real, n) + 1j * np.bincount(a, term.imag, n)
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.concatenate([shift[:k].real, shift[:k].imag, shift[2 * k :].real]), exp)
+    return np.bincount(a, term.real, n) + 1j * np.bincount(a, term.imag, n)
+
+
+def _higher_orders(p: Pattern, coupling: tuple, lam: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """E2, E3 and c4 of the n eigenvalues ``lam``, as the rows of a 3 x n
+    array, from the coupling and E2, at the coupling's scale 2^-exp.
+
+    With D_ab = lam_a - lam_b, H = G / D and P = (H G) / D, both zero on
+    the diagonal,
+
+        E3_a = sum_c P_ac G_ca,
+        c4_a = sum_d (P G)_ad G_da / D_ad - sum_b G_ab G_ba E2_b / D_ab^2.
+
+    G is densified, and the rows are formed SHIFT_ROWS at a time, by two
+    products with the n x n G each, which bounds the memory they take.  The
+    minus rows are the plus rows' conjugates and go unused; forming them in
+    the same contiguous blocks takes fewer numpy calls than gathering the
+    plus and real rows, which is what a small solve pays for.
+    """
+    n = p.n
+    keys, g, exp = coupling
+    dense = np.zeros(n * n, dtype=complex)
+    dense[keys] = g
+    dense = dense.reshape(n, n)
+    lam = np.ldexp(lam.view(float), -exp).view(complex)
+    e = np.empty((3, n), dtype=complex)
+    e[0] = e2
+    for start in range(0, n, SHIFT_ROWS):
+        rows = slice(start, start + SHIFT_ROWS)
+        inv = lam[rows, None] - lam
+        inv.ravel()[start :: n + 1] = np.inf  # 1/D is zero on the diagonal
+        np.divide(1.0, inv, out=inv)
+        h = dense[rows] * inv
+        back = dense[:, rows].T * inv  # G_ba / D_ab in row a
+        c4 = (h * back) @ e2
+        h = h @ dense
+        e[1, rows] = (h * back).sum(axis=1)
+        h *= inv
+        e[2, rows] = ((h @ dense) * back).sum(axis=1) - c4
+    return e
+
+
+def _coordinates(shift: np.ndarray, k: int, exp: int) -> np.ndarray:
+    """Shifts of the n eigenvalues along the last axis, at scale 2^-exp, as
+    (lam, mu, gamma) coordinates: the real and imaginary parts of the plus
+    shifts, then the real shifts, scaled back."""
+    plus, real = shift[..., :k], shift[..., 2 * k :]
+    return np.ldexp(np.concatenate([plus.real, plus.imag, real.real], axis=-1), exp)
+
+
+def solution_curve(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
+    """The coefficients (c2, c3, c4) of the fourth-order solution curve
+    (x, y, z)(t) = target - t^2 c2 - t^3 c3 - t^4 c4 + O(t^5) on which the
+    seed with fills t * ``fills`` keeps the target spectrum, as the rows of
+    a 3 x n array.
+
+    The eigenvectors of the seed, and so its coupling G to the fills, are
+    the same at every (x, y, z) = nu, so its eigenvalues with fills t F are
+    nu + t^2 E2(nu) + t^3 E3(nu) + t^4 E4(nu) + O(t^5), where
+    Rayleigh-Schroedinger perturbation theory with G_aa = 0 gives, with
+    D_ab = nu_a - nu_b,
+
+        E3_a = sum_bc G_ab G_bc G_ca / (D_ab D_ac),
+        E4_a = sum_bcd G_ab G_bc G_cd G_da / (D_ab D_ac D_ad)
+               - E2_a sum_b G_ab G_ba / D_ab^2.
+
+    Setting them to the target along nu = target - t^2 c2 - ... gives
+    c2 = E2, which is :func:`second_order_shift`, c3 = E3, and c4 = E4 -
+    (dE2/dnu) c2, all at the target.  -(dE2/dnu) c2 is
+    sum_b G_ab G_ba (c2_a - c2_b) / D_ab^2, so E2_a's term in E4_a cancels.
+    All three share one coupling and are evaluated at its order-one scale,
+    then scaled back, as :func:`second_order_shift` is.  A coordinate with
+    a coefficient that is not finite gets NaN in all three, so that every
+    start there is NaN, without a warning.
+    """
+    coupling = _coupling(p, fills)
+    lam = s.values()
+    with np.errstate(all="ignore"):
+        shifts = _higher_orders(p, coupling, lam, _second_order(p, coupling, lam))
+        curve = _coordinates(shifts, p.k, coupling[2])
+    return np.where(np.isfinite(curve).all(axis=0), curve, np.nan)
 
 
 def newton_correct(
@@ -387,9 +486,11 @@ def continuation_solve(
     iterate or a failed eigendecomposition) and doubles after two
     consecutive easy accepts, up to 1; each trial is clipped to the rest of
     the interval.  A trial from the seed starts at (x, y, z) = target -
-    t^2 * second_order_shift, the seed's second-order solution curve; later
-    trials start at the last accepted point.  Trials correct with the chord
-    iteration, except that a trial after a rejection runs full Newton.  On
+    t^2 (c2 + t (c3 + t c4)), the seed's fourth-order solution curve from
+    :func:`solution_curve`; later trials start at the last accepted point.
+    Trials correct with the chord iteration, except that a trial after a
+    rejection runs full Newton; a start within the Newton tolerance takes
+    no correction, and its one ``eigvals`` is also the final check.  On
     success the returned matrix realizes the target spectrum with every
     slot entry written at its exact target, and ``final_residual`` is the
     float :func:`spectrum_mismatch` of its eigenvalues: the last accepted
@@ -422,7 +523,8 @@ def continuation_solve(
     if cfg.observer is not None:
         cfg.observer(state, s._centers)
     # without fills the seed is the solution and no trial runs
-    shift = second_order_shift(p, s, np.concatenate([u_target, omega_target])) if p.m else None
+    if p.m:
+        c2, c3, c4 = solution_curve(p, s, np.concatenate([u_target, omega_target]))
 
     jac = None  # the chord matrix; None is the seed's identity Jacobian
     step = 1.0
@@ -444,8 +546,11 @@ def continuation_solve(
                 f"step {trial_dt:.3g} no longer advances t={state.t:.6g}",
                 t_reached=state.t,
             )
-        # a trial from the seed starts on the second-order curve target - t^2 shift
-        xyz = target - (t_try * t_try) * shift if state.t == 0.0 else state.theta[: p.n]
+        # a trial from the seed starts on the fourth-order solution curve
+        if state.t == 0.0:
+            xyz = target - (t_try * t_try) * (c2 + t_try * (c3 + t_try * c4))
+        else:
+            xyz = state.theta[: p.n]
         theta_try = np.concatenate([xyz, t_try * u_target, t_try * omega_target])
         try:
             theta_new, iters, r, ev, jac = newton_correct(p, s, theta_try, jac, retry)

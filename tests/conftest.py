@@ -241,23 +241,38 @@ def newton_every_iterate(
     raise NoConvergence(f"newton residual {residual:.3e} above {tol:.3e}")
 
 
-def second_order_shift_dense(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
-    """Second-order coordinate shift from a dense eigendecomposition of the
-    seed: sum_{b != a} G_ab G_ba / (lam_a - lam_b) with G = V^-1 F V, where
-    F holds the fills and V the seed's right eigenvectors from
-    ``np.linalg.eig``; the oracle for the solver's closed form.  Returns
-    (lam, mu, gamma) coordinates: the tracked plus shifts' real and
-    imaginary parts, then the real shifts."""
+def solution_curve_dense(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
+    """The solution curve's coefficients (c2, c3, c4) from a dense
+    eigendecomposition of the seed, as the rows of a 3 x n array: the
+    oracle for the solver's closed forms.  G = V^-1 F V, where F holds the
+    fills and V the seed's right eigenvectors from ``np.linalg.eig``, and
+    R_ab = 1/(lam_a - lam_b) off the diagonal, 0 on it.  The
+    Rayleigh-Schroedinger sums with G_aa = 0 are summed term by term,
+
+        E2_a = sum_b G_ab G_ba R_ab,
+        E3_a = sum_bc G_ab G_bc G_ca R_ab R_ac,
+        E4_a = sum_bcd G_ab G_bc G_cd G_da R_ab R_ac R_ad - E2_a sum_b G_ab G_ba R_ab^2,
+
+    and c2 = E2, c3 = E3 and c4 = E4 - (dE2/dlam) E2, where the derivative
+    of E2_a along the shifts E2 is -sum_b G_ab G_ba (E2_a - E2_b) R_ab^2.
+    Each row holds (lam, mu, gamma) coordinates: the tracked plus
+    coefficients' real and imaginary parts, then the real ones."""
     seed = build_seed(s)
     f = assemble(p, np.concatenate([s.target_coordinates(), fills])) - seed
     lam, vecs = np.linalg.eig(seed)
     g = np.linalg.solve(vecs, f @ vecs)
     gap = np.subtract.outer(lam, lam)
     np.fill_diagonal(gap, np.inf)
-    shift = (g * g.T / gap).sum(axis=1)
+    r = 1.0 / gap
+    e2 = np.einsum("ab,ba,ab->a", g, g, r)
+    e3 = np.einsum("ab,bc,ca,ab,ac->a", g, g, g, r, r)
+    e4 = np.einsum("ab,bc,cd,da,ab,ac,ad->a", g, g, g, g, r, r, r)
+    e4 -= e2 * np.einsum("ab,ba,ab,ab->a", g, g, r, r)
+    de2 = -np.einsum("ab,ba,ab,ab,ab->a", g, g, r, r, np.subtract.outer(e2, e2))
     idx = label_eigenvalues(lam, s)[1]
-    plus, real = shift[idx[: s.k]], shift[idx[s.k :]]
-    return np.concatenate([plus.real, plus.imag, real.real])
+    curve = np.stack([e2, e3, e4 - de2])
+    plus, real = curve[:, idx[: s.k]], curve[:, idx[s.k :]]
+    return np.concatenate([plus.real, plus.imag, real.real], axis=1)
 
 
 def second_order_shift_reference(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from giep import (
     StepUnderflow,
     parse_graph,
     parse_spectrum,
+    solve_instance,
     verify,
 )
 from giep.cli import main, random_graph, random_spectrum
@@ -254,7 +255,7 @@ def test_solve_fill_scale_must_size_finite_fills_above_the_floor(instance, capsy
 @pytest.mark.parametrize("fill_scale", ["1e150", "1e200", "1e300"])
 def test_solve_huge_fills_end_in_step_underflow(instance, capsys, recwarn, fill_scale):
     """Fills far beyond the discs end in StepUnderflow (exit 3).  From 1e200
-    the second-order start overflows; a trial whose start or iterate is not
+    the start overflows; a trial whose start or iterate is not
     finite is rejected like any other, where it was bad input (exit 1)
     after RuntimeWarnings."""
     tmp, spectrum, graph = instance
@@ -567,10 +568,21 @@ def test_unreadable_files_report_as_path_does(tmp_path, capsys):
 
 @pytest.fixture
 def giep_log(monkeypatch):
-    """Sets GIEP_LOG for one test; afterwards the giep logger is quiet again,
-    as the next ``main`` call would leave it."""
-    yield lambda value: monkeypatch.setenv("GIEP_LOG", value)
-    logging.getLogger("giep").setLevel(logging.WARNING)
+    """Sets GIEP_LOG for one test."""
+    return lambda value: monkeypatch.setenv("GIEP_LOG", value)
+
+
+def test_main_gives_the_giep_logger_its_level_back(instance, capsys, giep_log):
+    """After ``main`` under GIEP_LOG=info, a library solve in the same
+    process writes nothing to stderr."""
+    giep_log("info")
+    tmp, spectrum, graph = instance
+    level = logging.getLogger("giep").level
+    assert main(["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(tmp / "m.csv")]) == 0
+    assert "giep.solver: continuation finished: " in capsys.readouterr().err
+    assert logging.getLogger("giep").level == level
+    solve_instance(parse_spectrum(spectrum.read_text()), parse_graph(graph.read_text()))
+    assert capsys.readouterr().err == ""
 
 
 def test_log_lines_reach_the_current_stderr(instance, giep_log):

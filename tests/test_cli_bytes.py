@@ -24,10 +24,11 @@ from conftest import kernel_pin, loop_format_matrix_csv, loop_parse_matrix_csv, 
 
 # the digest for each OpenBLAS kernel, recorded as test_output_pin.PINS is
 CLI_PINS = {
-    "SkylakeX": "56e71de297ac76474ec1a9c245a56157e4ae867aab08784a5024d22fc74dfbf1",
-    "Haswell": "612e1e1ee1f923abac4c332b140418f6a9ee7578b3f04fe5885455fa99041645",
-    "Sandybridge": "e4f86662a24b4d193d0a9909edd98a46b33b67b1925bb86b9fb2b1484bc8e90a",
-    "Katmai": "e4f86662a24b4d193d0a9909edd98a46b33b67b1925bb86b9fb2b1484bc8e90a",
+    "SkylakeX": "ec84c3b7d765453e27820086658089de628f32ece857ba8efee85f427f63e5b1",
+    "Haswell": "68ffac9f4dafd2bd4a779640bf151f41e62eb3f51ea8217744dc16619f6e0c1f",
+    "Sandybridge": "166557f2d0d16d5b5565015a7bb2c728acd050f46f6dc5dffa16e5818c2bae32",
+    "Katmai": "166557f2d0d16d5b5565015a7bb2c728acd050f46f6dc5dffa16e5818c2bae32",
+    "Nehalem": "13253c99cda82ccf04c11ee0538a0be7be11a2b4083a47735159e6cd4c85951a",
 }
 
 
@@ -38,8 +39,9 @@ def run_cli(argv, out):
 
 
 def cli_outputs(tmp_path):
-    """``giep solve`` for n 2-24 in three modes, then ``giep tridiagonalize``
-    of Gaussian matrices for n 2-24, as (exit code, CSV bytes)."""
+    """``giep solve`` for n 2-24, each n twice in generic mode, then once in
+    skew mode, then ``giep tridiagonalize`` of Gaussian matrices for n 2-24,
+    as (exit code, CSV bytes)."""
     rng = np.random.default_rng(2030)
     spectrum, graph, matrix = (tmp_path / name for name in ("s.spectrum", "g.graph", "a.csv"))
     out = tmp_path / "out.csv"

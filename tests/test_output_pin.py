@@ -8,14 +8,21 @@ The digests were taken with numpy 2.4 and its bundled OpenBLAS; another
 LAPACK build may round differently and move them.  They also depend on the
 CPU kernel OpenBLAS picks at run time, so each group holds one digest per
 kernel, selected by ``conftest.openblas_corename()``: the default
-(SkylakeX) kernel of an AVX-512 machine, and the Haswell, Sandybridge and
-Prescott kernels as forced through OPENBLAS_CORETYPE on that machine.  A
-kernel without a digest fails every pin, naming the kernel; the CLI byte
-pin in test_cli_bytes.py is kept the same way.  ``numpy.show_config()``
-names the BLAS build; compare builds and kernels before suspecting the code
-when a pin fails on another machine.
+(SkylakeX) kernel of an AVX-512 machine, and the Haswell, Sandybridge,
+Prescott and Nehalem kernels as forced through OPENBLAS_CORETYPE on that
+machine.  A kernel without a digest fails every pin, naming the kernel;
+the CLI byte pin in test_cli_bytes.py is kept the same way.
+``numpy.show_config()`` names the BLAS build; compare builds and kernels
+before suspecting the code when a pin fails on another machine.
+
+One more pin holds for every kernel: the solve groups' structural zeros and
+written fill entries, every position off the diagonal and off the matched
+2x2 blocks, which the solver writes without LAPACK, and the type of each
+failure.  A change to the continuation may move the other digests, whose
+block entries are rounded through LAPACK; it must leave this one alone.
 """
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -27,17 +34,19 @@ import pytest
 from giep import Spectrum, make_graph, solve_instance, tridiagonalize
 from giep.cli import random_graph, random_spectrum
 from giep.errors import GiepError
+from giep.graph import max_matching, plan_relabeling
 from conftest import kernel_pin, openblas_corename
 
 
-def digest(runs) -> str:
-    """sha256 over each run's output matrix bytes, or its failure's type and message."""
+def digest(runs, messages: bool = True) -> str:
+    """sha256 over each run's output matrix bytes, or its failure's type and,
+    with ``messages``, its message."""
     h = hashlib.sha256()
     for run in runs:
         try:
             m = run()
         except GiepError as exc:
-            h.update(f"{type(exc).__name__}: {exc}".encode())
+            h.update((f"{type(exc).__name__}: {exc}" if messages else type(exc).__name__).encode())
         else:
             h.update(np.ascontiguousarray(m, dtype=float).tobytes())
     return h.hexdigest()
@@ -48,17 +57,29 @@ def spectrum_for(rng, n: int, k: int) -> Spectrum:
 
 
 def solved(s, g, mode="generic"):
-    return lambda: solve_instance(s, g, mode).matrix
+    return solve_instance(s, g, mode).matrix
+
+
+def zeros_and_fills(s, g, mode="generic"):
+    """The output's entries off its diagonal and off its matched 2x2 blocks,
+    in row-major order: its structural zeros and written fill entries, which
+    the solver writes without rounding them through LAPACK."""
+    order, _ = plan_relabeling(g, max_matching(g), s.k)
+    # user vertex i is vertex order[i] of the solved pattern, whose blocks
+    # are its vertex pairs (2j, 2j + 1) for j < k
+    block = np.where(order < 2 * s.k, order // 2, s.n + order)
+    return solved(s, g, mode)[block[:, None] != block]
 
 
 def random_runs():
-    """n from 2 to 24 through the CLI's generators, all three modes."""
+    """n from 2 to 24 through the CLI's generators: each n twice in generic
+    mode, then once in skew mode."""
     rng = np.random.default_rng(2024)
     for n in range(2, 25):
         for mode in ("generic", "generic", "skew"):
             k = int(rng.integers(0, n // 2 + 1))
             s = spectrum_for(rng, n, k)
-            yield solved(s, random_graph(rng, n, k, float(rng.uniform(0.05, 0.6))), mode)
+            yield s, random_graph(rng, n, k, float(rng.uniform(0.05, 0.6))), mode
 
 
 def directed_runs():
@@ -77,7 +98,7 @@ def directed_runs():
         edges.update(
             (a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b and rng.uniform() < prob
         )
-        yield solved(s, make_graph(n, sorted(edges), directed=True))
+        yield s, make_graph(n, sorted(edges), directed=True)
 
 
 def blossom_runs():
@@ -105,68 +126,92 @@ def blossom_runs():
             edges.add(frozenset((a, b)))
         g = make_graph(n, sorted(tuple(sorted(e)) for e in edges))
         k = k if case % 2 else n // 2
-        yield solved(spectrum_for(rng, n, k), g)
+        yield spectrum_for(rng, n, k), g
 
 
 def corner_runs():
     """k = 0, and graphs whose only edges form the matching (m = 0)."""
     rng = np.random.default_rng(2027)
     for n in (2, 5, 9, 16, 24):
-        yield solved(spectrum_for(rng, n, 0), random_graph(rng, n, 0, 0.3))
+        yield spectrum_for(rng, n, 0), random_graph(rng, n, 0, 0.3)
         k = n // 2
-        yield solved(spectrum_for(rng, n, k), random_graph(rng, n, k, 0.0))
+        yield spectrum_for(rng, n, k), random_graph(rng, n, k, 0.0)
 
 
 def tridiagonalize_runs():
     rng = np.random.default_rng(2028)
     for n in range(2, 12):
         a = rng.standard_normal((n, n))
-        yield lambda a=a: tridiagonalize(a).matrix
+        yield (a,)
+
+
+def tridiagonalized(a):
+    return tridiagonalize(a).matrix
 
 
 # per group, the digest for each OpenBLAS kernel, by the name
 # conftest.openblas_corename() reports: SkylakeX is an AVX-512 machine's
 # default; the others were recorded on that machine under
-# OPENBLAS_CORETYPE=Haswell (Zen reports Haswell too), Sandybridge and
-# Prescott, which reports Katmai
+# OPENBLAS_CORETYPE=Haswell (Zen reports Haswell too), Sandybridge,
+# Prescott, which reports Katmai, and Nehalem
 PINS = {
-    "random": (random_runs, {
-        "SkylakeX": "ce441053eca910a2ad73696af099490bf4228c7dc79fe24c55254b00796538bc",
-        "Haswell": "a337f35c919f93e180ac0a878a72658c014c2fad22843736f3d3cdabdcd59ed7",
-        "Sandybridge": "73c5441c273b07c67cb6c6a2625faf06d63c398af740705c52bf619240be6a05",
-        "Katmai": "73c5441c273b07c67cb6c6a2625faf06d63c398af740705c52bf619240be6a05",
+    "random": (random_runs, solved, {
+        "SkylakeX": "c430cc5d3684ee81e2366ed6856ccd7d67a90398ffa5a50e4d6eba015b7fa300",
+        "Haswell": "bd839d6c4506227d710c6d31b693bb768b200204b4af5d7cf7b755446f7c4fe1",
+        "Sandybridge": "3de0cac3c9e0a839745ba5d95042783340499e799f7532f0b8f6d64312c7103f",
+        "Katmai": "3de0cac3c9e0a839745ba5d95042783340499e799f7532f0b8f6d64312c7103f",
+        "Nehalem": "8e424fd957426dccf238e55875ae97f75d7ea21db05fc171509a3d0fea62bca3",
     }),
-    "directed": (directed_runs, {
-        "SkylakeX": "fc5a75bf22c5029e5394f06f814d9ea6730f37699864a22564c57bc9c5144a67",
-        "Haswell": "0ce07873d6bb48b2ee29688094db8d1170de4f182484d5d2d0cce1b8a9635569",
-        "Sandybridge": "63b0a134da6dd6a04ff567520fcc830ba20b1bb244ca4258445107b419b0edad",
-        "Katmai": "63b0a134da6dd6a04ff567520fcc830ba20b1bb244ca4258445107b419b0edad",
+    "directed": (directed_runs, solved, {
+        "SkylakeX": "03606c5699e0f40b96d9d49a5f1ef3ca0f22c65577f984f19a1f513bcccd67e1",
+        "Haswell": "28a0ea797dcf136a8b12828c4b565d71c33093e27cc20a8f2d67d1ad9fd23e57",
+        "Sandybridge": "0a1b9982d890bdf43177dfffe9d95399d2acb185c2631423c1eddbe26a69529a",
+        "Katmai": "0a1b9982d890bdf43177dfffe9d95399d2acb185c2631423c1eddbe26a69529a",
+        "Nehalem": "f656cad83adecd30e863bc3e0a9b582759c094e4b41892797d50b61adcd73cd1",
     }),
-    "blossom": (blossom_runs, {
-        "SkylakeX": "a0e6a08bd4e7957a4bab151150797059a9776af556fe505990f3461b175a3786",
-        "Haswell": "12d8e3af6b691c3f958c738405dd0407e994a8ad11beff01b88a09dbc2bcc626",
-        "Sandybridge": "ff02c83fa7f16248c465c8920ccb26fec200e157ccb45ec5513eb4e21db8c08e",
-        "Katmai": "ff02c83fa7f16248c465c8920ccb26fec200e157ccb45ec5513eb4e21db8c08e",
+    "blossom": (blossom_runs, solved, {
+        "SkylakeX": "da799561d00b70a500454084c47ea81725cc7d426d2a9a1e98cc508abb28c07e",
+        "Haswell": "c084d3c5b00b4632b900b192e2aeb29a261c175894e79957161b9c9e89afa100",
+        "Sandybridge": "57ad0273f90eafb8a4924591ed1a92607a7611df8b3a2173a716ef109c392f12",
+        "Katmai": "57ad0273f90eafb8a4924591ed1a92607a7611df8b3a2173a716ef109c392f12",
+        "Nehalem": "40cd39ee030714699e49a6c096dbe6e7cb1008c511889972a632225d8ca48f84",
     }),
-    "corner": (corner_runs, {
-        "SkylakeX": "eccc2c21a07f49cda777e8c790fdb0db3f8e26d31d3c716b6be3f6760eaec46d",
-        "Haswell": "80a0048f9b9652f357f8e688c4a96b4ead8033f6dddf0a8e768c5a0ccf5e5099",
-        "Sandybridge": "63d1663ea5f1a8d4d95cae5ce30e2b031281364ea4cf414c0fe7460d25cdd54a",
-        "Katmai": "63d1663ea5f1a8d4d95cae5ce30e2b031281364ea4cf414c0fe7460d25cdd54a",
+    "corner": (corner_runs, solved, {
+        "SkylakeX": "b2c656327116def47720d8c6cd17cf3c4d141d3337be51f623cdb9254eb3cd80",
+        "Haswell": "73811f8f1eb2d5bc074ddab7eb3abc4d0da1b27ce880f3b998017a6228e6b5e0",
+        "Sandybridge": "75218237d0beeac865d6cff66526b12a1e70e06cd79aa02e221bb8e68cde1ebe",
+        "Katmai": "75218237d0beeac865d6cff66526b12a1e70e06cd79aa02e221bb8e68cde1ebe",
+        "Nehalem": "db4e13f73427cb9842b3aa58ab7396505092d5393638f1cff226f10d55da78ba",
     }),
-    "tridiagonalize": (tridiagonalize_runs, {
-        "SkylakeX": "9ba3f4fb1a4c5ccb0ce54f5c683bc8e5d242bd643e0a6e4bb75f3cb0bd7d7016",
-        "Haswell": "991e4d22c5b307ca17af0ed503e24aa1e962dec221adffc2c0832bcfe7f6bb24",
-        "Sandybridge": "53284899054f3a6d228044ca014eadb356a1b41eafd3bd6929a68b4762db2a8a",
-        "Katmai": "53284899054f3a6d228044ca014eadb356a1b41eafd3bd6929a68b4762db2a8a",
+    "tridiagonalize": (tridiagonalize_runs, tridiagonalized, {
+        "SkylakeX": "15354d0abfaf386a59d2debdddb28a6d5caf238a526fd77949648be8df4d70ac",
+        "Haswell": "ca189b16bf0ba23be0988e21944f2c7ad39a19b8c697ceb971514008f293c39c",
+        "Sandybridge": "78ed44cad8f101b1913e8b1c051dc0e07a988049adc1ec2bfa36206550c0a4cf",
+        "Katmai": "78ed44cad8f101b1913e8b1c051dc0e07a988049adc1ec2bfa36206550c0a4cf",
+        "Nehalem": "9d357afdb8dc94ece6365ea0183ec7ee711f8cc3141cb00d4532edda313fb9f0",
     }),
 }
 
 
 @pytest.mark.parametrize("group", sorted(PINS))
 def test_outputs_are_bitwise_pinned(group):
-    runs, pins = PINS[group]
-    assert digest(runs()) == kernel_pin(pins), f"OpenBLAS kernel {openblas_corename()}"
+    instances, output, pins = PINS[group]
+    runs = (functools.partial(output, *args) for args in instances())
+    assert digest(runs) == kernel_pin(pins), f"OpenBLAS kernel {openblas_corename()}"
+
+
+# one digest for every kernel: the solve groups' structural zeros and written
+# fills, and the type of each failure
+ZEROS_AND_FILLS_PIN = "c4685825eb5f615e35b21ffadc2a3e338c3296f993105f72b93518713a223e00"
+
+
+def test_zeros_and_fills_are_pinned_on_every_kernel():
+    runs = (
+        functools.partial(zeros_and_fills, *args)
+        for group in ("random", "directed", "blossom", "corner")
+        for args in PINS[group][0]()
+    )
+    assert digest(runs, messages=False) == ZEROS_AND_FILLS_PIN
 
 
 def test_openblas_corename_names_the_forced_kernel():

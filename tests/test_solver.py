@@ -20,6 +20,7 @@ from giep.solver import (
     jacobian_xyz,
     newton_correct,
     second_order_shift,
+    solution_curve,
 )
 from conftest import (
     build_seed,
@@ -27,8 +28,8 @@ from conftest import (
     eigen_derivative,
     newton_every_iterate,
     pattern_slots,
-    second_order_shift_dense,
     second_order_shift_reference,
+    solution_curve_dense,
 )
 
 
@@ -169,7 +170,7 @@ def test_evaluate_f_small_fill_second_order_shift():
     assert 1e-7 < dev < 1e-2  # fills enter the eigenvalues at second order
 
 
-@pytest.mark.parametrize(
+SHIFT_CASES = pytest.mark.parametrize(
     "k, l, slots, bidirected, mode",
     [
         (0, 5, ((1, 2), (2, 4), (3, 5), (1, 5)), (True, False, True, False), "generic"),
@@ -180,16 +181,35 @@ def test_evaluate_f_small_fill_second_order_shift():
     ],
     ids=["k0", "l0", "one-way", "bidirected", "skew"],
 )
-def test_second_order_shift_matches_dense_oracle(k, l, slots, bidirected, mode):
+
+
+def shift_case(k, l, slots, bidirected, mode):
+    """A spectrum, its pattern and fills up to a radius wide, seeded by the case."""
     rng = np.random.default_rng(2 * k + l + len(slots))
     s = random_spectrum(rng, k, l)
     p = Pattern.from_slots(n=s.n, k=k, slots=slots, bidirected=bidirected)
     u = rng.uniform(-1.0, 1.0, p.m) * s.radius
     omega = np.where(bidirected, -u if mode == "skew" else rng.uniform(-1.0, 1.0, p.m), 0.0)
-    fills = np.concatenate([u, omega])
-    closed, dense = second_order_shift(p, s, fills), second_order_shift_dense(p, s, fills)
+    return s, p, np.concatenate([u, omega])
+
+
+@SHIFT_CASES
+def test_second_order_shift_matches_dense_oracle(k, l, slots, bidirected, mode):
+    s, p, fills = shift_case(k, l, slots, bidirected, mode)
+    closed, dense = second_order_shift(p, s, fills), solution_curve_dense(p, s, fills)[0]
     assert np.abs(dense).max() > 0.0
     assert np.abs(closed - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@SHIFT_CASES
+def test_solution_curve_matches_dense_oracle(k, l, slots, bidirected, mode):
+    """c2 is the second-order shift bitwise, and c3 and c4 are the dense
+    oracle's."""
+    s, p, fills = shift_case(k, l, slots, bidirected, mode)
+    curve, dense = solution_curve(p, s, fills), solution_curve_dense(p, s, fills)
+    assert curve[0].tobytes() == second_order_shift(p, s, fills).tobytes()
+    assert np.abs(dense[2]).max() > 0.0  # c3 is zero where no three blocks form a triangle, c4 is not
+    assert np.abs(curve[1:] - dense[1:]).max() <= 1e-12 * np.abs(dense[1:]).max()
 
 
 def random_pattern(rng, n: int, k: int) -> Pattern:
@@ -265,6 +285,44 @@ def test_second_order_start_is_third_order_accurate():
     for t in (1.0, 0.5):
         assert start_residual(t, True) >= 6.0 * start_residual(t / 2, True)
         assert 3.5 <= start_residual(t, False) / start_residual(t / 2, False) <= 4.5
+
+
+def test_fourth_order_start_is_fifth_order_accurate():
+    """Halving the fills shrinks the residual at the t = 1 start
+    target - c2 - c3 - c4 of :func:`solution_curve` about 32-fold, the
+    O(fill^5) remainder, where the start target - c2 above leaves O(fill^3)."""
+    rng = np.random.default_rng(1)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.4)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    fills = np.concatenate(default_targets(p, s, "generic", SolverConfig(fill_scale=1.0)))
+    target = s.target_coordinates()
+
+    def start_residual(scale):
+        xyz = target - solution_curve(p, s, scale * fills).sum(axis=0)
+        return np.abs(target - evaluate_f(p, np.concatenate([xyz, scale * fills]), s)).max()
+
+    for scale in (1.0, 0.5):
+        assert start_residual(scale) >= 20.0 * start_residual(scale / 2)
+
+
+@pytest.mark.parametrize("j", [-900, -40, 40, 900])
+def test_solution_curve_scales_by_powers_of_two_exactly(j):
+    """The curve's terms are homogeneous of degree one in the fills and the
+    spectrum together and are evaluated at order one, so scaling both by
+    2^j scales all three coefficients by 2^j bitwise, across the float range."""
+    rng = np.random.default_rng(3)
+    s = random_spectrum(rng, 3, 4)
+    g = random_graph(rng, 10, 3, 0.4)
+    _, p = plan_relabeling(g, max_matching(g), s.k)
+    fills = np.concatenate(default_targets(p, s))
+    c = 2.0**j
+    scaled = Spectrum(
+        pairs=tuple((c * a, c * b) for a, b in s.pairs), reals=tuple(c * x for x in s.reals)
+    )
+    curve = solution_curve(p, s, fills)
+    assert np.all(curve[1:] != 0.0)
+    assert np.array_equal(solution_curve(p, scaled, c * fills), c * curve)
 
 
 def test_newton_zero_iterations_when_exact():
@@ -577,10 +635,11 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     assert all(a < b for a, b in zip(ts, ts[1:]))
 
 
-def test_trials_from_the_seed_start_on_the_second_order_curve(monkeypatch):
+def test_trials_from_the_seed_start_on_the_fourth_order_curve(monkeypatch):
     """Every trial from the seed, a rejected whole interval and its halves
-    too, starts at (x, y, z) = target - t^2 * shift; the next trial starts
-    at the point the first accepted one returned."""
+    too, starts at (x, y, z) = target - t^2 (c2 + t (c3 + t c4)), the
+    solution curve's coefficients from :func:`solution_curve`; the next
+    trial starts at the point the first accepted one returned."""
     import giep.solver as solver
 
     trials = []
@@ -604,12 +663,12 @@ def test_trials_from_the_seed_start_on_the_second_order_curve(monkeypatch):
     u, omega = default_targets(p, s, "generic", cfg)
     continuation_solve(s, p, cfg=cfg)
 
-    shift = second_order_shift(p, s, np.concatenate([u, omega]))
+    c2, c3, c4 = solution_curve(p, s, np.concatenate([u, omega]))
     first = next(i for i, (_, out) in enumerate(trials) if out is not None)
     assert first > 0
     for theta, _ in trials[: first + 1]:
         t = theta[p.n] / u[0]  # exact: t halves from 1 while the solve sits at the seed
-        assert np.array_equal(theta[: p.n], s.target_coordinates() - t * t * shift)
+        assert np.array_equal(theta[: p.n], s.target_coordinates() - t * t * (c2 + t * (c3 + t * c4)))
     assert np.array_equal(trials[first + 1][0][: p.n], trials[first][1][0][: p.n])
 
 
@@ -757,13 +816,14 @@ def test_continuation_random_spectra_jacobian_scale():
 
 
 def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
-    """At default fills the identity chord absorbs the whole interval: no
-    eigenvectors, no Jacobian and no linear solve, and one ``eigvals`` per
-    Newton iterate.  The seed is never decomposed, and the trial starts on
-    the second-order curve, so one correction converges: two ``eigvals`` in
-    all, where the start at the seed's (x, y, z) took three plus the seed's.
+    """At default fills the whole interval is one trial: no eigenvectors,
+    no Jacobian and no linear solve.  The seed is never decomposed, and the
+    trial starts on the fourth-order curve, already within the Newton
+    tolerance here, so it takes no correction: one ``eigvals`` in all, which
+    is also the final spectrum check.  The second-order start took two, and
+    the start at the seed's (x, y, z) three plus the seed's.
 
-    Around those two calls the matching, the relabeling and the disc
+    Around that call the matching, the relabeling and the disc
     labeling are linear-time array work: no eigenvalue-by-center distance
     matrix.  The disc radius is computed before counting starts; it takes
     every pairwise distance, once per spectrum."""
@@ -806,8 +866,8 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
 
     assert counts[("driver", "trial")] == rep.steps == 1
     assert counts[("newton", "iterate")] == rep.steps + rep.newton_iterations_total
-    assert rep.newton_iterations_total == 1
-    assert counts[("newton", "eigvals")] == counts[("newton", "iterate")] == 2
+    assert rep.newton_iterations_total == 0
+    assert counts[("newton", "eigvals")] == counts[("newton", "iterate")] == 1
     assert ("driver", "eigvals") not in counts
     vectors = ("eig", "eigen_triple", "jacobian_xyz", "solve_linear")
     assert not [key for key in counts if key[1] in vectors]
