@@ -15,12 +15,11 @@ solved for, so the output matrix carries its prescribed nonzeros exactly.
 By the implicit function theorem at the seed, the solution curve is
 analytic in t: (x, y, z)(t) = target - t^2 c2 - t^3 c3 - t^4 c4 + O(t^5),
 where c2 is the fills' second-order eigenvalue shift.
-:func:`solution_curve` computes the three coefficients from the seed's
-known eigenvectors, whose components at a vertex follow from the vertex
-and k alone: c2 by :func:`second_order_shift` in closed form, c3 and c4
-from the same coupling, densified.  Every trial from the seed starts on
-that curve, so a default-size solve usually starts within the Newton
-tolerance and needs no correction at all.  The seed itself is never
+:func:`solution_curve` computes the three coefficients from one dense
+coupling of the fills to the seed's known eigenvectors, whose components
+at a vertex follow from the vertex and k alone.  Every trial from the seed
+starts on that curve, so a default-size solve usually starts within the
+Newton tolerance and needs no correction at all.  The seed itself is never
 decomposed: it realizes the targets by construction.
 
 A first-order eigenvalue perturbation identity supplies the Jacobian: for
@@ -160,9 +159,10 @@ def jacobian_xyz(p: Pattern, eig: Eigenpairs) -> np.ndarray:
 
 def _coupling(p: Pattern, fills: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The coupling G = W^T F V of the fills ``fills`` = (u, omega) in the
-    seed's eigenbasis, as its entries G_ab at the sorted keys a*n + b, with
-    the fills scaled by 2^-exp, the power of two that brings the largest to
-    order one; returns (keys, G values, exp).
+    seed's eigenbasis, as a dense n x n array, with the fills scaled by
+    2^-exp, the power of two that brings the largest to order one; returns
+    (G, paired, exp), where ``paired`` marks the (a, b) at which both G_ab
+    and G_ba have a fill entry.
 
     Eigenvalues are numbered as :meth:`Spectrum.values` lists them.  Block
     j's plus and minus eigenvectors are v = (1, +-i) and w = (1, -+i)/2 on
@@ -170,9 +170,8 @@ def _coupling(p: Pattern, fills: np.ndarray) -> tuple[np.ndarray, np.ndarray, in
     fill entry's eigenvalues and components follow from its row and column
     by closed form, with no table over the n vertices.  Each fill entry
     (r, c) adds to G_ab for the at most two eigenvalues a of r's block and b
-    of c's, and the contributions are summed per key, so work and memory
-    grow with the number of fill entries, not with n^2.  G_aa is zero: no
-    fill sits inside a block.
+    of c's, in entry order, starting from +0.0.  G_aa is zero and unpaired:
+    no fill sits inside a block.
     """
     n, k = p.n, p.k
     e = p.entries
@@ -190,131 +189,90 @@ def _coupling(p: Pattern, fills: np.ndarray) -> tuple[np.ndarray, np.ndarray, in
     value = np.ldexp(value, -exp)
     g_part = _W[kind[:size]][:, :, None] * value[:, None, None] * _V[kind[size:]][:, None, :]
     key = (owner[:size, :, None] * n + owner[size:, None, :]).ravel()
-    # a stable argsort, not np.unique: its quicksort kernels are half a
-    # megabyte of code that nothing else in a solve touches, and peak RSS grows by it
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)  # the first of each run of equal keys
-    first[1:] = key[1:] != key[:-1]
-    first = np.flatnonzero(first)
-    return key[first], np.add.reduceat(g_part.ravel()[order], first), exp
+    g = np.zeros(n * n, dtype=complex)
+    np.add.at(g, key, g_part.ravel())
+    entry = np.zeros(n * n, dtype=bool)
+    entry[key] = True
+    entry = entry.reshape(n, n)
+    return g.reshape(n, n), entry & entry.T, exp
 
 
-def second_order_shift(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
-    """Second-order shift of the labeled coordinates when the fills
-    ``fills`` = (u, omega) are written into the seed, in closed form.
-
-    Eigenvalue a of seed + F moves by E2_a = sum_{b != a} G_ab G_ba /
-    (lam_a - lam_b) to second order, where G = W^T F V is
-    :func:`_coupling` (Kato, *Perturbation Theory for Linear Operators*,
-    II.2); the first-order term G_aa is zero.  Each key of G is paired with
-    its transpose, so work and memory grow with the number of fill entries,
-    not with n^2.  The shift is homogeneous of degree one in the fills and
-    the spectrum together, so it is evaluated with both scaled by the power
-    of two that brings the largest fill to order one and scaled back: the
-    same bits wherever the products G_ab G_ba neither overflow nor
-    underflow, and finite wherever the shift itself is.  Returns the shifts
-    as (lam, mu, gamma) coordinates, the real and imaginary parts of the
-    plus shifts, then the real shifts; a shift beyond the float range comes
-    back infinite.
-    """
-    coupling = _coupling(p, fills)
-    with np.errstate(over="ignore"):
-        return _coordinates(_second_order(p, coupling, s.values()), p.k, coupling[2])
-
-
-def _second_order(p: Pattern, coupling: tuple, lam: np.ndarray) -> np.ndarray:
-    """E2 of all n eigenvalues ``lam``, numbered as :meth:`Spectrum.values`
-    numbers them, from the coupling, at its scale 2^-exp."""
-    n = p.n
-    keys, g, exp = coupling
-    a, b = np.divmod(keys, n)
-    twin = b * n + a
-    mate = np.minimum(np.searchsorted(keys, twin), keys.size - 1)
-    paired = keys[mate] == twin
-    a, b = a[paired], b[paired]
-    gap = np.ldexp((lam[a] - lam[b]).view(float), -exp).view(complex)  # both parts scaled
-    term = g[paired] * g[mate[paired]] / gap
-    return np.bincount(a, term.real, n) + 1j * np.bincount(a, term.imag, n)
-
-
-def _higher_orders(p: Pattern, coupling: tuple, lam: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """E2, E3 and c4 of the n eigenvalues ``lam``, as the rows of a 3 x n
-    array, from the coupling and E2, at the coupling's scale 2^-exp.
+def _orders(g: np.ndarray, paired: np.ndarray, lam: np.ndarray, exp: int) -> np.ndarray:
+    """E2, E3 and c4 of the n eigenvalues ``lam``, numbered as
+    :meth:`Spectrum.values` numbers them, as the rows of a 3 x n array, from
+    the coupling (``g``, ``paired``) at its scale 2^-exp.
 
     With D_ab = lam_a - lam_b, H = G / D and P = (H G) / D, both zero on
     the diagonal,
 
+        E2_a = sum_b G_ab G_ba / D_ab,
         E3_a = sum_c P_ac G_ca,
         c4_a = sum_d (P G)_ad G_da / D_ad - sum_b G_ab G_ba E2_b / D_ab^2.
 
-    G is densified, and the rows are formed SHIFT_ROWS at a time, by two
+    E2_a sums the terms of the paired b, ascending, from +0.0; the others
+    are zero.  E3 and c4 are formed SHIFT_ROWS rows at a time, by two
     products with the n x n G each, which bounds the memory they take.  The
     minus rows are the plus rows' conjugates and go unused; forming them in
     the same contiguous blocks takes fewer numpy calls than gathering the
     plus and real rows, which is what a small solve pays for.
     """
-    n = p.n
-    keys, g, exp = coupling
-    dense = np.zeros(n * n, dtype=complex)
-    dense[keys] = g
-    dense = dense.reshape(n, n)
-    lam = np.ldexp(lam.view(float), -exp).view(complex)
+    n = lam.size
     e = np.empty((3, n), dtype=complex)
-    e[0] = e2
+    a, b = np.divmod(np.flatnonzero(paired), n)  # by a, then by b ascending
+    gap = np.ldexp((lam[a] - lam[b]).view(float), -exp).view(complex)  # both parts scaled
+    term = g[a, b] * g[b, a] / gap
+    e[0] = np.bincount(a, term.real, n) + 1j * np.bincount(a, term.imag, n)
+    lam = np.ldexp(lam.view(float), -exp).view(complex)
     for start in range(0, n, SHIFT_ROWS):
         rows = slice(start, start + SHIFT_ROWS)
         inv = lam[rows, None] - lam
         inv.ravel()[start :: n + 1] = np.inf  # 1/D is zero on the diagonal
         np.divide(1.0, inv, out=inv)
-        h = dense[rows] * inv
-        back = dense[:, rows].T * inv  # G_ba / D_ab in row a
-        c4 = (h * back) @ e2
-        h = h @ dense
+        h = g[rows] * inv
+        back = g[:, rows].T * inv  # G_ba / D_ab in row a
+        c4 = (h * back) @ e[0]
+        h = h @ g
         e[1, rows] = (h * back).sum(axis=1)
         h *= inv
-        e[2, rows] = ((h @ dense) * back).sum(axis=1) - c4
+        e[2, rows] = ((h @ g) * back).sum(axis=1) - c4
     return e
-
-
-def _coordinates(shift: np.ndarray, k: int, exp: int) -> np.ndarray:
-    """Shifts of the n eigenvalues along the last axis, at scale 2^-exp, as
-    (lam, mu, gamma) coordinates: the real and imaginary parts of the plus
-    shifts, then the real shifts, scaled back."""
-    plus, real = shift[..., :k], shift[..., 2 * k :]
-    return np.ldexp(np.concatenate([plus.real, plus.imag, real.real], axis=-1), exp)
 
 
 def solution_curve(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
     """The coefficients (c2, c3, c4) of the fourth-order solution curve
     (x, y, z)(t) = target - t^2 c2 - t^3 c3 - t^4 c4 + O(t^5) on which the
     seed with fills t * ``fills`` keeps the target spectrum, as the rows of
-    a 3 x n array.
+    a 3 x n array, in (lam, mu, gamma) coordinates: the real and imaginary
+    parts of the plus eigenvalues' terms, then the real eigenvalues'.
 
-    The eigenvectors of the seed, and so its coupling G to the fills, are
-    the same at every (x, y, z) = nu, so its eigenvalues with fills t F are
-    nu + t^2 E2(nu) + t^3 E3(nu) + t^4 E4(nu) + O(t^5), where
-    Rayleigh-Schroedinger perturbation theory with G_aa = 0 gives, with
-    D_ab = nu_a - nu_b,
+    The eigenvectors of the seed, and so its coupling G = W^T F V to the
+    fills (:func:`_coupling`), are the same at every (x, y, z) = nu, so its
+    eigenvalues with fills t F are nu + t^2 E2(nu) + t^3 E3(nu) + t^4 E4(nu)
+    + O(t^5), where Rayleigh-Schroedinger perturbation theory with G_aa = 0
+    gives, with D_ab = nu_a - nu_b (Kato, *Perturbation Theory for Linear
+    Operators*, II.2),
 
+        E2_a = sum_b G_ab G_ba / D_ab,
         E3_a = sum_bc G_ab G_bc G_ca / (D_ab D_ac),
         E4_a = sum_bcd G_ab G_bc G_cd G_da / (D_ab D_ac D_ad)
                - E2_a sum_b G_ab G_ba / D_ab^2.
 
     Setting them to the target along nu = target - t^2 c2 - ... gives
-    c2 = E2, which is :func:`second_order_shift`, c3 = E3, and c4 = E4 -
-    (dE2/dnu) c2, all at the target.  -(dE2/dnu) c2 is
+    c2 = E2, the fills' second-order eigenvalue shift, c3 = E3, and c4 =
+    E4 - (dE2/dnu) c2, all at the target.  -(dE2/dnu) c2 is
     sum_b G_ab G_ba (c2_a - c2_b) / D_ab^2, so E2_a's term in E4_a cancels.
-    All three share one coupling and are evaluated at its order-one scale,
-    then scaled back, as :func:`second_order_shift` is.  A coordinate with
-    a coefficient that is not finite gets NaN in all three, so that every
-    start there is NaN, without a warning.
+    The terms are homogeneous of degree one in the fills and the spectrum
+    together, so all three are evaluated with both scaled by the power of
+    two that brings the largest fill to order one, then scaled back: the
+    same bits wherever the products neither overflow nor underflow.  A
+    coordinate with a coefficient that is not finite gets NaN in all three,
+    so that every start there is NaN, without a warning.
     """
-    coupling = _coupling(p, fills)
-    lam = s.values()
+    g, paired, exp = _coupling(p, fills)
     with np.errstate(all="ignore"):
-        shifts = _higher_orders(p, coupling, lam, _second_order(p, coupling, lam))
-        curve = _coordinates(shifts, p.k, coupling[2])
+        terms = _orders(g, paired, s.values(), exp)
+        plus, real = terms[:, : p.k], terms[:, 2 * p.k :]
+        curve = np.ldexp(np.concatenate([plus.real, plus.imag, real.real], axis=1), exp)
     return np.where(np.isfinite(curve).all(axis=0), curve, np.nan)
 
 
@@ -420,8 +378,9 @@ class SolverConfig:
     gives up with StepUnderflow once halving takes the step below
     ``step_min``, which must be positive, once a step no longer advances
     t, or once MAX_STEPS steps have been accepted.
-    ``observer``, when set, is called as ``observer(state, eigs)`` after
-    every accepted step.  The final spectrum check is at
+    ``observer``, when set, is called as ``observer(state, eigs)`` once at
+    the seed, at t = 0 with its exact eigenvalues, and after every accepted
+    step.  The final spectrum check is at
     :func:`final_tolerance`, a thousand times the Newton tolerance that
     every accepted step already meets; ``verify`` checks a matrix at any
     other tolerance.

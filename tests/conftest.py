@@ -276,10 +276,11 @@ def solution_curve_dense(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarr
 
 
 def second_order_shift_reference(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
-    """``solver.second_order_shift`` as it was first written: vertex tables
-    of length n, then the COO terms of every fill entry grouped by a stable
-    argsort and paired with their transposes by ``searchsorted``.  The
-    solver's version must return the same bits."""
+    """The second-order shift, c2 of ``solver.solution_curve`` before its
+    non-finite coordinates are set to NaN, as it was first written: vertex
+    tables of length n, then the COO terms of every fill entry grouped by a
+    stable argsort and paired with their transposes by ``searchsorted``.
+    The solver's dense coupling must give the same bits."""
     n, k = p.n, p.k
     vertex = np.arange(n)
     owner = vertex.repeat(2).reshape(n, 2)

@@ -138,6 +138,15 @@ def corner_runs():
         yield spectrum_for(rng, n, k), random_graph(rng, n, k, 0.0)
 
 
+def large_runs():
+    """The benchmark's large_sparse shape, n=160, k=40 and edge probability
+    4/n: above SHIFT_ROWS, so the solution curve is formed in several row
+    blocks."""
+    rng = np.random.default_rng(2029)
+    for _ in range(3):
+        yield spectrum_for(rng, 160, 40), random_graph(rng, 160, 40, 4.0 / 160)
+
+
 def tridiagonalize_runs():
     rng = np.random.default_rng(2028)
     for n in range(2, 12):
@@ -182,6 +191,15 @@ PINS = {
         "Sandybridge": "75218237d0beeac865d6cff66526b12a1e70e06cd79aa02e221bb8e68cde1ebe",
         "Katmai": "75218237d0beeac865d6cff66526b12a1e70e06cd79aa02e221bb8e68cde1ebe",
         "Nehalem": "db4e13f73427cb9842b3aa58ab7396505092d5393638f1cff226f10d55da78ba",
+    }),
+    # these solves take no Newton correction: their matrices come from the
+    # solution curve alone, which gave the same digest under all five kernels
+    "large": (large_runs, solved, {
+        "SkylakeX": "934b29870cadf2817a6a59cdebc3a5b575a38f2d412e5eba2e9c2da6cd75e03c",
+        "Haswell": "934b29870cadf2817a6a59cdebc3a5b575a38f2d412e5eba2e9c2da6cd75e03c",
+        "Sandybridge": "934b29870cadf2817a6a59cdebc3a5b575a38f2d412e5eba2e9c2da6cd75e03c",
+        "Katmai": "934b29870cadf2817a6a59cdebc3a5b575a38f2d412e5eba2e9c2da6cd75e03c",
+        "Nehalem": "934b29870cadf2817a6a59cdebc3a5b575a38f2d412e5eba2e9c2da6cd75e03c",
     }),
     "tridiagonalize": (tridiagonalize_runs, tridiagonalized, {
         "SkylakeX": "15354d0abfaf386a59d2debdddb28a6d5caf238a526fd77949648be8df4d70ac",
