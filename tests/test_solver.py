@@ -193,12 +193,20 @@ def shift_case(k, l, slots, bidirected, mode):
 
 
 @SHIFT_CASES
+def test_second_order_shift_matches_dense_oracle(k, l, slots, bidirected, mode):
+    """The second-order shift, c2 of :func:`solution_curve`, is the dense
+    oracle's."""
+    s, p, fills = shift_case(k, l, slots, bidirected, mode)
+    shift, dense = solution_curve(p, s, fills)[0], solution_curve_dense(p, s, fills)[0]
+    assert np.abs(dense).max() > 0.0
+    assert np.abs(shift - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@SHIFT_CASES
 def test_solution_curve_matches_dense_oracle(k, l, slots, bidirected, mode):
-    """c2, and c3 and c4 together, are the dense oracle's."""
+    """c3 and c4 together are the dense oracle's."""
     s, p, fills = shift_case(k, l, slots, bidirected, mode)
     curve, dense = solution_curve(p, s, fills), solution_curve_dense(p, s, fills)
-    assert np.abs(dense[0]).max() > 0.0
-    assert np.abs(curve[0] - dense[0]).max() <= 1e-12 * np.abs(dense[0]).max()
     assert np.abs(dense[2]).max() > 0.0  # c3 is zero where no three blocks form a triangle, c4 is not
     assert np.abs(curve[1:] - dense[1:]).max() <= 1e-12 * np.abs(dense[1:]).max()
 
