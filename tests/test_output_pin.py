@@ -31,9 +31,9 @@ import sys
 import numpy as np
 import pytest
 
-from giep import Spectrum, make_graph, solve_instance, tridiagonalize
+from giep import Spectrum, SolverConfig, make_graph, solve_instance, tridiagonalize
 from giep.cli import random_graph, random_spectrum
-from giep.errors import GiepError
+from giep.errors import DiscViolation, GiepError, NoConvergence
 from giep.graph import max_matching, plan_relabeling
 from conftest import kernel_pin, openblas_corename
 
@@ -147,6 +147,22 @@ def large_runs():
         yield spectrum_for(rng, 160, 40), random_graph(rng, 160, 40, 4.0 / 160)
 
 
+def jacobian_runs():
+    """n from 8 to 24 twice each, like random_runs, for solves at fills one
+    disc radius wide: there some trials contract weakly and form a true
+    Jacobian, which default fills never do."""
+    rng = np.random.default_rng(2030)
+    for n in range(8, 25):
+        for _ in range(2):
+            k = int(rng.integers(0, n // 2 + 1))
+            s = spectrum_for(rng, n, k)
+            yield s, random_graph(rng, n, k, float(rng.uniform(0.05, 0.6)))
+
+
+def solved_at_fill_one(s, g):
+    return solve_instance(s, g, cfg=SolverConfig(fill_scale=1.0)).matrix
+
+
 def tridiagonalize_runs():
     rng = np.random.default_rng(2028)
     for n in range(2, 12):
@@ -201,6 +217,14 @@ PINS = {
         "Katmai": "934b29870cadf2817a6a59cdebc3a5b575a38f2d412e5eba2e9c2da6cd75e03c",
         "Nehalem": "934b29870cadf2817a6a59cdebc3a5b575a38f2d412e5eba2e9c2da6cd75e03c",
     }),
+    # the one group that forms Jacobians, at a fill of one radius
+    "jacobian": (jacobian_runs, solved_at_fill_one, {
+        "SkylakeX": "a284b19daa34e1587d60909bb1317acca07de2577b94823da427c2eb64076e48",
+        "Haswell": "d7ff6427f0bf8ad73043849d80d76c1689d67a271bac9bd05ca0f9539b18ceaa",
+        "Sandybridge": "a89dae59a624bc5a1df360e3c796ff6b5feddda1b43aba1a092dbe2292a8b8ed",
+        "Katmai": "a89dae59a624bc5a1df360e3c796ff6b5feddda1b43aba1a092dbe2292a8b8ed",
+        "Nehalem": "fe46bb0ac1c43855909c7e970c36a19075f5e227839b26a3b342b4845ba28fe3",
+    }),
     "tridiagonalize": (tridiagonalize_runs, tridiagonalized, {
         "SkylakeX": "15354d0abfaf386a59d2debdddb28a6d5caf238a526fd77949648be8df4d70ac",
         "Haswell": "ca189b16bf0ba23be0988e21944f2c7ad39a19b8c697ceb971514008f293c39c",
@@ -216,6 +240,33 @@ def test_outputs_are_bitwise_pinned(group):
     instances, output, pins = PINS[group]
     runs = (functools.partial(output, *args) for args in instances())
     assert digest(runs) == kernel_pin(pins), f"OpenBLAS kernel {openblas_corename()}"
+
+
+def test_jacobian_group_forms_jacobians_and_rejects_no_trial(monkeypatch):
+    """The jacobian pin covers the corrector's Jacobian path: its solves form
+    at least one true Jacobian, and on a path that no rejected trial
+    interrupts."""
+    import giep.solver as solver
+
+    counts = {"jacobian": 0, "rejected": 0}
+    real_jacobian, real_correct = solver.jacobian_xyz, solver.newton_correct
+
+    def jacobian(*args):
+        counts["jacobian"] += 1
+        return real_jacobian(*args)
+
+    def correct(*args):
+        try:
+            return real_correct(*args)
+        except (NoConvergence, DiscViolation):
+            counts["rejected"] += 1
+            raise
+
+    monkeypatch.setattr(solver, "jacobian_xyz", jacobian)
+    monkeypatch.setattr(solver, "newton_correct", correct)
+    for s, g in jacobian_runs():
+        solved_at_fill_one(s, g)
+    assert counts["jacobian"] > 0 and counts["rejected"] == 0
 
 
 # one digest for every kernel: the solve groups' structural zeros and written
