@@ -37,21 +37,20 @@ target coordinate vector followed by 2m zeros, a trial at t writes
 t*u* and t*omega* into the last 2m entries, and a Newton correction adds
 to the first n.  The corrector is a chord iteration (Kelley, *Solving
 Nonlinear Equations with Newton's Method*, 2003, ch. 5): every correction
-solves with one chord matrix, which starts as the seed's identity
-Jacobian, so near the seed a correction is the residual itself.  Every
-iterate costs one eigenvalues-only LAPACK decomposition, whose
+solves with one chord matrix, which starts each trial as the seed's
+identity Jacobian, so near the seed a correction is the residual itself.
+Every iterate costs one eigenvalues-only LAPACK decomposition, whose
 eigenvalues feed the disc labeling and the convergence test.  Only an
 iterate whose residual shrank by less than CHORD_RATIO over the last chord
 step is decomposed again with eigenvectors; the eigenvectors at the
 labeled positions, as arrays, give its true Jacobian, the chord matrix for
-the rest of the solve.  A trial that retries a rejected one runs full
-Newton instead, one decomposition with eigenvectors and a fresh Jacobian
-per iterate.  The final spectrum check is ``verify``'s own distance,
-:func:`spectrum_mismatch`, taken over the last accepted iterate's
-eigenvalues, which are those of the returned matrix.  Only a solve without
-fills decomposes its output, the seed, for that check.  The discs are the
-spectrum's own: the corrector labels eigenvalues against ``Spectrum``
-itself, and the solver sizes its own fill targets by
+the rest of the trial.  No matrix outlives its trial, so a trial depends
+on its start point alone.  The final spectrum check is ``verify``'s own
+distance, :func:`spectrum_mismatch`, taken over the last accepted
+iterate's eigenvalues, which are those of the returned matrix.  Only a
+solve without fills decomposes its output, the seed, for that check.  The
+discs are the spectrum's own: the corrector labels eigenvalues against
+``Spectrum`` itself, and the solver sizes its own fill targets by
 :attr:`Spectrum.radius` in :func:`default_targets`.
 :func:`final_tolerance` and :func:`nonzero_floor` are the one definition
 of the default final tolerance and of the floor on edge entries, which
@@ -277,35 +276,27 @@ def solution_curve(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
 
 
 def newton_correct(
-    p: Pattern,
-    s: Spectrum,
-    theta: np.ndarray,
-    jac: np.ndarray | None = None,
-    refresh: bool = False,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None]:
+    p: Pattern, s: Spectrum, theta: np.ndarray
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Chord Newton iteration on (x, y, z) until the labeled coordinates are
     within the Newton tolerance TOL_NEWTON_FACTOR * s.scale of
-    ``s.target_coordinates()``; returns (theta, iterations, residual, eigs,
-    jac) there, where ``residual`` is the vector target - coordinates.
+    ``s.target_coordinates()``; returns (theta, iterations, residual, eigs)
+    there, where ``residual`` is the vector target - coordinates.
 
     ``theta`` is the stacked parameter vector; a correction adds to its
     first n = 2k+l entries, the block parameters, and never touches u and
     omega.  A point that already meets the tolerance is returned unchanged
     after zero iterations.
 
-    ``jac`` is the chord matrix every correction solves with; None stands
-    for the seed's identity Jacobian, whose correction is the residual
-    itself.  Each iterate runs one eigenvalues-only decomposition for the
-    labeling and the convergence test.  A correction with a Jacobian formed
-    at its own iterate is a Newton step, any other a chord step.  Only when
-    the last chord step shrank the residual by less than CHORD_RATIO does an
-    iterate also compute eigenvectors and form its true Jacobian, whose
-    conditioning is checked once, there; it becomes the chord matrix from
-    then on, and the returned ``jac`` carries it to the caller's next
-    trial.  ``refresh`` makes every iterate a Newton
-    step instead: its one decomposition computes eigenvectors and forms
-    the Jacobian.  continuation_solve sets it on a trial that retries a
-    rejected one, where a stale chord matrix can stall near a fold.
+    Every correction solves with the chord matrix, which starts as the
+    seed's identity Jacobian, whose correction is the residual itself.
+    Each iterate runs one eigenvalues-only decomposition for the labeling
+    and the convergence test.  Only when the last chord step shrank the
+    residual by less than CHORD_RATIO does an iterate also compute
+    eigenvectors and form its true Jacobian, whose conditioning is checked
+    once, there; it is the chord matrix for the rest of this call, and the
+    step it takes, a Newton step, is not judged.  Nothing carries over to
+    the next call.
 
     Raises NoConvergence past MAX_NEWTON iterations, at an iterate that is
     not finite, or when LAPACK or an eigenpair check fails, DiscViolation
@@ -314,31 +305,31 @@ def newton_correct(
     """
     target = s.target_coordinates()
     tol = TOL_NEWTON_FACTOR * s.scale
+    jac = None  # the chord matrix; None is the seed's identity Jacobian
     previous = np.inf  # the residual before the last chord step
     for it in range(MAX_NEWTON + 1):
         if not np.isfinite(theta).all():
             raise NoConvergence(f"newton iterate {it} is not finite")
         mtx = assemble(p, theta)
-        ev, vecs = eig_all(mtx, vectors=True) if refresh else (eig_all(mtx), None)
+        ev = eig_all(mtx)
         coords, idx = label_eigenvalues(ev, s)
         residual_vec = target - coords
         residual = float(np.abs(residual_vec).max())
         if residual <= tol:
-            return theta, it, residual_vec, ev, jac
+            return theta, it, residual_vec, ev
         if it == MAX_NEWTON:
             break
-        if vecs is None and residual > CHORD_RATIO * previous:
+        if residual > CHORD_RATIO * previous:
             # the chord step contracted weakly: decompose this iterate again,
             # with vectors, whose eigenvalues may differ in the last bits and
             # so are labeled again
             ev, vecs = eig_all(mtx, vectors=True)
             idx = label_eigenvalues(ev, s)[1]
-        if vecs is None:
-            previous = residual
-        else:
             jac = jacobian_xyz(p, eigen_triple(mtx, ev, vecs, idx))
             check_conditioning(jac)
             previous = np.inf  # a step with a fresh Jacobian is a Newton step
+        else:
+            previous = residual
         theta = theta.copy()
         if jac is None:
             theta[: p.n] += residual_vec
@@ -447,9 +438,9 @@ def continuation_solve(
     the interval.  A trial from the seed starts at (x, y, z) = target -
     t^2 (c2 + t (c3 + t c4)), the seed's fourth-order solution curve from
     :func:`solution_curve`; later trials start at the last accepted point.
-    Trials correct with the chord iteration, except that a trial after a
-    rejection runs full Newton; a start within the Newton tolerance takes
-    no correction, and its one ``eigvals`` is also the final check.  On
+    Each trial corrects with its own chord iteration, which starts on the
+    identity Jacobian; a start within the Newton tolerance takes no
+    correction, and its one ``eigvals`` is also the final check.  On
     success the returned matrix realizes the target spectrum with every
     slot entry written at its exact target, and ``final_residual`` is the
     float :func:`spectrum_mismatch` of its eigenvalues: the last accepted
@@ -485,10 +476,8 @@ def continuation_solve(
     if p.m:
         c2, c3, c4 = solution_curve(p, s, np.concatenate([u_target, omega_target]))
 
-    jac = None  # the chord matrix; None is the seed's identity Jacobian
     step = 1.0
     easy_streak = 0
-    retry = False  # a trial after a rejection runs full Newton
     while p.m > 0 and state.t < 1.0:
         if len(state.history) - 1 >= MAX_STEPS:  # the seed's record is no step
             raise StepUnderflow(
@@ -512,11 +501,10 @@ def continuation_solve(
             xyz = state.theta[: p.n]
         theta_try = np.concatenate([xyz, t_try * u_target, t_try * omega_target])
         try:
-            theta_new, iters, r, ev, jac = newton_correct(p, s, theta_try, jac, retry)
+            theta_new, iters, r, ev = newton_correct(p, s, theta_try)
         except (NoConvergence, DiscViolation) as exc:
             step = trial_dt / 2.0
             easy_streak = 0
-            retry = True
             logger.debug("rejected t=%.6g (%s); step -> %.3g", t_try, exc, step)
             if step < cfg.step_min:
                 raise StepUnderflow(
@@ -525,7 +513,6 @@ def continuation_solve(
                     t_reached=state.t,
                 ) from exc
             continue
-        retry = False
         state.t = t_try
         state.theta = theta_new
         state.history.append(

@@ -341,33 +341,21 @@ def test_solution_curve_scales_by_powers_of_two_exactly(j):
 
 def test_newton_zero_iterations_when_exact():
     theta = seed_point(S3, m=1)
-    out, _, _, _, jac = newton_correct(P3, S3, theta)
+    out, _, _, _ = newton_correct(P3, S3, theta)
     assert out is theta  # unchanged object: converged before the first update
-    assert jac is None  # and the chord is still the identity
 
 
 def test_newton_recovers_small_fill():
     theta = with_fill(P3, seed_point(S3, m=1), np.array([0.05]), np.array([0.05]))
     before = theta.copy()
     target = S3.target_coordinates()
-    out, iters, residual, _, _ = newton_correct(P3, S3, theta)
+    out, iters, residual, _ = newton_correct(P3, S3, theta)
     assert iters <= 5
     assert np.abs(residual).max() <= 1e-10
     assert np.array_equal(residual, target - evaluate_f(P3, out, S3))  # the returned iterate's
     assert np.array_equal(out[P3.n :], theta[P3.n :])  # u and omega untouched
     assert np.array_equal(theta, before)  # the input point is not modified
     assert spectrum_mismatch(eig_all(assemble(P3, out)), S3) <= 1e-10
-
-
-def test_newton_refresh_is_full_newton():
-    """With ``refresh`` every iterate forms its Jacobian from its one
-    decomposition: the same bits as the every-iterate Newton oracle."""
-    theta = with_fill(P3, seed_point(S3, m=1), np.array([0.3]), np.array([0.3]))
-    out, iters, residual, ev, jac = newton_correct(P3, S3, theta, refresh=True)
-    oracle, oracle_iters, oracle_residual, oracle_ev = newton_every_iterate(P3, S3, theta)
-    assert iters == oracle_iters >= 2 and np.array_equal(residual, oracle_residual)
-    assert np.array_equal(out, oracle) and np.array_equal(ev, oracle_ev)
-    assert jac is not None
 
 
 def test_newton_disc_violation_far_from_discs():
@@ -686,13 +674,12 @@ def test_trials_from_the_seed_start_on_the_fourth_order_curve(monkeypatch):
     assert np.array_equal(trials[first + 1][0][: p.n], trials[first][1][0][: p.n])
 
 
-def test_trials_after_a_rejection_run_full_newton_past_a_fold(monkeypatch):
+def test_a_trial_local_chord_gets_past_the_fold():
     """Fills two radii wide drive this n=11 instance across a fold near
-    t = 0.967, where the chord iteration stalls trial after trial on a
-    stale chord matrix.  Trials after a rejection run full Newton and get
-    past it; chord trials alone end in StepUnderflow there."""
-    import giep.solver as solver
-
+    t = 0.967, where a chord matrix kept from one trial to the next stalls
+    trial after trial.  Each trial starts on the identity chord and forms
+    its own Jacobian where a chord step contracts weakly, so the solve
+    passes the fold in a few steps."""
     s = Spectrum(pairs=(), reals=(
         4.505685057126957, -4.235519777027465, 2.981091489099736, 1.0817689464852815,
         0.5517270050666827, -2.620453810349461, 5.479083150184433, 3.671151760467147,
@@ -705,15 +692,7 @@ def test_trials_after_a_rejection_run_full_newton_past_a_fold(monkeypatch):
     cfg = SolverConfig(fill_scale=2.0)
     rep = solve_instance(s, g, cfg=cfg)
     assert rep.history[-1].t == 1.0 and verify(rep.matrix, s, g).passed
-
-    real_correct = solver.newton_correct
-
-    def chord_only(p, s, theta, jac, refresh):
-        return real_correct(p, s, theta, jac)
-
-    monkeypatch.setattr(solver, "newton_correct", chord_only)
-    with pytest.raises(StepUnderflow):
-        solve_instance(s, g, cfg=cfg)
+    assert rep.steps <= 8
 
 
 def test_eigenpair_failure_in_a_trial_halves_the_step(monkeypatch):
@@ -889,14 +868,13 @@ def test_default_fill_solve_runs_on_eigenvalues_alone(monkeypatch):
 
 
 def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
-    """In a chord trial a true Jacobian is formed exactly at the unconverged
-    iterates whose residual shrank by less than CHORD_RATIO over the last
-    chord step, from one ``eig`` with vectors of that iterate; the Newton
-    step right after it is not judged.  A trial after a rejection runs full
-    Newton: every iterate is one ``eig`` with vectors, and every unconverged
-    one forms a Jacobian.  Every later correction solves with the latest
-    Jacobian, in later trials too; a rejected trial leaves the chord as it
-    was."""
+    """A true Jacobian is formed exactly at the unconverged iterates whose
+    residual shrank by less than CHORD_RATIO over the last chord step, from
+    one ``eig`` with vectors of that iterate; the Newton step right after it
+    is not judged.  Every other iterate is one ``eigvals``.  Every trial
+    starts on the identity chord, and every correction solves with the
+    latest Jacobian formed in its own trial, never one from an earlier
+    trial."""
     import giep.solver as solver
 
     events = []
@@ -907,10 +885,10 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         )
     }
 
-    def correct(p, s, theta, *args):
+    def correct(p, s, theta):
         events.append(("trial", s.target_coordinates()))
         try:
-            return real["newton_correct"](p, s, theta, *args)
+            return real["newton_correct"](p, s, theta)
         except Exception:
             events.append(("rejected", None))
             raise
@@ -944,9 +922,9 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
 
     def audit(seed, fill_scale):
         """Replay one solve's events; returns the counts of Jacobians
-        formed, of those formed in trials after a rejection, of weak
-        contractions after a Newton step, and of corrections that reuse a
-        Jacobian from an earlier trial."""
+        formed, of trials that formed one, of rejected trials, of weak
+        contractions after a Newton step, and of corrections that solve
+        with a Jacobian from an earlier trial."""
         events.clear()
         rng = np.random.default_rng(seed)
         s = random_spectrum(rng, 3, 4)
@@ -960,31 +938,20 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
         tol = TOL_NEWTON_FACTOR * s.scale
 
         kinds = [kind for kind, _ in events]
-        formed = retried = newton_weak = reused_across = trial = 0
-        chord = None  # the identity
-        rejected = False
+        formed = rejected = newton_weak = reused_across = trial = 0
+        jacobian_trials = set()
         i = kinds.index("trial")
         while i < len(events):
             kind, value = events[i]
             i += 1
             if kind == "trial":
-                target, residuals, chord_before, newton_step = value, [], chord, False
-                retry, rejected = rejected, False
+                target, residuals, chord, newton_step = value, [], None, False
                 trial += 1
             elif kind == "rejected":
-                chord, rejected = chord_before, True
-            elif kind in ("eigvals", "eig") and kinds[i] == "coords":  # an iterate inside the discs
-                assert (kind == "eig") == retry  # one decomposition, with vectors on a retry
+                rejected += 1
+            elif kind == "eigvals" and kinds[i] == "coords":  # an iterate inside the discs
                 residuals.append(np.abs(target - events[i][1]).max())
                 i += 1
-                if retry and residuals[-1] > tol and len(residuals) <= MAX_NEWTON:
-                    assert kinds[i] in ("jacobian", "rejected")  # unless an eigenpair check raised
-                    if kinds[i] == "jacobian":
-                        chord, chord_trial = events[i][1], trial
-                        formed += 1
-                        retried += 1
-                        i += 1
-                    continue
                 weak = 1 < len(residuals) <= MAX_NEWTON and residuals[-1] > max(
                     tol, CHORD_RATIO * residuals[-2]
                 )
@@ -997,25 +964,28 @@ def test_jacobian_formed_only_after_a_weak_contraction(monkeypatch):
                     if kinds[i] == "jacobian":  # unless an eigenpair check raised
                         chord, chord_trial = events[i][1], trial
                         formed += 1
+                        jacobian_trials.add(trial)
                         i += 1
                 newton_step = weak and not newton_step
             elif kind == "solve":
                 assert value is chord  # never the identity's plain step, always the latest
                 reused_across += chord_trial < trial
-            elif kind in ("eigvals", "eig"):  # an iterate that left the discs
-                assert kind != "eig" or retry, "eigenvectors outside a weak chord contraction"
+            else:  # an iterate that left the discs
+                assert kind == "eigvals", "eigenvectors outside a weak chord contraction"
                 assert kinds[i] == "rejected"
-        return formed, retried, newton_weak, reused_across
+        return formed, len(jacobian_trials), rejected, newton_weak, reused_across
 
-    # fills two and three radii wide: seeds 2 and 7 reach t = 1 after
-    # rejected trials and several Jacobians, and on seed 7 one Newton step
-    # contracts weakly; seed 1 stalls in trial after trial and fails
-    formed, retried, _, reused_across = audit(2, 3.0)
-    assert formed > retried > 0 and reused_across > 0
-    formed, _, newton_weak, _ = audit(7, 2.0)
-    assert formed >= 2 and newton_weak > 0
-    _, retried, _, _ = audit(1, 2.0)
-    assert retried > 0
+    # fills three radii wide: seed 2 reaches t = 1 after rejected trials,
+    # with Jacobians formed in several trials
+    formed, trials, rejected, _, reused_across = audit(2, 3.0)
+    assert formed >= trials >= 2 and rejected > 0 and reused_across == 0
+    # fills two radii wide: seed 7 takes the whole interval in one trial
+    # that forms two Jacobians, and one Newton step there contracts weakly;
+    # seed 1 fails after trial after trial that forms Jacobians
+    formed, _, _, newton_weak, reused_across = audit(7, 2.0)
+    assert formed >= 2 and newton_weak > 0 and reused_across == 0
+    _, trials, rejected, _, reused_across = audit(1, 2.0)
+    assert trials > rejected > 0 and reused_across == 0
 
 
 @pytest.mark.parametrize("n", [40, 160])
@@ -1037,10 +1007,7 @@ def test_chord_solve_matches_every_iterate_newton(monkeypatch, graph, n):
     assert all(p.bidirected) == (graph == "undirected")
     chord = continuation_solve(s, p).matrix
 
-    def full_newton(p, s, theta, jac, refresh):
-        return (*newton_every_iterate(p, s, theta), jac)
-
-    monkeypatch.setattr(solver, "newton_correct", full_newton)
+    monkeypatch.setattr(solver, "newton_correct", newton_every_iterate)
     oracle = continuation_solve(s, p).matrix
 
     e = p.entries
