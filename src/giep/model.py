@@ -27,10 +27,9 @@ near the seed are identified by which disc they fall in.
 :func:`label_eigenvalues` reads off the stacked (lambda, mu, gamma)
 coordinates, the quantities the Newton corrector drives to
 :meth:`Spectrum.target_coordinates`, together with the positions of the
-tracked eigenvalues, which select their eigenvectors.  A spectrum builds
-its target coordinates and the labeling's fixed tables once, so a
-labeling of eigenvalues that all sit in their own discs costs one
-distance per eigenvalue and one gather.
+tracked eigenvalues, which select their eigenvectors.  It and
+:func:`spectrum_mismatch` first pair the i-th eigenvalue with the i-th
+spectrum point, both in :func:`~giep.linalg.eig_all`'s order.
 Since the seed has x = lambda, y = mu and z = gamma, the seed's theta is
 the target coordinate vector followed by 2m zero fills.
 """
@@ -134,7 +133,7 @@ class Spectrum:
     @cached_property
     def _coordinates(self) -> np.ndarray:
         k, points = self.k, self._points
-        return _freeze(np.concatenate([points.real[:k], points.imag[:k], points.real[2 * k :]]))
+        return _freeze(stack_coordinates(points[:k], points[2 * k :]))
 
     @cached_property
     def radius(self) -> float:
@@ -172,19 +171,9 @@ class Spectrum:
         return _freeze(self._points[self._rank])
 
     @cached_property
-    def _paired(self) -> "_PairedLabels":
-        # label_eigenvalues' tables for eigenvalue i in the disc of point _rank[i]
-        k, n, rank = self.k, self.n, self._rank
-        pos = np.empty(n, dtype=np.intp)
-        pos[rank] = np.arange(n)  # the eigenvalue each disc holds, in point order
-        # float offsets of (plus real parts, plus imaginary parts, real parts),
-        # then of the imaginary parts that must be exactly zero
-        re = 2 * pos
-        gather = np.concatenate([re[:k], re[:k] + 1, re[2 * k :], re[2 * k :] + 1])
-        return _PairedLabels(
-            tracked=_freeze(np.concatenate([pos[:k], pos[2 * k :]])),
-            gather=_freeze(gather),
-        )
+    def _paired_tracked(self) -> np.ndarray:
+        # the tracked positions when eigenvalue i lies in the disc of point _rank[i]
+        return _freeze(_tracked(self._rank, self.k))
 
     @classmethod
     def from_eigenvalues(cls, values) -> "Spectrum":
@@ -201,14 +190,6 @@ class Spectrum:
             pairs=tuple((v.real, v.imag) for v in plus),
             reals=tuple(reals),
         )
-
-
-class _PairedLabels(NamedTuple):
-    """The fixed tables of :func:`label_eigenvalues` when eigenvalue i lies
-    in the disc of spectrum point ``Spectrum._rank[i]``."""
-
-    tracked: np.ndarray  # positions of the k plus-disc and l real eigenvalues
-    gather: np.ndarray  # offsets into the eigenvalues viewed as floats
 
 
 class Entries(NamedTuple):
@@ -363,6 +344,25 @@ def assemble(p: Pattern, theta) -> np.ndarray:
     return mtx
 
 
+def stack_coordinates(plus: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """The (lambda, mu, gamma) order: the real parts of the ``plus`` values,
+    their imaginary parts, then the real parts of the ``real`` values,
+    stacked along the first axis."""
+    return np.concatenate([plus.real, plus.imag, real.real])
+
+
+def _paired_distances(ev: np.ndarray, s: Spectrum) -> tuple[np.ndarray, bool]:
+    """The distance of ``ev[i]`` to the i-th spectrum point in (real, imag)
+    order, the order of :func:`~giep.linalg.eig_all`, with the same bits as
+    :func:`_distances`, and whether every one is below the radius, which a
+    NaN is not.  The points are over 2*radius apart, so then each
+    eigenvalue's unique nearest point is its own.  Raises ValueError when
+    the spectrum has no usable radius."""
+    paired = s._centers
+    dist = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
+    return dist, bool(dist.max() < s.radius)
+
+
 def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Assign each eigenvalue to the disc of radius :attr:`Spectrum.radius`
     around a spectrum point; return (coordinates, positions).
@@ -374,68 +374,64 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     Assignment is by nearest center, then validated: every disc must hold
     exactly one eigenvalue, an eigenvalue assigned to a real interval must
     be exactly real, and every eigenvalue must lie strictly inside its
-    disc.  No tie needs breaking: an eigenvalue equidistant from two
-    centers is at least gap/2 > radius from both.  Any violation means the
-    matrix has left the neighborhood where the labeling is meaningful and
-    raises DiscViolation.  The per-eigenvalue rules report the first
-    offending eigenvalue in input order, and the one-per-disc rule the
-    first offending disc in center order.
+    disc, which no non-finite one does.  No tie needs breaking: an
+    eigenvalue equidistant from two centers is at least gap/2 > radius
+    from both.  Any violation means the matrix has left the neighborhood
+    where the labeling is meaningful and raises DiscViolation.  The
+    per-eigenvalue rules report the first offending eigenvalue in input
+    order, and the one-per-disc rule the first offending disc in center
+    order.
 
-    The i-th eigenvalue is first paired with the i-th center in (real,
-    imag) order, the order in which :func:`~giep.linalg.eig_all` returns
-    eigenvalues: one distance per eigenvalue.  The centers are more than
-    2*radius apart, so an eigenvalue strictly inside its paired disc has
-    that center as its unique nearest one.  When every eigenvalue is, the
-    pairing is the nearest-center assignment.  Otherwise (an eigenvalue
-    outside every disc, or eigenvalues whose order differs from their
-    centers') the distances to every center come from one
-    eigenvalue-by-center matrix.  The pairing's centers, its positions and
-    the offsets of the coordinates in the eigenvalues viewed as floats are
-    fixed per spectrum and built once, on first use.
+    The assignment is the pairing of :func:`_paired_distances` when it
+    holds, with positions built once per spectrum; otherwise (an
+    eigenvalue outside every disc, or out of its center's order) it comes
+    from one eigenvalue-by-center distance matrix.  Both go through the
+    same checks, which a pairing can fail only by an off-axis eigenvalue in
+    a real disc, and the same readout.
     """
     ev = np.ascontiguousarray(eigs, dtype=complex)
     if ev.size != s.n:
         raise ValueError(f"expected {s.n} eigenvalues, got {ev.size}")
-    paired = s._centers
-    nearest = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
-    paired_inside = nearest.max() < s.radius
-    if paired_inside:
-        # the assignment is s._rank; it stands unless an eigenvalue in a real
-        # interval is not exactly real, which the checks below report
-        picked = ev.view(float)[s._paired.gather]
-        if not picked[s.n :].any():
-            return picked[: s.n], s._paired.tracked
-    centers = s.values()
-    idx = s._rank
-    if not paired_inside:
-        dist = _distances(ev, centers)
+    nearest, paired = _paired_distances(ev, s)
+    if paired:
+        idx, tracked = s._rank, s._paired_tracked
+    else:
+        dist = _distances(ev, s.values())
         idx = np.argmin(dist, axis=1)
         nearest = dist[np.arange(ev.size), idx]
-    outside = nearest >= s.radius
-    off_axis = (idx >= 2 * s.k) & (ev.imag != 0.0)
-    bad = np.flatnonzero(outside | off_axis)
-    if bad.size:
-        i = bad[0]
-        e, c = ev[i], centers[idx[i]]
-        if outside[i]:
-            raise DiscViolation(
-                f"eigenvalue {e} lies in no disc (nearest center {c}, "
-                f"distance {nearest[i]:.6g}, radius {s.radius:.6g})"
-            )
-        raise DiscViolation(f"non-real eigenvalue {e} near real target {c.real}")
-    # only a nearest-center assignment gets here; the paired one, the
-    # bijection s._rank, returned above or failed a check
-    counts = np.bincount(idx, minlength=s.n)
-    crowded = np.flatnonzero(counts != 1)
-    if crowded.size:
-        j = crowded[0]
-        raise DiscViolation(f"disc at {centers[j]} holds {counts[j]} eigenvalues, expected 1")
-    pos = np.empty_like(idx)
-    pos[idx] = np.arange(ev.size)  # the eigenvalue each disc holds, in center order
+        tracked = _tracked(idx, s.k)
+    picked = ev[tracked]
+    # a pairing breaks no rule unless an eigenvalue in a real disc is off the axis
+    if not paired or picked[s.k :].imag.any():
+        centers = s.values()
+        outside = ~(nearest < s.radius)
+        off_axis = (idx >= 2 * s.k) & (ev.imag != 0.0)
+        bad = np.flatnonzero(outside | off_axis)
+        if bad.size:
+            i = bad[0]
+            e, c = ev[i], centers[idx[i]]
+            if outside[i]:
+                raise DiscViolation(
+                    f"eigenvalue {e} lies in no disc (nearest center {c}, "
+                    f"distance {nearest[i]:.6g}, radius {s.radius:.6g})"
+                )
+            raise DiscViolation(f"non-real eigenvalue {e} near real target {c.real}")
+        counts = np.bincount(idx, minlength=s.n)
+        crowded = np.flatnonzero(counts != 1)
+        if crowded.size:
+            j = crowded[0]
+            raise DiscViolation(f"disc at {centers[j]} holds {counts[j]} eigenvalues, expected 1")
     # inside a disc of radius <= mu/2 around lam + i*mu, the imaginary part exceeds mu/2 > 0
-    plus = ev[pos[: s.k]]
-    tracked = np.concatenate([pos[: s.k], pos[2 * s.k :]])
-    return np.concatenate([plus.real, plus.imag, ev[pos[2 * s.k :]].real]), tracked
+    return stack_coordinates(picked[: s.k], picked[s.k :]), tracked
+
+
+def _tracked(idx: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the eigenvalues in the plus and the real discs, in
+    point order, when eigenvalue i lies in the disc of point ``idx[i]``:
+    the inverse of ``idx`` when that is a bijection, as labeling checks."""
+    pos = np.zeros_like(idx)  # a disc that holds no eigenvalue reads position 0
+    pos[idx] = np.arange(idx.size)
+    return np.concatenate([pos[:k], pos[2 * k :]])
 
 
 def spectrum_mismatch(eigs, s: Spectrum) -> float:
@@ -443,31 +439,28 @@ def spectrum_mismatch(eigs, s: Spectrum) -> float:
 
     For each target point, in :meth:`Spectrum.values` order, the nearest
     unused computed eigenvalue is consumed (the earliest one on a tie); the
-    result is the largest distance over all assignments.
+    result is the largest distance over all assignments.  A non-finite
+    eigenvalue is infinitely far from every target, so the result is then
+    infinite.
 
-    The i-th eigenvalue is first paired with the i-th target in (real,
-    imag) order, the order in which :func:`~giep.linalg.eig_all` returns
-    eigenvalues: one distance each.  When every one is below the radius,
-    each target's unique nearest eigenvalue is its own (any other lies
-    more than 2*radius away), so the greedy pass would consume exactly
-    these pairs and their largest distance is the greedy value, bit for
-    bit.  Otherwise (values outside their discs or out of order,
-    duplicates, a spectrum without a usable radius) the greedy pass runs
-    on the full target-by-eigenvalue distance matrix.
+    When the pairing of :func:`_paired_distances` holds, the greedy pass
+    would consume exactly its pairs, so their largest distance is the
+    greedy value, bit for bit.  Otherwise (values outside their discs or
+    out of order, duplicates, a spectrum without a usable radius) the
+    greedy pass runs on the full target-by-eigenvalue distance matrix.
     """
     ev = np.atleast_1d(np.asarray(eigs, dtype=complex))
     targets = s.values()
     if ev.size != targets.size:
         raise ValueError(f"expected {targets.size} eigenvalues, got {ev.size}")
-    paired = s._centers
-    # hypot of the negated differences _distances forms: the same bits
-    dist = np.hypot(ev.real - paired.real, ev.imag - paired.imag)
     try:
-        radius = s.radius
-    except ValueError:
-        radius = 0.0
-    if np.all(dist < radius):
+        dist, paired = _paired_distances(ev, s)
+    except ValueError:  # no radius: the greedy pass decides
+        paired = False
+    if paired:
         return max(0.0, dist.max())  # the loop's result type: 0.0 stays a float
+    if not np.isfinite(ev).all():
+        return math.inf
     dist = _distances(targets, ev)
     worst = 0.0
     for row in dist:

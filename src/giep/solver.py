@@ -88,6 +88,7 @@ from .model import (
     assemble,
     label_eigenvalues,
     spectrum_mismatch,
+    stack_coordinates,
 )
 
 logger = logging.getLogger("giep.solver")
@@ -153,7 +154,7 @@ def jacobian_xyz(p: Pattern, eig: Eigenpairs) -> np.ndarray:
     prod.real *= e.coef[xyz]  # scaling the parts separately is exact, signed zeros too
     prod.imag *= e.coef[xyz]
     zeta = np.add.reduceat(prod, starts[:-1], axis=1) / eig.pairing[:, None]
-    return np.vstack([zeta[: p.k].real, zeta[: p.k].imag, zeta[p.k :].real])
+    return stack_coordinates(zeta[: p.k], zeta[p.k :])
 
 
 def _coupling(p: Pattern, fills: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -269,10 +270,9 @@ def solution_curve(p: Pattern, s: Spectrum, fills: np.ndarray) -> np.ndarray:
     """
     g, paired, exp = _coupling(p, fills)
     with np.errstate(all="ignore"):
-        terms = _orders(g, paired, s.values(), exp)
-        plus, real = terms[:, : p.k], terms[:, 2 * p.k :]
-        curve = np.ldexp(np.concatenate([plus.real, plus.imag, real.real], axis=1), exp)
-    return np.where(np.isfinite(curve).all(axis=0), curve, np.nan)
+        terms = _orders(g, paired, s.values(), exp).T  # one row per eigenvalue
+        curve = np.ldexp(stack_coordinates(terms[: p.k], terms[2 * p.k :]), exp)
+    return np.where(np.isfinite(curve).all(axis=1, keepdims=True), curve, np.nan).T
 
 
 def newton_correct(

@@ -452,8 +452,9 @@ def label_outcome(label, ev, s):
 
 @pytest.fixture
 def distance_matrices(monkeypatch):
-    """Counts the eigenvalue-by-center distance matrices labeling builds:
-    0 when the rank pairing holds, 1 when it falls back."""
+    """Counts the eigenvalue-by-center distance matrices labeling and
+    spectrum_mismatch build: 0 when the rank pairing holds, 1 when it
+    falls back."""
     import giep.model as model
 
     calls = [0]
@@ -542,6 +543,27 @@ def test_label_reports_first_offending_eigenvalue():
     assert "non-real" in raised(label_eigenvalues, ev, s)
 
 
+NAN = float("nan")
+NON_FINITE = [
+    # (spectrum, eigenvalues, index of the first non-finite one)
+    (Spectrum(pairs=(), reals=(1.0, 2.0, 3.0)), [NAN, 2, 3], 0),
+    (Spectrum(pairs=(), reals=(1.0, 2.0, 3.0)), [NAN, NAN, NAN], 0),
+    (Spectrum(pairs=(), reals=(1.0, 2.0, 3.0)), [1, 2, complex(3, NAN)], 2),
+    (Spectrum(pairs=(), reals=(1.0, 2.0, 3.0)), [1, np.inf, NAN], 1),
+    (Spectrum(pairs=((1.0, 2.0),), reals=(4.0,)), [1 - 2j, complex(NAN, 2), 4], 1),
+]
+
+
+@pytest.mark.parametrize("s, ev, first", NON_FINITE)
+def test_label_puts_no_non_finite_eigenvalue_in_a_disc(s, ev, first):
+    """A NaN distance is not below the radius: the first non-finite
+    eigenvalue in input order lies in no disc.  The loop oracle lets NaN
+    through, so the message is checked directly."""
+    ev = np.array(ev, dtype=complex)
+    message = raised(label_eigenvalues, ev, s)
+    assert message.startswith(f"eigenvalue {ev[first]} lies in no disc")
+
+
 # ---------------------------------------------------------------------------
 # Spectrum mismatch
 
@@ -600,6 +622,31 @@ def test_spectrum_mismatch_property_bitwise_equal_to_loop(n, kind, data):
         got = spectrum_mismatch(ev, s)
     assert got == loop_mismatch(ev, s)
     assert matrices.call_count == (kind != "inside")
+
+
+@pytest.mark.parametrize("s, ev, first", NON_FINITE)
+def test_spectrum_mismatch_of_non_finite_eigenvalues_is_infinite(s, ev, first):
+    assert spectrum_mismatch(np.array(ev, dtype=complex), s) == np.inf
+
+
+def test_spectrum_mismatch_builds_a_distance_matrix_only_when_the_pairing_breaks(
+    distance_matrices,
+):
+    """Eigenvalues within 0.9 radii of their paired points, in the points'
+    (real, imag) order, take the pairing that labeling takes, with no
+    distance matrix; swapping the first and the last breaks it and takes
+    one."""
+    for rng, s in seeded_spectra(67, 120, 160):
+        frac, angle = rng.uniform(0, 1, (2, s.n))
+        ev = s.values()[s._rank] + 0.9 * s.radius * frac * np.exp(2j * np.pi * angle)
+        distance_matrices[0] = 0
+        assert spectrum_mismatch(ev, s) == loop_mismatch(ev, s)
+        assert distance_matrices[0] == 0
+        if s.n >= 2:
+            ev[[0, -1]] = ev[[-1, 0]]
+            distance_matrices[0] = 0
+            assert spectrum_mismatch(ev, s) == loop_mismatch(ev, s)
+            assert distance_matrices[0] == 1
 
 
 # ---------------------------------------------------------------------------
