@@ -33,7 +33,7 @@ import pytest
 
 from giep import Spectrum, SolverConfig, make_graph, solve_instance, tridiagonalize
 from giep.cli import random_graph, random_spectrum
-from giep.errors import DiscViolation, GiepError, NoConvergence
+from giep.errors import DiscViolation, GiepError, NoConvergence, StepUnderflow
 from giep.graph import max_matching, plan_relabeling
 from conftest import kernel_pin, openblas_corename
 
@@ -163,6 +163,23 @@ def solved_at_fill_one(s, g):
     return solve_instance(s, g, cfg=SolverConfig(fill_scale=1.0)).matrix
 
 
+def continuation_runs():
+    """n from 8 to 16 twice each, like jacobian_runs, for solves at fills
+    three disc radii wide: there trials are rejected and halved, some
+    solves succeed after several steps and others end in StepUnderflow,
+    whose message carries the t it reached."""
+    rng = np.random.default_rng(2031)
+    for n in range(8, 17):
+        for _ in range(2):
+            k = int(rng.integers(0, n // 2 + 1))
+            s = spectrum_for(rng, n, k)
+            yield s, random_graph(rng, n, k, float(rng.uniform(0.05, 0.6)))
+
+
+def solved_at_fill_three(s, g):
+    return solve_instance(s, g, cfg=SolverConfig(fill_scale=3.0)).matrix
+
+
 def tridiagonalize_runs():
     rng = np.random.default_rng(2028)
     for n in range(2, 12):
@@ -225,6 +242,15 @@ PINS = {
         "Katmai": "a89dae59a624bc5a1df360e3c796ff6b5feddda1b43aba1a092dbe2292a8b8ed",
         "Nehalem": "fe46bb0ac1c43855909c7e970c36a19075f5e227839b26a3b342b4845ba28fe3",
     }),
+    # the one group that rejects trials and halves the step, at fills of
+    # three radii; Sandybridge and Prescott differ here
+    "continuation": (continuation_runs, solved_at_fill_three, {
+        "SkylakeX": "7acc3c0be80237df44e0983f83f909ee31500f53c6dac27bc395f46429659310",
+        "Haswell": "b46aeb6e98ce327fa9dff5be6255e09ae55b636be4a1463beac78869cf8ec9dd",
+        "Sandybridge": "90a90e6fdc18131253fbaa9645f97f7fa171debc273740e3de629620c1d8b3fa",
+        "Katmai": "2b12c8cd189b8fc641f7654f2fbd9ebc66a53a684606617aa3a451a781d50037",
+        "Nehalem": "c8c52578b4d419f746d5b66ae92cb7dc2e81bdc91a9ff52da1a95e1ce9d567ba",
+    }),
     "tridiagonalize": (tridiagonalize_runs, tridiagonalized, {
         "SkylakeX": "15354d0abfaf386a59d2debdddb28a6d5caf238a526fd77949648be8df4d70ac",
         "Haswell": "ca189b16bf0ba23be0988e21944f2c7ad39a19b8c697ceb971514008f293c39c",
@@ -267,6 +293,35 @@ def test_jacobian_group_forms_jacobians_and_rejects_no_trial(monkeypatch):
     for s, g in jacobian_runs():
         solved_at_fill_one(s, g)
     assert counts["jacobian"] > 0 and counts["rejected"] == 0
+
+
+def test_continuation_group_rejects_trials_and_ends_both_ways(monkeypatch):
+    """The continuation pin covers the step-halving path: its solves reject
+    trials, some succeed after more than one step and some end in
+    StepUnderflow."""
+    import giep.solver as solver
+
+    rejected = 0
+    real_correct = solver.newton_correct
+
+    def correct(*args):
+        nonlocal rejected
+        try:
+            return real_correct(*args)
+        except (NoConvergence, DiscViolation):
+            rejected += 1
+            raise
+
+    monkeypatch.setattr(solver, "newton_correct", correct)
+    multi_step = underflows = 0
+    for s, g in continuation_runs():
+        try:
+            report = solve_instance(s, g, cfg=SolverConfig(fill_scale=3.0))
+        except StepUnderflow:
+            underflows += 1
+        else:
+            multi_step += report.steps > 1
+    assert rejected > 0 and multi_step > 0 and underflows > 0
 
 
 # one digest for every kernel: the solve groups' structural zeros and written
