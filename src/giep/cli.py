@@ -185,12 +185,12 @@ def _solve_batch_item(stem: str, directory: Path, args) -> tuple[int, str]:
         s = parse_spectrum(_read(directory / f"{stem}.spectrum"))
         g = parse_graph(_read(directory / f"{stem}.graph"))
         report = solve_instance(s, g, args.mode, _config_from_args(args))
+        _write(directory / f"{stem}.matrix.csv", format_matrix_csv(report.matrix))
+        _write(directory / f"{stem}.report.txt", format_report(report))
     except _HANDLED as exc:
         if isinstance(exc, StepUnderflow):
             return EXIT_NUMERICAL, f"step underflow at t={exc.t_reached:.4g}"
         return _failure(exc)[0], str(exc)
-    _write(directory / f"{stem}.matrix.csv", format_matrix_csv(report.matrix))
-    _write(directory / f"{stem}.report.txt", format_report(report))
     return EXIT_OK, f"residual={report.final_residual:.3e}"
 
 

@@ -410,6 +410,8 @@ def label_eigenvalues(eigs, s: Spectrum) -> tuple[np.ndarray, np.ndarray]:
         if bad.size:
             i = bad[0]
             e, c = ev[i], centers[idx[i]]
+            if not np.isfinite(e):  # its distances are NaN or inf: it has no nearest center
+                raise DiscViolation(f"eigenvalue {e} lies in no disc: it is not finite")
             if outside[i]:
                 raise DiscViolation(
                     f"eigenvalue {e} lies in no disc (nearest center {c}, "

@@ -5,12 +5,12 @@ parameters (u, omega) linearly from zero to their targets along a homotopy
 parameter t in [0, 1].  Its first trial is the whole interval: at the seed
 every eigenvalue's first derivative with respect to the fills is zero, so
 small fills shift the spectrum only at second order.  A rejected trial
-halves the step and two easy accepts double it again, up to 1.  At each
-accepted t the inner Newton loop restores the labeled eigenvalue
-coordinates to the target spectrum by correcting only the block parameters
-(x, y, z) — the square subsystem whose Jacobian is the identity at the seed
-and stays nonsingular nearby.  Fill entries are written verbatim and never
-solved for, so the output matrix carries its prescribed nonzeros exactly.
+halves the step, which never grows again.  At each accepted t the inner
+Newton loop restores the labeled eigenvalue coordinates to the target
+spectrum by correcting only the block parameters (x, y, z) — the square
+subsystem whose Jacobian is the identity at the seed and stays nonsingular
+nearby.  Fill entries are written verbatim and never solved for, so the
+output matrix carries its prescribed nonzeros exactly.
 
 By the implicit function theorem at the seed, the solution curve is
 analytic in t: (x, y, z)(t) = target - t^2 c2 - t^3 c3 - t^4 c4 + O(t^5),
@@ -105,7 +105,6 @@ TOL_FINAL_FACTOR = 1e-8     # final spectrum tolerance, same scaling
 NONZERO_FLOOR = 1e-12       # verify's floor on edge entries, same scaling
 MAX_NEWTON = 25             # newton iterations before a trial is rejected
 MAX_STEPS = 10_000          # accepted continuation steps before StepUnderflow
-EASY_NEWTON_ITERS = 4       # an accept this cheap counts toward doubling the step
 CHORD_RATIO = 0.1           # a chord step shrinking the residual by less than this forms a Jacobian
 SHIFT_ROWS = 32             # rows per block of the higher-order terms, which bounds their memory
 MODES = ("generic", "skew")  # how default_targets ties omega* to u*
@@ -365,8 +364,9 @@ class SolverConfig:
     ``fill_scale`` sizes the fill targets as a fraction of the disc
     radius; the construction is only guaranteed for small fills, so
     aggressive values trade success probability for larger entries.
-    The continuation starts with the whole interval as its trial step and
-    gives up with StepUnderflow once halving takes the step below
+    The continuation starts with the whole interval as its trial step,
+    halves it after a rejected trial, never grows it, and gives up with
+    StepUnderflow once halving takes the step below
     ``step_min``, which must be positive, once a step no longer advances
     t, or once MAX_STEPS steps have been accepted.
     ``observer``, when set, is called as ``observer(state, eigs)`` once at
@@ -433,11 +433,10 @@ def continuation_solve(
 
     The first trial step is the whole interval t: 0 -> 1.  The step halves
     after a rejected trial (disc violation, stalled Newton, a non-finite
-    iterate or a failed eigendecomposition) and doubles after two
-    consecutive easy accepts, up to 1; each trial is clipped to the rest of
-    the interval.  A trial from the seed starts at (x, y, z) = target -
-    t^2 (c2 + t (c3 + t c4)), the seed's fourth-order solution curve from
-    :func:`solution_curve`; later trials start at the last accepted point.
+    iterate or a failed eigendecomposition) and never grows.  A trial from
+    the seed starts at (x, y, z) = target - t^2 (c2 + t (c3 + t c4)), the
+    seed's fourth-order solution curve from :func:`solution_curve`; later
+    trials start at the last accepted point.
     Each trial corrects with its own chord iteration, which starts on the
     identity Jacobian; a start within the Newton tolerance takes no
     correction, and its one ``eigvals`` is also the final check.  On
@@ -477,21 +476,18 @@ def continuation_solve(
         c2, c3, c4 = solution_curve(p, s, np.concatenate([u_target, omega_target]))
 
     step = 1.0
-    easy_streak = 0
     while p.m > 0 and state.t < 1.0:
         if len(state.history) - 1 >= MAX_STEPS:  # the seed's record is no step
             raise StepUnderflow(
                 f"step budget {MAX_STEPS} exhausted at t={state.t:.6g}",
                 t_reached=state.t,
             )
-        trial_dt = min(step, 1.0 - state.t)
-        t_try = state.t + trial_dt
-        if 1.0 - t_try < 1e-12:
-            t_try = 1.0
+        # step is a power of two and t a multiple of it, so t + step never passes 1
+        t_try = state.t + step
         if t_try == state.t:
             # the step is below the rounding of t: a trial would accept the same point
             raise StepUnderflow(
-                f"step {trial_dt:.3g} no longer advances t={state.t:.6g}",
+                f"step {step:.3g} no longer advances t={state.t:.6g}",
                 t_reached=state.t,
             )
         # a trial from the seed starts on the fourth-order solution curve
@@ -503,8 +499,7 @@ def continuation_solve(
         try:
             theta_new, iters, r, ev = newton_correct(p, s, theta_try)
         except (NoConvergence, DiscViolation) as exc:
-            step = trial_dt / 2.0
-            easy_streak = 0
+            step /= 2.0
             logger.debug("rejected t=%.6g (%s); step -> %.3g", t_try, exc, step)
             if step < cfg.step_min:
                 raise StepUnderflow(
@@ -521,13 +516,6 @@ def continuation_solve(
         logger.debug("accepted t=%.6g after %d newton iterations", t_try, iters)
         if cfg.observer is not None:
             cfg.observer(state, ev)
-        if iters <= EASY_NEWTON_ITERS:
-            easy_streak += 1
-        else:
-            easy_streak = 0
-        if easy_streak >= 2:
-            step = min(step * 2.0, 1.0)
-            easy_streak = 0
 
     matrix = assemble(p, state.theta)
     if not p.m:  # no trial ran; otherwise ev is the last accepted iterate's

@@ -551,17 +551,20 @@ NON_FINITE = [
     (Spectrum(pairs=(), reals=(1.0, 2.0, 3.0)), [1, 2, complex(3, NAN)], 2),
     (Spectrum(pairs=(), reals=(1.0, 2.0, 3.0)), [1, np.inf, NAN], 1),
     (Spectrum(pairs=((1.0, 2.0),), reals=(4.0,)), [1 - 2j, complex(NAN, 2), 4], 1),
+    (Spectrum(pairs=(), reals=(1.0, 2.0, 3.0)), [1, 2, np.inf], 2),
 ]
 
 
 @pytest.mark.parametrize("s, ev, first", NON_FINITE)
 def test_label_puts_no_non_finite_eigenvalue_in_a_disc(s, ev, first):
     """A NaN distance is not below the radius: the first non-finite
-    eigenvalue in input order lies in no disc.  The loop oracle lets NaN
-    through, so the message is checked directly."""
+    eigenvalue in input order lies in no disc, and the message says it is
+    not finite rather than naming a nearest center.  The loop oracle lets
+    NaN through, so the message is checked directly."""
     ev = np.array(ev, dtype=complex)
     message = raised(label_eigenvalues, ev, s)
     assert message.startswith(f"eigenvalue {ev[first]} lies in no disc")
+    assert "not finite" in message and "nearest center" not in message
 
 
 # ---------------------------------------------------------------------------

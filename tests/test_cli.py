@@ -523,6 +523,22 @@ def test_batch_of_successes_exits_zero(tmp_path, capsys):
     assert out[2:] == ["batch: 2 instances, 2 ok, 0 infeasible, 0 numerical, 0 bad-input"]
 
 
+def test_batch_reports_an_unwritable_output_and_solves_the_rest(tmp_path, capsys):
+    """An output that cannot be written fails its own instance as bad input;
+    the others are still solved, written and summarized."""
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.spectrum").write_text(SPECTRUM_3)
+        (tmp_path / f"{name}.graph").write_text(PATH_3)
+    (tmp_path / "a.matrix.csv").mkdir()
+    assert main(["solve", "--batch", str(tmp_path), "--jobs", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("a: bad-input (") and "a.matrix.csv" in out[0]
+    assert out[1].startswith("b: ok (")
+    assert out[2:] == ["batch: 2 instances, 1 ok, 0 infeasible, 0 numerical, 1 bad-input"]
+    m = parse_matrix_csv((tmp_path / "b.matrix.csv").read_text())
+    assert verify(m, parse_spectrum(SPECTRUM_3), parse_graph(PATH_3)).passed
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

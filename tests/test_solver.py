@@ -1,5 +1,7 @@
 """Tests for eigenvalue derivatives, the Newton corrector, and continuation."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -609,7 +611,7 @@ def test_default_fill_takes_one_whole_interval_step():
     assert np.all(m[zero] == 0.0)
 
 
-def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
+def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch, caplog):
     import giep.solver as solver
 
     trial_u = []
@@ -627,6 +629,7 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     _, p = plan_relabeling(g, max_matching(g), s.k)
     cfg = SolverConfig(fill_scale=3.0)
     u, omega = default_targets(p, s, "generic", cfg)
+    caplog.set_level(logging.DEBUG, logger="giep.solver")
     rep = continuation_solve(s, p, cfg=cfg)
 
     ts = [rec.t for rec in rep.history]
@@ -635,6 +638,19 @@ def test_rejected_whole_interval_halves_and_still_reaches_one(monkeypatch):
     assert 0.0 < ts[1] <= 0.5 and ts[-1] == 1.0
     assert all(np.all(np.abs(tu) <= np.abs(u)) for tu in trial_u)  # never past t = 1
     assert all(a < b for a, b in zip(ts, ts[1:]))
+    # every trial's exact t, from the solver's debug record of its outcome:
+    # its step from the last accepted t is a power of two no larger than the
+    # step before, and it never passes t = 1
+    trials = [r for r in caplog.records if r.msg.startswith(("accepted t=", "rejected t="))]
+    assert len(trials) == len(trial_u)
+    t, step = 0.0, 1.0
+    for record in trials:
+        t_try = record.args[0]
+        assert 0.0 < t_try - t <= step and np.frexp(t_try - t)[0] == 0.5 and t_try <= 1.0
+        step = t_try - t
+        if record.msg.startswith("accepted"):
+            t = t_try
+    assert t == 1.0
 
 
 def test_trials_from_the_seed_start_on_the_fourth_order_curve(monkeypatch):
