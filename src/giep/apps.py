@@ -162,16 +162,18 @@ def verify(
     floor = nonzero_floor(s)
     bad = np.where(edge, np.abs(a) < floor, a != 0.0)
     bad.flat[:: n + 1] = False  # graphs are loopless: the diagonal is free
-    failures = [
-        PatternFailure(int(i) + 1, int(j) + 1, float(a[i, j]), "nonzero" if edge[i, j] else "zero")
-        for i, j in np.argwhere(bad)
-    ]
+    failures = ()
+    if bad.any():
+        failures = tuple(
+            PatternFailure(int(i) + 1, int(j) + 1, float(a[i, j]), "nonzero" if edge[i, j] else "zero")
+            for i, j in np.argwhere(bad)
+        )
     err = spectrum_mismatch(ev, s)
     tol = spectrum_tol if spectrum_tol is not None else final_tolerance(s)
     return VerificationReport(
         pattern_ok=not failures,
         spectrum_ok=err <= tol,
-        pattern_failures=tuple(failures),
+        pattern_failures=failures,
         spectrum_error=err,
         spectrum_tol=tol,
         nonzero_floor=floor,

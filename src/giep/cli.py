@@ -80,6 +80,8 @@ _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage errors through the exit-code mapping."""
 
+    commands: dict[str, argparse.ArgumentParser]  # the top-level parser's subcommands
+
     def error(self, message):
         raise InputError(message)
 
@@ -381,7 +383,23 @@ def build_parser() -> argparse.ArgumentParser:
     rnd.add_argument("--out-prefix", dest="out_prefix", required=True)
     rnd.set_defaults(func=_cmd_random_instance)
 
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, parsed by the named subcommand's own parser.
+
+    The top-level parser hands every argument after the subcommand's name to
+    that subcommand's parser, so only argv that names no subcommand (none,
+    ``-h``, ``--version`` or an unknown word) needs the top-level parser.
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
@@ -394,7 +412,7 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except _HANDLED as exc:
         code, label = _failure(exc)

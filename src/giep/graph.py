@@ -15,12 +15,17 @@ built from their arrays.
 The permutation is an index array: ``order[old - 1]`` is the old vertex's
 0-based new index.
 
-A :class:`Graph` converts its edge set to arrays once, when it is built:
-the checks of its labels run over those arrays, and the sorted, read-only
-(tail, head, reverse) arrays are kept as :attr:`Graph.edge_arrays`.  Only
-when a check fails does a plain loop over the set name the first offender.
-``max_matching``, ``plan_relabeling``, :func:`format_graph` and
-:func:`giep.apps.verify` read the arrays; membership tests read the set.
+Each input is converted to arrays once.  :func:`parse_graph` and
+:func:`make_graph` convert every listed edge to one label array, check
+ranges, loops and repeats over it and build the :class:`Graph` from its
+sorted keys without checking them again; ``Graph(n, directed, edges)``
+converts its edge set the same way and checks it over the arrays.  The
+sorted, read-only (tail, head, reverse) arrays are kept as
+:attr:`Graph.edge_arrays`.  Only when a check fails does a plain loop over
+the lines, pairs or set name the first offender, with the message and
+precedence of a check made one edge at a time.  ``max_matching``,
+``plan_relabeling``, :func:`format_graph` and :func:`giep.apps.verify`
+read the arrays; membership tests read the set.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ class Graph:
             raise ValueError(f"vertex count n={self.n!r} must be an integer") from None
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if n * (n + 2) > np.iinfo(np.intp).max:  # the largest key, n * (n + 1) + n
+        if n * (n + 2) > _INTP_MAX:  # the largest key, n * (n + 1) + n
             raise ValueError(f"vertex count n={n} is too large")
         object.__setattr__(self, "n", n)
         if not set(map(len, edges)) <= {2}:
@@ -76,22 +81,68 @@ class Graph:
         a, b = e[0::2], e[1::2]
         # the keys decode to the edges when every label is in range, which
         # the check below requires before the arrays are kept
-        ordered = np.sort(a * (n + 1) + b)
-        tail, head = np.divmod(ordered, n + 1)
-        twin = head * (n + 1) + tail
-        if self.directed:
-            reverse = ordered[np.minimum(np.searchsorted(ordered, twin), ordered.size - 1)] == twin
-        else:  # closed under reversal exactly when the sorted twins are the keys
-            reverse = np.sort(twin) == ordered
+        arrays = _edge_arrays(np.sort(a * (n + 1) + b), n, self.directed)
+        reverse = arrays[2]
         faults = np.count_nonzero((e < 1) | (e > n)) + np.count_nonzero(a == b)
         if faults or not (self.directed or np.count_nonzero(reverse) == reverse.size):
             raise _edge_error(edges, n, self.directed)
-        for x in (tail, head, reverse):
-            x.setflags(write=False)
-        object.__setattr__(self, "edge_arrays", (tail, head, reverse))
+        object.__setattr__(self, "edge_arrays", arrays)
 
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
+
+
+_INTP_MAX = np.iinfo(np.intp).max
+
+
+def _edge_arrays(ordered: np.ndarray, n: int, directed: bool) -> tuple[np.ndarray, ...]:
+    """Read-only (tail, head, reverse) of the sorted keys a * (n + 1) + b.
+
+    For an undirected graph, ``reverse`` is all True exactly when the keys
+    are closed under reversal.
+    """
+    tail, head = np.divmod(ordered, n + 1)
+    twin = head * (n + 1) + tail
+    if directed:
+        reverse = ordered[np.minimum(np.searchsorted(ordered, twin), ordered.size - 1)] == twin
+    else:  # closed under reversal exactly when the sorted twins are the keys
+        reverse = np.sort(twin) == ordered
+    for x in (tail, head, reverse):
+        x.setflags(write=False)
+    return tail, head, reverse
+
+
+def _graph_of_rows(n, directed: bool, e: np.ndarray) -> Graph | None:
+    """The graph of the m-by-2 label array ``e``, one listed edge per row.
+
+    Returns None when n is no vertex count that :class:`Graph` accepts, or
+    a row is out of range, a loop or a repeat of an earlier row (reversed
+    too, when undirected), so that the caller's loop names the offender.
+    Otherwise the Graph is built from the arrays without checking them
+    again.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        return None
+    if n < 1 or n * (n + 2) > _INTP_MAX:
+        return None
+    a, b = e[:, 0], e[:, 1]
+    if np.count_nonzero((e < 1) | (e > n)) or np.count_nonzero(a == b):
+        return None
+    keys = a * (n + 1) + b
+    if not directed:
+        keys = np.concatenate([keys, b * (n + 1) + a])
+    ordered = np.sort(keys)
+    if np.count_nonzero(ordered[1:] == ordered[:-1]):
+        return None
+    tail, head, reverse = _edge_arrays(ordered, n, directed)
+    g = object.__new__(Graph)
+    edges = frozenset(zip(tail.tolist(), head.tolist()))
+    for name, value in zip(("n", "directed", "edges", "edge_arrays"),
+                           (n, directed, edges, (tail, head, reverse))):
+        object.__setattr__(g, name, value)
+    return g
 
 
 def _edge_error(edges, n: int, directed: bool) -> ValueError:
@@ -122,7 +173,26 @@ def make_graph(n: int, pairs, directed: bool = False) -> Graph:
     a repeated pair, including the reversed copy, is a duplicate.  Vertex
     labels must be integers (anything ``operator.index`` accepts); a float
     or a string raises ValueError naming the pair.
+
+    The pairs are converted to one label array and checked over it; only
+    when that fails does :func:`_graph_by_loop` name the first offender.
     """
+    pairs = list(pairs)
+    try:
+        if set(map(len, pairs)) <= {2}:
+            e = np.fromiter(map(operator.index, chain.from_iterable(pairs)), np.intp, 2 * len(pairs))
+            g = _graph_of_rows(n, directed, e.reshape(-1, 2))
+            if g is not None:
+                return g
+    except (TypeError, OverflowError):  # a pair without len, or a label that is no intp
+        pass
+    return _graph_by_loop(n, pairs, directed)  # names the first offender
+
+
+def _graph_by_loop(n: int, pairs, directed: bool) -> Graph:
+    """:func:`make_graph` pair by pair: the first pair with a label that is
+    no integer, or that repeats an earlier pair, raises ValueError; the
+    :class:`Graph` built from the rest raises its own checks' errors."""
     edges: set[tuple[int, int]] = set()
     for a, b in pairs:
         try:
@@ -146,14 +216,16 @@ def parse_graph(text: str) -> Graph:
 
     Accepts LF or CRLF line endings; blank lines are ignored.  Raises
     BadFormat on malformed lines, out-of-range vertices, loops, or
-    duplicate edges.
+    duplicate edges: every line's own error, in line order, before the
+    first duplicate.  The edge lines are converted to one label array,
+    each label as ``int`` converts it, and checked over it; only when that
+    fails does a loop over the lines name the first offender.
     """
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines:
+    rows = [ln.split() for ln in text.splitlines()]  # a blank line splits to []
+    no = next((i for i, row in enumerate(rows, start=1) if row), 0)
+    if not no:
         raise BadFormat("empty graph document")
-    no, header = lines[0]
-    parts = header.split()
+    parts = rows[no - 1]
     if len(parts) != 3:
         raise BadFormat(f"line {no}: header must be 'n m directed|undirected'")
     try:
@@ -165,11 +237,25 @@ def parse_graph(text: str) -> Graph:
     directed = parts[2] == "directed"
     if n < 1 or m < 0:
         raise BadFormat(f"line {no}: invalid sizes n={n}, m={m}")
-    if len(lines) - 1 != m:
-        raise BadFormat(f"expected {m} edge lines, found {len(lines) - 1}")
+    body = [row for row in rows[no:] if row]
+    if len(body) != m:
+        raise BadFormat(f"expected {m} edge lines, found {len(body)}")
+    try:
+        # m rows of two labels reshape to (m, 2); any other row lengths do not
+        g = _graph_of_rows(n, directed, np.array(body, dtype=np.intp).reshape(m, 2))
+    except (ValueError, OverflowError):  # a label that is no integer or beyond intp, or a bad row
+        g = None
+    return g if g is not None else _parse_by_loop(rows, no, n, directed)
+
+
+def _parse_by_loop(rows: list[list[str]], header: int, n: int, directed: bool) -> Graph:
+    """:func:`parse_graph` line by line after the header on line ``header``:
+    the first line that is no pair of integer labels in 1..n, or is a loop,
+    raises BadFormat, and then :func:`_graph_by_loop`'s errors do."""
     pairs = []
-    for no, ln in lines[1:]:
-        toks = ln.split()
+    for no, toks in enumerate(rows[header:], start=header + 1):
+        if not toks:
+            continue
         if len(toks) != 2:
             raise BadFormat(f"line {no}: expected 'a b'")
         try:
@@ -182,7 +268,7 @@ def parse_graph(text: str) -> Graph:
             raise BadFormat(f"line {no}: vertex out of range 1..{n}")
         pairs.append((a, b))
     try:
-        return make_graph(n, pairs, directed=directed)
+        return _graph_by_loop(n, pairs, directed)
     except ValueError as exc:
         raise BadFormat(str(exc)) from exc
 

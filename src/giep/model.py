@@ -42,7 +42,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -514,24 +514,34 @@ def format_spectrum(s: Spectrum) -> str:
 
 
 def parse_matrix_csv(text: str) -> np.ndarray:
-    """Parse a comma-separated matrix, one row per line."""
-    rows = []
-    for no, ln in enumerate(text.splitlines(), start=1):
-        if not ln.strip():
-            continue
-        try:
-            rows.append(list(map(float, ln.split(","))))
-        except ValueError as exc:
-            raise BadFormat(f"line {no}: not a numeric row") from exc
+    """Parse a comma-separated matrix, one row per line; blank lines are skipped.
+
+    Every row converts in one ``np.array`` call, which reads each entry as
+    ``float`` does.  Only when that fails does :func:`_bad_rows` name the
+    first line that is no numeric row, or else the inconsistent lengths.
+    """
+    rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
     if not rows:
         raise BadFormat("empty matrix document")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise BadFormat("rows have inconsistent lengths")
-    a = np.array(rows, dtype=float)
+    try:
+        a = np.array(rows, dtype=float)
+    except ValueError:  # an entry that is no number, or rows of different lengths
+        _bad_rows(text)
     if not np.isfinite(a).all():
         raise BadFormat("matrix entries must be finite")
     return a
+
+
+def _bad_rows(text: str) -> NoReturn:
+    """Raise BadFormat for the first nonblank line with an entry that is no
+    number, or for rows of inconsistent lengths when every entry is one."""
+    for no, ln in enumerate(text.splitlines(), start=1):
+        if ln.strip():
+            try:
+                list(map(float, ln.split(",")))
+            except ValueError as exc:
+                raise BadFormat(f"line {no}: not a numeric row") from exc
+    raise BadFormat("rows have inconsistent lengths")
 
 
 def format_matrix_csv(m: np.ndarray) -> str:

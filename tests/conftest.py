@@ -345,6 +345,65 @@ def loop_graph_check(n: int, directed: bool, edges) -> tuple[list, list, list]:
     return [a for a, _ in listed], [b for _, b in listed], [(b, a) in edges for a, b in listed]
 
 
+def loop_make_graph(n, pairs, directed: bool = False) -> Graph:
+    """``make_graph`` pair by pair: the first pair with a label that is no
+    integer or that repeats an earlier pair (reversed too, when undirected)
+    raises ValueError; then the checked ``Graph`` constructor's errors."""
+    edges: set[tuple[int, int]] = set()
+    for a, b in pairs:
+        try:
+            a, b = operator.index(a), operator.index(b)
+        except TypeError:
+            raise ValueError(f"edge ({a!r},{b!r}): vertices must be integers") from None
+        if (a, b) in edges or (not directed and (b, a) in edges):
+            raise ValueError(f"duplicate edge ({a},{b})" if directed else f"duplicate edge {{{a},{b}}}")
+        edges.add((a, b))
+        if not directed:
+            edges.add((b, a))
+    return Graph(n=n, directed=directed, edges=frozenset(edges))
+
+
+def loop_parse_graph(text: str) -> Graph:
+    """``parse_graph`` line by line: the header, then each edge line's own
+    error in line order, then ``loop_make_graph``'s errors, as BadFormat."""
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    lines = [(no, ln) for no, ln in lines if ln]
+    if not lines:
+        raise BadFormat("empty graph document")
+    no, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3:
+        raise BadFormat(f"line {no}: header must be 'n m directed|undirected'")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise BadFormat(f"line {no}: sizes must be integers") from None
+    if parts[2] not in ("directed", "undirected"):
+        raise BadFormat(f"line {no}: expected 'directed' or 'undirected', got {parts[2]!r}")
+    if n < 1 or m < 0:
+        raise BadFormat(f"line {no}: invalid sizes n={n}, m={m}")
+    if len(lines) - 1 != m:
+        raise BadFormat(f"expected {m} edge lines, found {len(lines) - 1}")
+    pairs = []
+    for no, ln in lines[1:]:
+        toks = ln.split()
+        if len(toks) != 2:
+            raise BadFormat(f"line {no}: expected 'a b'")
+        try:
+            a, b = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise BadFormat(f"line {no}: vertices must be integers") from None
+        if a == b:
+            raise BadFormat(f"line {no}: loop edge ({a},{a})")
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise BadFormat(f"line {no}: vertex out of range 1..{n}")
+        pairs.append((a, b))
+    try:
+        return loop_make_graph(n, pairs, directed=parts[2] == "directed")
+    except ValueError as exc:
+        raise BadFormat(str(exc)) from None
+
+
 def set_format_graph(g: Graph) -> str:
     """``format_graph`` from the edge set: every ordered pair if directed,
     each undirected edge once as (min, max), sorted."""

@@ -292,6 +292,61 @@ def test_parser_built_once_gives_same_output_as_fresh_parser(instance, capsys):
     assert run(fresh=True) == reused
 
 
+def run_main(argv) -> tuple:
+    """``main(argv)``'s exit code, or the code it exits with, and its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 1),
+        (["--version"], ("exit", 0)),
+        (["-h"], ("exit", 0)),
+        (["nosuch"], 1),
+        (["verify"], 1),
+        (["verify", "--version"], 1),
+        (["verify", "-h"], ("exit", 0)),
+        (["solve", "--mode", "sideways"], 1),
+        (["solve", "--batch", "DIR", "--jobs", "0"], 1),
+        (["tridiagonalize", "--matrix", "M"], 1),
+        (["random-instance", "--n", "x"], 1),
+        (["solve", "--spectrum", "S", "--graph", "G", "--out", "OUT"], 0),
+        (["verify", "--matrix", "OUT", "--spectrum", "S", "--graph", "G", "--tol", "1e-6"], 0),
+    ],
+)
+def test_subcommand_dispatch_matches_the_top_level_parser(instance, monkeypatch, argv, code):
+    """Handing argv to the named subcommand's parser gives the exit code,
+    standard output and standard error of parsing it with the top-level
+    parser, and the same namespace where the arguments parse."""
+    tmp, spectrum, graph = instance
+    paths = {"DIR": tmp, "S": spectrum, "G": graph, "M": tmp / "m.csv", "OUT": tmp / "out.csv"}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    if argv[:1] == ["verify"] and len(argv) > 2:  # a matrix to verify
+        assert main(["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", argv[2]]) == 0
+    parser = giep.cli.build_parser()
+    dispatched = run_main(argv)
+    assert dispatched[0] == code
+    with contextlib.suppress(InputError, SystemExit), contextlib.redirect_stdout(io.StringIO()):
+        assert vars(giep.cli._parse_args(parser, argv)) == vars(parser.parse_args(argv))
+    monkeypatch.setattr(giep.cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    assert dispatched == run_main(argv)
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["giep", "--version"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 0
+    assert capsys.readouterr().out == f"giep {giep.__version__}\n"
+
+
 def test_verify_cli_dimension_disagreement_is_bad_input(instance, tmp_path):
     _, spectrum, graph = instance
     small = tmp_path / "small.csv"

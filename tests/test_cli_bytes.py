@@ -100,18 +100,25 @@ def parse_outcome(parse, text):
 @given(
     lines=st.lists(
         st.lists(
-            st.one_of(st.sampled_from(["1", "-0", "5e-324", "1e308", "1e309", "nan", "-inf", "x", "",
-                                       " 2 ", "0x1p3", "1_0", "\t"]),
+            st.one_of(st.sampled_from(["1", "-0", "5e-324", "1e308", "1e309", "1e400", "nan", "inf",
+                                       "-inf", "x", "", " 2 ", " 1", "0x1", "0x1p3", "1_0", "\t",
+                                       "\u0661", "\u22121"]),
                       finite.map(repr)),
             min_size=1, max_size=4,
         ).map(",".join),
         max_size=6,
     ),
-    newline=st.sampled_from(["\n", "\r\n"]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
 )
 @example(lines=["1,2", "3,x"], newline="\n")
 @example(lines=["1,2", "", "3"], newline="\n")
 @example(lines=["", "  "], newline="\n")
+@example(lines=["1_0, 1", "\u0661,2"], newline="\n")       # entries float() reads
+@example(lines=["1,0x1", "2,\u22121"], newline="\r")       # and entries it refuses
+@example(lines=["1,nan", "inf,1e400"], newline="\n")
+@example(lines=["1,2,", "3,4,"], newline="\r\n")          # a trailing comma
+@example(lines=["1,2", "3", "x"], newline="\n")           # ragged rows before a bad line
+@example(lines=["", "1,2", "", "3,4", ""], newline="\r")   # blank lines, CR
 def test_bad_matrix_csv_fails_as_its_oracle(lines, newline):
     text = newline.join(lines)
     assert parse_outcome(parse_matrix_csv, text) == parse_outcome(loop_parse_matrix_csv, text)

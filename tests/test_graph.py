@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import giep.graph
 from giep import Graph, make_graph, parse_graph
 from giep.errors import BadFormat, MatchingTooSmall
 from giep.graph import format_graph, max_matching, plan_relabeling
@@ -14,7 +15,9 @@ from conftest import (
     edge_positions,
     full_search_max_matching,
     loop_graph_check,
+    loop_make_graph,
     loop_max_matching,
+    loop_parse_graph,
     loop_pattern_check,
     loop_plan_relabeling,
     pattern_slots,
@@ -56,11 +59,21 @@ def test_parse_crlf_and_blank_lines():
         "0 0 undirected",                 # no vertex
         "2 -1 undirected",                # negative edge count
         "2 1 undirected\n1 2 3",          # three vertices on an edge line
+        "3 1 directed\n3.0 1",            # labels int() refuses
+        "3 1 directed\n0x3 1",
+        "3 1 directed\n1 99999999999999999999",  # beyond intp: out of range, as int() reads it
+        "3 1 directed\n-99999999999999999999 2",
+        "3 3 directed\n1 2\n1 2\n1 1",     # a line error listed after a duplicate
+        "3 3 undirected\n1 2\n2 1\n1 x",
+        "3 2 undirected\n1 2\r\n2 1\r\n",  # a reversed duplicate, CRLF
+        "9999999999 1 directed\n1 2",     # n too large for intp keys
     ],
 )
 def test_parse_rejects(text):
-    with pytest.raises(BadFormat):
+    """Each rejection carries the message of the line-by-line parse."""
+    with pytest.raises(BadFormat) as info:
         parse_graph(text)
+    assert str(info.value) == graph_result(loop_parse_graph, text)
 
 
 @pytest.mark.parametrize(
@@ -142,6 +155,82 @@ def graph_arrays(n, directed, edges):
     return [x.tolist() for x in Graph(n=n, directed=directed, edges=edges).edge_arrays]
 
 
+def graph_result(build, *args):
+    """The graph ``build`` returns, as its fields and edge arrays, or the
+    message of the ValueError or BadFormat it raises."""
+    try:
+        g = build(*args)
+    except (ValueError, BadFormat) as exc:
+        return str(exc)
+    return type(g.n), g.n, g.directed, g.edges, [x.tolist() for x in g.edge_arrays]
+
+
+# documents where the one label array and the line-by-line parse could part
+PARSE_CORNERS = (
+    "3 2 directed\n+3 1\n1 +2",             # labels int() reads: a sign, an Arabic-Indic
+    "3 1 directed\n\u0663 1",                # digit, an underscore
+    "12 1 undirected\n1_0 1",
+    "3 1 directed\n3.0 1",                  # and labels it refuses
+    "3 1 directed\n0x3 1",
+    "3 1 directed\n1 99999999999999999999",  # beyond intp
+    "3\t2\tundirected\n1\t2\n 2 3\t",        # tabs
+    "3 2 undirected\r1 2\r2 3\r",            # CR, CRLF and blank lines
+    "\r\n3 2 undirected\r\n1 2\r\n\r\n2 3\r\n",
+    "\n \n3 1 directed\n\n3 1\n\n",
+    "3 3 directed\n1 2\n1 2\n1 1",           # a line error listed after a duplicate
+    "3 3 directed\n1 2\n1 2\n1 4",
+    "3 2 undirected\n1 2\n2 1",              # a reversed duplicate
+    "3 2 directed\n1 2\n2 1",                # a directed edge both ways
+    "3 3 directed\n1 2\n2 1\n1 2",
+    "3 0 undirected\n",
+    "1 0 directed",
+    "3 1 directed\n1 2 2 3",                 # rows that hold 2m labels, but not two per row
+    "3 2 directed\n1\n2",
+)
+
+
+def graph_texts(seed: int, count: int):
+    """``PARSE_CORNERS``, then ``count`` seeded documents: in every fourth one
+    distinct pairs without loops, in the rest random pairs with a stray token
+    now and then, a line of one or three labels, a wrong edge count, blank
+    lines, tabs and LF, CRLF or CR line endings."""
+    yield from PARSE_CORNERS
+    rng = np.random.default_rng(seed)
+    strays = ("0", "-1", "+2", "\u0663", "1_0", "3.0", "0x3", "x", "99999999999999999999")
+    for case in range(count):
+        n = int(rng.integers(1, 7))
+        directed = bool(case % 2)
+        if case % 4 == 0:
+            a, b = np.nonzero(~np.eye(n, dtype=bool) if directed else np.triu(np.ones((n, n), bool), 1))
+            pick = rng.permutation(a.size)[: int(rng.integers(0, a.size + 1))]
+            rows = [[str(a[i] + 1), str(b[i] + 1)][:: 1 if rng.uniform() < 0.5 else -1] for i in pick]
+        else:
+            rows = [[str(v) for v in rng.integers(1, n + 2, size=2)] for _ in range(int(rng.integers(0, 2 * n + 1)))]
+            for row in rows:
+                if rng.uniform() < 0.05:
+                    row[int(rng.integers(2))] = str(rng.choice(strays))
+                if rng.uniform() < 0.01:
+                    row.append("1")
+                elif rng.uniform() < 0.01:
+                    row.pop()
+        m = len(rows) + (int(rng.integers(-1, 2)) if rng.uniform() < 0.05 else 0)
+        lines = [f"{n} {m} {'directed' if directed else 'undirected'}"]
+        for row in rows:
+            lines.append(("\t" if rng.uniform() < 0.1 else " ").join(row))
+            if rng.uniform() < 0.1:
+                lines.append(" " * int(rng.integers(3)))
+        yield str(rng.choice(["\n", "\r\n", "\r"])).join(lines)
+
+
+def listed_pairs(n, directed, edges):
+    """The pair lists of a ``graph_cases`` edge set that ``make_graph`` is
+    given: the set's order, and for an undirected set each pair once."""
+    listed = list(edges)
+    yield listed
+    if not directed:
+        yield [(a, b) for a, b in listed if (b, a) not in edges or repr(a) < repr(b)]
+
+
 # every outcome of Graph's check: accepted, and each rejection's message
 GRAPH_OUTCOMES = ("accepted", "at least one vertex", "must be integers", "not allowed",
                   "out of range", "missing reverse")
@@ -159,6 +248,64 @@ def test_graph_check_matches_loop_oracle():
         else:
             kinds.add("accepted")
     assert kinds == set(GRAPH_OUTCOMES)
+
+
+# every outcome of parse_graph: accepted, and each rejection's message
+PARSE_OUTCOMES = ("accepted", "expected 'a b'", "vertices must be integers", "loop edge",
+                  "out of range", "duplicate edge", "edge lines")
+
+
+def test_parse_graph_matches_loop_oracle(monkeypatch):
+    """parse_graph's one label array gives the Graph of the line-by-line
+    parse, the same edges and edge arrays, or its first error's message.
+    A document it accepts never runs the loops that name an offender."""
+    kinds, accepted = set(), []
+    for text in graph_texts(83, 1500):
+        got = graph_result(parse_graph, text)
+        assert got == graph_result(loop_parse_graph, text), repr(text)
+        if isinstance(got, str):
+            kinds.update(kind for kind in PARSE_OUTCOMES if kind in got)
+        else:
+            kinds.add("accepted")
+            accepted.append((text, got))
+    assert kinds == set(PARSE_OUTCOMES)
+    forbid_loops(monkeypatch)
+    for text, got in accepted:
+        assert graph_result(parse_graph, text) == got
+
+
+def forbid_loops(monkeypatch):
+    def loop(*args):
+        raise AssertionError("a valid input ran the loop that names an offender")
+
+    for name in ("_parse_by_loop", "_graph_by_loop", "_edge_error"):
+        monkeypatch.setattr(giep.graph, name, loop)
+
+
+# every outcome of make_graph: accepted, and each rejection's message
+MAKE_OUTCOMES = ("accepted", "duplicate edge", "at least one vertex", "must be integers",
+                 "not allowed", "out of range")
+
+
+def test_make_graph_matches_loop_oracle(monkeypatch):
+    """make_graph's one label array gives the Graph of the pair-by-pair
+    build, or its first error's message, on every pair list of
+    ``graph_cases``, in its stray labels and numpy integers too.  A pair
+    list it accepts never runs the loops that name an offender."""
+    kinds, accepted = set(), []
+    for n, directed, edges in graph_cases(85, 1500):
+        for pairs in listed_pairs(n, directed, edges):
+            got = graph_result(make_graph, n, pairs, directed)
+            assert got == graph_result(loop_make_graph, n, pairs, directed)
+            if isinstance(got, str):
+                kinds.update(kind for kind in MAKE_OUTCOMES if kind in got)
+            else:
+                kinds.add("accepted")
+                accepted.append(((n, pairs, directed), got))
+    assert kinds == set(MAKE_OUTCOMES)
+    forbid_loops(monkeypatch)
+    for args, got in accepted:
+        assert graph_result(make_graph, *args) == got
 
 
 def test_graph_refuses_non_integer_labels():

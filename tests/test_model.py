@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import giep.model
 from giep import Spectrum, parse_spectrum
 from giep.cli import random_spectrum
 from giep.errors import BadFormat, DegenerateSpectrum, DimensionMismatch, DiscViolation
@@ -19,7 +20,13 @@ from giep.model import (
     parse_matrix_csv,
     spectrum_mismatch,
 )
-from conftest import build_seed, edge_positions, loop_format_matrix_market, outer_duplicate
+from conftest import (
+    build_seed,
+    edge_positions,
+    loop_format_matrix_market,
+    loop_parse_matrix_csv,
+    outer_duplicate,
+)
 
 
 def test_spectrum_sizes_and_values():
@@ -319,9 +326,34 @@ def test_matrix_csv_rejects():
         parse_matrix_csv("a,b\n")
     with pytest.raises(BadFormat):
         parse_matrix_csv("")
-    for entry in ("nan", "inf", "-1e999"):
+    for entry in ("nan", "inf", "-1e999", "1e400"):
         with pytest.raises(BadFormat, match="matrix entries must be finite"):
             parse_matrix_csv(f"1,{entry}\n0,1\n")
+    for text, message in (
+        ("1,2\n3,0x1\n", "line 2: not a numeric row"),
+        ("\u22121,2\n3,4\n", "line 1: not a numeric row"),     # U+2212 is no minus sign to float()
+        ("1,2,\n3,4,\n", "line 1: not a numeric row"),          # a trailing comma is an empty entry
+        ("1,2\n3\n4,x\n", "line 3: not a numeric row"),        # a bad line before ragged rows
+        ("1,2\r\r3\r", "rows have inconsistent lengths"),      # CR ends a line
+        ("1,nan\n3\n", "rows have inconsistent lengths"),      # ragged rows before a NaN
+    ):
+        with pytest.raises(BadFormat) as info:
+            parse_matrix_csv(text)
+        assert str(info.value) == message
+        with pytest.raises(BadFormat) as info:
+            loop_parse_matrix_csv(text)
+        assert str(info.value) == message
+
+
+def test_matrix_csv_reads_entries_as_float_does(monkeypatch):
+    """Underscores, surrounding whitespace and Unicode digits read as
+    ``float`` reads them, bit for bit as the line-by-line parse, without
+    the loop that names a bad line."""
+    text = "1_0, 1\n\u0661,\t-0\r\n\n2.5e-324 ,+3\r"
+    monkeypatch.setattr(giep.model, "_bad_rows", None)
+    a = parse_matrix_csv(text)
+    assert a.tobytes() == loop_parse_matrix_csv(text).tobytes()
+    assert a.tobytes() == np.array([[10.0, 1.0], [1.0, -0.0], [5e-324, 3.0]]).tobytes()
 
 
 def test_matrix_csv_skips_blank_lines():
