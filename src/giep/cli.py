@@ -250,13 +250,10 @@ def random_spectrum(
     l: int,
     box: float = 5.0,
     min_gap: float = 0.5,
-    purely_imaginary: bool = False,
 ) -> Spectrum:
     """A random spectrum with all pairwise point distances at least ``min_gap``.
 
     Values are drawn uniformly from a fixed box and accepted by rejection.
-    With ``purely_imaginary`` the pair real parts are 0 and every real
-    value is 0 (at most one real is sensible then).
     """
     if k < 0 or l < 0 or 2 * k + l < 1:
         raise ValueError("need 2k+l >= 1")
@@ -274,12 +271,9 @@ def random_spectrum(
                 return c
         raise InputError(f"could not place a {what}; box too crowded")
 
-    def coordinate() -> float:  # a real value or a pair's real part
-        return 0.0 if purely_imaginary else float(rng.uniform(-box, box))
-
-    reals = [place(lambda: complex(coordinate()), "real spectrum value").real for _ in range(l)]
+    reals = [place(lambda: complex(rng.uniform(-box, box)), "real spectrum value").real for _ in range(l)]
     pairs = [
-        place(lambda: complex(coordinate(), float(rng.uniform(min_gap / 2.0, box))), "spectrum pair")
+        place(lambda: complex(rng.uniform(-box, box), rng.uniform(min_gap / 2.0, box)), "spectrum pair")
         for _ in range(k)
     ]
     return Spectrum(pairs=tuple((c.real, c.imag) for c in pairs), reals=tuple(reals))

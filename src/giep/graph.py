@@ -18,14 +18,14 @@ The permutation is an index array: ``order[old - 1]`` is the old vertex's
 Each input is converted to arrays once.  :func:`parse_graph` and
 :func:`make_graph` convert every listed edge to one label array, check
 ranges, loops and repeats over it and build the :class:`Graph` from its
-sorted keys without checking them again; ``Graph(n, directed, edges)``
-converts its edge set the same way and checks it over the arrays.  The
-sorted, read-only (tail, head, reverse) arrays are kept as
-:attr:`Graph.edge_arrays`.  Only when a check fails does a plain loop over
-the lines, pairs or set name the first offender, with the message and
-precedence of a check made one edge at a time.  ``max_matching``,
-``plan_relabeling``, :func:`format_graph` and :func:`giep.apps.verify`
-read the arrays; membership tests read the set.
+sorted keys without checking them again; only when that check fails does a
+plain loop over the lines or pairs name the first offender, with the
+message and precedence of a check made one edge at a time.
+``Graph(n, directed, edges)`` checks its edge set by such a loop alone.
+The sorted, read-only (tail, head, reverse) arrays are kept as
+:attr:`Graph.edge_arrays`.  ``max_matching``, ``plan_relabeling``,
+:func:`format_graph` and :func:`giep.apps.verify` read the arrays;
+membership tests read the set.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ class Graph:
     ``edge_arrays`` holds the edges sorted by (tail, head) as read-only
     1-based ``tail`` and ``head`` arrays, with ``reverse`` flagging each
     edge whose reverse is an edge too; ``n`` is kept as a Python int.
-    Raises ValueError for an n that is no integer, below 1 or too large for
-    intp keys a * (n + 1) + b, and for the first edge in the set's order
-    with a label that is no integer, a loop, a label outside 1..n or, when
-    undirected, no reverse, checked in that order.
+    Raises ValueError for an n that :func:`_vertex_count` refuses, and
+    then for the first fault that :func:`_edge_error`, the per-edge loop
+    that is the one check of the edge set, finds.
     """
 
     n: int
@@ -63,36 +62,33 @@ class Graph:
     )
 
     def __post_init__(self):
-        try:
-            n, edges = operator.index(self.n), self.edges
-        except TypeError:
-            raise ValueError(f"vertex count n={self.n!r} must be an integer") from None
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        if n * (n + 2) > _INTP_MAX:  # the largest key, n * (n + 1) + n
-            raise ValueError(f"vertex count n={n} is too large")
+        n, edges = _vertex_count(self.n), self.edges
         object.__setattr__(self, "n", n)
-        if not set(map(len, edges)) <= {2}:
-            raise ValueError("every edge must be a pair of vertices")
-        try:
-            e = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.intp, 2 * len(edges))
-        except (TypeError, OverflowError):  # a label that is no integer, or beyond intp
-            raise _edge_error(edges, n, self.directed) from None
-        a, b = e[0::2], e[1::2]
-        # the keys decode to the edges when every label is in range, which
-        # the check below requires before the arrays are kept
-        arrays = _edge_arrays(np.sort(a * (n + 1) + b), n, self.directed)
-        reverse = arrays[2]
-        faults = np.count_nonzero((e < 1) | (e > n)) + np.count_nonzero(a == b)
-        if faults or not (self.directed or np.count_nonzero(reverse) == reverse.size):
-            raise _edge_error(edges, n, self.directed)
-        object.__setattr__(self, "edge_arrays", arrays)
+        if (error := _edge_error(edges, n, self.directed)) is not None:
+            raise error
+        e = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.intp, 2 * len(edges))
+        keys = e[0::2] * (n + 1) + e[1::2]
+        object.__setattr__(self, "edge_arrays", _edge_arrays(np.sort(keys), n, self.directed))
 
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
 
 
 _INTP_MAX = np.iinfo(np.intp).max
+
+
+def _vertex_count(n) -> int:
+    """``n`` as a Python int; ValueError when it is no integer, below 1 or
+    too large for intp keys a * (n + 1) + b."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        raise ValueError(f"vertex count n={n!r} must be an integer") from None
+    if count < 1:
+        raise ValueError("graph needs at least one vertex")
+    if count * (count + 2) > _INTP_MAX:  # the largest key, n * (n + 1) + n
+        raise ValueError(f"vertex count n={count} is too large")
+    return count
 
 
 def _edge_arrays(ordered: np.ndarray, n: int, directed: bool) -> tuple[np.ndarray, ...]:
@@ -122,10 +118,8 @@ def _graph_of_rows(n, directed: bool, e: np.ndarray) -> Graph | None:
     again.
     """
     try:
-        n = operator.index(n)
-    except TypeError:
-        return None
-    if n < 1 or n * (n + 2) > _INTP_MAX:
+        n = _vertex_count(n)
+    except ValueError:
         return None
     a, b = e[:, 0], e[:, 1]
     if np.count_nonzero((e < 1) | (e > n)) or np.count_nonzero(a == b):
@@ -145,11 +139,15 @@ def _graph_of_rows(n, directed: bool, e: np.ndarray) -> Graph | None:
     return g
 
 
-def _edge_error(edges, n: int, directed: bool) -> ValueError:
-    """The error of the first edge, in the set's order, with a label that is
-    no integer, a loop, a label outside 1..n (compared as Python objects, so
-    beyond intp too) or, when undirected, no reverse, checked in that order."""
-    for a, b in edges:
+def _edge_error(edges, n: int, directed: bool) -> ValueError | None:
+    """The error of an item that is no pair, else of the first edge, in the
+    set's order, with a label that is no integer, a loop, a label outside
+    1..n or, when undirected, no reverse, checked in that order; or None."""
+    try:
+        pairs = list(map(_pair, edges))  # every item is a pair before any label is read
+    except ValueError as exc:
+        return exc
+    for a, b in pairs:
         try:
             operator.index(a), operator.index(b)
         except TypeError:
@@ -162,6 +160,15 @@ def _edge_error(edges, n: int, directed: bool) -> ValueError:
             return ValueError(f"undirected graph missing reverse of ({a},{b})")
 
 
+def _pair(edge) -> tuple:
+    """``edge`` unpacked as (a, b); ValueError when it is no pair."""
+    try:
+        a, b = edge
+    except (TypeError, ValueError):  # no iterable, or not two items
+        raise ValueError("every edge must be a pair of vertices") from None
+    return a, b
+
+
 def _label_error(a, b) -> ValueError:
     return ValueError(f"edge ({a!r},{b!r}): vertices must be integers")
 
@@ -172,7 +179,7 @@ def make_graph(n: int, pairs, directed: bool = False) -> Graph:
     For undirected graphs ``pairs`` lists each edge once (either order);
     a repeated pair, including the reversed copy, is a duplicate.  Vertex
     labels must be integers (anything ``operator.index`` accepts); a float
-    or a string raises ValueError naming the pair.
+    or a string raises ValueError naming the pair, as does a non-pair.
 
     The pairs are converted to one label array and checked over it; only
     when that fails does :func:`_graph_by_loop` name the first offender.
@@ -190,23 +197,19 @@ def make_graph(n: int, pairs, directed: bool = False) -> Graph:
 
 
 def _graph_by_loop(n: int, pairs, directed: bool) -> Graph:
-    """:func:`make_graph` pair by pair: the first pair with a label that is
-    no integer, or that repeats an earlier pair, raises ValueError; the
-    :class:`Graph` built from the rest raises its own checks' errors."""
+    """:func:`make_graph` pair by pair: the first item that is no pair, has a
+    label that is no integer or repeats an earlier pair raises ValueError;
+    the :class:`Graph` built from the rest raises its own checks' errors."""
     edges: set[tuple[int, int]] = set()
-    for a, b in pairs:
+    for a, b in map(_pair, pairs):
         try:
             a, b = operator.index(a), operator.index(b)
         except TypeError:
             raise _label_error(a, b) from None
-        if directed:
-            if (a, b) in edges:
-                raise ValueError(f"duplicate edge ({a},{b})")
-            edges.add((a, b))
-        else:
-            if (a, b) in edges or (b, a) in edges:
-                raise ValueError(f"duplicate edge {{{a},{b}}}")
-            edges.add((a, b))
+        if (a, b) in edges:  # an undirected set holds both directions of each edge
+            raise ValueError("duplicate edge " + (f"({a},{b})" if directed else f"{{{a},{b}}}"))
+        edges.add((a, b))
+        if not directed:
             edges.add((b, a))
     return Graph(n=n, directed=directed, edges=frozenset(edges))
 

@@ -179,6 +179,8 @@ class Spectrum:
     def from_eigenvalues(cls, values) -> "Spectrum":
         """Build a Spectrum from a conjugate-closed set of computed eigenvalues."""
         vals = np.atleast_1d(np.asarray(values, dtype=complex))
+        if not np.isfinite(vals).all():  # a NaN imaginary part passes no filter below
+            raise ValueError("spectrum values must be finite")
         plus = sorted((v for v in vals if v.imag > 0), key=lambda z: (z.real, z.imag))
         minus = sorted((v for v in vals if v.imag < 0), key=lambda z: (z.real, -z.imag))
         if len(plus) != len(minus) or any(

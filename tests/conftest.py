@@ -119,7 +119,6 @@ def loop_random_spectrum(
     l: int,
     box: float = 5.0,
     min_gap: float = 0.5,
-    purely_imaginary: bool = False,
 ) -> Spectrum:
     """``random_spectrum`` checking every candidate point: a real value, or
     a pair's value and its conjugate, each against the placed points and
@@ -139,7 +138,7 @@ def loop_random_spectrum(
     reals = []
     for _ in range(l):
         for _attempt in range(10_000):
-            gam = 0.0 if purely_imaginary else float(rng.uniform(-box, box))
+            gam = float(rng.uniform(-box, box))
             if fits([complex(gam)]):
                 points.append(complex(gam))
                 reals.append(gam)
@@ -149,7 +148,7 @@ def loop_random_spectrum(
     pairs = []
     for _ in range(k):
         for _attempt in range(10_000):
-            lam = 0.0 if purely_imaginary else float(rng.uniform(-box, box))
+            lam = float(rng.uniform(-box, box))
             mu = float(rng.uniform(min_gap / 2.0, box))
             cand = [complex(lam, mu), complex(lam, -mu)]
             if fits(cand):

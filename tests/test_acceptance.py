@@ -222,6 +222,18 @@ def test_criterion_5_symmetric_mode():
     assert ok
 
 
+def imaginary_spectrum(rng, k: int, l: int) -> Spectrum:
+    """k pairs 0 +- i mu and l zeros (l <= 1), each mu drawn from [0.25, 5)
+    again until it lies at least 0.5 from the zero and every earlier mu."""
+    placed = [0.0] * l
+    for _ in range(k):
+        mu = float(rng.uniform(0.25, 5.0))
+        while any(abs(mu - q) < 0.5 for q in placed):
+            mu = float(rng.uniform(0.25, 5.0))
+        placed.append(mu)
+    return Spectrum(pairs=tuple((0.0, mu) for mu in placed[l:]), reals=(0.0,) * l)
+
+
 def test_criterion_6_skew_mode():
     rng = np.random.default_rng(1006)
     ok = True
@@ -229,7 +241,7 @@ def test_criterion_6_skew_mode():
         k = int(rng.integers(1, 5))
         l = int(rng.integers(0, 2))
         n = 2 * k + l
-        s = random_spectrum(rng, k, l, purely_imaginary=True)
+        s = imaginary_spectrum(rng, k, l)
         g = random_graph(rng, n, k, float(rng.uniform(0.0, 0.5)))
         rep = solve_instance(s, g, mode="skew")
         total = rep.matrix + rep.matrix.T

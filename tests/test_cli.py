@@ -435,7 +435,7 @@ def test_random_spectrum_equals_the_candidate_loop():
     the loop leaves it."""
     cases = [
         (0, 0, {}), (-1, 3, {}), (1, 0, {}), (0, 1, {}), (40, 80, {"box": 80.0}),
-        (3, 1, {"purely_imaginary": True}), (0, 2, {"purely_imaginary": True}),
+        (3, 1, {}), (0, 2, {}),
         (4, 3, {"min_gap": 1e-9, "box": 1e-8}),
         (0, 3, {"box": 0.6}), (2, 0, {"box": 0.3}), (1, 1, {"box": 0.25}),
     ]

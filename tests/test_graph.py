@@ -89,6 +89,8 @@ def test_parse_rejects(text):
         ("3", True, (), "vertex count n='3' must be an integer"),
         (2**70, True, ((1, 2),), f"vertex count n={2**70} is too large"),
         (3037000499, True, (), "vertex count n=3037000499 is too large"),
+        (3, True, (5,), "every edge must be a pair of vertices"),
+        (3, True, ((1, 1), (2, 4), 5), "every edge must be a pair of vertices"),
     ],
 )
 def test_graph_validates(n, directed, edges, message):
@@ -322,6 +324,25 @@ def test_graph_refuses_non_integer_labels():
     assert str(info.value) == "edge (1.5,3): vertices must be integers"
     # numpy integers and bools are integers, as before
     assert make_graph(3, [(np.int32(3), True), (np.int64(2), 3)]) == make_graph(3, [(1, 3), (2, 3)])
+
+
+def test_make_graph_refuses_items_that_are_no_pairs():
+    """An item that is no pair raises ValueError in its place in the listing
+    order, so an earlier pair's label or duplicate error still wins."""
+    not_a_pair = "every edge must be a pair of vertices"
+    for n, directed, pairs, message in (
+        (3, False, [5], not_a_pair),
+        (3, False, [(1, 2, 3)], not_a_pair),
+        (3, True, [(1, 2), (3,)], not_a_pair),
+        (3, False, [(1, 1), 5], not_a_pair),  # a loop is Graph's to find, after the listing
+        (3, False, [(1.5, 2), 5], "edge (1.5,2): vertices must be integers"),
+        (3, False, [(1, 2), (2, 1), (1, 2, 3)], "duplicate edge {2,1}"),
+        (3, True, [(1, 2), (1, 2), 5], "duplicate edge (1,2)"),
+        (2.5, False, [(1, 2)], "vertex count n=2.5 must be an integer"),
+    ):
+        with pytest.raises(ValueError) as info:
+            make_graph(n, pairs, directed)
+        assert str(info.value) == message
 
 
 def numpy_pairs(rows, dtype=np.intp) -> tuple:

@@ -217,3 +217,43 @@ def test_check_conditioning_is_the_only_svd(monkeypatch):
     assert np.allclose(x, [1.0, 2.0], atol=1e-14)
     with pytest.raises(SingularSystem):  # LAPACK's failed LU is still reported
         solve_linear(np.zeros((2, 2)), [1.0, 1.0])
+
+
+def refuse(message):
+    """A stand-in for a numpy.linalg routine whose LAPACK call fails."""
+    def call(*args, **kwargs):
+        raise np.linalg.LinAlgError(message)
+
+    return call
+
+
+def test_lapack_failures_raise_typed_errors(monkeypatch):
+    """A LAPACK failure on a finite input is reported as the typed error of
+    its routine, with LAPACK's message."""
+    a = np.array([[2.0, 1.0], [0.0, 3.0]])
+    monkeypatch.setattr(np.linalg, "eigvals", refuse("Eigenvalues did not converge"))
+    monkeypatch.setattr(np.linalg, "eig", refuse("Eigenvalues did not converge"))
+    for vectors in (False, True):
+        with pytest.raises(NoConvergence) as info:
+            eig_all(a, vectors=vectors)
+        assert str(info.value) == "eigenvalue iteration failed: Eigenvalues did not converge"
+    monkeypatch.setattr(np.linalg, "svd", refuse("SVD did not converge"))
+    with pytest.raises(SingularSystem) as info:
+        check_conditioning(a)
+    assert str(info.value) == "solve failed: SVD did not converge"
+
+
+def test_eigen_triple_refuses_a_singular_eigenvector_matrix():
+    a = np.diag([5.0, 7.0])
+    with pytest.raises(IllConditioned) as info:
+        eigen_triple(a, eig_all(a), np.array([[1.0, 1.0], [0.0, 0.0]]), [0])
+    assert str(info.value) == "eigenvector matrix is singular: Singular matrix"
+
+
+def test_solve_refuses_a_solution_past_the_backward_stable_bound(monkeypatch):
+    """A solution whose residual exceeds TOL_LIN * (||b|| + ||a|| ||x||) is
+    reported singular, though LAPACK returned it."""
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros_like(b))
+    with pytest.raises(SingularSystem) as info:
+        solve_linear(np.eye(2), [0.5, 0.0])  # a right side that the scaling leaves as it is
+    assert str(info.value) == "solve residual 5.000e-01 exceeds the backward-stable bound 5.000e-13"

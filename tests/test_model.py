@@ -80,6 +80,15 @@ def test_spectrum_from_eigenvalues_round_trip():
         Spectrum.from_eigenvalues([1j, 2j])  # not conjugate-closed
 
 
+def test_spectrum_from_eigenvalues_refuses_non_finite_values():
+    """A NaN imaginary part matches none of the pair, conjugate and real
+    filters; it raises as an infinite value does, rather than vanish."""
+    for values in ([1, complex(np.nan, np.nan)], [1, complex(2, np.nan)], [1, np.inf]):
+        with pytest.raises(ValueError) as info:
+            Spectrum.from_eigenvalues(values)
+        assert str(info.value) == "spectrum values must be finite"
+
+
 def test_build_seed_example():
     s = Spectrum(pairs=((1.0, 2.0),), reals=(3.0,))
     expected = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
