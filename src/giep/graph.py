@@ -15,14 +15,14 @@ built from their arrays.
 The permutation is an index array: ``order[old - 1]`` is the old vertex's
 0-based new index.
 
-Each input is converted to arrays once.  :func:`parse_graph` and
-:func:`make_graph` convert every listed edge to one label array, check
-ranges, loops and repeats over it and build the :class:`Graph` from its
+:func:`parse_graph` converts every edge line to one label array, checks
+ranges, loops and repeats over it and builds the :class:`Graph` from its
 sorted keys without checking them again; only when that check fails does a
-plain loop over the lines or pairs name the first offender, with the
-message and precedence of a check made one edge at a time.
-``Graph(n, directed, edges)`` checks its edge set by such a loop alone.
-The sorted, read-only (tail, head, reverse) arrays are kept as
+plain loop over the lines name the first offender, with the message and
+precedence of a check made one edge at a time.  :func:`make_graph` reads
+its pairs by such a loop, and ``Graph(n, directed, edges)`` checks its
+edges by one, whatever collection holds them, and keeps them as a
+frozenset.  The sorted, read-only (tail, head, reverse) arrays are kept as
 :attr:`Graph.edge_arrays`.  ``max_matching``, ``plan_relabeling``,
 :func:`format_graph` and :func:`giep.apps.verify` read the arrays;
 membership tests read the set.
@@ -49,9 +49,12 @@ class Graph:
     ``edge_arrays`` holds the edges sorted by (tail, head) as read-only
     1-based ``tail`` and ``head`` arrays, with ``reverse`` flagging each
     edge whose reverse is an edge too; ``n`` is kept as a Python int.
-    Raises ValueError for an n that :func:`_vertex_count` refuses, and
-    then for the first fault that :func:`_edge_error`, the per-edge loop
-    that is the one check of the edge set, finds.
+    ``edges`` may be any collection of pairs, a list or a generator too:
+    it is read once, in its own order, and kept as a frozenset of tuples.
+    Raises ValueError for an n that :func:`_vertex_count` refuses, then
+    for an item that is no pair, and then for the first fault that
+    :func:`_edge_error`, the per-edge loop that is the one check of the
+    edges, finds.
     """
 
     n: int
@@ -62,13 +65,16 @@ class Graph:
     )
 
     def __post_init__(self):
-        n, edges = _vertex_count(self.n), self.edges
-        object.__setattr__(self, "n", n)
-        if (error := _edge_error(edges, n, self.directed)) is not None:
+        n = _vertex_count(self.n)
+        pairs = list(map(_pair, self.edges))  # every item is a pair before any label is read
+        if (error := _edge_error(pairs, n, self.directed)) is not None:
             raise error
+        edges = frozenset(pairs)
         e = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.intp, 2 * len(edges))
         keys = e[0::2] * (n + 1) + e[1::2]
-        object.__setattr__(self, "edge_arrays", _edge_arrays(np.sort(keys), n, self.directed))
+        arrays = _edge_arrays(np.sort(keys), n)
+        for name, value in (("n", n), ("edges", edges), ("edge_arrays", arrays)):
+            object.__setattr__(self, name, value)
 
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
@@ -91,18 +97,11 @@ def _vertex_count(n) -> int:
     return count
 
 
-def _edge_arrays(ordered: np.ndarray, n: int, directed: bool) -> tuple[np.ndarray, ...]:
-    """Read-only (tail, head, reverse) of the sorted keys a * (n + 1) + b.
-
-    For an undirected graph, ``reverse`` is all True exactly when the keys
-    are closed under reversal.
-    """
+def _edge_arrays(ordered: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (tail, head, reverse) of the sorted keys a * (n + 1) + b."""
     tail, head = np.divmod(ordered, n + 1)
     twin = head * (n + 1) + tail
-    if directed:
-        reverse = ordered[np.minimum(np.searchsorted(ordered, twin), ordered.size - 1)] == twin
-    else:  # closed under reversal exactly when the sorted twins are the keys
-        reverse = np.sort(twin) == ordered
+    reverse = ordered[np.minimum(np.searchsorted(ordered, twin), ordered.size - 1)] == twin
     for x in (tail, head, reverse):
         x.setflags(write=False)
     return tail, head, reverse
@@ -130,7 +129,7 @@ def _graph_of_rows(n, directed: bool, e: np.ndarray) -> Graph | None:
     ordered = np.sort(keys)
     if np.count_nonzero(ordered[1:] == ordered[:-1]):
         return None
-    tail, head, reverse = _edge_arrays(ordered, n, directed)
+    tail, head, reverse = _edge_arrays(ordered, n)
     g = object.__new__(Graph)
     edges = frozenset(zip(tail.tolist(), head.tolist()))
     for name, value in zip(("n", "directed", "edges", "edge_arrays"),
@@ -139,14 +138,14 @@ def _graph_of_rows(n, directed: bool, e: np.ndarray) -> Graph | None:
     return g
 
 
-def _edge_error(edges, n: int, directed: bool) -> ValueError | None:
-    """The error of an item that is no pair, else of the first edge, in the
-    set's order, with a label that is no integer, a loop, a label outside
-    1..n or, when undirected, no reverse, checked in that order; or None."""
+def _edge_error(pairs: list[tuple], n: int, directed: bool) -> ValueError | None:
+    """The error of the first pair, in the list's order, with a label that is
+    no integer, a loop, a label outside 1..n or, when undirected, no
+    reverse, checked in that order; or None."""
     try:
-        pairs = list(map(_pair, edges))  # every item is a pair before any label is read
-    except ValueError as exc:
-        return exc
+        edges = set(pairs)
+    except TypeError:  # an unhashable label, which is no integer: the loop names it
+        edges = pairs
     for a, b in pairs:
         try:
             operator.index(a), operator.index(b)
@@ -181,25 +180,11 @@ def make_graph(n: int, pairs, directed: bool = False) -> Graph:
     labels must be integers (anything ``operator.index`` accepts); a float
     or a string raises ValueError naming the pair, as does a non-pair.
 
-    The pairs are converted to one label array and checked over it; only
-    when that fails does :func:`_graph_by_loop` name the first offender.
+    The pairs are read one by one in listing order: the first item that is
+    no pair, has a label that is no integer or repeats an earlier pair
+    raises ValueError; the :class:`Graph` built from the rest raises its own
+    checks' errors.
     """
-    pairs = list(pairs)
-    try:
-        if set(map(len, pairs)) <= {2}:
-            e = np.fromiter(map(operator.index, chain.from_iterable(pairs)), np.intp, 2 * len(pairs))
-            g = _graph_of_rows(n, directed, e.reshape(-1, 2))
-            if g is not None:
-                return g
-    except (TypeError, OverflowError):  # a pair without len, or a label that is no intp
-        pass
-    return _graph_by_loop(n, pairs, directed)  # names the first offender
-
-
-def _graph_by_loop(n: int, pairs, directed: bool) -> Graph:
-    """:func:`make_graph` pair by pair: the first item that is no pair, has a
-    label that is no integer or repeats an earlier pair raises ValueError;
-    the :class:`Graph` built from the rest raises its own checks' errors."""
     edges: set[tuple[int, int]] = set()
     for a, b in map(_pair, pairs):
         try:
@@ -254,7 +239,7 @@ def parse_graph(text: str) -> Graph:
 def _parse_by_loop(rows: list[list[str]], header: int, n: int, directed: bool) -> Graph:
     """:func:`parse_graph` line by line after the header on line ``header``:
     the first line that is no pair of integer labels in 1..n, or is a loop,
-    raises BadFormat, and then :func:`_graph_by_loop`'s errors do."""
+    raises BadFormat, and then :func:`make_graph`'s errors do."""
     pairs = []
     for no, toks in enumerate(rows[header:], start=header + 1):
         if not toks:
@@ -271,7 +256,7 @@ def _parse_by_loop(rows: list[list[str]], header: int, n: int, directed: bool) -
             raise BadFormat(f"line {no}: vertex out of range 1..{n}")
         pairs.append((a, b))
     try:
-        return _graph_by_loop(n, pairs, directed)
+        return make_graph(n, pairs, directed)
     except ValueError as exc:
         raise BadFormat(str(exc)) from exc
 
@@ -300,10 +285,9 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
     the vertex's own neighbours before any other vertex.  Only a vertex
     whose neighbours are all matched runs the search, and only when its
     component holds another exposed vertex, which every augmenting path
-    from it ends at.  A blossom contraction relabels only vertices of the
-    search tree, which hold every base the blossom absorbs and every
-    vertex those bases stand for, in increasing order as a scan over all
-    vertices would.
+    from it ends at.  A blossom contraction scans every vertex in
+    increasing order and moves those whose base the blossom absorbs to its
+    base.
     """
     n = g.n
     tail, head, both = g.edge_arrays
@@ -319,7 +303,6 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
         in_queue = [False] * (n + 1)
         queue: deque[int] = deque([root])
         in_queue[root] = True
-        tree = [root]  # every vertex the search has reached
 
         def lowest_common_base(a: int, b: int) -> int:
             seen = [False] * (n + 1)
@@ -356,8 +339,7 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
                     in_blossom = [False] * (n + 1)
                     mark_path(v, stem, to, in_blossom)
                     mark_path(to, stem, v, in_blossom)
-                    tree.sort()
-                    for i in tree:
+                    for i in range(1, n + 1):
                         if in_blossom[base[i]]:
                             base[i] = stem
                             if not in_queue[i]:
@@ -365,7 +347,6 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
                                 queue.append(i)
                 elif parent[to] == 0:
                     parent[to] = v
-                    tree.append(to)
                     if match[to] == 0:
                         # Augment along the alternating path root..to.
                         u = to
@@ -379,7 +360,6 @@ def max_matching(g: Graph) -> tuple[tuple[int, int], ...]:
                     if not in_queue[match[to]]:
                         in_queue[match[to]] = True
                         queue.append(match[to])
-                        tree.append(match[to])
         return False
 
     # exposed vertices per component; every vertex is exposed before the first match
