@@ -13,6 +13,8 @@ Exit codes are a total function of the error taxonomy:
 ``solve`` and ``tridiagonalize`` share one set of construction flags:
 --fill-scale, --step-min, --report and --mm-out.  Their final spectrum
 check is fixed; ``verify --tol`` checks a matrix at any tolerance.
+``solve --batch`` names its own files, so it refuses --spectrum, --graph,
+--out, --report and --mm-out; --jobs applies only to a batch.
 
 The environment variable GIEP_LOG in {quiet, info, trace} controls
 diagnostic verbosity on standard error; any other value is reported there
@@ -174,7 +176,12 @@ def _emit_solution(args, report: SolveReport) -> None:
 
 def _cmd_solve(args) -> int:
     if args.batch:
+        for flag in ("spectrum", "graph", "out", "report", "mm_out"):  # a batch names its own files
+            if getattr(args, flag) is not None:
+                raise InputError(f"--{flag.replace('_', '-')} does not apply to --batch")
         return _run_batch(args)
+    if args.jobs is not None:
+        raise InputError("--jobs applies only to --batch")
     for flag in ("spectrum", "graph", "out"):
         if getattr(args, flag) is None:
             raise InputError(f"--{flag} is required (or use --batch)")

@@ -15,17 +15,14 @@ built from their arrays.
 The permutation is an index array: ``order[old - 1]`` is the old vertex's
 0-based new index.
 
-:func:`parse_graph` converts every edge line to one label array, checks
-ranges, loops and repeats over it and builds the :class:`Graph` from its
-sorted keys without checking them again; only when that check fails does a
-plain loop over the lines name the first offender, with the message and
-precedence of a check made one edge at a time.  :func:`make_graph` reads
-its pairs by such a loop, and ``Graph(n, directed, edges)`` checks its
-edges by one, whatever collection holds them, and keeps them as a
-frozenset.  The sorted, read-only (tail, head, reverse) arrays are kept as
-:attr:`Graph.edge_arrays`.  ``max_matching``, ``plan_relabeling``,
-:func:`format_graph` and :func:`giep.apps.verify` read the arrays;
-membership tests read the set.
+:func:`parse_graph` checks each edge line once, in one loop, and fills the
+:class:`Graph` from the edge set it gathers without checking it again.
+:func:`make_graph` reads its pairs by a loop too, and
+``Graph(n, directed, edges)`` checks its edges by one, whatever collection
+holds them, and keeps them as a frozenset.  The sorted, read-only (tail,
+head, reverse) arrays are kept as :attr:`Graph.edge_arrays`.
+``max_matching``, ``plan_relabeling``, :func:`format_graph` and
+:func:`giep.apps.verify` read the arrays; membership tests read the set.
 """
 
 from __future__ import annotations
@@ -50,11 +47,11 @@ class Graph:
     1-based ``tail`` and ``head`` arrays, with ``reverse`` flagging each
     edge whose reverse is an edge too; ``n`` is kept as a Python int.
     ``edges`` may be any collection of pairs, a list or a generator too:
-    it is read once, in its own order, and kept as a frozenset of tuples.
-    Raises ValueError for an n that :func:`_vertex_count` refuses, then
-    for an item that is no pair, and then for the first fault that
-    :func:`_edge_error`, the per-edge loop that is the one check of the
-    edges, finds.
+    it is read once and kept as a frozenset of tuples.  Raises ValueError
+    for an n that :func:`_vertex_count` refuses, then for an item that is
+    no pair, and then for the first fault that :func:`_edge_error`, the
+    per-edge loop that is the one check of the edges, finds: in the
+    collection's own order, or in ``repr`` order for a set or frozenset.
     """
 
     n: int
@@ -68,13 +65,10 @@ class Graph:
         n = _vertex_count(self.n)
         pairs = list(map(_pair, self.edges))  # every item is a pair before any label is read
         if (error := _edge_error(pairs, n, self.directed)) is not None:
+            if isinstance(self.edges, (set, frozenset)):  # name one edge under every hash seed
+                error = _edge_error(sorted(pairs, key=repr), n, self.directed)
             raise error
-        edges = frozenset(pairs)
-        e = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.intp, 2 * len(edges))
-        keys = e[0::2] * (n + 1) + e[1::2]
-        arrays = _edge_arrays(np.sort(keys), n)
-        for name, value in (("n", n), ("edges", edges), ("edge_arrays", arrays)):
-            object.__setattr__(self, name, value)
+        _set_fields(self, n, self.directed, frozenset(pairs))
 
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self.edges
@@ -97,43 +91,19 @@ def _vertex_count(n) -> int:
     return count
 
 
-def _edge_arrays(ordered: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Read-only (tail, head, reverse) of the sorted keys a * (n + 1) + b."""
+def _set_fields(g: Graph, n: int, directed: bool, edges: frozenset) -> Graph:
+    """Set ``g``'s fields from the vertex count ``n``, ``directed`` and the
+    checked ``edges``, with their read-only (tail, head, reverse) arrays
+    sorted by the keys a * (n + 1) + b; returns ``g``."""
+    e = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.intp, 2 * len(edges))
+    ordered = np.sort(e[0::2] * (n + 1) + e[1::2])
     tail, head = np.divmod(ordered, n + 1)
     twin = head * (n + 1) + tail
     reverse = ordered[np.minimum(np.searchsorted(ordered, twin), ordered.size - 1)] == twin
     for x in (tail, head, reverse):
         x.setflags(write=False)
-    return tail, head, reverse
-
-
-def _graph_of_rows(n, directed: bool, e: np.ndarray) -> Graph | None:
-    """The graph of the m-by-2 label array ``e``, one listed edge per row.
-
-    Returns None when n is no vertex count that :class:`Graph` accepts, or
-    a row is out of range, a loop or a repeat of an earlier row (reversed
-    too, when undirected), so that the caller's loop names the offender.
-    Otherwise the Graph is built from the arrays without checking them
-    again.
-    """
-    try:
-        n = _vertex_count(n)
-    except ValueError:
-        return None
-    a, b = e[:, 0], e[:, 1]
-    if np.count_nonzero((e < 1) | (e > n)) or np.count_nonzero(a == b):
-        return None
-    keys = a * (n + 1) + b
-    if not directed:
-        keys = np.concatenate([keys, b * (n + 1) + a])
-    ordered = np.sort(keys)
-    if np.count_nonzero(ordered[1:] == ordered[:-1]):
-        return None
-    tail, head, reverse = _edge_arrays(ordered, n)
-    g = object.__new__(Graph)
-    edges = frozenset(zip(tail.tolist(), head.tolist()))
-    for name, value in zip(("n", "directed", "edges", "edge_arrays"),
-                           (n, directed, edges, (tail, head, reverse))):
+    for name, value in (("n", n), ("directed", directed), ("edges", edges),
+                        ("edge_arrays", (tail, head, reverse))):
         object.__setattr__(g, name, value)
     return g
 
@@ -205,15 +175,13 @@ def parse_graph(text: str) -> Graph:
     Accepts LF, CRLF or lone CR line endings; blank lines are ignored.  Raises
     BadFormat on malformed lines, out-of-range vertices, loops, or
     duplicate edges: every line's own error, in line order, before the
-    first duplicate.  The edge lines are converted to one label array,
-    each label as ``int`` converts it, and checked over it; only when that
-    fails does a loop over the lines name the first offender.
+    first duplicate, and then an n too large for :class:`Graph`.  One loop
+    reads each edge line's labels as ``int`` reads them and checks the line.
     """
-    rows = [ln.split() for ln in text.splitlines()]  # a blank line splits to []
-    no = next((i for i, row in enumerate(rows, start=1) if row), 0)
-    if not no:
+    rows = [(no, row) for no, ln in enumerate(text.splitlines(), start=1) if (row := ln.split())]
+    if not rows:
         raise BadFormat("empty graph document")
-    parts = rows[no - 1]
+    no, parts = rows[0]
     if len(parts) != 3:
         raise BadFormat(f"line {no}: header must be 'n m directed|undirected'")
     try:
@@ -225,25 +193,11 @@ def parse_graph(text: str) -> Graph:
     directed = parts[2] == "directed"
     if n < 1 or m < 0:
         raise BadFormat(f"line {no}: invalid sizes n={n}, m={m}")
-    body = [row for row in rows[no:] if row]
-    if len(body) != m:
-        raise BadFormat(f"expected {m} edge lines, found {len(body)}")
-    try:
-        # m rows of two labels reshape to (m, 2); any other row lengths do not
-        g = _graph_of_rows(n, directed, np.array(body, dtype=np.intp).reshape(m, 2))
-    except (ValueError, OverflowError):  # a label that is no integer or beyond intp, or a bad row
-        g = None
-    return g if g is not None else _parse_by_loop(rows, no, n, directed)
-
-
-def _parse_by_loop(rows: list[list[str]], header: int, n: int, directed: bool) -> Graph:
-    """:func:`parse_graph` line by line after the header on line ``header``:
-    the first line that is no pair of integer labels in 1..n, or is a loop,
-    raises BadFormat, and then :func:`make_graph`'s errors do."""
-    pairs = []
-    for no, toks in enumerate(rows[header:], start=header + 1):
-        if not toks:
-            continue
+    if len(rows) - 1 != m:
+        raise BadFormat(f"expected {m} edge lines, found {len(rows) - 1}")
+    edges: set[tuple[int, int]] = set()  # an undirected set holds both directions of each edge
+    duplicate = None
+    for no, toks in rows[1:]:
         if len(toks) != 2:
             raise BadFormat(f"line {no}: expected 'a b'")
         try:
@@ -254,11 +208,18 @@ def _parse_by_loop(rows: list[list[str]], header: int, n: int, directed: bool) -
             raise BadFormat(f"line {no}: loop edge ({a},{a})")
         if not (1 <= a <= n and 1 <= b <= n):
             raise BadFormat(f"line {no}: vertex out of range 1..{n}")
-        pairs.append((a, b))
+        if duplicate is None and (a, b) in edges:
+            duplicate = "duplicate edge " + (f"({a},{b})" if directed else f"{{{a},{b}}}")
+        edges.add((a, b))
+        if not directed:
+            edges.add((b, a))
+    if duplicate is not None:
+        raise BadFormat(duplicate)
     try:
-        return make_graph(n, pairs, directed)
+        n = _vertex_count(n)
     except ValueError as exc:
         raise BadFormat(str(exc)) from exc
+    return _set_fields(object.__new__(Graph), n, directed, frozenset(edges))
 
 
 def format_graph(g: Graph) -> str:

@@ -323,13 +323,14 @@ def second_order_shift_reference(p: Pattern, s: Spectrum, fills: np.ndarray) -> 
 
 
 def loop_graph_check(n: int, directed: bool, edges) -> tuple[list, list, list]:
-    """Graph's checks edge by edge in the set's order: integer labels, then
-    no loop, then the range, then for an undirected graph the reverse.
-    Raises the ValueError of the first offending edge; otherwise returns the
-    sorted edges as (tails, heads, whether the reverse is an edge)."""
+    """Graph's checks edge by edge in ``repr`` order of the set: integer
+    labels, then no loop, then the range, then for an undirected graph the
+    reverse.  Raises the ValueError of the first offending edge; otherwise
+    returns the sorted edges as (tails, heads, whether the reverse is an
+    edge)."""
     if n < 1:
         raise ValueError("graph needs at least one vertex")
-    for a, b in edges:
+    for a, b in sorted(edges, key=repr):
         try:
             operator.index(a), operator.index(b)
         except TypeError:

@@ -513,7 +513,8 @@ def test_complete_graph_with_the_largest_matching(n):
 @pytest.mark.parametrize("n", [2, 3, 5, 12, 24])
 def test_one_way_cycle(n):
     """1 -> 2 -> ... -> n -> 1 holds no bidirected edge from n = 3 on, so
-    only k = 0 is feasible there and every slot is one-directional."""
+    its matching is empty and every slot is one-directional: k = 0 solves,
+    and k >= 1 is outside the construction and raises MatchingTooSmall."""
     rng = np.random.default_rng(950 + n)
     g = make_graph(n, [(v, v % n + 1) for v in range(1, n + 1)], directed=True)
     box = max(5.0, n / 2)

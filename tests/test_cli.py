@@ -558,6 +558,31 @@ def test_batch_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "one.matrix.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--spectrum", "--graph", "--out", "--report", "--mm-out"])
+def test_batch_refuses_the_single_solve_flags(tmp_path, capsys, flag):
+    """A batch names its own inputs and outputs, so a flag it would ignore
+    is bad input, and nothing is solved or written."""
+    (tmp_path / "one.spectrum").write_text(SPECTRUM_3)
+    (tmp_path / "one.graph").write_text(PATH_3)
+    target = tmp_path / "given"
+    assert main(["solve", "--batch", str(tmp_path), flag, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"giep: bad input: {flag} does not apply to --batch\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.graph", "one.spectrum"]
+
+
+def test_jobs_without_batch_is_refused(tmp_path, capsys):
+    (tmp_path / "one.spectrum").write_text(SPECTRUM_3)
+    (tmp_path / "one.graph").write_text(PATH_3)
+    out = tmp_path / "one.csv"
+    argv = ["solve", "--spectrum", str(tmp_path / "one.spectrum"), "--graph",
+            str(tmp_path / "one.graph"), "--out", str(out), "--jobs", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "giep: bad input: --jobs applies only to --batch\n"
+    assert not out.exists()
+
+
 def test_batch_requires_pairs(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

@@ -1,5 +1,9 @@
 """Tests for graph parsing, blossom matching, and relabeling."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -99,6 +103,24 @@ def test_graph_validates(n, directed, edges, message):
     assert str(info.value) == message
 
 
+def test_graph_names_the_same_edge_of_a_set_under_every_hash_seed():
+    """A set's faults are checked in repr order, whatever order the hash
+    seed gives the set; a list's in its own order."""
+    code = ("from giep import Graph\n"
+            "try:\n    Graph(3, True, frozenset({('a', 2), ('b', 3), ('c', 1)}))\n"
+            "except ValueError as exc:\n    print(exc)")
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        for seed in ("1", "2", "4")  # each named another edge before
+    }
+    assert messages == {"edge ('a',2): vertices must be integers\n"}
+    with pytest.raises(ValueError, match=r"^edge \('c',1\)"):
+        Graph(3, True, [("c", 1), ("a", 2)])
+
+
 def test_graph_stores_its_vertex_count_as_an_int():
     """numpy integers pass as n and are kept as Python ints; the largest n
     whose keys n * (n + 1) + b fit in int64 is accepted."""
@@ -167,7 +189,8 @@ def graph_result(build, *args):
     return type(g.n), g.n, g.directed, g.edges, [x.tolist() for x in g.edge_arrays]
 
 
-# documents where the one label array and the line-by-line parse could part
+# corner documents: labels int() reads or refuses, tabs, line endings, repeats
+# and rows of the wrong length
 PARSE_CORNERS = (
     "3 2 directed\n+3 1\n1 +2",             # labels int() reads: a sign, an Arabic-Indic
     "3 1 directed\n\u0663 1",                # digit, an underscore
@@ -258,9 +281,10 @@ PARSE_OUTCOMES = ("accepted", "expected 'a b'", "vertices must be integers", "lo
 
 
 def test_parse_graph_matches_loop_oracle(monkeypatch):
-    """parse_graph's one label array gives the Graph of the line-by-line
-    parse, the same edges and edge arrays, or its first error's message.
-    A document it accepts never runs a loop over its lines or edges."""
+    """parse_graph gives the Graph of the independent line-by-line parse,
+    the same edges and edge arrays, or its first error's message.  A
+    document it accepts is never checked a second time, by make_graph or
+    by Graph's edge check."""
     kinds, accepted = set(), []
     for text in graph_texts(83, 1500):
         got = graph_result(parse_graph, text)
@@ -277,10 +301,11 @@ def test_parse_graph_matches_loop_oracle(monkeypatch):
 
 
 def forbid_loops(monkeypatch):
+    """Make make_graph and Graph's per-edge check fail if they are called."""
     def loop(*args):
-        raise AssertionError("a valid input ran the loop that names an offender")
+        raise AssertionError("a valid document was checked a second time")
 
-    for name in ("_parse_by_loop", "make_graph", "_edge_error"):
+    for name in ("make_graph", "_edge_error"):
         monkeypatch.setattr(giep.graph, name, loop)
 
 
@@ -306,7 +331,7 @@ def test_make_graph_matches_loop_oracle():
 
 
 def test_parse_graph_and_make_graph_agree_on_workload_graphs():
-    """parse_graph's array path and make_graph's loop give equal graphs with
+    """parse_graph's loop and make_graph's loop give equal graphs with
     equal edge arrays on graphs of the benchmark's large size, undirected and
     directed with some reverse edges dropped."""
     rng = np.random.default_rng(87)
