@@ -17,8 +17,9 @@ check is fixed; ``verify --tol`` checks a matrix at any tolerance.
 --out, --report and --mm-out; --jobs applies only to a batch.
 
 The environment variable GIEP_LOG in {quiet, info, trace} controls
-diagnostic verbosity on standard error; any other value is reported there
-and read as quiet.
+diagnostic verbosity on standard error for the call; any other value is
+reported there and read as quiet.  ``main`` leaves the ``giep`` logger's
+level and handlers as it found them.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ _STATUS = ("ok", "bad-input", "infeasible", "numerical")
 DEFAULT_SEED = 20240801
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
+_LOG_FORMAT = logging.Formatter("%(name)s: %(message)s")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,33 +90,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to ``sys.stderr`` as it is when the record is
-    emitted, so a caller that redirects stderr receives the records."""
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-    @stream.setter
-    def stream(self, _stream):
-        pass  # always the current sys.stderr
-
-
-def _configure_logging() -> None:
+def _log_level() -> int:
+    """GIEP_LOG's level; any other value is reported on stderr and read as quiet."""
     value = os.environ.get("GIEP_LOG", "quiet")
     level = _LOG_LEVELS.get(value.strip().lower())
     if level is None:
         print(f"giep: ignoring GIEP_LOG={value!r}; accepted values: {', '.join(_LOG_LEVELS)}",
               file=sys.stderr)
-        level = logging.WARNING
-    root = logging.getLogger("giep")
-    if not root.handlers:
-        handler = _StderrHandler()
-        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-        root.addHandler(handler)
-    if root.level != level:  # setLevel clears every logger's cache
-        root.setLevel(level)
+        return logging.WARNING
+    return level
 
 
 # The text and bytes of Path.read_text and Path.write_text in UTF-8, through
@@ -175,7 +159,7 @@ def _emit_solution(args, report: SolveReport) -> None:
 
 
 def _cmd_solve(args) -> int:
-    if args.batch:
+    if args.batch is not None:
         for flag in ("spectrum", "graph", "out", "report", "mm_out"):  # a batch names its own files
             if getattr(args, flag) is not None:
                 raise InputError(f"--{flag.replace('_', '-')} does not apply to --batch")
@@ -215,6 +199,8 @@ def _solve_batch_item(stem: str, directory: Path, args) -> tuple[int, str]:
 def _run_batch(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    if not args.batch:  # Path("") is the current directory
+        raise InputError("--batch needs a directory name")
     directory = Path(args.batch)
     if not directory.is_dir():
         raise InputError(f"batch directory {directory} does not exist")
@@ -413,24 +399,28 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 
 def main(argv=None) -> int:
-    """Entry point; returns the process exit code.  The ``giep`` logger
-    logs at GIEP_LOG's level during the call and gets its own level back
-    after it, so library calls that follow in the same process log as
-    they did before."""
+    """Entry point; returns the process exit code.  For the call, the
+    ``giep`` logger logs at GIEP_LOG's level to this call's stderr; after
+    it, the logger has its own level and handlers back, so library calls
+    that follow in the same process log as they did before."""
     giep_logger = logging.getLogger("giep")
-    level = giep_logger.level
-    _configure_logging()
-    parser = build_parser()
+    old_level, level = giep_logger.level, _log_level()
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LOG_FORMAT)
+    giep_logger.addHandler(handler)
+    if old_level != level:  # setLevel clears every logger's cache
+        giep_logger.setLevel(level)
     try:
-        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+        args = _parse_args(build_parser(), sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except _HANDLED as exc:
         code, label = _failure(exc)
         print(f"giep: {label}: {exc}", file=sys.stderr)
         return code
     finally:
-        if giep_logger.level != level:  # setLevel clears every logger's cache
-            giep_logger.setLevel(level)
+        giep_logger.removeHandler(handler)
+        if giep_logger.level != old_level:
+            giep_logger.setLevel(old_level)
 
 
 if __name__ == "__main__":

@@ -38,9 +38,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import NamedTuple, NoReturn
 
@@ -52,17 +54,31 @@ from .linalg import spectrum_order
 SCALE_CAP = 1e6  # Spectrum.scale <= SCALE_CAP * radius
 
 
+@cache  # once per type: an ABC check per value is slow
+def _is_real_type(t: type) -> bool:
+    """Whether ``t`` is a real number type other than bool; numpy floats and ints are."""
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Target eigenvalues: pairs (lam_j, mu_j) meaning lam_j +/- mu_j*i, plus reals.
 
     All 2k+l induced values must be pairwise distinct and every mu_j > 0.
+    Each pair is a length-2 sequence or array row (no string) of real numbers, no bools.
     """
 
     pairs: tuple[tuple[float, float], ...]
     reals: tuple[float, ...]
 
     def __post_init__(self):
+        for item in self.pairs:
+            pair = isinstance(item, (Sequence, np.ndarray)) and not isinstance(item, (str, bytes))
+            if not (pair and len(item) == 2 and all(map(_is_real_type, map(type, item)))):
+                raise ValueError(f"each pair must be [lam, mu], got {item!r}")
+        for item in self.reals:
+            if not _is_real_type(type(item)):
+                raise ValueError(f"each real must be a number, got {item!r}")
         try:
             pairs = tuple((float(a), float(b)) for a, b in self.pairs)
             reals = tuple(float(g) for g in self.reals)
@@ -493,18 +509,8 @@ def parse_spectrum(text: str) -> Spectrum:
     reals = doc.get("reals", [])
     if not isinstance(pairs, list) or not isinstance(reals, list):
         raise BadFormat("'pairs' and 'reals' must be arrays")
-    for item in pairs:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
-        ):
-            raise BadFormat(f"each pair must be [lam, mu], got {item!r}")
-    for item in reals:
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise BadFormat(f"each real must be a number, got {item!r}")
     try:
-        return Spectrum(pairs=tuple(map(tuple, pairs)), reals=tuple(reals))
+        return Spectrum(pairs=pairs, reals=reals)
     except ValueError as exc:
         raise BadFormat(str(exc)) from exc
 

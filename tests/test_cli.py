@@ -7,6 +7,7 @@ import io
 import logging
 import os
 import re
+import sys
 import threading
 
 import numpy as np
@@ -595,6 +596,18 @@ def test_batch_needs_an_existing_directory(tmp_path, capsys):
     assert capsys.readouterr().err == f"giep: bad input: batch directory {missing} does not exist\n"
 
 
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["no-jobs", "jobs-2"])
+def test_empty_batch_name_is_bad_input(tmp_path, monkeypatch, capsys, jobs):
+    """``--batch ""`` names no directory; it does not batch-solve the
+    current one, though ``Path("")`` is ``.``."""
+    (tmp_path / "a.spectrum").write_text(SPECTRUM_3)
+    (tmp_path / "a.graph").write_text(PATH_3)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--batch", "", *jobs]) == 1
+    assert capsys.readouterr().err == "giep: bad input: --batch needs a directory name\n"
+    assert not (tmp_path / "a.matrix.csv").exists()
+
+
 def test_batch_of_successes_exits_zero(tmp_path, capsys):
     for name in ("b", "a"):
         (tmp_path / f"{name}.spectrum").write_text(SPECTRUM_3)
@@ -760,6 +773,45 @@ def test_main_gives_the_giep_logger_its_level_back(instance, capsys, giep_log):
     assert logging.getLogger("giep").level == level
     solve_instance(parse_spectrum(spectrum.read_text()), parse_graph(graph.read_text()))
     assert capsys.readouterr().err == ""
+
+
+def test_main_leaves_the_giep_logger_as_it_found_it(instance, monkeypatch, capsys, giep_log):
+    """A call that succeeds and one that fails with a handled error each
+    leave the ``giep`` logger's handlers and level as they were."""
+    giep_log("info")
+    tmp, spectrum, graph = instance
+    giep_logger = logging.getLogger("giep")
+    monkeypatch.setattr(giep_logger, "handlers", [])
+    before = (list(giep_logger.handlers), giep_logger.level)
+    argv = ["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(tmp / "m.csv")]
+    assert main(argv) == 0
+    assert (giep_logger.handlers, giep_logger.level) == before
+    assert main([*argv[:2], str(tmp / "missing.spectrum"), *argv[3:]]) == 1
+    assert (giep_logger.handlers, giep_logger.level) == before
+    assert "giep: cannot read/write: " in capsys.readouterr().err
+
+
+def test_root_handler_gets_each_solver_record_once_after_main(instance, capsys, giep_log):
+    """After ``main``, a program that logs through the root logger at INFO
+    sees each ``giep.solver`` record once: no handler of the call is left
+    on the ``giep`` logger to write it a second time."""
+    giep_log("info")
+    tmp, spectrum, graph = instance
+    assert main(["solve", "--spectrum", str(spectrum), "--graph", str(graph), "--out", str(tmp / "m.csv")]) == 0
+    capsys.readouterr()
+    root = logging.getLogger()
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("root %(name)s: %(message)s"))
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
+    try:
+        solve_instance(parse_spectrum(spectrum.read_text()), parse_graph(graph.read_text()))
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("root giep.solver: continuation finished: ")
 
 
 def test_log_lines_reach_the_current_stderr(instance, giep_log):

@@ -1,5 +1,6 @@
 """Tests for the spectrum/pattern data model, discs, and file formats."""
 
+import json
 import math
 
 import numpy as np
@@ -314,6 +315,61 @@ def test_spectrum_file_round_trip():
 def test_parse_spectrum_rejects(text):
     with pytest.raises(BadFormat):
         parse_spectrum(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"pairs": [["1", 2]], "reals": []}',
+        '{"pairs": [[true, 2]], "reals": []}',
+        '{"pairs": [[1, 2, 3]], "reals": []}',
+        '{"pairs": [[1.0]], "reals": []}',
+        '{"pairs": ["ab"], "reals": []}',
+        '{"pairs": [{"lam": 1, "mu": 2}], "reals": []}',
+        '{"pairs": [], "reals": [null]}',
+        '{"pairs": [], "reals": [false]}',
+        '{"pairs": [], "reals": [[3.0]]}',
+        # every pair, then every real, is checked before any value
+        '{"pairs": [[1, NaN], [1, "x"]], "reals": [null]}',
+        '{"pairs": [[1, -2]], "reals": ["y"]}',
+    ],
+)
+def test_spectrum_refuses_what_parse_spectrum_refuses_with_its_text(text):
+    doc = json.loads(text)
+    with pytest.raises(BadFormat) as parsed:
+        parse_spectrum(text)
+    with pytest.raises(ValueError) as built:
+        Spectrum(pairs=doc["pairs"], reals=doc["reals"])
+    assert str(built.value) == str(parsed.value)
+    # tuples, as library callers write them, give the same text with their own repr
+    pairs = tuple(tuple(p) if isinstance(p, list) else p for p in doc["pairs"])
+    with pytest.raises(ValueError) as built:
+        Spectrum(pairs=pairs, reals=tuple(doc["reals"]))
+    assert str(built.value).split(", got ")[0] == str(parsed.value).split(", got ")[0]
+
+
+@pytest.mark.parametrize(
+    "pairs, reals",
+    [
+        (((np.bool_(True), 2.0),), ()),
+        ((b"ab",), ()),
+        ((), (1 + 2j,)),
+        ((), (np.complex128(3),)),
+    ],
+)
+def test_spectrum_refuses_values_no_json_document_holds(pairs, reals):
+    if pairs:
+        want = f"each pair must be [lam, mu], got {pairs[0]!r}"
+    else:
+        want = f"each real must be a number, got {reals[0]!r}"
+    with pytest.raises(ValueError) as built:
+        Spectrum(pairs=pairs, reals=reals)
+    assert str(built.value) == want
+
+
+def test_spectrum_takes_numpy_numbers_and_array_rows():
+    s = Spectrum(pairs=np.array([[1.0, 2.0]]), reals=(np.float32(3.0), np.int64(-1)))
+    assert s == Spectrum(pairs=((1.0, 2.0),), reals=(3.0, -1.0))
 
 
 def test_parse_spectrum_duplicates_raise_degenerate():
