@@ -59,7 +59,7 @@ def path_graph(n: int) -> Graph:
 
 
 def tridiagonalize(m, cfg: SolverConfig | None = None) -> SolveReport:
-    """An irreducible tridiagonal matrix with the same spectrum as ``m``.
+    """An irreducible tridiagonal matrix with the same spectrum as the real matrix ``m``.
 
     Requires distinct eigenvalues: a minimum gap above GAP_FACTOR times the
     Frobenius norm, a gate relative to the matrix, so scaling the input by
@@ -70,7 +70,7 @@ def tridiagonalize(m, cfg: SolverConfig | None = None) -> SolveReport:
 
     Raises RepeatedEigenvalues when the gap check fails.
     """
-    ev = eig_all(m)  # validates m as a nonempty, square, finite matrix
+    ev = eig_all(m)  # validates m as a nonempty, square, finite real matrix
     a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if n > 1:
@@ -129,7 +129,7 @@ def verify(
     g: Graph,
     spectrum_tol: float | None = None,
 ) -> VerificationReport:
-    """Check that ``m`` has graph ``g`` and spectrum ``s``.
+    """Check that the real matrix ``m`` has graph ``g`` and spectrum ``s``.
 
     Pattern check: every edge position must have magnitude at least
     :func:`~giep.solver.nonzero_floor` of ``s`` and every absent
@@ -145,11 +145,11 @@ def verify(
 
     ``m`` is validated once, by the eigenvalue decomposition, before the
     sizes are compared: ValueError for a matrix that is not nonempty,
-    square and finite, then DimensionMismatch.
+    square, finite and real (no complex array), then DimensionMismatch.
     """
     if spectrum_tol is not None and not spectrum_tol >= 0.0:
         raise ValueError(f"spectrum tolerance must be nonnegative, got {spectrum_tol}")
-    ev = eig_all(m)  # validates m as a nonempty, square, finite matrix
+    ev = eig_all(m)  # validates m as a nonempty, square, finite real matrix
     a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if g.n != n or s.n != n:

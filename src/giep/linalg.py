@@ -3,8 +3,9 @@
 Matrices are plain 2-D float64 numpy arrays and vectors are 1-D arrays;
 complex quantities use numpy's complex128 (a pair of 64-bit reals).  All
 operations are pure functions of their inputs, so arrays can be shared
-freely between threads, and validate finiteness and shape on entry, except
-``eigen_triple``, whose matrix ``eig_all`` has already validated.
+freely between threads, and validate on entry that a matrix is real (no
+complex array), finite and square, except ``eigen_triple``, whose matrix
+``eig_all`` has already validated.
 
 Everything delegates to LAPACK through numpy.  ``eig_all`` wraps the real
 nonsymmetric eigensolver (Hessenberg reduction plus multishift QR), which
@@ -47,7 +48,9 @@ def as_square_matrix(m) -> np.ndarray:
 
 
 def _square(m) -> np.ndarray:
-    """``m`` as a nonempty square float64 array; finiteness is not checked."""
+    """``m`` as a nonempty square float64 array, refused if complex; finiteness is not checked."""
+    if np.iscomplexobj(m):
+        raise ValueError("matrix entries must be real, got a complex array")
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
@@ -87,7 +90,7 @@ def eig_all(m, vectors: bool = False):
     instead, where column ``i`` of ``vecs`` is a right eigenvector of
     ``ev[i]``; :func:`eigen_triple` takes this pair.
 
-    Raises ValueError unless ``m`` is a nonempty, square, finite matrix, and
+    Raises ValueError unless ``m`` is a nonempty, square, finite real matrix, and
     NoConvergence if the QR iteration fails to converge.  numpy checks
     finiteness before LAPACK runs, and that one check is all there is.
     """
@@ -123,13 +126,6 @@ class Eigenpairs(NamedTuple):
     right: np.ndarray
     left: np.ndarray
     pairing: np.ndarray
-
-
-def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``a @ z`` for real ``a``, without a complex copy of ``a`` when ``z`` is complex."""
-    if not np.iscomplexobj(z):
-        return a @ z
-    return (a @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
 def eigen_triple(m, ev, vecs, idx) -> Eigenpairs:
@@ -172,8 +168,8 @@ def eigen_triple(m, ev, vecs, idx) -> Eigenpairs:
     v /= np.linalg.norm(v, axis=0)
     w /= np.linalg.norm(w, axis=1)[:, None]
     pairing = np.einsum("ij,ji->i", w, v)
-    res_right = np.linalg.norm(_real_matmul(a, v) - v * value, axis=0)
-    res_left = np.linalg.norm(_real_matmul(a.T, w.T).T - value[:, None] * w, axis=1)
+    res_right = np.linalg.norm(a @ v - v * value, axis=0)
+    res_left = np.linalg.norm(w @ a - value[:, None] * w, axis=1)
     tol = RES_FACTOR * np.linalg.norm(a)
     orthogonal = ~(np.abs(pairing) >= TOL_ORTHO)
     failed = np.flatnonzero(orthogonal | ~((res_right <= tol) & (res_left <= tol)))

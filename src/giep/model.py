@@ -60,21 +60,29 @@ def _is_real_type(t: type) -> bool:
     return issubclass(t, numbers.Real) and not issubclass(t, bool)
 
 
+def _is_array(x) -> bool:
+    """Whether ``x`` is a sequence but no string, or an array with a dimension."""
+    if isinstance(x, np.ndarray):
+        return x.ndim > 0
+    return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Target eigenvalues: pairs (lam_j, mu_j) meaning lam_j +/- mu_j*i, plus reals.
 
     All 2k+l induced values must be pairwise distinct and every mu_j > 0.
-    Each pair is a length-2 sequence or array row (no string) of real numbers, no bools.
+    ``pairs``, ``reals`` and each pair are sequences or arrays, no strings; values real, no bools.
     """
 
     pairs: tuple[tuple[float, float], ...]
     reals: tuple[float, ...]
 
     def __post_init__(self):
+        if not (_is_array(self.pairs) and _is_array(self.reals)):
+            raise ValueError("'pairs' and 'reals' must be arrays")
         for item in self.pairs:
-            pair = isinstance(item, (Sequence, np.ndarray)) and not isinstance(item, (str, bytes))
-            if not (pair and len(item) == 2 and all(map(_is_real_type, map(type, item)))):
+            if not (_is_array(item) and len(item) == 2 and all(map(_is_real_type, map(type, item)))):
                 raise ValueError(f"each pair must be [lam, mu], got {item!r}")
         for item in self.reals:
             if not _is_real_type(type(item)):
@@ -505,12 +513,8 @@ def parse_spectrum(text: str) -> Spectrum:
     unknown = set(doc) - {"pairs", "reals"}
     if unknown:
         raise BadFormat(f"unknown spectrum keys: {sorted(unknown)}")
-    pairs = doc.get("pairs", [])
-    reals = doc.get("reals", [])
-    if not isinstance(pairs, list) or not isinstance(reals, list):
-        raise BadFormat("'pairs' and 'reals' must be arrays")
     try:
-        return Spectrum(pairs=pairs, reals=reals)
+        return Spectrum(pairs=doc.get("pairs", []), reals=doc.get("reals", []))
     except ValueError as exc:
         raise BadFormat(str(exc)) from exc
 

@@ -226,6 +226,16 @@ def test_verify_rejects_a_nan_or_negative_tolerance(tol):
         verify(np.diag([1.0, 2.0]), s, make_graph(2, []), spectrum_tol=tol)
 
 
+def test_verify_and_tridiagonalize_refuse_a_complex_matrix():
+    # eigenvalues -0.5 + i and 0.5 - i; read as real, the matrix has +-i,
+    # so verify passed it against that spectrum and tridiagonalize solved for it
+    m = np.array([[0.0, 1.0], [-1.0, 0.0]]) * (1 + 0.5j)
+    with pytest.raises(ValueError, match="^matrix entries must be real, got a complex array$"):
+        verify(m, Spectrum(pairs=((0.0, 1.0),), reals=()), make_graph(2, [(1, 2)]))
+    with pytest.raises(ValueError, match="^matrix entries must be real, got a complex array$"):
+        tridiagonalize(m)
+
+
 def test_verify_dimension_check():
     with pytest.raises(DimensionMismatch):
         verify(np.eye(2), S3, path_graph(3))

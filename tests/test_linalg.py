@@ -69,6 +69,16 @@ def test_eig_rejects_nonfinite_and_nonsquare():
         eig_all(np.ones((2, 3)))
 
 
+def test_eig_rejects_complex_arrays():
+    # eigenvalues -0.5 + i and 0.5 - i: casting to float dropped the
+    # imaginary parts and gave the rotation block's +-i
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for m in (rotation * (1 + 0.5j), rotation.astype(complex)):
+        for vectors in (False, True):
+            with pytest.raises(ValueError, match="^matrix entries must be real, got a complex array$"):
+                eig_all(m, vectors=vectors)
+
+
 def _assert_unit_eigenpair(a, eig, i, value, pairing_modulus):
     """Phase-invariant checks of eigenpair i: both eigen-equations at the exact
     eigenvalue ``value``, unit norms, |w^T v|."""
@@ -161,6 +171,17 @@ def test_eigen_triple_wrong_vectors_fail_residual():
         ev = eig_all(a)
         with pytest.raises(NoConvergence):
             eigen_triple(a, ev, np.array([[1.0, 1.0], [0.0, 1.0]]), [1])
+
+
+def test_eigen_triple_wrong_complex_vectors_fail_residual():
+    # the same with complex eigenvectors of another matrix, whose residual
+    # products are complex, for a rotation block at every scale
+    _, other = np.linalg.eig(np.array([[0.0, 2.0], [-1.0, 0.0]]))
+    for scale in (1e-300, 1.0, 1e300):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]]) * scale
+        ev = eig_all(a)
+        with pytest.raises(NoConvergence):
+            eigen_triple(a, ev, other.copy(), [0, 1])
 
 
 def test_solve_identity():

@@ -367,6 +367,26 @@ def test_spectrum_refuses_values_no_json_document_holds(pairs, reals):
     assert str(built.value) == want
 
 
+@pytest.mark.parametrize(
+    "pairs, reals",
+    [
+        pytest.param((p for p in [(1.0, 2.0)]), (3.0,), id="generator"),
+        pytest.param(None, (), id="none"),
+        pytest.param((), 3.0, id="number"),
+        pytest.param("", (1.0,), id="empty-string"),
+        pytest.param("ab", (), id="string"),
+        pytest.param((), b"\x01", id="bytes"),
+        pytest.param((), {1.0}, id="set"),
+        pytest.param({1.0: 2.0}, (), id="dict"),
+        pytest.param((), np.array(1.0), id="0-d-array"),
+    ],
+)
+def test_spectrum_refuses_pairs_or_reals_that_are_no_array(pairs, reals):
+    # parse_spectrum's text, checked before any pair or real
+    with pytest.raises(ValueError, match=r"^'pairs' and 'reals' must be arrays$"):
+        Spectrum(pairs=pairs, reals=reals)
+
+
 def test_spectrum_takes_numpy_numbers_and_array_rows():
     s = Spectrum(pairs=np.array([[1.0, 2.0]]), reals=(np.float32(3.0), np.int64(-1)))
     assert s == Spectrum(pairs=((1.0, 2.0),), reals=(3.0, -1.0))
